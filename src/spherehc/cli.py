@@ -495,6 +495,10 @@ def _dispatch(parser: _Parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
         return USAGE_ERROR  # unreachable; error() raises
+    except ArithmeticError as exc:
+        # a norm or integral that stayed non-finite: no verdict can be given
+        print(f"{parser.prog}: inconclusive: {exc}", file=sys.stderr)
+        return INCONCLUSIVE_EXIT
 
 
 def main(argv=None) -> int:

@@ -188,7 +188,7 @@ def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
         raise ValueError(f"need n >= 2 and d >= 1, got ({n}, {d})")
     lam = (n - 1) / 2
     res = norms.zonal_power_integral(lam, d, 4.0, tol, normalized=False)
-    lhs = 4.0 * (0.5 * d * math.log(2.0 * lam) - specfun.log_gamma(d + 1.0)) + math.log(res.value)
+    lhs = 4.0 * (0.5 * d * math.log(2.0 * lam) - specfun.log_gamma(d + 1.0)) + res.log_value
     rhs = (
         math.sqrt(d * (d + n - 1.0) / n) * math.log(9.0)
         + 2.0 * math.log(n - 1.0)
@@ -197,11 +197,7 @@ def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
         - 2.0 * math.log(2.0 * d + n - 1.0)
         - 2.0 * specfun.log_beta(n - 1.0, float(d))
     )
-    err = (
-        math.inf
-        if not res.converged
-        else res.error_estimate / res.value + _log_rounding(lhs, rhs)
-    )
+    err = math.inf if not res.converged else res.relative_error + _log_rounding(lhs, rhs)
     return Verdict.compare(lhs, rhs, err)
 
 

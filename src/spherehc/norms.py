@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .quadrature import IntegralResult, gaussian_truncation_radius, integrate_piecewise
+from .quadrature import (
+    IntegralResult,
+    gaussian_truncation_radius,
+    integrate_piecewise,
+    integrate_root_intervals,
+)
 
 __all__ = [
     "QUADRATURE",
@@ -38,6 +43,7 @@ CIRCLE_FORMULA = "circle-formula"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _ROUNDING = 5e-15
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -87,42 +93,77 @@ def zonal_power_integral(
 ) -> IntegralResult:
     """integral over [-1, 1] of |C_d^(lam)(t)|^p (1 - t^2)^(lam - 1/2) dt, rescaled.
 
-    Returned is the integral of the *scaled* profile |G_d(s)|^p against the
-    projected weight on s in (-L, L), L = sqrt(2 lam):  the raw integral equals
-    the result times ((2 lam)^(d/2) / d!)^p.  With ``normalized`` the weight
-    carries c_lam (probability normalization); without it the bare weight of
-    the counterexample inequality is used.  The integrand is assembled in log
-    space so no intermediate power overflows.
+    Returned is the integral of the *scaled* profile |G_d(s)|^p,
+    G_d(s) = (d! / (2 lam)^(d/2)) C_d^(lam)(s / sqrt(2 lam)), against the
+    weight: the raw integral equals the result times ((2 lam)^(d/2) / d!)^p.
+    With ``normalized`` the weight carries c_lam (probability normalization);
+    without it the bare weight of the counterexample inequality is used.
+
+    Rule: the roots of C_d^(lam) split [-1, 1] into d + 1 intervals, and each
+    gets one 16- and one 32-node Gauss-Jacobi rule with exponents (p, p)
+    between roots and (lam - 1/2, p) on the two end intervals
+    (``quadrature.integrate_root_intervals``).  All nodes go through one
+    ``specfun.gegenbauer_eval_scaled`` call and are summed as a logsumexp of
+    p log|G| + log w, so ``log_value`` stays finite where |G|^p overflows.
+
+    Error (``relative_error``): the relative gap between the two rule sizes,
+    plus the rounding of the log-space sum, plus a floor of 4 p (d + 1) eps
+    for the rounding of the d-step recurrence; neither rounding term shows in
+    the gap.  Only the gap is compared with ``tol``, so a tighter ``tol`` does
+    not force the fallback.
+
+    Fallback: when the gap exceeds ``tol`` (for example at lam ~ 500, where
+    (1 - t^2)^(lam - 1/2) is too steep for 32 nodes) the integral is redone by
+    adaptive Gauss-Legendre panels split at the roots, with the integrand
+    exponentiated from log space; ``method`` records which path was taken.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     scale = math.sqrt(2.0 * lam)
-    log_const = -0.5 * math.log(2.0 * lam)
-    if normalized:
-        log_const += math.log(specfun.c_lambda(lam))
-    wexp = lam - 0.5
+    log_c = math.log(specfun.c_lambda(lam)) if normalized else 0.0
     spec = specfun.GegenbauerSpec(lam, d)
+    roots = specfun.gegenbauer_roots(spec).roots
+
+    def log_power(t: np.ndarray) -> np.ndarray:
+        g = np.asarray(specfun.gegenbauer_eval_scaled(spec, scale * t), dtype=float)
+        with np.errstate(divide="ignore"):
+            return p * np.log(np.abs(g)) + log_c
+
+    res = integrate_root_intervals(log_power, roots, p, lam - 0.5, tol)
+    if not res.converged:
+        res = _zonal_power_adaptive(spec, p, log_c, roots, tol)
+    return res.widened(4.0 * p * (d + 1) * _EPS)
+
+
+def _zonal_power_adaptive(
+    spec: specfun.GegenbauerSpec, p: float, log_c: float, roots, tol: float
+) -> IntegralResult:
+    """The same integral by adaptive panels in s = sqrt(2 lam) t."""
+    lam = spec.lam
+    scale = math.sqrt(2.0 * lam)
+    log_const = log_c - 0.5 * math.log(2.0 * lam)
+    wexp = lam - 0.5
 
     def integrand(s: np.ndarray) -> np.ndarray:
         g = np.asarray(specfun.gegenbauer_eval_scaled(spec, s), dtype=float)
         u = s / scale
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             log_g = np.where(g == 0.0, -np.inf, np.log(np.abs(g)))
             if wexp == 0.0:
                 log_w = np.full_like(s, log_const)
             else:
                 log_w = wexp * np.log1p(-u * u) + log_const
-        return np.exp(p * log_g + log_w)
+            return np.exp(p * log_g + log_w)
 
-    cuts = [r * scale for r in specfun.gegenbauer_roots(spec).roots]
+    cuts = [r * scale for r in roots]
     return integrate_piecewise(integrand, cuts, (-scale, scale), tol)
 
 
 def _norm_from_integral(res: IntegralResult, p: float, log_prefactor: float, method: str) -> NormValue:
-    if not res.value > 0 or not math.isfinite(res.value):
-        raise ArithmeticError(f"norm integral degenerated to {res.value}")
-    log_norm = log_prefactor + math.log(res.value) / p
-    rel = res.error_estimate / res.value / p + _ROUNDING
+    if not (res.value > 0 and math.isfinite(res.log_value)):
+        raise ArithmeticError(f"norm integral is {res.value}, not a finite positive number")
+    log_norm = log_prefactor + res.log_value / p
+    rel = res.relative_error / p + _ROUNDING
     try:
         value = math.exp(log_norm)
     except OverflowError:
@@ -216,7 +257,8 @@ def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
 
     def integrand(y: np.ndarray) -> np.ndarray:
         _, log_h = specfun.hermite_log_abs(spec, y)
-        return np.exp(p * log_h - 0.5 * y * y - _LOG_SQRT_2PI)
+        with np.errstate(over="ignore"):
+            return np.exp(p * log_h - 0.5 * y * y - _LOG_SQRT_2PI)
 
     cuts = [r for r in specfun.hermite_roots(spec).roots if -radius < r < radius]
     res = integrate_piecewise(integrand, cuts, (-radius, radius), tol)

@@ -227,7 +227,7 @@ def gegenbauer_roots(spec: GegenbauerSpec) -> RootList:
         1.0,
     )
     nodes = 0.5 * (nodes - nodes[::-1])
-    return RootList(tuple(float(r) for r in nodes), SPHERE_INTERVAL)
+    return RootList(tuple(nodes.tolist()), SPHERE_INTERVAL)
 
 
 def hermite_roots(spec: HermiteSpec) -> RootList:
@@ -250,7 +250,7 @@ def hermite_roots(spec: HermiteSpec) -> RootList:
         float(nodes[-1]) + span,
     )
     nodes = 0.5 * (nodes - nodes[::-1])
-    return RootList(tuple(float(r) for r in nodes), REAL_LINE)
+    return RootList(tuple(nodes.tolist()), REAL_LINE)
 
 
 def log_gamma(x: float) -> float:

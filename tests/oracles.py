@@ -121,3 +121,9 @@ def sphere_power_integral_exact(lam: Fraction, d: int, p_even: int) -> Fraction:
         if deg % 2 == 0:
             total += c * sphere_even_moment(lam, deg)
     return total
+
+
+def log_fraction(x: Fraction) -> float:
+    """log x for a positive rational, accurate where x is far outside float range."""
+    shift = x.numerator.bit_length() - x.denominator.bit_length()
+    return math.log(float(x / Fraction(2) ** shift)) + shift * math.log(2.0)

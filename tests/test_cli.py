@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import time
 
 import pytest
 
@@ -124,6 +126,27 @@ def test_ratio_gaussian_kind(capsys):
     row = next(csv.DictReader(io.StringIO(out)))
     assert row["kind"] == "gaussian" and row["n"] == ""
     assert row["status"] == "holds"
+
+
+def test_ratio_past_float_overflow_exits_zero(capsys):
+    # |Y_100|^4 overflows a float on S^13; the log-space sum keeps the verdict finite
+    code, out, _ = run(capsys, "ratio", "--n", "13", "--d", "100", "--p", "2", "--q", "4", "--format", "csv")
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["status"] in ("holds", "fails")
+    assert math.isfinite(float(row["lhs"])) and math.isfinite(float(row["ratio"]))
+
+
+def test_gaussian_overflow_exits_inconclusive_quickly(capsys):
+    # |h_80|^4 overflows a float: the adaptive panels stop at the first
+    # non-finite value and the CLI reports a one-line reason, not a traceback
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ratio", "--gaussian", "--d", "80", "--p", "2", "--q", "4")
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "inconclusive" in err
+    assert elapsed < 2.0
 
 
 def test_limit_monotone_exit_zero(capsys):

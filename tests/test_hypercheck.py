@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from spherehc.hypercheck import (
 from spherehc.norms import SphereParams, sphere_l2_norm_closed
 from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
-from oracles import hermite_fourth_moment
+from oracles import hermite_fourth_moment, log_fraction, sphere_power_integral_exact
 
 
 # ----------------------------------------------------------------- spectrum
@@ -325,6 +326,23 @@ def test_count1_holds_in_small_dimensions():
 def test_count1_p_equals_q_boundary():
     v = count1_check(5, 3, 2.5, 2.5)
     assert v.status == HOLDS and v.margin == 0.0
+
+
+# the first seven cells have d >= 32, where the band once missed the
+# rounding of the recurrence; the rest are a spread of small and large cells
+@pytest.mark.parametrize(
+    "n,d",
+    [(2, 36), (4, 32), (4, 33), (4, 36), (4, 39), (4, 40), (6, 34),
+     (2, 1), (3, 10), (13, 7), (9, 25), (12, 40)],
+)
+def test_count1_error_band_covers_exact_value(n, d):
+    lam = Fraction(n - 1, 2)
+    exact = (
+        log_fraction(sphere_power_integral_exact(lam, d, 4)) / 4
+        - log_fraction(sphere_power_integral_exact(lam, d, 2)) / 2
+    )
+    v = count1_check(n, d, 2, 4)
+    assert abs(v.lhs - exact) <= v.numeric_error
 
 
 def test_utol1_fails_at_paper_cell():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spherehc import specfun
 from spherehc.norms import (
     CIRCLE_FORMULA,
     CLOSED_FORM,
@@ -19,9 +20,18 @@ from spherehc.norms import (
     sphere_l2_norm_closed,
     sphere_lp_norm,
     zonal_lp_norm,
+    zonal_power_integral,
 )
+from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, gauss_jacobi, integrate_piecewise
 
-from oracles import hermite_fourth_moment, simpson_composite, sphere_power_integral_exact
+from oracles import hermite_fourth_moment, log_fraction, simpson_composite, sphere_power_integral_exact
+
+
+def _scaled_log_exact(n: int, d: int, p: int) -> float:
+    """log of the exact zonal_power_integral value, (d!/(2 lam)^(d/2))^p times the oracle."""
+    lam = Fraction(n - 1, 2)
+    raw = sphere_power_integral_exact(lam, d, p)
+    return log_fraction(raw * Fraction(math.factorial(d)) ** p / (2 * lam) ** (d * p // 2))
 
 
 def test_degree_zero_norm_is_one():
@@ -172,3 +182,57 @@ def test_error_estimates_are_honest():
         closed = sphere_l2_norm_closed(SphereParams(n), d)
         observed = abs(quad.value - closed.value) / closed.value
         assert observed <= max(quad.error_estimate * 10, 1e-12)
+
+
+# ------------------------------------------------------ root-interval rule
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 13])
+@pytest.mark.parametrize("d", [1, 7, 30, 40])
+def test_root_interval_rule_error_is_honest(n, d, p):
+    res = zonal_power_integral((n - 1) / 2, d, float(p), 1e-12)
+    assert res.method == GAUSS_JACOBI and res.converged
+    assert abs(res.log_value - _scaled_log_exact(n, d, p)) <= res.relative_error
+
+
+@pytest.mark.parametrize("n,d,p", [(2, 30, 1.5), (3, 30, 1.5), (3, 7, 3.0), (13, 7, 1.5), (13, 30, 3.0)])
+def test_root_interval_rule_matches_adaptive_for_odd_powers(n, d, p):
+    lam = (n - 1) / 2
+    spec = specfun.GegenbauerSpec(lam, d)
+    c = specfun.c_lambda(lam)
+
+    def f(t):
+        return np.abs(specfun.gegenbauer_eval(spec, t)) ** p * c * (1 - t * t) ** (lam - 0.5)
+
+    ref = integrate_piecewise(f, specfun.gegenbauer_roots(spec), (-1.0, 1.0), 1e-13)
+    res = zonal_power_integral(lam, d, p, 1e-13)
+    assert ref.converged and res.method == GAUSS_JACOBI
+    log_raw = res.log_value + p * (0.5 * d * math.log(2 * lam) - math.lgamma(d + 1))
+    diff = abs(log_raw - ref.log_value)
+    assert diff <= res.relative_error + ref.relative_error
+    assert diff <= 1e-12
+
+
+def test_steep_weight_falls_back_to_adaptive_panels():
+    # at n = 1000 the end-interval weight (1 - t^2)^499.5 is too steep for 32
+    # nodes; the value is the one the adaptive path has always given
+    res = zonal_power_integral(499.5, 6, 4.0, 1e-12)
+    assert res.method == ADAPTIVE and res.converged
+    assert res.value == pytest.approx(16718136563.776575, rel=1e-14)
+
+
+def test_jacobi_rule_cache_is_bounded():
+    limit = gauss_jacobi.cache_info().maxsize
+    assert limit is not None
+    for k in range(limit + 8):
+        gauss_jacobi(4, 0.5 + k, 2.0)
+    assert gauss_jacobi.cache_info().currsize <= limit
+
+
+@pytest.mark.parametrize("n,d", [(2, 58), (13, 74), (13, 100), (2, 100)])
+def test_quartic_norm_past_float_overflow(n, d):
+    # |G_d|^4 overflows a float here; the log-space sum must not
+    nv = sphere_lp_norm(SphereParams(n), d, 4.0)
+    exact = log_fraction(sphere_power_integral_exact(Fraction(n - 1, 2), d, 4)) / 4
+    assert nv.converged
+    assert abs(nv.log_value - exact) <= nv.error_estimate

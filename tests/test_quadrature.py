@@ -140,6 +140,17 @@ def test_nonconvergence_is_flagged():
     assert res.subintervals_used >= 64
 
 
+def test_non_finite_integrand_stops_at_once():
+    # bisection cannot make an overflowed panel finite: no panel is split
+    def f(t):
+        return np.where(t > 0.5, np.inf, 1.0)
+
+    res = integrate_piecewise(f, [0.0], (-1.0, 1.0), 1e-12)
+    assert not res.converged
+    assert math.isnan(res.value)
+    assert res.subintervals_used == 2
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         integrate_piecewise(np.abs, [], (1.0, -1.0), 1e-10)

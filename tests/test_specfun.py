@@ -15,6 +15,7 @@ from oracles import (
     gegenbauer_explicit,
     gegenbauer_scaled_explicit,
     hermite_explicit,
+    rising,
 )
 
 
@@ -59,6 +60,19 @@ def test_scaled_matches_explicit_sum(lam, d):
         s = Fraction(snum, 10)
         exact = float(gegenbauer_scaled_explicit(lam, d, s))
         assert specfun.gegenbauer_eval_scaled(spec, float(s)) == pytest.approx(exact, rel=1e-11, abs=1e-11)
+
+
+def test_scaled_finite_at_documented_limit():
+    # the docstring promises d <= 100 and lam <= 1e4; s = sqrt(2 lam) is t = 1,
+    # where the value is largest on the sphere's interval
+    lam, d = 10_000, 100
+    spec = GegenbauerSpec(float(lam), d)
+    edge = math.sqrt(2.0 * lam)
+    values = specfun.gegenbauer_eval_scaled(spec, np.linspace(-edge, edge, 2001))
+    assert np.all(np.isfinite(values))
+    # at t = 1 the explicit sum has no cancellation: (2 lam)_d / (2 lam)^(d/2)
+    exact = rising(Fraction(2 * lam), d) / Fraction(2 * lam) ** (d // 2)
+    assert specfun.gegenbauer_eval_scaled(spec, edge) == pytest.approx(float(exact), rel=1e-11)
 
 
 def test_scaled_approaches_hermite():
