@@ -48,7 +48,6 @@ from .quadrature import (
     IntegralResult,
     QuadratureRule,
     gauss_legendre,
-    gaussian_integrate,
     integrate_piecewise,
     subordination_check,
 )

@@ -258,33 +258,30 @@ def _require_nonnegative(g: ZonalPolynomial) -> None:
         )
 
 
-def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, bool]:
+def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, bool, list[float]]:
+    """Entropy of g, its error, convergence, and a_k^2 ||Y_k||_2^2 for each degree k.
+
+    By orthogonality the terms sum to the mass integral g^2 dsigma (||Y_0||_2 = 1).
+    """
     _require_nonnegative(g)
-    lam = (g.n - 1) / 2
-    wexp = lam - 0.5
+    params = SphereParams(g.n)
+    closed = [norms.sphere_l2_norm_closed(params, k) for k in range(1, len(g.coeffs))]
+    terms = [g.coeffs[0] ** 2, *(a * a * math.exp(2.0 * v.log_value) for a, v in zip(g.coeffs[1:], closed))]
+    rel = max((2.0 * v.error_estimate for v in closed), default=0.0)
+    mass = math.fsum(terms)
+    lam = params.lam
     log_c = math.log(specfun.c_lambda(lam))
     coeffs = np.asarray(g.coeffs, dtype=float)
-
-    def weight(t: np.ndarray) -> np.ndarray:
-        if wexp == 0.0:
-            return np.full_like(t, math.exp(log_c))
-        with np.errstate(divide="ignore"):
-            return np.exp(wexp * np.log1p(-t * t) + log_c)
-
-    def mass_integrand(t: np.ndarray) -> np.ndarray:
-        u = np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float)
-        return u * u * weight(t)
 
     def entropy_integrand(t: np.ndarray) -> np.ndarray:
         u = np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float)
         usq = u * u
-        return xlogy(usq, usq) * weight(t)
+        return xlogy(usq, usq) * np.exp(norms._log_weight(lam, t, log_c))
 
-    mass = integrate_piecewise(mass_integrand, [], (-1.0, 1.0), tol)
     ent = integrate_piecewise(entropy_integrand, [], (-1.0, 1.0), tol)
-    value = ent.value - mass.value * math.log(mass.value)
-    err = ent.error_estimate + mass.error_estimate * (abs(math.log(mass.value)) + 1.0)
-    return value, err, mass.converged and ent.converged
+    value = ent.value - mass * math.log(mass)
+    err = ent.error_estimate + rel * mass * (abs(math.log(mass)) + 1.0)
+    return value, err, ent.converged, terms
 
 
 def entropy_functional(g: ZonalPolynomial, tol: float = 1e-10) -> float:
@@ -293,8 +290,7 @@ def entropy_functional(g: ZonalPolynomial, tol: float = 1e-10) -> float:
     Requires g >= 0 pointwise (checked on a dense grid; raises
     NonnegativityError otherwise).  Homogeneous of degree 2 in g.
     """
-    value, _, _ = _entropy_with_error(g, tol)
-    return value
+    return _entropy_with_error(g, tol)[0]
 
 
 def logsob_check(g: ZonalPolynomial, rhs_kind: str, tol: float = 1e-10) -> Verdict:
@@ -305,19 +301,12 @@ def logsob_check(g: ZonalPolynomial, rhs_kind: str, tol: float = 1e-10) -> Verdi
     """
     if rhs_kind not in (RHS_BECKNER, RHS_SQRT_EIGENVALUE):
         raise ValueError(f"unknown rhs kind {rhs_kind!r}")
-    params = SphereParams(g.n)
-    lhs, err, converged = _entropy_with_error(g, tol)
-    terms = []
-    for k, a in enumerate(g.coeffs):
-        if k == 0 or a == 0.0:
-            continue
-        norm_sq = math.exp(2.0 * norms.sphere_l2_norm_closed(params, k).log_value)
-        if rhs_kind == RHS_BECKNER:
-            c = beckner_constant(g.n, k)
-        else:
-            c = 2.0 * math.sqrt(k * (k + g.n - 1.0) / g.n)
-        terms.append(c * a * a * norm_sq)
-    rhs = math.fsum(terms)
+    lhs, err, converged, terms = _entropy_with_error(g, tol)
+    if rhs_kind == RHS_BECKNER:
+        coefficients = [beckner_constant(g.n, k) for k in range(len(terms))]
+    else:
+        coefficients = [2.0 * math.sqrt(k * (k + g.n - 1.0) / g.n) for k in range(len(terms))]
+    rhs = math.fsum(c * term for c, term in zip(coefficients, terms))
     total_err = math.inf if not converged else err + 1e-14 * (abs(rhs) + 1.0)
     return Verdict.compare(lhs, rhs, total_err)
 

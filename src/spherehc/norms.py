@@ -15,6 +15,7 @@ import numpy as np
 
 from . import specfun
 from .quadrature import (
+    ADAPTIVE,
     IntegralResult,
     gaussian_truncation_radius,
     integrate_piecewise,
@@ -115,7 +116,8 @@ def zonal_power_integral(
     Fallback: when the gap exceeds ``tol`` (for example at lam ~ 500, where
     (1 - t^2)^(lam - 1/2) is too steep for 32 nodes) the integral is redone by
     adaptive Gauss-Legendre panels split at the roots, with the integrand
-    exponentiated from log space; ``method`` records which path was taken.
+    exponentiated relative to the rule's estimate so it stays finite where
+    the integral does not fit a float; ``method`` records the path taken.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -131,32 +133,49 @@ def zonal_power_integral(
 
     res = integrate_root_intervals(log_power, roots, p, lam - 0.5, tol)
     if not res.converged:
-        res = _zonal_power_adaptive(spec, p, log_c, roots, tol)
+        res = _zonal_power_adaptive(spec, p, log_c, roots, res.log_value, tol)
     return res.widened(4.0 * p * (d + 1) * _EPS)
 
 
 def _zonal_power_adaptive(
-    spec: specfun.GegenbauerSpec, p: float, log_c: float, roots, tol: float
+    spec: specfun.GegenbauerSpec, p: float, log_c: float, roots, log_ref: float, tol: float
 ) -> IntegralResult:
-    """The same integral by adaptive panels in s = sqrt(2 lam) t."""
+    """The same integral by adaptive panels in s = sqrt(2 lam) t, relative to exp(log_ref).
+
+    log_ref, the rule's estimate (0 where that is not finite), is added back to
+    the log of the result.
+    """
     lam = spec.lam
     scale = math.sqrt(2.0 * lam)
-    log_const = log_c - 0.5 * math.log(2.0 * lam)
-    wexp = lam - 0.5
+    if not math.isfinite(log_ref):
+        log_ref = 0.0
+    log_const = log_c - 0.5 * math.log(2.0 * lam) - log_ref
 
     def integrand(s: np.ndarray) -> np.ndarray:
         g = np.asarray(specfun.gegenbauer_eval_scaled(spec, s), dtype=float)
-        u = s / scale
+        log_w = _log_weight(lam, s / scale, log_const)
         with np.errstate(divide="ignore", over="ignore"):
-            log_g = np.where(g == 0.0, -np.inf, np.log(np.abs(g)))
-            if wexp == 0.0:
-                log_w = np.full_like(s, log_const)
-            else:
-                log_w = wexp * np.log1p(-u * u) + log_const
-            return np.exp(p * log_g + log_w)
+            return np.exp(p * np.log(np.abs(g)) + log_w)
 
     cuts = [r * scale for r in roots]
-    return integrate_piecewise(integrand, cuts, (-scale, scale), tol)
+    res = integrate_piecewise(integrand, cuts, (-scale, scale), tol)
+    if not res.value > 0:
+        return res
+    return IntegralResult.from_log(
+        log_ref + math.log(res.value), res.relative_error, res.subintervals_used, res.converged, ADAPTIVE
+    )
+
+
+def _log_weight(lam: float, t: np.ndarray, log_const: float) -> np.ndarray:
+    """log(exp(log_const) (1 - t^2)^(lam - 1/2)), the Gegenbauer weight in log form.
+
+    With log_const = log c_lam it is the log density of t = xi . e1 on S^n; at
+    lam = 1/2 it is the constant, even at t = +-1.
+    """
+    if lam == 0.5:
+        return np.full_like(t, log_const)
+    with np.errstate(divide="ignore"):
+        return (lam - 0.5) * np.log1p(-t * t) + log_const
 
 
 def _norm_from_integral(res: IntegralResult, p: float, log_prefactor: float, method: str) -> NormValue:
@@ -312,18 +331,12 @@ def zonal_lp_norm(params: SphereParams, coeffs, p: float, tol: float = 1e-12) ->
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     lam = params.lam
-    wexp = lam - 0.5
     log_c = math.log(specfun.c_lambda(lam))
     coeffs = np.asarray(coeffs, dtype=float)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         u = np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float)
-        if wexp == 0.0:
-            log_w = np.full_like(t, log_c)
-        else:
-            with np.errstate(divide="ignore"):
-                log_w = wexp * np.log1p(-t * t) + log_c
-        return np.abs(u) ** p * np.exp(log_w)
+        return np.abs(u) ** p * np.exp(_log_weight(lam, t, log_c))
 
     res = integrate_piecewise(integrand, [], (-1.0, 1.0), tol)
     return _norm_from_integral(res, p, 0.0, QUADRATURE)

@@ -1,5 +1,6 @@
 """Quadrature for piecewise-smooth integrands: Gauss-Jacobi rules on root
-intervals, adaptive Gauss-Legendre panels, and Gaussian-measure integration.
+intervals, adaptive Gauss-Legendre panels, and the truncation radius of
+Gaussian-measure integrals.
 
 Root-interval rule (``integrate_root_intervals``).  An integrand
 |P(t)|^p (1 - t^2)^e on [-1, 1], with P a polynomial whose simple roots
@@ -46,7 +47,6 @@ __all__ = [
     "gauss_jacobi",
     "integrate_root_intervals",
     "integrate_piecewise",
-    "gaussian_integrate",
     "gaussian_truncation_radius",
     "subordination_check",
     "MAX_PANELS",
@@ -62,7 +62,6 @@ _COARSE = 16
 _FINE = 32
 _JACOBI_NODES = 16
 _EPS = np.finfo(float).eps
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,14 +231,6 @@ def integrate_root_intervals(log_power, roots, p: float, end_exponent: float, to
     return IntegralResult.from_log(fine, gap + rounding, len(lo), converged, GAUSS_JACOBI)
 
 
-def _as_points(breakpoints) -> list[float]:
-    if breakpoints is None:
-        return []
-    if isinstance(breakpoints, RootList):
-        return list(breakpoints.roots)
-    return [float(b) for b in breakpoints]
-
-
 def _panel(f, a: float, b: float) -> tuple[float, float, float]:
     """(fine value, error estimate, |fine value|) for one panel."""
     mid = 0.5 * (a + b)
@@ -273,7 +264,10 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, max_panels: int = 
         raise ValueError(f"empty interval {interval}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    cuts = sorted({p for p in _as_points(breakpoints) if a < p < b})
+    if isinstance(breakpoints, RootList):
+        breakpoints = breakpoints.roots
+    points = () if breakpoints is None else breakpoints
+    cuts = sorted({float(p) for p in points if a < p < b})
     edges = [a, *cuts, b]
 
     heap: list[tuple[float, int, float, float, float]] = []
@@ -320,24 +314,6 @@ def gaussian_truncation_radius(growth_degree: int, tol: float) -> float:
     while growth_degree * math.log1p(radius) - 0.5 * radius * radius >= target:
         radius += 1.0
     return radius
-
-
-def gaussian_integrate(f, breakpoints, tol: float, growth_degree: int) -> IntegralResult:
-    """Integrate ``f`` against the standard Gaussian measure on the line.
-
-    ``f`` must grow at most polynomially with the stated degree; the domain is
-    truncated to [-R, R] with R from the explicit tail bound, and the tail
-    bound is added to the error estimate.
-    """
-    radius = gaussian_truncation_radius(growth_degree, tol)
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        return np.asarray(f(y), dtype=float) * np.exp(-0.5 * y * y) * _INV_SQRT_2PI
-
-    inner = [p for p in _as_points(breakpoints) if -radius < p < radius]
-    res = integrate_piecewise(integrand, inner, (-radius, radius), tol)
-    tail = math.exp(growth_degree * math.log1p(radius) - 0.5 * radius * radius)
-    return IntegralResult(res.value, res.error_estimate + tail, res.subintervals_used, res.converged)
 
 
 def subordination_check(x: float, tol: float = 1e-10) -> Verdict:

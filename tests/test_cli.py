@@ -7,6 +7,7 @@ import io
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -147,6 +148,38 @@ def test_gaussian_overflow_exits_inconclusive_quickly(capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "inconclusive" in err
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("n,d,q", [(30, 50, 8), (20, 40, 12)])
+def test_ratio_on_the_adaptive_fallback_past_float_range(capsys, n, d, q):
+    code, out, _ = run(capsys, "ratio", "--n", str(n), "--d", str(d), "--p", "2", "--q", str(q), "--format", "csv")
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["status"] == "fails"
+    assert math.isfinite(float(row["lhs"]))
+
+
+def test_scan_across_the_adaptive_fallback_completes(capsys):
+    code, out, _ = run(
+        capsys, "scan", "--p", "2", "--q", "8", "--n-min", "30", "--n-max", "30",
+        "--d-min", "48", "--d-max", "52", "--format", "csv",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["d"] for row in rows] == ["48", "49", "50", "51", "52"]
+    assert all(row["status"] == "fails" for row in rows)
+
+
+def test_sphere_overflow_exit_prints_no_warnings(capsys):
+    # G_400 itself passes the float range on S^2: the verdict is an honest
+    # exit 3 with one line on stderr, and no RuntimeWarning reaches it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "ratio", "--n", "2", "--d", "400", "--p", "2", "--q", "4")
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "inconclusive" in err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_limit_monotone_exit_zero(capsys):

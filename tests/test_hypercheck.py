@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherehc import hypercheck, norms
 from spherehc.hypercheck import (
@@ -343,6 +345,20 @@ def test_count1_error_band_covers_exact_value(n, d):
     )
     v = count1_check(n, d, 2, 4)
     assert abs(v.lhs - exact) <= v.numeric_error
+
+
+@st.composite
+def _exponent_pairs(draw):
+    p = draw(st.floats(1.0, 12.0, exclude_min=True, exclude_max=True))
+    return p, draw(st.floats(p, 12.0, exclude_min=True))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(n=st.integers(2, 40), d=st.integers(1, 80), pq=_exponent_pairs())
+def test_count1_is_finite_and_three_valued(n, d, pq):
+    v = count1_check(n, d, *pq)
+    assert all(math.isfinite(x) for x in (v.lhs, v.rhs, v.numeric_error))
+    assert v.status in (HOLDS, FAILS, INCONCLUSIVE)
 
 
 def test_utol1_fails_at_paper_cell():

@@ -215,10 +215,24 @@ def test_root_interval_rule_matches_adaptive_for_odd_powers(n, d, p):
 
 def test_steep_weight_falls_back_to_adaptive_panels():
     # at n = 1000 the end-interval weight (1 - t^2)^499.5 is too steep for 32
-    # nodes; the value is the one the adaptive path has always given
+    # nodes; the adaptive value matches the exact one to 1e-14, which needs a
+    # log c_lam free of lgamma cancellation (about 1e-13 at lam = 499.5)
     res = zonal_power_integral(499.5, 6, 4.0, 1e-12)
     assert res.method == ADAPTIVE and res.converged
-    assert res.value == pytest.approx(16718136563.776575, rel=1e-14)
+    exact = _scaled_log_exact(1000, 6, 4)
+    assert res.value == pytest.approx(math.exp(exact), rel=1e-14)
+    assert abs(res.log_value - exact) <= res.relative_error
+
+
+@pytest.mark.parametrize("n,d,p", [(30, 50, 8), (20, 40, 12)])
+def test_adaptive_fallback_past_float_range(n, d, p):
+    # the 16/32 gap misses tol here and the integral's log passes 709; the
+    # fallback integrates relative to the rule's estimate, so it stays finite
+    res = zonal_power_integral((n - 1) / 2, d, float(p), 1e-12)
+    assert res.method == ADAPTIVE and res.converged
+    exact = _scaled_log_exact(n, d, p)
+    assert exact > 709
+    assert abs(res.log_value - exact) <= res.relative_error
 
 
 def test_jacobi_rule_cache_is_bounded():

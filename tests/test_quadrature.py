@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from spherehc import specfun
+from spherehc.norms import gaussian_lp_norm
 from spherehc.quadrature import (
     gauss_legendre,
-    gaussian_integrate,
     gaussian_truncation_radius,
     integrate_piecewise,
     subordination_check,
@@ -160,22 +160,24 @@ def test_interval_validation():
 
 # ------------------------------------------------------------------- gaussian
 
+# gaussian_lp_norm(1, 2k) ** (2k) is the moment E[y^(2k)], so these check the
+# truncation radius and the tail bound of the Gaussian-measure integral
+
 def test_gaussian_probability_mass():
-    res = gaussian_integrate(lambda y: np.ones_like(y), [], 1e-12, 0)
-    assert res.value == pytest.approx(1.0, rel=1e-12)
+    # ||h_d||_2^2 = d! holds only under a probability measure
+    for d in (1, 2, 5):
+        assert gaussian_lp_norm(d, 2.0).value ** 2 == pytest.approx(math.factorial(d), rel=1e-12)
 
 
 def test_gaussian_second_and_fourth_moments():
-    res2 = gaussian_integrate(lambda y: y * y, [], 1e-12, 2)
-    assert res2.value == pytest.approx(1.0, rel=1e-12)
-    res4 = gaussian_integrate(lambda y: y**4, [], 1e-12, 4)
-    assert res4.value == pytest.approx(3.0, rel=1e-12)
+    assert gaussian_lp_norm(1, 2.0).value ** 2 == pytest.approx(1.0, rel=1e-12)
+    assert gaussian_lp_norm(1, 4.0).value ** 4 == pytest.approx(3.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [3, 5, 8])
 def test_gaussian_higher_moments(k):
-    res = gaussian_integrate(lambda y: y ** (2 * k), [], 1e-12, 2 * k)
-    assert res.value == pytest.approx(gaussian_even_moment(k), rel=1e-11)
+    value = gaussian_lp_norm(1, 2.0 * k).value ** (2 * k)
+    assert value == pytest.approx(gaussian_even_moment(k), rel=1e-11)
 
 
 def test_truncation_radius_floor_and_growth():

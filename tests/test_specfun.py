@@ -15,6 +15,7 @@ from oracles import (
     gegenbauer_explicit,
     gegenbauer_scaled_explicit,
     hermite_explicit,
+    log_fraction,
     rising,
 )
 
@@ -149,6 +150,51 @@ def test_gegenbauer_series_is_linear_combination():
     np.testing.assert_allclose(specfun.gegenbauer_series(lam, coeffs, xs), expected, rtol=1e-13)
 
 
+def _scaled_plain_loop(lam: float, d: int, s: np.ndarray) -> np.ndarray:
+    # the ratio-form recurrence with no rescaling, as a reference
+    prev, cur = np.ones_like(s), s.copy()
+    if d == 0:
+        return prev
+    for k in range(2, d + 1):
+        prev, cur = cur, ((k + lam - 1.0) / lam) * s * cur - (
+            (k - 1.0) * (k + 2.0 * lam - 2.0) / (2.0 * lam)
+        ) * prev
+    return cur
+
+
+@pytest.mark.parametrize("lam,d", [(0.5, 100), (0.5, 130), (1.0, 60), (6.0, 40), (1e4, 100), (3.0, 0)])
+def test_scaled_is_bitwise_the_plain_recurrence(lam, d):
+    # at lam = 1/2 the a-priori bound (prod k^2) passes 1e300 near d = 97, so
+    # the d = 100 and 130 cases rescale mid-way; powers of two keep them exact
+    s = np.linspace(-math.sqrt(2 * lam), math.sqrt(2 * lam), 257)
+    expected = _scaled_plain_loop(lam, d, s)
+    assert np.all(np.isfinite(expected))
+    assert np.array_equal(specfun.gegenbauer_eval_scaled(GegenbauerSpec(lam, d), s), expected)
+
+
+def test_hermite_log_abs_across_rescale_matches_oracle():
+    # h_400 passes the float range at every one of these points
+    ys = [3.25, -37.5, 90.0]
+    sign, log_abs = specfun.hermite_log_abs(HermiteSpec(400), np.array(ys))
+    for y, got_sign, got in zip(ys, sign, log_abs):
+        exact = hermite_explicit(400, Fraction(y))
+        assert got_sign == (1 if exact > 0 else -1)
+        assert got == pytest.approx(log_fraction(abs(exact)), rel=1e-15, abs=1e-12)
+
+
+def test_gegenbauer_series_across_rescale_matches_oracle():
+    # the a-priori bound (about 7^k at x = 3) passes 1e300 before degree 380,
+    # while the sum itself, about 3e291, still fits in a float
+    lam = Fraction(3, 2)
+    coeffs = [0.0] * 381
+    coeffs[0], coeffs[379], coeffs[380] = 1.0, -2.0, 0.5
+    exact = 1 - 2 * gegenbauer_explicit(lam, 379, Fraction(3)) + gegenbauer_explicit(lam, 380, Fraction(3)) / 2
+    for x in (3.0, np.array([3.0, 3.0])):
+        got = np.asarray(specfun.gegenbauer_series(float(lam), coeffs, x))
+        assert np.all(got > 0)
+        np.testing.assert_allclose(np.log(got), log_fraction(exact), rtol=0, atol=1e-12)
+
+
 # --------------------------------------------------------------------- roots
 
 def test_roots_trivial():
@@ -235,6 +281,16 @@ def test_c_lambda_values():
     # Gamma-identity oracles: c_{1/2} = 1/2, c_1 = 2/pi
     assert specfun.c_lambda(0.5) == pytest.approx(0.5, rel=1e-13)
     assert specfun.c_lambda(1.0) == pytest.approx(2 / math.pi, rel=1e-13)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 6.5, 19.5, 20.0, 49.5, 499.5, 5000.0, 1e5])
+def test_c_lambda_matches_mpmath(lam):
+    # a difference of lgamma values is off by 1.2e-13 at lam = 499.5
+    from mpmath import mp
+
+    mp.dps = 50
+    exact = mp.loggamma(lam + 1) - mp.loggamma(mp.mpf(lam) + mp.mpf(1) / 2) - mp.log(mp.pi) / 2
+    assert abs(math.log(specfun.c_lambda(lam)) - float(exact)) <= 2e-15
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 4.5, 30.0])
