@@ -103,21 +103,36 @@ def zonal_power_integral(
     Rule: the roots of C_d^(lam) split [-1, 1] into d + 1 intervals, and each
     gets one 16- and one 32-node Gauss-Jacobi rule with exponents (p, p)
     between roots and (lam - 1/2, p) on the two end intervals
-    (``quadrature.integrate_root_intervals``).  All nodes go through one
-    ``specfun.gegenbauer_eval_scaled`` call and are summed as a logsumexp of
-    p log|G| + log w, so ``log_value`` stays finite where |G|^p overflows.
+    (``quadrature.integrate_root_intervals``).  log|G| comes from
+    ``specfun.gegenbauer_log_abs_scaled``, which keeps the recurrence's
+    power-of-two shift, and the nodes are summed as a logsumexp of
+    p log|G| + log w, so ``log_value`` stays finite where G or |G|^p
+    overflows.  ``norm_ratio_sphere`` integrates both exponents of a ratio in
+    one such pass.
 
     Error (``relative_error``): the relative gap between the two rule sizes,
     plus the rounding of the log-space sum, plus a floor of 4 p (d + 1) eps
     for the rounding of the d-step recurrence; neither rounding term shows in
-    the gap.  Only the gap is compared with ``tol``, so a tighter ``tol`` does
-    not force the fallback.
+    the gap.  The rule counts as converged when the gap is within ``tol``
+    plus the log-sum rounding, so a tighter ``tol`` does not force the
+    fallback, nor does a log integral so large that one ulp of it exceeds
+    ``tol``.
 
-    Fallback: when the gap exceeds ``tol`` (for example at lam ~ 500, where
+    Fallback: when the gap misses that (for example at lam ~ 500, where
     (1 - t^2)^(lam - 1/2) is too steep for 32 nodes) the integral is redone by
     adaptive Gauss-Legendre panels split at the roots, with the integrand
     exponentiated relative to the rule's estimate so it stays finite where
     the integral does not fit a float; ``method`` records the path taken.
+    """
+    return _zonal_power_integrals(lam, d, (p,), tol, normalized)[0]
+
+
+def _zonal_power_integrals(
+    lam: float, d: int, exponents, tol: float, normalized: bool = True
+) -> list[IntegralResult]:
+    """``zonal_power_integral`` for each exponent, from one root split and one recurrence pass.
+
+    Each exponent whose rule misses ``tol`` falls back to the adaptive path on its own.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -126,36 +141,39 @@ def zonal_power_integral(
     spec = specfun.GegenbauerSpec(lam, d)
     roots = specfun.gegenbauer_roots(spec).roots
 
-    def log_power(t: np.ndarray) -> np.ndarray:
-        g = np.asarray(specfun.gegenbauer_eval_scaled(spec, scale * t), dtype=float)
-        with np.errstate(divide="ignore"):
-            return p * np.log(np.abs(g)) + log_c
+    def log_abs(t: np.ndarray) -> np.ndarray:
+        return specfun.gegenbauer_log_abs_scaled(spec, scale * t)[1]
 
-    res = integrate_root_intervals(log_power, roots, p, lam - 0.5, tol)
-    if not res.converged:
-        res = _zonal_power_adaptive(spec, p, log_c, roots, res.log_value, tol)
-    return res.widened(4.0 * p * (d + 1) * _EPS)
+    out = []
+    for p, res in zip(exponents, integrate_root_intervals(log_abs, roots, exponents, lam - 0.5, tol)):
+        if not res.converged:
+            res = _zonal_power_adaptive(spec, p, roots, res.log_value, tol)
+        rel = res.relative_error + 4.0 * p * (d + 1) * _EPS
+        out.append(
+            IntegralResult.from_log(res.log_value + log_c, rel, res.subintervals_used, res.converged, res.method)
+        )
+    return out
 
 
 def _zonal_power_adaptive(
-    spec: specfun.GegenbauerSpec, p: float, log_c: float, roots, log_ref: float, tol: float
+    spec: specfun.GegenbauerSpec, p: float, roots, log_ref: float, tol: float
 ) -> IntegralResult:
-    """The same integral by adaptive panels in s = sqrt(2 lam) t, relative to exp(log_ref).
+    """The same integral, without c_lam, by adaptive panels in s = sqrt(2 lam) t.
 
-    log_ref, the rule's estimate (0 where that is not finite), is added back to
-    the log of the result.
+    The integrand is taken relative to exp(log_ref); log_ref, the rule's
+    estimate (0 where that is not finite), is added back to the log of the
+    result.
     """
     lam = spec.lam
     scale = math.sqrt(2.0 * lam)
     if not math.isfinite(log_ref):
         log_ref = 0.0
-    log_const = log_c - 0.5 * math.log(2.0 * lam) - log_ref
+    log_const = -0.5 * math.log(2.0 * lam) - log_ref
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        g = np.asarray(specfun.gegenbauer_eval_scaled(spec, s), dtype=float)
-        log_w = _log_weight(lam, s / scale, log_const)
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.exp(p * np.log(np.abs(g)) + log_w)
+        log_g = specfun.gegenbauer_log_abs_scaled(spec, s)[1]
+        with np.errstate(over="ignore"):
+            return np.exp(p * log_g + _log_weight(lam, s / scale, log_const))
 
     cuts = [r * scale for r in roots]
     res = integrate_piecewise(integrand, cuts, (-scale, scale), tol)
@@ -213,10 +231,14 @@ def sphere_lp_norm(
         return _circle_lp_norm(d, p, tol, circle_convention)
     if d == 0:
         return NormValue(1.0, p, 0.0, CLOSED_FORM, 0.0)
-    lam = params.lam
-    res = zonal_power_integral(lam, d, p, tol)
+    return _zonal_norms(params.lam, d, (p,), tol)[0]
+
+
+def _zonal_norms(lam: float, d: int, exponents, tol: float) -> list[NormValue]:
+    """||Y_d||_p on S^n (lam = (n - 1) / 2, d >= 1) for each p, from one root-split pass."""
     prefactor = 0.5 * d * math.log(2.0 * lam) - specfun.log_gamma(d + 1.0)
-    return _norm_from_integral(res, p, prefactor, QUADRATURE)
+    integrals = _zonal_power_integrals(lam, d, exponents, tol)
+    return [_norm_from_integral(res, p, prefactor, QUADRATURE) for p, res in zip(exponents, integrals)]
 
 
 def _circle_lp_norm(d: int, p: float, tol: float, convention: str | None) -> NormValue:
@@ -304,15 +326,20 @@ def norm_ratio_sphere(
     tol: float = 1e-12,
     circle_convention: str | None = None,
 ) -> RatioValue:
-    """||Y_d||_q / ||Y_d||_p on S^n, computed as exp of the log-norm difference."""
+    """||Y_d||_q / ||Y_d||_p on S^n, computed as exp of the log-norm difference.
+
+    For n >= 2 both norms come from one root split and one recurrence pass.
+    """
     if not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
     if d == 0 or p == q:
         return RatioValue(1.0, 0.0, 0.0)
-    return _ratio(
-        sphere_lp_norm(params, d, q, tol, circle_convention),
-        sphere_lp_norm(params, d, p, tol, circle_convention),
-    )
+    if params.n == 1:
+        return _ratio(
+            sphere_lp_norm(params, d, q, tol, circle_convention),
+            sphere_lp_norm(params, d, p, tol, circle_convention),
+        )
+    return _ratio(*_zonal_norms(params.lam, d, (q, p), tol))
 
 
 def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> RatioValue:

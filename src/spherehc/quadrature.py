@@ -8,14 +8,20 @@ r_1 < ... < r_d are known, behaves like (t - a)^p (b - t)^p times an analytic
 factor between consecutive roots a, b, and like (1 + t)^e (r_1 - t)^p and
 (t - r_d)^p (1 - t)^e on the two end intervals.  Each interval therefore gets
 one m-node Gauss-Jacobi rule whose weight carries those exponents exactly
-(nodes from ``scipy.special.roots_jacobi``, cached by (m, alpha, beta); the
-rules are Golub-Welsch rules, Math. Comp. 23 (1969)), and the rule converges
-spectrally.  The integrand is supplied as its logarithm and the nodes are
-summed as a logsumexp, so |P|^p never has to fit in a float.  The error
-estimate is the relative gap between the m-node and the 2m-node sums
-(m = 16); the 2m-node sum is returned.  A gap above ``tol``, or a non-finite
-sum, is reported as ``converged=False`` and the caller falls back to the
-adaptive path.
+(nodes from ``scipy.special.roots_jacobi``; the rules are Golub-Welsch rules,
+Math. Comp. 23 (1969)), and the rule converges spectrally.  Per rule size and
+exponent only three rules occur (left end, interior, right end); they are
+cached with the rule-only part of their log weights and broadcast over the
+intervals.  Several exponents p share one pass: the caller supplies log|P|,
+which is evaluated once on the nodes of every exponent and both rule sizes,
+and each exponent's nodes are summed as a logsumexp of p log|P| plus the log
+weight, so |P|^p never has to fit in a float.  The error estimate is the
+relative gap between the m-node and the 2m-node sums (m = 16) plus the
+rounding of the logarithms summed; the 2m-node sum is returned.  The gap of
+two log sums of size L is a whole number of ulps of L, so a gap within
+``tol`` plus that rounding counts as converged.  A larger gap, or a
+non-finite sum, is reported as ``converged=False`` for that exponent, and the
+caller falls back to the adaptive path.
 
 Adaptive path (``integrate_piecewise``).  Kinks at known points are handled
 by splitting exactly there; panels are bisected worst-error-first with a
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,7 +67,7 @@ MAX_PANELS = 2**14
 _COARSE = 16
 _FINE = 32
 _JACOBI_NODES = 16
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +157,6 @@ class IntegralResult:
         value = _exp(log_value)
         return cls(value, relative_error * value, subintervals_used, converged, method, log_value, relative_error)
 
-    def widened(self, relative: float) -> "IntegralResult":
-        """The same integral with ``relative`` added to its relative error."""
-        rel = self.relative_error + relative
-        return replace(self, error_estimate=rel * abs(self.value), relative_error=rel)
-
 
 def _exp(x: float) -> float:
     try:
@@ -172,63 +173,91 @@ def _log_sum_exp(terms: np.ndarray) -> float:
     return top + math.log(float(np.sum(np.exp(terms - top))))
 
 
-def integrate_root_intervals(log_power, roots, p: float, end_exponent: float, tol: float) -> IntegralResult:
-    """integral over [-1, 1] of exp(log_power(t)) (1 - t^2)^end_exponent dt.
+@lru_cache(maxsize=256)
+def _jacobi_rows(count: int, p: float, end_exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and rule-only log parts of the left-end, interior and right-end rules.
 
-    ``exp(log_power)`` must be |P|^p (or a constant multiple of it) for a
-    polynomial P whose roots in (-1, 1) are exactly ``roots``, all simple, so
-    that it vanishes like |t - r|^p at each root r.  ``log_power`` maps an
-    ndarray of abscissae to the logarithm of the integrand factor; it is
-    called once, on the nodes of every interval of both rule sizes.
+    Row 0 has the Jacobi exponents (alpha, beta) = (p, end_exponent), row 1
+    (p, p) and row 2 (end_exponent, p); alpha belongs to the right edge
+    (x = 1) and beta to the left (x = -1).  The rule-only part
+    log w - alpha log(1 - x) - beta log(1 + x) divides each rule's own weight
+    function out of its weights.
+    """
+    exponents = ((p, end_exponent), (p, p), (end_exponent, p))
+    rules = [gauss_jacobi(count, alpha, beta) for alpha, beta in exponents]
+    x = np.array([r.nodes for r in rules])
+    alpha, beta = (np.array(column)[:, None] for column in zip(*exponents))
+    with np.errstate(divide="ignore"):
+        rest = np.log(np.array([r.weights for r in rules])) - alpha * np.log(1.0 - x) - beta * np.log(1.0 + x)
+    x.flags.writeable = False
+    rest.flags.writeable = False
+    return x, rest
+
+
+def integrate_root_intervals(
+    log_abs, roots, exponents, end_exponent: float, tol: float
+) -> tuple[IntegralResult, ...]:
+    """integral over [-1, 1] of |P(t)|^p (1 - t^2)^end_exponent dt, for each p in ``exponents``.
+
+    ``exp(log_abs)`` must be |P| (or a constant multiple of it) for a
+    polynomial P whose roots in (-1, 1) are exactly ``roots``, at least one
+    and all simple, so that |P|^p vanishes like |t - r|^p at each root r.
+    ``log_abs`` maps an ndarray of abscissae to log|P|; it is called once, on
+    the nodes of every exponent and both rule sizes.  One result is returned
+    per exponent, in the order given.
 
     Interval [a, b] between consecutive edges of (-1, roots..., 1) is mapped to
     x in [-1, 1] and integrated with the Gauss-Jacobi rule whose exponents are
-    p at a root edge and ``end_exponent`` at t = +-1.  The value is the
-    2m-node logsumexp (m = 16).  ``relative_error`` is its gap to the m-node
-    sum plus the rounding of the logarithms summed; ``converged`` is False
-    when the gap alone exceeds ``tol`` or the sum is not finite.
+    p at a root edge and ``end_exponent`` at t = +-1: three cached rules per
+    rule size and exponent (left end, interior, right end), broadcast over the
+    intervals.  The value is the 2m-node logsumexp (m = 16).
+    ``relative_error`` is its gap to the m-node sum plus the rounding of the
+    logarithms summed; ``converged`` is False when the sum is not finite or
+    the gap exceeds ``tol`` plus that rounding, since the gap of two sums of
+    size L cannot resolve less than an ulp of L.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     edges = np.array([-1.0, *roots, 1.0], dtype=float)
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("roots must be strictly increasing inside (-1, 1)")
+    if len(edges) < 3 or np.any(np.diff(edges) <= 0):
+        raise ValueError("roots must be non-empty and strictly increasing inside (-1, 1)")
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
-    # Jacobi exponents: alpha at the right edge (x = 1), beta at the left (x = -1)
-    alpha = np.full((len(lo), 1), float(p))
-    beta = alpha.copy()
-    beta[0], alpha[-1] = end_exponent, end_exponent
+    log_half = np.log(half)
+    row = np.ones(len(lo), dtype=int)
+    row[0], row[-1] = 0, 2
 
-    parts = []
-    for count in (_JACOBI_NODES, 2 * _JACOBI_NODES):
-        rules = [gauss_jacobi(count, a, b) for a, b in zip(alpha[:, 0], beta[:, 0])]
-        x = np.array([r.nodes for r in rules])
-        u, v = 1.0 + x, 1.0 - x
-        with np.errstate(divide="ignore"):
-            log_w = np.log(np.array([r.weights for r in rules]))
-        # (t - a) = half (1 + x) and (b - t) = half (1 - x); the same products
-        # build (1 + t) and (1 - t), so the endpoint powers cancel consistently
-        one_plus_t = (1.0 + lo) + half * u
-        one_minus_t = (1.0 - hi) + half * v
-        log_rest = log_w + np.log(half) - alpha * np.log(v) - beta * np.log(u)
-        if end_exponent != 0.0:
-            log_rest += end_exponent * (np.log(one_plus_t) + np.log(one_minus_t))
-        parts.append((lo + half * u, log_rest))
+    nodes, rests = [], []
+    for p in exponents:
+        for count in (_JACOBI_NODES, 2 * _JACOBI_NODES):
+            x, rest = _jacobi_rows(count, float(p), float(end_exponent))
+            x, rest = x[row], rest[row] + log_half
+            u = 1.0 + x
+            if end_exponent != 0.0:
+                # (t - a) = half (1 + x) and (b - t) = half (1 - x); the same
+                # products build (1 + t) and (1 - t), so the endpoint powers
+                # cancel consistently
+                one_plus_t = (1.0 + lo) + half * u
+                one_minus_t = (1.0 - hi) + half * (1.0 - x)
+                rest += end_exponent * (np.log(one_plus_t) + np.log(one_minus_t))
+            nodes.append((lo + half * u).ravel())
+            rests.append(rest.ravel())
 
-    t = np.concatenate([part[0].ravel() for part in parts])
-    log_f = np.asarray(log_power(t), dtype=float)
-    split = parts[0][0].size
-    coarse = _log_sum_exp(log_f[:split] + parts[0][1].ravel())
-    fine_f, fine_rest = log_f[split:], parts[1][1].ravel()
-    fine = _log_sum_exp(fine_f + fine_rest)
-    gap = abs(math.expm1(coarse - fine)) if math.isfinite(fine) else math.inf
-    converged = math.isfinite(gap) and gap <= tol
-    # each summand's logarithm is rounded at the size of its parts, which is
-    # a relative error of the sum the m/2m gap does not see
-    size = np.abs(fine_f) + np.abs(fine_rest)
-    rounding = 4.0 * _EPS * float(np.max(size, where=np.isfinite(size), initial=0.0))
-    return IntegralResult.from_log(fine, gap + rounding, len(lo), converged, GAUSS_JACOBI)
+    log_f = np.asarray(log_abs(np.concatenate(nodes)), dtype=float)
+    pieces = np.split(log_f, np.cumsum([t.size for t in nodes])[:-1])
+    results = []
+    for k, p in enumerate(exponents):
+        coarse = _log_sum_exp(p * pieces[2 * k] + rests[2 * k])
+        fine_f, fine_rest = p * pieces[2 * k + 1], rests[2 * k + 1]
+        fine = _log_sum_exp(fine_f + fine_rest)
+        gap = abs(math.expm1(coarse - fine)) if math.isfinite(fine) else math.inf
+        # each summand's logarithm is rounded at the size of its parts, which
+        # is a relative error of the sum the m/2m gap does not see
+        size = np.abs(fine_f) + np.abs(fine_rest)
+        rounding = 4.0 * _EPS * float(np.max(size, where=np.isfinite(size), initial=0.0))
+        converged = math.isfinite(gap) and gap <= tol + rounding
+        results.append(IntegralResult.from_log(fine, gap + rounding, len(lo), converged, GAUSS_JACOBI))
+    return tuple(results)
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float, float]:

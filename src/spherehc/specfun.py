@@ -34,6 +34,7 @@ __all__ = [
     "RootList",
     "gegenbauer_eval",
     "gegenbauer_eval_scaled",
+    "gegenbauer_log_abs_scaled",
     "gegenbauer_series",
     "hermite_eval",
     "hermite_log_abs",
@@ -146,6 +147,23 @@ def _hermite_ab(d: int) -> tuple[list[float], list[float]]:
     return [1.0] * d, [k - 1.0 for k in range(1, d + 1)]
 
 
+def _scaled_ab(lam: float, d: int) -> tuple[list[float], list[float]]:
+    ks = range(1, d + 1)
+    # a_1 = 1 exactly, so G_1 = s; (1 + lam - 1) / lam can round away from 1
+    a = [(k + lam - 1.0) / lam if k > 1 else 1.0 for k in ks]
+    b = [(k - 1.0) * (k + 2.0 * lam - 2.0) / (2.0 * lam) for k in ks]
+    return a, b
+
+
+def _log_abs(ab, x) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log|P_d(x)| of a ``_recurrence`` pass, with its shift added in log space."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    value, _, shift = _recurrence(*ab, x)
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(value)) + _LN2 * shift
+    return np.sign(value), log_abs
+
+
 def _plain(result, like) -> float | np.ndarray:
     """The value of a ``_recurrence`` result as a float or an array like ``like``."""
     value, _, shift = result
@@ -172,14 +190,20 @@ def gegenbauer_eval_scaled(spec: GegenbauerSpec, s) -> float | np.ndarray:
         G_d = ((d + lam - 1)/lam) s G_{d-1} - ((d-1)(d + 2 lam - 2)/(2 lam)) G_{d-2}
 
     so no factorial or power of lam is ever formed; values are exact up to
-    rounding until they pass the float range, where they become inf.
+    rounding until they pass the float range, where they become inf
+    (``gegenbauer_log_abs_scaled`` stays finite there).
     Converges to the Hermite value h_d(s) as lam -> inf.
     """
-    lam, ks = spec.lam, range(1, spec.degree + 1)
-    # a_1 = 1 exactly, so G_1 = s; (1 + lam - 1) / lam can round away from 1
-    a = [(k + lam - 1.0) / lam if k > 1 else 1.0 for k in ks]
-    b = [(k - 1.0) * (k + 2.0 * lam - 2.0) / (2.0 * lam) for k in ks]
-    return _plain(_recurrence(a, b, s), s)
+    return _plain(_recurrence(*_scaled_ab(spec.lam, spec.degree), s), s)
+
+
+def gegenbauer_log_abs_scaled(spec: GegenbauerSpec, s) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log|G_d(s)| of ``gegenbauer_eval_scaled`` as arrays matching ``s``.
+
+    The rescale shift is added in log space, so log|G_d| stays finite where
+    G_d itself passes the float range (from d = 171 on S^2).
+    """
+    return _log_abs(_scaled_ab(spec.lam, spec.degree), s)
 
 
 def gegenbauer_series(lam: float, coeffs, x) -> float | np.ndarray:
@@ -202,11 +226,7 @@ def hermite_log_abs(spec: HermiteSpec, y) -> tuple[np.ndarray, np.ndarray]:
     The rescale shift is added in log space; needed for |h_d|^p integrands at
     large degree.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    value, _, shift = _recurrence(*_hermite_ab(spec.degree), y)
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(value)) + _LN2 * shift
-    return np.sign(value), log_abs
+    return _log_abs(_hermite_ab(spec.degree), y)
 
 
 def _golub_welsch(off, a, b, derivative, lo: float, hi: float) -> tuple[float, ...]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherehc import hypercheck, norms
+from spherehc import hypercheck, norms, specfun
 from spherehc.hypercheck import (
     ExponentPair,
     NonnegativityError,
@@ -408,6 +408,23 @@ def test_hermite_growth_rate_trend():
     assert abs(g30 - target) < abs(g15 - target)
     with pytest.raises(ValueError):
         hermite_growth_rate(5, 2, 2)
+
+
+def test_count1_finds_the_roots_once(monkeypatch):
+    # both norms of the ratio share one root split, on the rule and on the
+    # per-exponent adaptive fallback (n = 1000)
+    calls = []
+    roots = specfun.gegenbauer_roots
+
+    def counting(spec):
+        calls.append(spec)
+        return roots(spec)
+
+    monkeypatch.setattr(specfun, "gegenbauer_roots", counting)
+    for n, d in ((13, 7), (1000, 6)):
+        calls.clear()
+        assert count1_check(n, d, 2.0, 4.0).status in ("holds", "fails")
+        assert len(calls) == 1
 
 
 def test_monotone_time_boundary_consistent_with_count1():

@@ -22,6 +22,7 @@ from spherehc.norms import (
     zonal_lp_norm,
     zonal_power_integral,
 )
+from spherehc.norms import _zonal_power_adaptive
 from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, gauss_jacobi, integrate_piecewise
 
 from oracles import hermite_fourth_moment, log_fraction, simpson_composite, sphere_power_integral_exact
@@ -233,6 +234,42 @@ def test_adaptive_fallback_past_float_range(n, d, p):
     exact = _scaled_log_exact(n, d, p)
     assert exact > 709
     assert abs(res.log_value - exact) <= res.relative_error
+
+
+@pytest.mark.parametrize("d", [171, 200])
+def test_l2_norm_past_factorial_overflow_matches_closed_form(d):
+    # from d = 171 G_d = d! P_d passes the float range on S^2; log|G_d| keeps
+    # the recurrence's shift, so the norm stays finite
+    quad = sphere_lp_norm(SphereParams(2), d, 2.0)
+    closed = sphere_l2_norm_closed(SphereParams(2), d)
+    assert quad.method == QUADRATURE and quad.converged
+    assert abs(quad.log_value - closed.log_value) <= quad.error_estimate + closed.error_estimate
+
+
+def test_gap_below_an_ulp_of_the_log_integral_converges():
+    # the log integral is about 7990, where one ulp (9.1e-13) is close to tol:
+    # a 16/32 gap within tol plus the log-sum rounding is accepted, and the
+    # value agrees with the adaptive panels within the two bands
+    spec = specfun.GegenbauerSpec(0.5, 400)
+    res = zonal_power_integral(0.5, 400, 4.0, 1e-12, normalized=False)
+    assert res.method == GAUSS_JACOBI and res.converged
+    assert res.log_value > 4096
+    ref = _zonal_power_adaptive(spec, 4.0, specfun.gegenbauer_roots(spec).roots, res.log_value, 1e-12)
+    assert ref.converged
+    assert abs(res.log_value - ref.log_value) <= res.relative_error + ref.relative_error
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 4.0), (1.5, 3.0), (3.0, 6.0)])
+@pytest.mark.parametrize("d", [1, 7, 30])
+@pytest.mark.parametrize("n", [2, 3, 13, 1000])
+def test_one_pass_ratio_matches_two_norms(n, d, p, q):
+    # at n = 1000 the exponents fall back to adaptive panels one by one: at
+    # d = 30, p = 1.5 keeps the rule while q = 3 falls back
+    ratio = norm_ratio_sphere(SphereParams(n), d, p, q)
+    nq, np_ = (sphere_lp_norm(SphereParams(n), d, e) for e in (q, p))
+    assert ratio.converged
+    assert abs(ratio.log_value - (nq.log_value - np_.log_value)) <= nq.error_estimate + np_.error_estimate
+    assert ratio.error_estimate == pytest.approx(nq.error_estimate + np_.error_estimate)
 
 
 def test_jacobi_rule_cache_is_bounded():

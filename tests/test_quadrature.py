@@ -10,9 +10,11 @@ import pytest
 from spherehc import specfun
 from spherehc.norms import gaussian_lp_norm
 from spherehc.quadrature import (
+    GAUSS_JACOBI,
     gauss_legendre,
     gaussian_truncation_radius,
     integrate_piecewise,
+    integrate_root_intervals,
     subordination_check,
 )
 from spherehc.specfun import GegenbauerSpec
@@ -156,6 +158,28 @@ def test_interval_validation():
         integrate_piecewise(np.abs, [], (1.0, -1.0), 1e-10)
     with pytest.raises(ValueError):
         integrate_piecewise(np.abs, [], (-1.0, 1.0), -1e-10)
+
+
+# --------------------------------------------------------- root-interval rule
+
+def test_root_intervals_take_several_exponents_in_one_pass():
+    # one log|P| call on the nodes of both exponents gives the results of
+    # one call per exponent, bitwise
+    spec = GegenbauerSpec(1.5, 9)
+    roots = specfun.gegenbauer_roots(spec).roots
+    sizes = []
+
+    def log_abs(t):
+        sizes.append(t.size)
+        return specfun.gegenbauer_log_abs_scaled(spec, math.sqrt(3.0) * t)[1]
+
+    both = integrate_root_intervals(log_abs, roots, (4.0, 1.5), 1.0, 1e-12)
+    alone = tuple(integrate_root_intervals(log_abs, roots, (e,), 1.0, 1e-12)[0] for e in (4.0, 1.5))
+    assert sizes[0] == sizes[1] + sizes[2] == 2 * 48 * (len(roots) + 1)
+    assert both == alone
+    assert all(r.method == GAUSS_JACOBI and r.converged for r in both)
+    with pytest.raises(ValueError):
+        integrate_root_intervals(log_abs, (), (2.0,), 1.0, 1e-12)
 
 
 # ------------------------------------------------------------------- gaussian

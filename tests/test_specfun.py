@@ -182,6 +182,18 @@ def test_hermite_log_abs_across_rescale_matches_oracle():
         assert got == pytest.approx(log_fraction(abs(exact)), rel=1e-15, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [171, 200])
+def test_gegenbauer_log_abs_scaled_past_float_range_matches_oracle(d):
+    # on S^2, G_d(1) = d! passes the float range from d = 171 on
+    ss = [1.0, -0.9990234375, 0.25, -0.75]
+    sign, log_abs = specfun.gegenbauer_log_abs_scaled(GegenbauerSpec(0.5, d), np.array(ss))
+    assert log_abs[0] > math.log(np.finfo(float).max)
+    for s, got_sign, got in zip(ss, sign, log_abs):
+        exact = gegenbauer_scaled_explicit(Fraction(1, 2), d, Fraction(s))
+        assert got_sign == (1 if exact > 0 else -1)
+        assert got == pytest.approx(log_fraction(abs(exact)), rel=1e-15, abs=1e-12)
+
+
 def test_gegenbauer_series_across_rescale_matches_oracle():
     # the a-priori bound (about 7^k at x = 3) passes 1e300 before degree 380,
     # while the sum itself, about 3e291, still fits in a float
