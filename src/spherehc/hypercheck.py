@@ -278,7 +278,7 @@ def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, b
         usq = u * u
         return xlogy(usq, usq) * np.exp(norms._log_weight(lam, t, log_c))
 
-    ent = integrate_piecewise(entropy_integrand, [], (-1.0, 1.0), tol)
+    ent = integrate_piecewise(entropy_integrand, [], (-1.0, 1.0), tol, end_exponent=lam - 0.5)
     value = ent.value - mass * math.log(mass)
     err = ent.error_estimate + rel * mass * (abs(math.log(mass)) + 1.0)
     return value, err, ent.converged, terms

@@ -44,7 +44,7 @@ CIRCLE_FORMULA = "circle-formula"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _ROUNDING = 5e-15
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,11 @@ def zonal_power_integral(
 
     Fallback: when the gap misses that (for example at lam ~ 500, where
     (1 - t^2)^(lam - 1/2) is too steep for 32 nodes) the integral is redone by
-    adaptive Gauss-Legendre panels split at the roots, with the integrand
-    exponentiated relative to the rule's estimate so it stays finite where
+    adaptive panels split at the roots (``quadrature.integrate_piecewise``):
+    panels touching t = +-1 carry the end exponent lam - 1/2 and panels
+    touching a root carry p, each as a Gauss-Jacobi pair, so the panels
+    refine only where the integrand is not already resolved.  The integrand
+    is exponentiated relative to the rule's estimate so it stays finite where
     the integral does not fit a float; ``method`` records the path taken.
     """
     return _zonal_power_integrals(lam, d, (p,), tol, normalized)[0]
@@ -176,7 +179,7 @@ def _zonal_power_adaptive(
             return np.exp(p * log_g + _log_weight(lam, s / scale, log_const))
 
     cuts = [r * scale for r in roots]
-    res = integrate_piecewise(integrand, cuts, (-scale, scale), tol)
+    res = integrate_piecewise(integrand, cuts, (-scale, scale), tol, end_exponent=lam - 0.5, kink_exponent=p)
     if not res.value > 0:
         return res
     return IntegralResult.from_log(
@@ -254,7 +257,7 @@ def _circle_lp_norm(d: int, p: float, tol: float, convention: str | None) -> Nor
     def integrand(v: np.ndarray) -> np.ndarray:
         return np.abs(np.cos(v)) ** p / math.pi
 
-    res = integrate_piecewise(integrand, [0.5 * math.pi], (0.0, math.pi), tol)
+    res = integrate_piecewise(integrand, [0.5 * math.pi], (0.0, math.pi), tol, kink_exponent=p)
     return _norm_from_integral(res, p, 0.0, CIRCLE_FORMULA)
 
 
@@ -264,19 +267,22 @@ def sphere_l2_norm_closed(params: SphereParams, d: int) -> NormValue:
     Note the returned value is the norm itself; square it to compare with the
     familiar identity.  d = 0 is rejected (the formula has d in a denominator;
     the degree-0 norm is 1 by convention).
+
+    For integer n, 1 / (d B(n-1, d)) = prod_{j=1}^{n-2} (1 + d/j), so the log
+    norm is a sum of log1p terms, each off by at most eps (|term| + 1/2); a
+    difference of lgamma values instead loses 5e-14 at (n, d) = (2, 400) and
+    1e-10 at n = 1e5.  ``error_estimate`` is eps times the summed |terms| plus
+    their count, at least half the worst-case rounding of the log.
     """
     n = params.n
     if n < 2:
         raise ValueError(f"closed form needs n >= 2, got {n}")
     if d < 1:
         raise ValueError("closed form needs d >= 1 (degree-0 norm is 1 by convention)")
-    log_sq = (
-        math.log(n - 1.0)
-        - math.log(d)
-        - math.log(2.0 * d + n - 1.0)
-        - specfun.log_beta(n - 1.0, float(d))
-    )
-    return NormValue(math.exp(0.5 * log_sq), 2.0, _ROUNDING, CLOSED_FORM, 0.5 * log_sq)
+    terms = [math.log(n - 1.0), -math.log(2.0 * d + n - 1.0), *(math.log1p(d / j) for j in range(1, n - 1))]
+    log_norm = 0.5 * math.fsum(terms)
+    rel = _EPS * (math.fsum(map(abs, terms)) + len(terms))
+    return NormValue(math.exp(log_norm), 2.0, rel, CLOSED_FORM, log_norm)
 
 
 def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
@@ -284,7 +290,9 @@ def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
 
     The integration domain is truncated by the polynomial-growth tail bound
     with growth degree p*d, and the integrand is assembled in log space from
-    the rescaled Hermite recurrence, so large degrees do not overflow.
+    the rescaled Hermite recurrence, so large degrees do not overflow.  The
+    adaptive panels next to a root carry its exponent p, and the error adds
+    the tail bound and 4 p (d + 1) eps for the recurrence's rounding.
     """
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
@@ -302,9 +310,12 @@ def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
             return np.exp(p * log_h - 0.5 * y * y - _LOG_SQRT_2PI)
 
     cuts = [r for r in specfun.hermite_roots(spec).roots if -radius < r < radius]
-    res = integrate_piecewise(integrand, cuts, (-radius, radius), tol)
+    res = integrate_piecewise(integrand, cuts, (-radius, radius), tol, kink_exponent=p)
+    # the tail bound, plus the floor of 4 p (d + 1) eps for the rounding of
+    # the d-step recurrence that the sphere side carries too
     tail = math.exp(growth * math.log1p(radius) - 0.5 * radius * radius)
-    res = IntegralResult(res.value, res.error_estimate + tail, res.subintervals_used, res.converged)
+    err = res.error_estimate + tail + 4.0 * p * (d + 1) * _EPS * abs(res.value)
+    res = IntegralResult(res.value, err, res.subintervals_used, res.converged)
     return _norm_from_integral(res, p, 0.0, QUADRATURE)
 
 
@@ -365,5 +376,5 @@ def zonal_lp_norm(params: SphereParams, coeffs, p: float, tol: float = 1e-12) ->
         u = np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float)
         return np.abs(u) ** p * np.exp(_log_weight(lam, t, log_c))
 
-    res = integrate_piecewise(integrand, [], (-1.0, 1.0), tol)
+    res = integrate_piecewise(integrand, [], (-1.0, 1.0), tol, end_exponent=lam - 0.5)
     return _norm_from_integral(res, p, 0.0, QUADRATURE)

@@ -24,12 +24,23 @@ non-finite sum, is reported as ``converged=False`` for that exponent, and the
 caller falls back to the adaptive path.
 
 Adaptive path (``integrate_piecewise``).  Kinks at known points are handled
-by splitting exactly there; panels are bisected worst-error-first with a
-16/32-node Gauss-Legendre pair until the summed error estimate meets the
-tolerance.  It serves every integrand that is not a root-split |P|^p: entropy
-functionals, general zonal polynomials, subordination, the circle and the
-Gaussian side.  Non-convergence, including a non-finite panel, is reported
-through ``converged=False``, never as a silently wrong value.
+by splitting exactly there; panels are bisected worst-error-first until the
+summed error estimate meets the tolerance.  Each panel is a 16/32-node Gauss
+pair whose weight carries the singular exponents the caller states: a panel
+touching an end of the interval has the Jacobi exponent ``end_exponent`` on
+that side, a panel touching a breakpoint has ``kink_exponent`` on that side,
+and a bisected panel passes each side's exponent to the child that still
+touches that side; any other panel is plain Gauss-Legendre.  The integrand
+is not changed: the rule's weights are divided by its own weight function,
+w_i / ((1 - x_i)^alpha (1 + x_i)^beta), which is formed in log space from the
+same cached Gauss-Jacobi rules as the root-interval path.  A Jacobi rule
+that is not finite (scipy's normalisation 2^(alpha + beta + 1) overflows once
+alpha + beta passes about 1000) leaves its panel on Gauss-Legendre.  The
+integrand is called once per panel, on the 48 nodes of both rule sizes.  It
+serves every integrand that is not a root-split |P|^p: entropy functionals,
+general zonal polynomials, subordination, the circle, the Gaussian side and
+the root-interval fallback.  Non-convergence, including a non-finite panel,
+is reported through ``converged=False``, never as a silently wrong value.
 """
 
 from __future__ import annotations
@@ -113,12 +124,30 @@ def gauss_jacobi(count: int, alpha: float, beta: float) -> QuadratureRule:
     """Gauss-Jacobi rule on [-1, 1] for the weight (1 - x)^alpha (1 + x)^beta.
 
     Nodes and weights come from ``scipy.special.roots_jacobi``; the cache
-    holds at most 256 rules.
+    holds at most 256 rules.  Where scipy's normalisation overflows (alpha +
+    beta beyond about 1000) the weights are inf or NaN, silently; callers
+    treat such a rule as unusable.
     """
-    nodes, weights = roots_jacobi(count, alpha, beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes, weights = roots_jacobi(count, alpha, beta)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(nodes, weights, (-1.0, 1.0))
+
+
+def _jacobi_log_rule(count: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and rule-only log weights log w - alpha log(1 - x) - beta log(1 + x).
+
+    This divides the rule's own weight function out of its weights, so the
+    rule applies to an integrand that still carries those powers.  The powers
+    are taken with log1p: log(1 - x) of a rounded 1 - x is off by eps/2, which
+    alpha multiplies; at alpha = beta = 2499 that put a zonal L^2 norm about
+    4e-14 off, outside its band.
+    """
+    rule = gauss_jacobi(count, alpha, beta)
+    x = rule.nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x, np.log(rule.weights) - alpha * np.log1p(-x) - beta * np.log1p(x)
 
 
 @dataclass(frozen=True)
@@ -179,16 +208,10 @@ def _jacobi_rows(count: int, p: float, end_exponent: float) -> tuple[np.ndarray,
 
     Row 0 has the Jacobi exponents (alpha, beta) = (p, end_exponent), row 1
     (p, p) and row 2 (end_exponent, p); alpha belongs to the right edge
-    (x = 1) and beta to the left (x = -1).  The rule-only part
-    log w - alpha log(1 - x) - beta log(1 + x) divides each rule's own weight
-    function out of its weights.
+    (x = 1) and beta to the left (x = -1).
     """
-    exponents = ((p, end_exponent), (p, p), (end_exponent, p))
-    rules = [gauss_jacobi(count, alpha, beta) for alpha, beta in exponents]
-    x = np.array([r.nodes for r in rules])
-    alpha, beta = (np.array(column)[:, None] for column in zip(*exponents))
-    with np.errstate(divide="ignore"):
-        rest = np.log(np.array([r.weights for r in rules])) - alpha * np.log(1.0 - x) - beta * np.log(1.0 + x)
+    rows = [_jacobi_log_rule(count, *ab) for ab in ((p, end_exponent), (p, p), (end_exponent, p))]
+    x, rest = (np.array(column) for column in zip(*rows))
     x.flags.writeable = False
     rest.flags.writeable = False
     return x, rest
@@ -235,8 +258,9 @@ def integrate_root_intervals(
             u = 1.0 + x
             if end_exponent != 0.0:
                 # (t - a) = half (1 + x) and (b - t) = half (1 - x); the same
-                # products build (1 + t) and (1 - t), so the endpoint powers
-                # cancel consistently
+                # products build (1 + t) and (1 - t), so on an end interval
+                # the end power cancels the rule's own to within
+                # end_exponent * eps per node, inside the rounding term below
                 one_plus_t = (1.0 + lo) + half * u
                 one_minus_t = (1.0 - hi) + half * (1.0 - x)
                 rest += end_exponent * (np.log(one_plus_t) + np.log(one_minus_t))
@@ -260,29 +284,69 @@ def integrate_root_intervals(
     return tuple(results)
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float, float]:
-    """(fine value, error estimate, |fine value|) for one panel."""
+@lru_cache(maxsize=256)
+def _panel_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of both rule sizes, then the 16- and the 32-node weights, for a
+    panel whose integrand behaves like (1 - x)^alpha at x = 1 and (1 + x)^beta
+    at x = -1.
+
+    The weights are Gauss-Jacobi weights with the weight function divided out;
+    with both exponents 0, or where that rule is not finite, the panel uses
+    the Gauss-Legendre pair.
+    """
+    if alpha or beta:
+        rules = [_jacobi_log_rule(count, alpha, beta) for count in (_COARSE, _FINE)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = [np.exp(rest) for _, rest in rules]
+        if all(np.all((w > 0) & (w < math.inf)) for w in weights):
+            return np.concatenate([x for x, _ in rules]), *weights
+    coarse, fine = gauss_legendre(_COARSE), gauss_legendre(_FINE)
+    return np.concatenate((coarse.nodes, fine.nodes)), coarse.weights, fine.weights
+
+
+def _panel(f, a: float, b: float, left: float, right: float) -> tuple[float, float, float]:
+    """(fine value, error estimate, |fine value|) for one panel with exponents
+    ``left`` at a and ``right`` at b, from one call of ``f``."""
+    nodes, coarse_w, fine_w = _panel_rule(right, left)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    rc = gauss_legendre(_COARSE)
-    rf = gauss_legendre(_FINE)
-    coarse = half * float(rc.weights @ np.asarray(f(mid + half * rc.nodes), dtype=float))
-    fine = half * float(rf.weights @ np.asarray(f(mid + half * rf.nodes), dtype=float))
+    values = np.asarray(f(mid + half * nodes), dtype=float)
+    coarse = half * float(coarse_w @ values[:_COARSE])
+    fine = half * float(fine_w @ values[_COARSE:])
     return fine, abs(fine - coarse), abs(fine)
 
 
-def integrate_piecewise(f, breakpoints, interval, tol: float, max_panels: int = MAX_PANELS) -> IntegralResult:
+def integrate_piecewise(
+    f,
+    breakpoints,
+    interval,
+    tol: float,
+    max_panels: int = MAX_PANELS,
+    *,
+    end_exponent: float = 0.0,
+    kink_exponent: float = 0.0,
+) -> IntegralResult:
     """Integrate ``f`` over ``interval``, splitting exactly at ``breakpoints``.
 
     Parameters
     ----------
-    f : callable mapping an ndarray of abscissae to an ndarray of values.
+    f : callable mapping an ndarray of abscissae to an ndarray of values;
+        it is called once per panel, on the 48 nodes of both rule sizes.
     breakpoints : RootList or sequence of floats; points where the integrand
         has kinks.  Points outside the open interval are ignored.
     interval : (a, b) with a < b.
     tol : target relative tolerance.  Panels are bisected worst-error-first
         until the summed error estimate drops below tol times the integral's
         magnitude (L1 of panel contributions when there is cancellation).
+    end_exponent : e where ``f`` behaves like |t - a|^e and |b - t|^e times an
+        analytic factor at the ends; every panel touching an end uses a
+        Gauss-Jacobi rule with that exponent on that side.
+    kink_exponent : the same for |t - c|^k at each breakpoint c, on both sides.
+
+    Both exponents state facts about ``f`` and must exceed -1.  A panel that
+    touches neither an end with a nonzero ``end_exponent`` nor a breakpoint
+    with a nonzero ``kink_exponent`` uses the Gauss-Legendre pair, and so
+    does a panel whose Jacobi rule is not finite.
 
     Returns ``converged=False`` when the panel budget ``max_panels`` runs out,
     and at once, with a NaN value, when a panel's value is not finite:
@@ -293,20 +357,30 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, max_panels: int = 
         raise ValueError(f"empty interval {interval}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    end_exponent, kink_exponent = float(end_exponent), float(kink_exponent)
+    if not (end_exponent > -1.0 and kink_exponent > -1.0):
+        raise ValueError(f"exponents must exceed -1, got ({end_exponent}, {kink_exponent})")
     if isinstance(breakpoints, RootList):
         breakpoints = breakpoints.roots
     points = () if breakpoints is None else breakpoints
     cuts = sorted({float(p) for p in points if a < p < b})
     edges = [a, *cuts, b]
+    sides = [end_exponent, *(kink_exponent for _ in cuts), end_exponent]
 
-    heap: list[tuple[float, int, float, float, float]] = []
+    # heap entries: (-err, id, lo, hi, value, exponent at lo, exponent at hi)
+    heap: list[tuple[float, int, float, float, float, float, float]] = []
     counter = 0
     values: dict[int, tuple[float, float, float]] = {}
-    for lo, hi in zip(edges, edges[1:]):
-        val, err, mag = _panel(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val))
+
+    def push(lo: float, hi: float, left: float, right: float) -> None:
+        nonlocal counter
+        val, err, mag = _panel(f, lo, hi, left, right)
+        heapq.heappush(heap, (-err, counter, lo, hi, val, left, right))
         values[counter] = (val, err, mag)
         counter += 1
+
+    for lo, hi, left, right in zip(edges, edges[1:], sides, sides[1:]):
+        push(lo, hi, left, right)
 
     converged = True
     while True:
@@ -319,14 +393,11 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, max_panels: int = 
         if len(values) >= max_panels:
             converged = False
             break
-        neg_err, idx, lo, hi, _val = heapq.heappop(heap)
+        _, idx, lo, hi, _, left, right = heapq.heappop(heap)
         del values[idx]
         mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            val, err, mag = _panel(f, *seg)
-            heapq.heappush(heap, (-err, counter, seg[0], seg[1], val))
-            values[counter] = (val, err, mag)
-            counter += 1
+        push(lo, mid, left, 0.0)
+        push(mid, hi, 0.0, right)
 
     panels = sorted(heap, key=lambda e: e[2])
     value = math.fsum(p[4] for p in panels)

@@ -185,6 +185,26 @@ def test_sphere_overflow_exit_prints_no_warnings(capsys):
         assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize(
+    "argv,statuses",
+    [
+        (("ratio", "--n", "5000", "--d", "6", "--p", "2", "--q", "4"), ["fails"]),
+        (("ratio", "--n", "100000", "--d", "3", "--p", "1.5", "--q", "3"), ["holds"]),
+        (("limit", "--n", "10,1000,100000", "--d", "3", "--p", "2", "--q", "4"), ["holds"] * 3),
+    ],
+)
+def test_overflowing_jacobi_rules_print_no_warnings(capsys, argv, statuses):
+    # scipy's Jacobi normalisation 2^(alpha + beta + 1) overflows at these n;
+    # the rule is dropped for the adaptive panels without a RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == statuses
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught] == []
+
+
 def test_limit_monotone_exit_zero(capsys):
     code, out, _ = run(capsys, "limit", "--d", "2", "--p", "2", "--q", "4", "--n", "10,100,1000", "--format", "csv")
     assert code == 0

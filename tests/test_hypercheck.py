@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from spherehc import hypercheck, norms, specfun
 from spherehc.hypercheck import (
@@ -36,6 +37,7 @@ from spherehc.hypercheck import (
     utol1_check,
 )
 from spherehc.norms import SphereParams, sphere_l2_norm_closed
+from spherehc.quadrature import integrate_piecewise
 from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
 from oracles import hermite_fourth_moment, log_fraction, sphere_power_integral_exact
@@ -214,6 +216,26 @@ def test_entropy_taylor_expansion(n):
     for eps in (1e-2, 1e-3):
         got = entropy_functional(ZonalPolynomial(n, (1.0, eps)), tol=1e-12)
         assert got == pytest.approx(2 * eps * eps * y1_sq, rel=1e-4)
+
+
+def test_entropy_matches_tight_legendre_reference():
+    # Jacobi end panels at tol 1e-10 against plain Legendre panels at tol 1e-14
+    rng = np.random.default_rng(2718)
+    for trial in range(250):
+        n = 2 + trial % 2
+        g = random_zonal_polynomial(n, 8, rng)
+        value, err, converged, terms = hypercheck._entropy_with_error(g, 1e-10)
+        lam = (n - 1) / 2
+        c = specfun.c_lambda(lam)
+
+        def f(t):
+            usq = np.asarray(specfun.gegenbauer_series(lam, np.asarray(g.coeffs), t)) ** 2
+            return xlogy(usq, usq) * c * (1 - t * t) ** (lam - 0.5)
+
+        ref = integrate_piecewise(f, [], (-1.0, 1.0), 1e-14)
+        mass = math.fsum(terms)
+        assert converged and ref.converged
+        assert abs(value - (ref.value - mass * math.log(mass))) <= err + ref.error_estimate
 
 
 def test_entropy_scaling_homogeneity():

@@ -287,3 +287,68 @@ def test_quartic_norm_past_float_overflow(n, d):
     exact = log_fraction(sphere_power_integral_exact(Fraction(n - 1, 2), d, 4)) / 4
     assert nv.converged
     assert abs(nv.log_value - exact) <= nv.error_estimate
+
+
+# ------------------------------------------------- Jacobi-panel adaptive path
+
+@pytest.mark.parametrize("d", [1, 30, 171, 200, 400])
+@pytest.mark.parametrize("n", [2, 3, 13, 1000])
+def test_l2_closed_form_band_holds_against_mpmath(n, d):
+    # a difference of lgamma values was 5e-14 off at (2, 400) and 7e-13 at
+    # n = 1000, outside the 5e-15 it claimed
+    from mpmath import mp
+
+    with mp.workdps(40):
+        exact = float(0.5 * (mp.log(n - 1) - mp.log(d) - mp.log(2 * d + n - 1) - mp.log(mp.beta(n - 1, d))))
+    closed = sphere_l2_norm_closed(SphereParams(n), d)
+    assert abs(closed.log_value - exact) <= closed.error_estimate
+
+
+# log norms by the Gauss-Legendre panels (all exponents 0) and their bands
+_LEGENDRE_GAUSSIAN = {20: (20.384620868763573, 6.407912290767321e-13), 40: (54.19984320164735, 6.636010028373118e-13)}
+
+
+@pytest.mark.parametrize("d", [20, 40])
+def test_gaussian_kink_panels_match_legendre_panels(d):
+    nv = gaussian_lp_norm(d, 1.5)
+    ref, band = _LEGENDRE_GAUSSIAN[d]
+    assert nv.converged
+    assert abs(nv.log_value - ref) <= nv.error_estimate + band
+
+
+def test_zonal_fallback_panels_match_legendre_panels():
+    # (n, d, p) = (1000, 30, 1.5): 432 Legendre panels gave this log integral
+    spec = specfun.GegenbauerSpec(499.5, 30)
+    res = _zonal_power_adaptive(spec, 1.5, specfun.gegenbauer_roots(spec).roots, 0.0, 1e-12)
+    assert res.converged and res.subintervals_used < 100
+    assert abs(res.log_value - 52.439212310665624) <= res.relative_error + 9.99877582912462e-13
+
+
+@pytest.mark.parametrize("d", [2, 9, 20, 40])
+@pytest.mark.parametrize("p", [2, 4])
+def test_gaussian_even_norms_within_band_of_oracle(d, p):
+    moment = math.factorial(d) if p == 2 else hermite_fourth_moment(d)
+    exact = log_fraction(Fraction(moment)) / p
+    nv = gaussian_lp_norm(d, float(p))
+    assert nv.converged
+    assert abs(nv.log_value - exact) <= nv.error_estimate
+
+
+@pytest.mark.parametrize("n,d,p", [(500, 12, 2), (1000, 30, 2), (1000, 30, 4), (2000, 20, 4), (5000, 8, 4)])
+def test_fallback_even_powers_within_band_of_oracle(n, d, p):
+    res = zonal_power_integral((n - 1) / 2, d, float(p), 1e-12)
+    assert res.method == ADAPTIVE and res.converged
+    assert abs(res.log_value - _scaled_log_exact(n, d, p)) <= res.relative_error
+
+
+@pytest.mark.parametrize("n", [1500, 5000, 100000])
+def test_zonal_lp_norm_at_steep_weights_within_band(n):
+    # ||1 + a Y_1 + b Y_2||_2^2 = 1 + a^2 ||Y_1||_2^2 + b^2 ||Y_2||_2^2; at
+    # n = 1e5 the first panel is bisected and its halves, with alpha + beta
+    # near 5e4, have no finite Jacobi rule, so they run on Legendre panels
+    coeffs = (1.0, 0.5, -0.25)
+    squares = [sphere_power_integral_exact(Fraction(n - 1, 2), k, 2) for k in (1, 2)]
+    exact = log_fraction(1 + Fraction(1, 4) * squares[0] + Fraction(1, 16) * squares[1]) / 2
+    nv = zonal_lp_norm(SphereParams(n), coeffs, 2.0)
+    assert nv.converged
+    assert abs(nv.log_value - exact) <= nv.error_estimate

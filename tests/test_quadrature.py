@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import math
 
+import heapq
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
-from spherehc import specfun
+from spherehc import hypercheck, specfun
 from spherehc.norms import gaussian_lp_norm
 from spherehc.quadrature import (
     GAUSS_JACOBI,
+    _panel_rule,
     gauss_legendre,
     gaussian_truncation_radius,
     integrate_piecewise,
@@ -158,6 +164,128 @@ def test_interval_validation():
         integrate_piecewise(np.abs, [], (1.0, -1.0), 1e-10)
     with pytest.raises(ValueError):
         integrate_piecewise(np.abs, [], (-1.0, 1.0), -1e-10)
+
+
+# ------------------------------------------------------------ Jacobi panels
+
+def _legendre_reference(f, edges, tol):
+    """The adaptive loop with two Gauss-Legendre calls per panel, as it ran
+    before panels carried exponents."""
+
+    def panel(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        rc, rf = gauss_legendre(16), gauss_legendre(32)
+        coarse = half * float(rc.weights @ np.asarray(f(mid + half * rc.nodes), dtype=float))
+        fine = half * float(rf.weights @ np.asarray(f(mid + half * rf.nodes), dtype=float))
+        return fine, abs(fine - coarse), abs(fine)
+
+    heap, values, ids = [], {}, itertools.count()
+    segments = list(zip(edges, edges[1:]))
+    while True:
+        for seg in segments:
+            idx = next(ids)
+            values[idx] = panel(*seg)
+            heapq.heappush(heap, (-values[idx][1], idx, *seg))
+        if math.fsum(v[1] for v in values.values()) <= tol * math.fsum(v[2] for v in values.values()):
+            break
+        _, idx, lo, hi = heapq.heappop(heap)
+        del values[idx]
+        segments = [(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)]
+    return math.fsum(v[0] for v in values.values()), len(values)
+
+
+def _entropy_integrand(g):
+    lam = (g.n - 1) / 2
+    c = specfun.c_lambda(lam)
+    coeffs = np.asarray(g.coeffs, dtype=float)
+
+    def f(t):
+        usq = np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float) ** 2
+        return xlogy(usq, usq) * c * (1 - t * t) ** (lam - 0.5)
+
+    return f
+
+
+@pytest.mark.parametrize("e", [0.5, 1.0, 5.5])
+@pytest.mark.parametrize("k", [0, 2, 6])
+def test_end_exponent_panels_match_beta_integrals(e, k):
+    # integral t^k (1 - t^2)^e dt = B((k + 1)/2, e + 1) for even k
+    res = integrate_piecewise(lambda t: t**k * (1 - t * t) ** e, [], (-1.0, 1.0), 1e-12, end_exponent=e)
+    assert res.converged and res.subintervals_used == 1
+    a, b = (k + 1) / 2, e + 1
+    assert res.value == pytest.approx(math.gamma(a) * math.gamma(b) / math.gamma(a + b), rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, -0.71])
+def test_kink_exponent_panels_match_closed_form(r):
+    res = integrate_piecewise(lambda t: np.abs(t - r) ** 1.5, [r], (-1.0, 1.0), 1e-12, kink_exponent=1.5)
+    exact = ((1 - r) ** 2.5 + (1 + r) ** 2.5) / 2.5
+    assert res.converged and res.subintervals_used == 2
+    assert res.value == pytest.approx(exact, rel=1e-14)
+
+
+def test_default_exponents_are_bitwise_the_legendre_panels():
+    g = hypercheck.random_zonal_polynomial(2, 8, np.random.default_rng(77))
+    cases = [
+        (lambda t: 3 * t**7 - t**4 + 0.5, [-0.2, 0.4]),
+        (_entropy_integrand(g), []),
+        (lambda t: np.abs(t - 0.1) ** 1.5, [0.1]),
+    ]
+    for f, cuts in cases:
+        res = integrate_piecewise(f, cuts, (-1.0, 1.0), 1e-12)
+        value, panels = _legendre_reference(f, [-1.0, *cuts, 1.0], 1e-12)
+        assert (res.value, res.subintervals_used) == (value, panels)
+
+
+def test_integrand_called_once_per_panel():
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return np.abs(t) ** 1.5 * (1 - t * t) ** 0.5
+
+    res = integrate_piecewise(f, [0.0], (-1.0, 1.0), 1e-13, end_exponent=0.5, kink_exponent=1.5)
+    assert res.converged
+    assert sizes == [48] * len(sizes) and len(sizes) == 2 * res.subintervals_used - 2
+
+
+@pytest.mark.parametrize("exponents", [(-1.0, 0.0), (0.0, -1.5)])
+def test_exponent_at_or_below_minus_one_is_rejected(exponents):
+    end, kink = exponents
+    with pytest.raises(ValueError):
+        integrate_piecewise(np.abs, [0.0], (-1.0, 1.0), 1e-10, end_exponent=end, kink_exponent=kink)
+
+
+def test_overflowing_jacobi_rule_falls_back_to_legendre_panels():
+    # alpha + beta = 1501: scipy's normalisation 2^(alpha + beta + 1)
+    # overflows, so the end panels run on Legendre nodes, silently
+    assert np.array_equal(_panel_rule(1.0, 1500.0)[0], _panel_rule(0.0, 0.0)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_piecewise(
+            lambda t: np.abs(t) * (1 - t * t) ** 1500, [0.0], (-1.0, 1.0), 1e-12,
+            end_exponent=1500.0, kink_exponent=1.0,
+        )
+    assert res.converged
+    assert res.value == pytest.approx(1 / 1501, rel=1e-13)
+
+
+def test_s3_entropy_takes_few_panels(monkeypatch):
+    # the entropy passes the end exponent 1/2 to the panels, so they no
+    # longer bisect toward t = +-1 (a median of 24 Legendre panels)
+    counts = []
+
+    def counted(*args, **kwargs):
+        res = integrate_piecewise(*args, **kwargs)
+        counts.append(res.subintervals_used)
+        return res
+
+    monkeypatch.setattr(hypercheck, "integrate_piecewise", counted)
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        hypercheck.entropy_functional(hypercheck.random_zonal_polynomial(3, 8, rng))
+    assert len(counts) == 40
+    assert float(np.median(counts)) <= 8
 
 
 # --------------------------------------------------------- root-interval rule
