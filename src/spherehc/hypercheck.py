@@ -9,12 +9,10 @@ grid scanner that maps where the zonal witness breaks the norm bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import norms, specfun
 from .norms import SphereParams
@@ -181,23 +179,25 @@ def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
     lhs = log integral |C_d^((n-1)/2)(t)|^4 (1 - t^2)^((n-2)/2) dt;
     rhs = log of 9^sqrt(d(d+n-1)/n) (n-1)^2 B(1/2, n/2) / (d^2 (2d+n-1)^2 B(n-1,d)^2).
 
-    Independent of count1_check on the right side (beta functions instead of a
-    quadrature L^2 norm); the two must agree in status on every grid cell.
+    Independent of count1_check on the right side (the closed-form L^2 norm
+    instead of a quadrature one); the two must agree in status on every grid
+    cell.  The Beta functions are taken as (n - 1)^2 / (d^2 (2d + n - 1)^2
+    B(n-1, d)^2) = ||Y_d||_2^4 and B(1/2, n/2) = 1 / c_lam, both without
+    lgamma cancellation, and the band adds 4 times the closed form's.
     """
     if n < 2 or d < 1:
         raise ValueError(f"need n >= 2 and d >= 1, got ({n}, {d})")
     lam = (n - 1) / 2
     res = norms.zonal_power_integral(lam, d, 4.0, tol, normalized=False)
     lhs = 4.0 * (0.5 * d * math.log(2.0 * lam) - specfun.log_gamma(d + 1.0)) + res.log_value
+    closed = norms.sphere_l2_norm_closed(SphereParams(n), d)
     rhs = (
         math.sqrt(d * (d + n - 1.0) / n) * math.log(9.0)
-        + 2.0 * math.log(n - 1.0)
-        + specfun.log_beta(0.5, n / 2.0)
-        - 2.0 * math.log(d)
-        - 2.0 * math.log(2.0 * d + n - 1.0)
-        - 2.0 * specfun.log_beta(n - 1.0, float(d))
+        + 4.0 * closed.log_value
+        - math.log(specfun.c_lambda(lam))
     )
-    err = math.inf if not res.converged else res.relative_error + _log_rounding(lhs, rhs)
+    band = res.relative_error + _log_rounding(lhs, rhs) + 4.0 * closed.error_estimate
+    err = math.inf if not res.converged else band
     return Verdict.compare(lhs, rhs, err)
 
 
@@ -276,7 +276,8 @@ def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, b
     def entropy_integrand(t: np.ndarray) -> np.ndarray:
         u = np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float)
         usq = u * u
-        return xlogy(usq, usq) * np.exp(norms._log_weight(lam, t, log_c))
+        # u^2 log u^2, with 0 log 0 = 0
+        return usq * np.log(np.where(usq > 0.0, usq, 1.0)) * np.exp(norms._log_weight(lam, t, log_c))
 
     ent = integrate_piecewise(entropy_integrand, [], (-1.0, 1.0), tol, end_exponent=lam - 0.5)
     value = ent.value - mass * math.log(mass)
@@ -429,6 +430,9 @@ def counterexample_scan(
     cells = sorted((int(n), int(d)) for n in n_range for d in d_range)
     tasks = [(n, d, p, q, tol) for n, d in cells]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: multiprocessing costs every import of the package 12-24 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = dict(pool.map(_scan_cell, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     else:

@@ -8,11 +8,12 @@ r_1 < ... < r_d are known, behaves like (t - a)^p (b - t)^p times an analytic
 factor between consecutive roots a, b, and like (1 + t)^e (r_1 - t)^p and
 (t - r_d)^p (1 - t)^e on the two end intervals.  Each interval therefore gets
 one m-node Gauss-Jacobi rule whose weight carries those exponents exactly
-(nodes from ``scipy.special.roots_jacobi``; the rules are Golub-Welsch rules,
-Math. Comp. 23 (1969)), and the rule converges spectrally.  Per rule size and
-exponent only three rules occur (left end, interior, right end); they are
-cached with the rule-only part of their log weights and broadcast over the
-intervals.  Several exponents p share one pass: the caller supplies log|P|,
+(``specfun.jacobi_rule_log``: Golub-Welsch nodes, Math. Comp. 23 (1969), and
+log weights from the same recurrence pass), and the rule converges
+spectrally.  Per rule size and exponent only three rules occur (left end,
+interior, right end); they are cached with the rule-only part of their log
+weights and broadcast over the intervals.  Several exponents p share one
+pass: the caller supplies log|P|,
 which is evaluated once on the nodes of every exponent and both rule sizes,
 and each exponent's nodes are summed as a logsumexp of p log|P| plus the log
 weight, so |P|^p never has to fit in a float.  The error estimate is the
@@ -33,13 +34,12 @@ and a bisected panel passes each side's exponent to the child that still
 touches that side; any other panel is plain Gauss-Legendre.  The integrand
 is not changed: the rule's weights are divided by its own weight function,
 w_i / ((1 - x_i)^alpha (1 + x_i)^beta), which is formed in log space from the
-same cached Gauss-Jacobi rules as the root-interval path.  A Jacobi rule
-that is not finite (scipy's normalisation 2^(alpha + beta + 1) overflows once
-alpha + beta passes about 1000) leaves its panel on Gauss-Legendre.  The
-integrand is called once per panel, on the 48 nodes of both rule sizes.  It
-serves every integrand that is not a root-split |P|^p: entropy functionals,
-general zonal polynomials, subordination, the circle, the Gaussian side and
-the root-interval fallback.  Non-convergence, including a non-finite panel,
+same cached Gauss-Jacobi rules as the root-interval path, so it is finite
+even where the weights alone pass the float range.  The integrand is called
+once per panel, on the 48 nodes of both rule sizes.  It serves every
+integrand that is not a root-split |P|^p: entropy functionals, general zonal
+polynomials, subordination, the circle, the Gaussian side and the
+root-interval fallback.  Non-convergence, including a non-finite panel,
 is reported through ``converged=False``, never as a silently wrong value.
 """
 
@@ -51,9 +51,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_jacobi
 
+from . import specfun
 from .specfun import RootList
 from .verdict import Verdict
 
@@ -83,11 +82,15 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Gauss rule on ``interval``: exact for polynomials up to degree 2*count - 1."""
+    """Gauss rule on ``interval``: exact for polynomials up to degree 2*count - 1.
+
+    ``log_weights`` stay finite where ``weights`` overflow to inf.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     interval: tuple[float, float]
+    log_weights: np.ndarray
 
     @property
     def count(self) -> int:
@@ -96,43 +99,31 @@ class QuadratureRule:
 
 @lru_cache(maxsize=64)
 def gauss_legendre(count: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1] built by Golub-Welsch.
-
-    The symmetric tridiagonal Jacobi matrix has zero diagonal and off-diagonal
-    k / sqrt(4k^2 - 1); its eigenvalues are the nodes and the squared first
-    eigenvector components give the weights.
-    """
-    if count < 1:
-        raise ValueError(f"rule size must be >= 1, got {count}")
-    if count == 1:
-        nodes = np.array([0.0])
-        weights = np.array([2.0])
-    else:
-        k = np.arange(1.0, count)
-        off = k / np.sqrt(4.0 * k * k - 1.0)
-        nodes, vecs = eigh_tridiagonal(np.zeros(count), off)
-        order = np.argsort(nodes)
-        nodes = nodes[order]
-        weights = 2.0 * vecs[0, order] ** 2
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(nodes, weights, (-1.0, 1.0))
+    """Gauss-Legendre rule on [-1, 1]: the Gauss-Jacobi rule with alpha = beta = 0."""
+    return gauss_jacobi(count, 0.0, 0.0)
 
 
 @lru_cache(maxsize=256)
 def gauss_jacobi(count: int, alpha: float, beta: float) -> QuadratureRule:
     """Gauss-Jacobi rule on [-1, 1] for the weight (1 - x)^alpha (1 + x)^beta.
 
-    Nodes and weights come from ``scipy.special.roots_jacobi``; the cache
-    holds at most 256 rules.  Where scipy's normalisation overflows (alpha +
-    beta beyond about 1000) the weights are inf or NaN, silently; callers
-    treat such a rule as unusable.
+    Nodes and log weights come from ``specfun.jacobi_rule_log``; with
+    alpha < beta the rule is the (beta, alpha) rule mirrored, so the two
+    share one build.  The cache holds at most 256 rules.  The weights sum to
+    mu0 = 2^(alpha + beta + 1) B(alpha + 1, beta + 1), which passes the float
+    range when alpha + beta is beyond about 1000 and one exponent is small;
+    ``weights`` are then inf, and ``log_weights`` stay finite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        nodes, weights = roots_jacobi(count, alpha, beta)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(nodes, weights, (-1.0, 1.0))
+    if alpha < beta:
+        rule = gauss_jacobi(count, beta, alpha)
+        nodes, log_weights = -rule.nodes[::-1], rule.log_weights[::-1]
+    else:
+        nodes, log_weights = specfun.jacobi_rule_log(count, float(alpha), float(beta))
+    with np.errstate(over="ignore"):
+        weights = np.exp(log_weights)
+    for array in (nodes, weights, log_weights):
+        array.flags.writeable = False
+    return QuadratureRule(nodes, weights, (-1.0, 1.0), log_weights)
 
 
 def _jacobi_log_rule(count: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +137,7 @@ def _jacobi_log_rule(count: int, alpha: float, beta: float) -> tuple[np.ndarray,
     """
     rule = gauss_jacobi(count, alpha, beta)
     x = rule.nodes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return x, np.log(rule.weights) - alpha * np.log1p(-x) - beta * np.log1p(x)
+    return x, rule.log_weights - alpha * np.log1p(-x) - beta * np.log1p(x)
 
 
 @dataclass(frozen=True)
@@ -195,7 +185,7 @@ def _exp(x: float) -> float:
 
 
 def _log_sum_exp(terms: np.ndarray) -> float:
-    # scipy.special.logsumexp gives the same sum at about 8x the cost per call
+    # shifted by the largest term, so no exponential overflows
     top = float(np.max(terms))
     if not math.isfinite(top):
         return top
@@ -290,18 +280,11 @@ def _panel_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.n
     panel whose integrand behaves like (1 - x)^alpha at x = 1 and (1 + x)^beta
     at x = -1.
 
-    The weights are Gauss-Jacobi weights with the weight function divided out;
-    with both exponents 0, or where that rule is not finite, the panel uses
-    the Gauss-Legendre pair.
+    The weights are Gauss-Jacobi weights with the weight function divided
+    out; with both exponents 0 they are the Gauss-Legendre weights, bitwise.
     """
-    if alpha or beta:
-        rules = [_jacobi_log_rule(count, alpha, beta) for count in (_COARSE, _FINE)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = [np.exp(rest) for _, rest in rules]
-        if all(np.all((w > 0) & (w < math.inf)) for w in weights):
-            return np.concatenate([x for x, _ in rules]), *weights
-    coarse, fine = gauss_legendre(_COARSE), gauss_legendre(_FINE)
-    return np.concatenate((coarse.nodes, fine.nodes)), coarse.weights, fine.weights
+    rules = [_jacobi_log_rule(count, alpha, beta) for count in (_COARSE, _FINE)]
+    return np.concatenate([x for x, _ in rules]), *(np.exp(rest) for _, rest in rules)
 
 
 def _panel(f, a: float, b: float, left: float, right: float) -> tuple[float, float, float]:
@@ -345,8 +328,7 @@ def integrate_piecewise(
 
     Both exponents state facts about ``f`` and must exceed -1.  A panel that
     touches neither an end with a nonzero ``end_exponent`` nor a breakpoint
-    with a nonzero ``kink_exponent`` uses the Gauss-Legendre pair, and so
-    does a panel whose Jacobi rule is not finite.
+    with a nonzero ``kink_exponent`` uses the Gauss-Legendre pair.
 
     Returns ``converged=False`` when the panel budget ``max_panels`` runs out,
     and at once, with a NaN value, when a panel's value is not finite:

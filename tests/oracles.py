@@ -123,6 +123,52 @@ def sphere_power_integral_exact(lam: Fraction, d: int, p_even: int) -> Fraction:
     return total
 
 
+def gauss_jacobi_mp(m: int, alpha: float, beta: float, guesses, dps: int = 40):
+    """Nodes, log weights and log mu0 of the m-point Gauss-Jacobi rule in mpmath.
+
+    Each node is Newton-polished from its guess on P_m^(alpha, beta), written
+    out from DLMF 18.9.2; the weights come from the closed form
+    2^(a+b+1) Gamma(m+a+1) Gamma(m+b+1) / (Gamma(m+a+b+1) m! (1 - x^2) P_m'(x)^2).
+    """
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        s = a + b
+
+        def values(x):
+            prev, cur = mp.mpf(1), ((s + 2) * x + a - b) / 2
+            for k in range(2, m + 1):
+                t = 2 * k + s
+                prev, cur = cur, (
+                    (t - 1) * (t * (t - 2) * x + a * a - b * b) * cur - 2 * (k + a - 1) * (k + b - 1) * t * prev
+                ) / (2 * k * (k + s) * (t - 2))
+            slope = (m * (a - b - (2 * m + s) * x) * cur + 2 * (m + a) * (m + b) * prev) / ((2 * m + s) * (1 - x * x))
+            return cur, slope
+
+        nodes, log_w = [], []
+        log_const = (s + 1) * mp.log(2) + mp.loggamma(m + a + 1) + mp.loggamma(m + b + 1) - mp.loggamma(m + s + 1)
+        log_const -= mp.loggamma(m + 1)
+        for guess in guesses:
+            x = mp.mpf(float(guess))
+            for _ in range(100):
+                value, slope = values(x)
+                x -= value / slope
+                if abs(value / slope) < mp.mpf(2) ** (-3 * dps):
+                    break
+            _, slope = values(x)
+            nodes.append(x)
+            log_w.append(log_const - mp.log((1 - x * x) * slope * slope))
+        log_mu0 = (s + 1) * mp.log(2) + mp.log(mp.beta(a + 1, b + 1))
+        return nodes, log_w, log_mu0
+
+
+def xlogx(u: np.ndarray) -> np.ndarray:
+    """u log u elementwise, with 0 log 0 = 0."""
+    u = np.asarray(u, dtype=float)
+    return u * np.log(np.where(u > 0.0, u, 1.0))
+
+
 def log_fraction(x: Fraction) -> float:
     """log x for a positive rational, accurate where x is far outside float range."""
     shift = x.numerator.bit_length() - x.denominator.bit_length()

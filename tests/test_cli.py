@@ -194,8 +194,9 @@ def test_sphere_overflow_exit_prints_no_warnings(capsys):
     ],
 )
 def test_overflowing_jacobi_rules_print_no_warnings(capsys, argv, statuses):
-    # scipy's Jacobi normalisation 2^(alpha + beta + 1) overflows at these n;
-    # the rule is dropped for the adaptive panels without a RuntimeWarning
+    # the Jacobi rules here have alpha + beta past 1000, where the weights'
+    # normalisation 2^(alpha + beta + 1) B(alpha + 1, beta + 1) can pass the
+    # float range; they are built in log space and print no RuntimeWarning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv, "--format", "csv")

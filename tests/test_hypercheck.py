@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import xlogy
 
 from spherehc import hypercheck, norms, specfun
 from spherehc.hypercheck import (
@@ -40,7 +39,7 @@ from spherehc.norms import SphereParams, sphere_l2_norm_closed
 from spherehc.quadrature import integrate_piecewise
 from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
-from oracles import hermite_fourth_moment, log_fraction, sphere_power_integral_exact
+from oracles import hermite_fourth_moment, log_fraction, sphere_power_integral_exact, xlogx
 
 
 # ----------------------------------------------------------------- spectrum
@@ -230,7 +229,7 @@ def test_entropy_matches_tight_legendre_reference():
 
         def f(t):
             usq = np.asarray(specfun.gegenbauer_series(lam, np.asarray(g.coeffs), t)) ** 2
-            return xlogy(usq, usq) * c * (1 - t * t) ** (lam - 0.5)
+            return xlogx(usq) * c * (1 - t * t) ** (lam - 0.5)
 
         ref = integrate_piecewise(f, [], (-1.0, 1.0), 1e-14)
         mass = math.fsum(terms)
@@ -396,6 +395,26 @@ def test_utol1_holds_at_n2_d1_exactly():
     assert v.status == HOLDS
     assert v.lhs == pytest.approx(math.log(2 / 5), rel=1e-12)
     assert v.rhs == pytest.approx(math.log(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,d", [(1000, 1), (1000, 3), (13, 7), (2, 400), (500, 12)])
+def test_utol1_rhs_matches_mpmath(n, d):
+    # lgamma differences put the right side 2.9e-12 off at (1000, 1), against
+    # a band of 2.0e-14
+    from mpmath import mp
+
+    with mp.workdps(40):
+        exact = float(
+            mp.sqrt(mp.mpf(d) * (d + n - 1) / n) * mp.log(9)
+            + 2 * mp.log(n - 1)
+            + mp.log(mp.beta(mp.mpf(1) / 2, mp.mpf(n) / 2))
+            - 2 * mp.log(d)
+            - 2 * mp.log(2 * d + n - 1)
+            - 2 * mp.log(mp.beta(n - 1, d))
+        )
+    v = utol1_check(n, d)
+    assert abs(v.rhs - exact) <= 4.0 * np.finfo(float).eps * abs(exact)
+    assert abs(v.rhs - exact) <= v.numeric_error
 
 
 def test_utol1_count1_status_agreement():

@@ -343,9 +343,9 @@ def test_fallback_even_powers_within_band_of_oracle(n, d, p):
 
 @pytest.mark.parametrize("n", [1500, 5000, 100000])
 def test_zonal_lp_norm_at_steep_weights_within_band(n):
-    # ||1 + a Y_1 + b Y_2||_2^2 = 1 + a^2 ||Y_1||_2^2 + b^2 ||Y_2||_2^2; at
-    # n = 1e5 the first panel is bisected and its halves, with alpha + beta
-    # near 5e4, have no finite Jacobi rule, so they run on Legendre panels
+    # ||1 + a Y_1 + b Y_2||_2^2 = 1 + a^2 ||Y_1||_2^2 + b^2 ||Y_2||_2^2; the
+    # panels carry Jacobi rules with alpha + beta up to 1e5, whose mu0 would
+    # overflow outside log space
     coeffs = (1.0, 0.5, -0.25)
     squares = [sphere_power_integral_exact(Fraction(n - 1, 2), k, 2) for k in (1, 2)]
     exact = log_fraction(1 + Fraction(1, 4) * squares[0] + Fraction(1, 16) * squares[1]) / 2

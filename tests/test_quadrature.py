@@ -10,13 +10,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import xlogy
 
 from spherehc import hypercheck, specfun
 from spherehc.norms import gaussian_lp_norm
 from spherehc.quadrature import (
     GAUSS_JACOBI,
     _panel_rule,
+    gauss_jacobi,
     gauss_legendre,
     gaussian_truncation_radius,
     integrate_piecewise,
@@ -25,7 +25,7 @@ from spherehc.quadrature import (
 )
 from spherehc.specfun import GegenbauerSpec
 
-from oracles import gaussian_even_moment, simpson_composite
+from oracles import gaussian_even_moment, simpson_composite, xlogx
 
 
 # ----------------------------------------------------------------- gauss rule
@@ -201,7 +201,7 @@ def _entropy_integrand(g):
 
     def f(t):
         usq = np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float) ** 2
-        return xlogy(usq, usq) * c * (1 - t * t) ** (lam - 0.5)
+        return xlogx(usq) * c * (1 - t * t) ** (lam - 0.5)
 
     return f
 
@@ -256,10 +256,18 @@ def test_exponent_at_or_below_minus_one_is_rejected(exponents):
         integrate_piecewise(np.abs, [0.0], (-1.0, 1.0), 1e-10, end_exponent=end, kink_exponent=kink)
 
 
-def test_overflowing_jacobi_rule_falls_back_to_legendre_panels():
-    # alpha + beta = 1501: scipy's normalisation 2^(alpha + beta + 1)
-    # overflows, so the end panels run on Legendre nodes, silently
-    assert np.array_equal(_panel_rule(1.0, 1500.0)[0], _panel_rule(0.0, 0.0)[0])
+def test_jacobi_rule_with_swapped_exponents_is_the_mirror_image():
+    rule, mirror = gauss_jacobi(16, 0.5, 3.0), gauss_jacobi(16, 3.0, 0.5)
+    assert np.array_equal(rule.nodes, -mirror.nodes[::-1])
+    assert np.array_equal(rule.log_weights, mirror.log_weights[::-1])
+
+
+def test_jacobi_panels_past_mu0_overflow():
+    # alpha + beta = 1501: mu0 = 2^1502 B(2, 1501) passes the float range,
+    # but the log weights do not, so the end panels keep their Jacobi rules
+    assert gauss_jacobi(16, 1.0, 1500.0).weights[-1] == math.inf
+    nodes, coarse, fine = _panel_rule(1.0, 1500.0)
+    assert np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine)) and nodes.min() > 0.8
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = integrate_piecewise(

@@ -12,6 +12,7 @@ from spherehc import specfun
 from spherehc.specfun import GegenbauerSpec, HermiteSpec, RootList
 
 from oracles import (
+    gauss_jacobi_mp,
     gegenbauer_explicit,
     gegenbauer_scaled_explicit,
     hermite_explicit,
@@ -289,6 +290,19 @@ def test_log_gamma_accuracy(x):
     assert specfun.log_gamma(x) == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "a,b", [(0.5, 0.5), (3.0, 500.5), (1.0, 500.5), (0.5, 1000.5), (25.0, 30.0), (500.5, 500.5), (3.0, 1e4), (20.0, 1e6)]
+)
+def test_log_beta_matches_mpmath(a, b):
+    # a difference of lgamma values is 5.9e-13 off at (0.5, 1000.5)
+    from mpmath import mp
+
+    with mp.workdps(40):
+        exact = float(mp.log(mp.beta(a, b)))
+    assert abs(specfun.log_beta(a, b) - exact) <= 4 * np.finfo(float).eps * max(1.0, abs(exact))
+    assert specfun.log_beta(b, a) == specfun.log_beta(a, b)
+
+
 def test_c_lambda_values():
     # Gamma-identity oracles: c_{1/2} = 1/2, c_1 = 2/pi
     assert specfun.c_lambda(0.5) == pytest.approx(0.5, rel=1e-13)
@@ -316,6 +330,53 @@ def test_c_lambda_normalizes_the_weight(lam):
 
     res = integrate_piecewise(w, [], (-1.0, 1.0), 1e-12)
     assert res.value == pytest.approx(1.0, rel=1e-10)
+
+
+# ------------------------------------------------------- Gauss-Jacobi rules
+
+_JACOBI_EXPONENTS = [
+    (0.0, 0.0), (2.0, 2.0), (4.0, 0.5), (-0.5, 0.7),
+    (0.0, 499.5), (1.5, 499.5), (2.0, 998.0), (0.0, 2499.5), (749.5, 749.5),
+]
+
+
+@pytest.mark.parametrize("alpha,beta", _JACOBI_EXPONENTS)
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 32])
+def test_jacobi_rule_matches_mpmath(m, alpha, beta):
+    # log weights of size L cannot resolve less than an ulp of L, so the
+    # weights are held to 2 eps |log mu0| plus a floor; scipy's rules summed
+    # 6.5e-13 (about 11 ulps of log mu0) below mu0 at (0, 499.5)
+    from mpmath import mp
+
+    eps = np.finfo(float).eps
+    nodes, log_w = specfun.jacobi_rule_log(m, alpha, beta)
+    exact_nodes, exact_log_w, log_mu0 = gauss_jacobi_mp(m, alpha, beta, nodes)
+    band = eps * (2.0 * abs(float(log_mu0)) + 64.0)
+    with mp.workdps(40):
+        node_err = [abs(float(e - x)) for e, x in zip(exact_nodes, nodes)]
+        weight_err = sum(abs(mp.exp(w - log_mu0) - mp.exp(e - log_mu0)) for w, e in zip(log_w, exact_log_w))
+        sum_err = abs(mp.log(sum(mp.exp(mp.mpf(w)) for w in log_w)) - log_mu0)
+    assert np.all(np.array(node_err) <= 4 * np.spacing(np.maximum(np.abs(nodes), 1e-3)))
+    assert float(weight_err) <= band
+    assert float(sum_err) <= band
+
+
+@pytest.mark.parametrize("alpha,beta", [(4.0, 0.5), (1.5, 499.5), (-0.5, 0.7)])
+def test_jacobi_rule_integrates_its_degree(alpha, beta):
+    # integral (1 + x)^k (1 - x)^alpha (1 + x)^beta = 2^(s + k + 1) B(alpha + 1, beta + k + 1)
+    m = 6
+    nodes, log_w = specfun.jacobi_rule_log(m, alpha, beta)
+    for k in range(2 * m):
+        log_sum = np.log(np.sum(np.exp(log_w + k * np.log1p(nodes) - log_w.max()))) + log_w.max()
+        exact = (alpha + beta + k + 1) * math.log(2.0) + specfun.log_beta(alpha + 1.0, beta + k + 1.0)
+        assert log_sum == pytest.approx(exact, abs=1e-13 * max(1.0, abs(exact)))
+
+
+def test_jacobi_rule_validation():
+    with pytest.raises(ValueError):
+        specfun.jacobi_rule_log(0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        specfun.jacobi_rule_log(4, -1.0, 0.0)
 
 
 # ---------------------------------------------------------------- validation
