@@ -271,7 +271,7 @@ def _cmd_ratio(cfg: RunConfig, args) -> int:
     columns = ["kind", "n", "d", "p", "q", "ratio", "lhs", "rhs", "margin", "numeric_error", "status"]
     rows = [{
         "kind": kind, "n": n, "d": args.d, "p": args.p, "q": args.q,
-        "ratio": math.exp(v.lhs), **_verdict_columns(v),
+        "ratio": norms._exp(v.lhs), **_verdict_columns(v),
     }]
     _emit(cfg, columns, rows, {}, [])
     return INCONCLUSIVE_EXIT if v.status == INCONCLUSIVE else 0

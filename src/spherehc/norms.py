@@ -15,9 +15,8 @@ import numpy as np
 
 from . import specfun
 from .quadrature import (
-    ADAPTIVE,
     IntegralResult,
-    gaussian_truncation_radius,
+    _exp,
     integrate_piecewise,
     integrate_root_intervals,
 )
@@ -100,32 +99,18 @@ def zonal_power_integral(
     With ``normalized`` the weight carries c_lam (probability normalization);
     without it the bare weight of the counterexample inequality is used.
 
-    Rule: the roots of C_d^(lam) split [-1, 1] into d + 1 intervals, and each
-    gets one 16- and one 32-node Gauss-Jacobi rule with exponents (p, p)
-    between roots and (lam - 1/2, p) on the two end intervals
-    (``quadrature.integrate_root_intervals``).  log|G| comes from
-    ``specfun.gegenbauer_log_abs_scaled``, which keeps the recurrence's
-    power-of-two shift, and the nodes are summed as a logsumexp of
-    p log|G| + log w, so ``log_value`` stays finite where G or |G|^p
-    overflows.  ``norm_ratio_sphere`` integrates both exponents of a ratio in
-    one such pass.
+    The roots of C_d^(lam) split [-1, 1] for
+    ``quadrature.integrate_root_intervals``, with the end exponent
+    lam - 1/2.  log|G| comes from ``specfun.gegenbauer_log_abs_scaled``,
+    which keeps the recurrence's power-of-two shift, so ``log_value`` stays
+    finite where G or |G|^p overflows.  ``norm_ratio_sphere`` integrates both
+    exponents of a ratio in one pass.  Where 32 nodes do not resolve an
+    interval (at lam ~ 500, say, where (1 - t^2)^(lam - 1/2) is steep) the
+    integrator bisects in log space and ``method`` is ADAPTIVE.
 
-    Error (``relative_error``): the relative gap between the two rule sizes,
-    plus the rounding of the log-space sum, plus a floor of 4 p (d + 1) eps
-    for the rounding of the d-step recurrence; neither rounding term shows in
-    the gap.  The rule counts as converged when the gap is within ``tol``
-    plus the log-sum rounding, so a tighter ``tol`` does not force the
-    fallback, nor does a log integral so large that one ulp of it exceeds
-    ``tol``.
-
-    Fallback: when the gap misses that (for example at lam ~ 500, where
-    (1 - t^2)^(lam - 1/2) is too steep for 32 nodes) the integral is redone by
-    adaptive panels split at the roots (``quadrature.integrate_piecewise``):
-    panels touching t = +-1 carry the end exponent lam - 1/2 and panels
-    touching a root carry p, each as a Gauss-Jacobi pair, so the panels
-    refine only where the integrand is not already resolved.  The integrand
-    is exponentiated relative to the rule's estimate so it stays finite where
-    the integral does not fit a float; ``method`` records the path taken.
+    ``relative_error`` is the integrator's, plus a floor of 4 p (d + 1) eps
+    for the rounding of the d-step recurrence, which the 16/32 gap does not
+    show.
     """
     return _zonal_power_integrals(lam, d, (p,), tol, normalized)[0]
 
@@ -133,10 +118,7 @@ def zonal_power_integral(
 def _zonal_power_integrals(
     lam: float, d: int, exponents, tol: float, normalized: bool = True
 ) -> list[IntegralResult]:
-    """``zonal_power_integral`` for each exponent, from one root split and one recurrence pass.
-
-    Each exponent whose rule misses ``tol`` falls back to the adaptive path on its own.
-    """
+    """``zonal_power_integral`` for each exponent, from one root split and one recurrence pass per round."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     scale = math.sqrt(2.0 * lam)
@@ -149,42 +131,11 @@ def _zonal_power_integrals(
 
     out = []
     for p, res in zip(exponents, integrate_root_intervals(log_abs, roots, exponents, lam - 0.5, tol)):
-        if not res.converged:
-            res = _zonal_power_adaptive(spec, p, roots, res.log_value, tol)
         rel = res.relative_error + 4.0 * p * (d + 1) * _EPS
         out.append(
             IntegralResult.from_log(res.log_value + log_c, rel, res.subintervals_used, res.converged, res.method)
         )
     return out
-
-
-def _zonal_power_adaptive(
-    spec: specfun.GegenbauerSpec, p: float, roots, log_ref: float, tol: float
-) -> IntegralResult:
-    """The same integral, without c_lam, by adaptive panels in s = sqrt(2 lam) t.
-
-    The integrand is taken relative to exp(log_ref); log_ref, the rule's
-    estimate (0 where that is not finite), is added back to the log of the
-    result.
-    """
-    lam = spec.lam
-    scale = math.sqrt(2.0 * lam)
-    if not math.isfinite(log_ref):
-        log_ref = 0.0
-    log_const = -0.5 * math.log(2.0 * lam) - log_ref
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        log_g = specfun.gegenbauer_log_abs_scaled(spec, s)[1]
-        with np.errstate(over="ignore"):
-            return np.exp(p * log_g + _log_weight(lam, s / scale, log_const))
-
-    cuts = [r * scale for r in roots]
-    res = integrate_piecewise(integrand, cuts, (-scale, scale), tol, end_exponent=lam - 0.5, kink_exponent=p)
-    if not res.value > 0:
-        return res
-    return IntegralResult.from_log(
-        log_ref + math.log(res.value), res.relative_error, res.subintervals_used, res.converged, ADAPTIVE
-    )
 
 
 def _log_weight(lam: float, t: np.ndarray, log_const: float) -> np.ndarray:
@@ -204,11 +155,7 @@ def _norm_from_integral(res: IntegralResult, p: float, log_prefactor: float, met
         raise ArithmeticError(f"norm integral is {res.value}, not a finite positive number")
     log_norm = log_prefactor + res.log_value / p
     rel = res.relative_error / p + _ROUNDING
-    try:
-        value = math.exp(log_norm)
-    except OverflowError:
-        value = math.inf
-    return NormValue(value, p, rel, method, log_norm, res.converged)
+    return NormValue(_exp(log_norm), p, rel, method, log_norm, res.converged)
 
 
 def sphere_lp_norm(
@@ -253,12 +200,13 @@ def _circle_lp_norm(d: int, p: float, tol: float, convention: str | None) -> Nor
     if d == 0:
         return NormValue(1.0, p, 0.0, CLOSED_FORM, 0.0)
 
-    # mean of |cos|^p over a full period; independent of d >= 1
-    def integrand(v: np.ndarray) -> np.ndarray:
-        return np.abs(np.cos(v)) ** p / math.pi
+    # mean of |cos|^p over a full period, the integral over (0, pi) over pi;
+    # independent of d >= 1
+    def log_abs(v: np.ndarray) -> np.ndarray:
+        return np.log(np.abs(np.cos(v)))
 
-    res = integrate_piecewise(integrand, [0.5 * math.pi], (0.0, math.pi), tol, kink_exponent=p)
-    return _norm_from_integral(res, p, 0.0, CIRCLE_FORMULA)
+    res = integrate_root_intervals(log_abs, (0.5 * math.pi,), (p,), 0.0, tol, interval=(0.0, math.pi))[0]
+    return _norm_from_integral(res, p, -math.log(math.pi) / p, CIRCLE_FORMULA)
 
 
 def sphere_l2_norm_closed(params: SphereParams, d: int) -> NormValue:
@@ -269,30 +217,33 @@ def sphere_l2_norm_closed(params: SphereParams, d: int) -> NormValue:
     the degree-0 norm is 1 by convention).
 
     For integer n, 1 / (d B(n-1, d)) = prod_{j=1}^{n-2} (1 + d/j), so the log
-    norm is a sum of log1p terms, each off by at most eps (|term| + 1/2); a
-    difference of lgamma values instead loses 5e-14 at (n, d) = (2, 400) and
-    1e-10 at n = 1e5.  ``error_estimate`` is eps times the summed |terms| plus
-    their count, at least half the worst-case rounding of the log.
+    norm is a sum of log1p terms; a difference of lgamma values instead loses
+    5e-14 at (n, d) = (2, 400) and 1e-10 at n = 1e5.  ``error_estimate`` is
+    half the terms' errors, an ulp of each term and, for log1p(d/j), the
+    rounding of d/j damped to eps min(1, d/j), plus eps |log norm| for the
+    sum.  ``value`` is inf past the float range; ``log_value`` stays finite.
     """
     n = params.n
     if n < 2:
         raise ValueError(f"closed form needs n >= 2, got {n}")
     if d < 1:
         raise ValueError("closed form needs d >= 1 (degree-0 norm is 1 by convention)")
-    terms = [math.log(n - 1.0), -math.log(2.0 * d + n - 1.0), *(math.log1p(d / j) for j in range(1, n - 1))]
+    ratios = [d / j for j in range(1, n - 1)]
+    terms = [math.log(n - 1.0), -math.log(2.0 * d + n - 1.0), *map(math.log1p, ratios)]
     log_norm = 0.5 * math.fsum(terms)
-    rel = _EPS * (math.fsum(map(abs, terms)) + len(terms))
-    return NormValue(math.exp(log_norm), 2.0, rel, CLOSED_FORM, log_norm)
+    rounding = math.fsum(map(abs, terms)) + math.fsum(min(1.0, r) for r in ratios)
+    rel = _EPS * (0.5 * rounding + abs(log_norm))
+    return NormValue(_exp(log_norm), 2.0, rel, CLOSED_FORM, log_norm)
 
 
 def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
-    """||h_d||_{L^p(R, dgamma)} with Hermite-root breakpoints.
+    """||h_d||_{L^p(R, dgamma)} by the root-interval integrator on (-R, R).
 
-    The integration domain is truncated by the polynomial-growth tail bound
-    with growth degree p*d, and the integrand is assembled in log space from
-    the rescaled Hermite recurrence, so large degrees do not overflow.  The
-    adaptive panels next to a root carry its exponent p, and the error adds
-    the tail bound and 4 p (d + 1) eps for the recurrence's rounding.
+    log|h_d| comes from the rescaled Hermite recurrence and the density is
+    the log weight -y^2/2 - log sqrt(2 pi), so no degree overflows.  R lies
+    a fixed distance past a bound on the peak of |h_d|^p exp(-y^2/2), see
+    ``_gaussian_norms``.  The error adds the tails and 4 p (d + 1) eps for
+    the recurrence.
     """
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
@@ -300,29 +251,47 @@ def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
         raise ValueError(f"degree must be >= 0, got {d}")
     if d == 0:
         return NormValue(1.0, p, 0.0, CLOSED_FORM, 0.0)
-    growth = math.ceil(p * d)
-    radius = gaussian_truncation_radius(growth, tol)
+    return _gaussian_norms(d, (p,), tol)[0]
+
+
+def _gaussian_norms(d: int, exponents, tol: float) -> list[NormValue]:
+    """||h_d||_p (d >= 1) for each p, from one roots call and one pass per round.
+
+    Past y_hi = (r + sqrt(r^2 + 4 p d)) / 2, with r the largest root and p the
+    largest exponent, p log|h_d| - y^2/2 is past its peak, concave and of
+    curvature <= -1.  So with R = y_hi + sqrt(-2 log(tol 1e-3)) the two tails
+    beyond +-R together hold at most exp(p log|h_d(R)| - R^2/2) of the
+    measure, which the error adds relative to the integral.
+    """
     spec = specfun.HermiteSpec(d)
+    roots = specfun.hermite_roots(spec).roots
+    peak_bound = 0.5 * (roots[-1] + math.sqrt(roots[-1] ** 2 + 4.0 * max(exponents) * d))
+    radius = peak_bound + math.sqrt(-2.0 * math.log(tol * 1e-3))
 
-    def integrand(y: np.ndarray) -> np.ndarray:
-        _, log_h = specfun.hermite_log_abs(spec, y)
-        with np.errstate(over="ignore"):
-            return np.exp(p * log_h - 0.5 * y * y - _LOG_SQRT_2PI)
+    def log_abs(y: np.ndarray) -> np.ndarray:
+        return specfun.hermite_log_abs(spec, y)[1]
 
-    cuts = [r for r in specfun.hermite_roots(spec).roots if -radius < r < radius]
-    res = integrate_piecewise(integrand, cuts, (-radius, radius), tol, kink_exponent=p)
-    # the tail bound, plus the floor of 4 p (d + 1) eps for the rounding of
-    # the d-step recurrence that the sphere side carries too
-    tail = math.exp(growth * math.log1p(radius) - 0.5 * radius * radius)
-    err = res.error_estimate + tail + 4.0 * p * (d + 1) * _EPS * abs(res.value)
-    res = IntegralResult(res.value, err, res.subintervals_used, res.converged)
-    return _norm_from_integral(res, p, 0.0, QUADRATURE)
+    def log_density(y: np.ndarray) -> np.ndarray:
+        return -0.5 * y * y - _LOG_SQRT_2PI
+
+    integrals = integrate_root_intervals(
+        log_abs, roots, exponents, 0.0, tol, interval=(-radius, radius), log_weight=log_density
+    )
+    log_abs_radius = float(log_abs(np.array([radius]))[0])
+    out = []
+    for p, res in zip(exponents, integrals):
+        # the tails relative to the integral, and the recurrence floor
+        log_tail = p * log_abs_radius - 0.5 * radius * radius
+        rel = res.relative_error + _exp(log_tail - res.log_value) + 4.0 * p * (d + 1) * _EPS
+        res = IntegralResult.from_log(res.log_value, rel, res.subintervals_used, res.converged, res.method)
+        out.append(_norm_from_integral(res, p, 0.0, QUADRATURE))
+    return out
 
 
 def _ratio(nq: NormValue, np_: NormValue) -> RatioValue:
     log_ratio = nq.log_value - np_.log_value
     return RatioValue(
-        math.exp(log_ratio),
+        _exp(log_ratio),
         log_ratio,
         nq.error_estimate + np_.error_estimate,
         nq.converged and np_.converged,
@@ -359,7 +328,7 @@ def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> Ratio
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
     if d == 0 or p == q:
         return RatioValue(1.0, 0.0, 0.0)
-    return _ratio(gaussian_lp_norm(d, q, tol), gaussian_lp_norm(d, p, tol))
+    return _ratio(*_gaussian_norms(d, (q, p), tol))
 
 
 def zonal_lp_norm(params: SphereParams, coeffs, p: float, tol: float = 1e-12) -> NormValue:

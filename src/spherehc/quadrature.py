@@ -1,46 +1,26 @@
 """Quadrature for piecewise-smooth integrands: Gauss-Jacobi rules on root
-intervals, adaptive Gauss-Legendre panels, and the truncation radius of
-Gaussian-measure integrals.
+intervals in log space and adaptive panels in linear space.
 
-Root-interval rule (``integrate_root_intervals``).  An integrand
-|P(t)|^p (1 - t^2)^e on [-1, 1], with P a polynomial whose simple roots
-r_1 < ... < r_d are known, behaves like (t - a)^p (b - t)^p times an analytic
-factor between consecutive roots a, b, and like (1 + t)^e (r_1 - t)^p and
-(t - r_d)^p (1 - t)^e on the two end intervals.  Each interval therefore gets
-one m-node Gauss-Jacobi rule whose weight carries those exponents exactly
-(``specfun.jacobi_rule_log``: Golub-Welsch nodes, Math. Comp. 23 (1969), and
-log weights from the same recurrence pass), and the rule converges
-spectrally.  Per rule size and exponent only three rules occur (left end,
-interior, right end); they are cached with the rule-only part of their log
-weights and broadcast over the intervals.  Several exponents p share one
-pass: the caller supplies log|P|,
-which is evaluated once on the nodes of every exponent and both rule sizes,
-and each exponent's nodes are summed as a logsumexp of p log|P| plus the log
-weight, so |P|^p never has to fit in a float.  The error estimate is the
-relative gap between the m-node and the 2m-node sums (m = 16) plus the
-rounding of the logarithms summed; the 2m-node sum is returned.  The gap of
-two log sums of size L is a whole number of ulps of L, so a gap within
-``tol`` plus that rounding counts as converged.  A larger gap, or a
-non-finite sum, is reported as ``converged=False`` for that exponent, and the
-caller falls back to the adaptive path.
+``integrate_root_intervals`` takes every integral of the form |P|^p times a
+weight: the zonal |C_d|^p, the Gaussian side and the circle.  Between
+consecutive edges of (a, roots of P..., b), |P|^p behaves like a known power
+of the distance to each edge times an analytic factor, so each interval gets
+a Gauss-Jacobi rule carrying those exponents (``specfun.jacobi_rule_log``:
+Golub-Welsch nodes, Math. Comp. 23 (1969), and log weights from the same
+recurrence pass).  The caller supplies log|P|, and the nodes are summed as a
+logsumexp of p log|P| plus the log weight, so |P|^p never has to fit in a
+float.  Where the 16/32-node gap misses the tolerance, the panels whose own
+gap is too large are bisected, still in log space, in the manner of
+QUADPACK's QAWS (Piessens et al., QUADPACK, Springer 1983).
 
-Adaptive path (``integrate_piecewise``).  Kinks at known points are handled
-by splitting exactly there; panels are bisected worst-error-first until the
-summed error estimate meets the tolerance.  Each panel is a 16/32-node Gauss
-pair whose weight carries the singular exponents the caller states: a panel
-touching an end of the interval has the Jacobi exponent ``end_exponent`` on
-that side, a panel touching a breakpoint has ``kink_exponent`` on that side,
-and a bisected panel passes each side's exponent to the child that still
-touches that side; any other panel is plain Gauss-Legendre.  The integrand
-is not changed: the rule's weights are divided by its own weight function,
-w_i / ((1 - x_i)^alpha (1 + x_i)^beta), which is formed in log space from the
-same cached Gauss-Jacobi rules as the root-interval path, so it is finite
-even where the weights alone pass the float range.  The integrand is called
-once per panel, on the 48 nodes of both rule sizes.  It serves every
-integrand that is not a root-split |P|^p: entropy functionals, general zonal
-polynomials, subordination, the circle, the Gaussian side and the
-root-interval fallback.  Non-convergence, including a non-finite panel,
-is reported through ``converged=False``, never as a silently wrong value.
+``integrate_piecewise`` serves the integrands that are not |P|^p: the signed
+entropy, general zonal polynomials and subordination.  It splits at the
+given breakpoints and bisects the worst panel first; a panel touching an
+end carries ``end_exponent`` through a Gauss-Jacobi pair whose weight
+function is divided out of its weights in log space.
+
+Non-convergence, including a non-finite sum, is reported through
+``converged=False``, never as a silently wrong value.
 """
 
 from __future__ import annotations
@@ -63,7 +43,6 @@ __all__ = [
     "gauss_jacobi",
     "integrate_root_intervals",
     "integrate_piecewise",
-    "gaussian_truncation_radius",
     "subordination_check",
     "MAX_PANELS",
     "ADAPTIVE",
@@ -76,7 +55,6 @@ GAUSS_JACOBI = "gauss-jacobi"
 MAX_PANELS = 2**14
 _COARSE = 16
 _FINE = 32
-_JACOBI_NODES = 16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -147,8 +125,8 @@ class IntegralResult:
     ``value`` may overflow to inf; ``log_value`` (log |value|) and
     ``relative_error`` (the error estimate over |value|) stay finite where the
     integral is finite, so log-scale callers should read those.
-    ``subintervals_used`` counts adaptive panels or root intervals, by
-    ``method``.
+    ``subintervals_used`` counts the panels of the last round: the root
+    intervals when the first round of ``integrate_root_intervals`` converged.
     """
 
     value: float
@@ -193,76 +171,107 @@ def _log_sum_exp(terms: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=256)
-def _jacobi_rows(count: int, p: float, end_exponent: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and rule-only log parts of the left-end, interior and right-end rules.
+def _rule_rows(count: int, pairs: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and rule-only log weights of the Gauss-Jacobi rule, one row per (alpha, beta) in ``pairs``.
 
-    Row 0 has the Jacobi exponents (alpha, beta) = (p, end_exponent), row 1
-    (p, p) and row 2 (end_exponent, p); alpha belongs to the right edge
-    (x = 1) and beta to the left (x = -1).
+    alpha belongs to the right edge (x = 1) of a panel and beta to the left.
     """
-    rows = [_jacobi_log_rule(count, *ab) for ab in ((p, end_exponent), (p, p), (end_exponent, p))]
+    rows = [_jacobi_log_rule(count, *ab) for ab in pairs]
     x, rest = (np.array(column) for column in zip(*rows))
     x.flags.writeable = False
     rest.flags.writeable = False
     return x, rest
 
 
-def integrate_root_intervals(
-    log_abs, roots, exponents, end_exponent: float, tol: float
-) -> tuple[IntegralResult, ...]:
-    """integral over [-1, 1] of |P(t)|^p (1 - t^2)^end_exponent dt, for each p in ``exponents``.
+def _log_terms(log_abs, jobs, end_exponent, interval, log_weight):
+    """Per job, (p log|P|, log w) on the 16 and on the 32 nodes of its panels, from one ``log_abs`` call.
 
-    ``exp(log_abs)`` must be |P| (or a constant multiple of it) for a
-    polynomial P whose roots in (-1, 1) are exactly ``roots``, at least one
-    and all simple, so that |P|^p vanishes like |t - r|^p at each root r.
-    ``log_abs`` maps an ndarray of abscissae to log|P|; it is called once, on
-    the nodes of every exponent and both rule sizes.  One result is returned
-    per exponent, in the order given.
-
-    Interval [a, b] between consecutive edges of (-1, roots..., 1) is mapped to
-    x in [-1, 1] and integrated with the Gauss-Jacobi rule whose exponents are
-    p at a root edge and ``end_exponent`` at t = +-1: three cached rules per
-    rule size and exponent (left end, interior, right end), broadcast over the
-    intervals.  The value is the 2m-node logsumexp (m = 16).
-    ``relative_error`` is its gap to the m-node sum plus the rounding of the
-    logarithms summed; ``converged`` is False when the sum is not finite or
-    the gap exceeds ``tol`` plus that rounding, since the gap of two sums of
-    size L cannot resolve less than an ulp of L.
+    A job is (p, lo, hi, pairs, row): panel i spans [lo[i], hi[i]] and takes the
+    rule pairs[row[i]]; log w adds the end power and ``log_weight`` to its rule-only part.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    edges = np.array([-1.0, *roots, 1.0], dtype=float)
-    if len(edges) < 3 or np.any(np.diff(edges) <= 0):
-        raise ValueError("roots must be non-empty and strictly increasing inside (-1, 1)")
-    lo, hi = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (hi - lo)
-    log_half = np.log(half)
-    row = np.ones(len(lo), dtype=int)
-    row[0], row[-1] = 0, 2
-
     nodes, rests = [], []
-    for p in exponents:
-        for count in (_JACOBI_NODES, 2 * _JACOBI_NODES):
-            x, rest = _jacobi_rows(count, float(p), float(end_exponent))
+    for _, lo, hi, pairs, row in jobs:
+        lo, hi = lo[:, None], hi[:, None]
+        half = 0.5 * (hi - lo)
+        log_half = np.log(half)
+        for count in (_COARSE, _FINE):
+            x, rest = _rule_rows(count, pairs)
             x, rest = x[row], rest[row] + log_half
             u = 1.0 + x
             if end_exponent != 0.0:
                 # (t - a) = half (1 + x) and (b - t) = half (1 - x); the same
-                # products build (1 + t) and (1 - t), so on an end interval
-                # the end power cancels the rule's own to within
-                # end_exponent * eps per node, inside the rounding term below
-                one_plus_t = (1.0 + lo) + half * u
-                one_minus_t = (1.0 - hi) + half * (1.0 - x)
-                rest += end_exponent * (np.log(one_plus_t) + np.log(one_minus_t))
+                # products build t - a and b - t from the ends, so on an end
+                # panel the end power cancels the rule's own to within
+                # end_exponent * eps per node, inside the log rounding term
+                a, b = interval
+                rest += end_exponent * (np.log((lo - a) + half * u) + np.log((b - hi) + half * (1.0 - x)))
             nodes.append((lo + half * u).ravel())
-            rests.append(rest.ravel())
-
+            rests.append(rest.ravel() if log_weight is None else rest.ravel() + log_weight(nodes[-1]))
     log_f = np.asarray(log_abs(np.concatenate(nodes)), dtype=float)
     pieces = np.split(log_f, np.cumsum([t.size for t in nodes])[:-1])
+    return [
+        ((p * pieces[2 * k], rests[2 * k]), (p * pieces[2 * k + 1], rests[2 * k + 1]))
+        for k, (p, *_) in enumerate(jobs)
+    ]
+
+
+def _panel_sums(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per panel: the log 16-node sum, the log 32-node sum and the largest log size on the 32 nodes."""
+    (coarse_f, coarse_rest), (fine_f, fine_rest) = terms
+    coarse = np.array([_log_sum_exp(panel) for panel in (coarse_f + coarse_rest).reshape(-1, _COARSE)])
+    fine = np.array([_log_sum_exp(panel) for panel in (fine_f + fine_rest).reshape(-1, _FINE)])
+    size = (np.abs(fine_f) + np.abs(fine_rest)).reshape(fine.size, -1)
+    return coarse, fine, np.max(size, axis=1, where=np.isfinite(size), initial=0.0)
+
+
+def integrate_root_intervals(
+    log_abs, roots, exponents, end_exponent: float, tol: float, *, interval=(-1.0, 1.0), log_weight=None
+) -> tuple[IntegralResult, ...]:
+    """integral over (a, b) of |P(t)|^p ((t - a)(b - t))^end_exponent exp(log_weight(t)) dt for each exponent p.
+
+    (a, b) is ``interval``.  ``log_abs`` maps an ndarray of abscissae to
+    log|P| (up to a constant) for a polynomial P whose roots in (a, b) are
+    exactly ``roots``, at least one and all simple; it is called once per
+    round, on the nodes of every exponent still open.  ``log_weight``, if
+    given, is the log of a weight smooth on [a, b].  The exponents and
+    ``end_exponent`` must exceed -1.  One result is returned per exponent.
+
+    First round: each interval between consecutive edges of (a, roots..., b)
+    gets the 16- and the 32-node Gauss-Jacobi rule with exponent p at a root
+    and ``end_exponent`` at a or b.  The value is the 32-node logsumexp, and
+    ``relative_error`` its gap to the 16-node sum plus the rounding of the
+    logarithms summed.  The result (``method`` GAUSS_JACOBI) counts as
+    converged when the gap is within ``tol`` plus that rounding: the gap of
+    two sums of size L cannot resolve less than an ulp of L.
+
+    Bisection (``method`` ADAPTIVE): where the first round misses that, each
+    round bisects the panels whose own gap exceeds an equal share of ``tol``.
+    A child keeps its parent's exponent on the side it still touches and gets
+    0 on the new side.  The error is the summed panel gaps plus each panel's
+    log rounding weighted by its share of the sum.  A sum that is not finite,
+    which bisection cannot mend, or more than ``MAX_PANELS`` panels end the
+    loop with ``converged=False``.
+    """
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    exponents = tuple(float(p) for p in exponents)
+    end_exponent = float(end_exponent)
+    if not min(exponents + (end_exponent,)) > -1.0:
+        raise ValueError(f"exponents must exceed -1, got {exponents} and end exponent {end_exponent}")
+    edges = np.array([interval[0], *roots, interval[1]], dtype=float)
+    if len(edges) < 3 or np.any(np.diff(edges) <= 0):
+        raise ValueError("roots must be non-empty and strictly increasing inside the interval")
+    row = np.ones(len(edges) - 1, dtype=int)
+    row[0], row[-1] = 0, 2
+    e = end_exponent
+    jobs = [(p, edges[:-1], edges[1:], ((p, e), (p, p), (e, p)), row) for p in exponents]
+    terms = _log_terms(log_abs, jobs, e, interval, log_weight)
+
     results = []
-    for k, p in enumerate(exponents):
-        coarse = _log_sum_exp(p * pieces[2 * k] + rests[2 * k])
-        fine_f, fine_rest = p * pieces[2 * k + 1], rests[2 * k + 1]
+    panels = {}  # exponent index -> (lo, hi, (alpha, beta) rows, coarse, fine, size) per panel
+    for k, (p, lo, hi, pairs, _) in enumerate(jobs):
+        (coarse_f, coarse_rest), (fine_f, fine_rest) = terms[k]
+        coarse = _log_sum_exp(coarse_f + coarse_rest)
         fine = _log_sum_exp(fine_f + fine_rest)
         gap = abs(math.expm1(coarse - fine)) if math.isfinite(fine) else math.inf
         # each summand's logarithm is rounded at the size of its parts, which
@@ -271,6 +280,37 @@ def integrate_root_intervals(
         rounding = 4.0 * _EPS * float(np.max(size, where=np.isfinite(size), initial=0.0))
         converged = math.isfinite(gap) and gap <= tol + rounding
         results.append(IntegralResult.from_log(fine, gap + rounding, len(lo), converged, GAUSS_JACOBI))
+        if not converged and math.isfinite(fine):
+            panels[k] = (lo, hi, np.array(pairs)[row], *_panel_sums(terms[k]))
+
+    while panels:
+        jobs, children = [], []
+        for k, (lo, hi, ab, coarse, fine, size) in list(panels.items()):
+            total = _log_sum_exp(fine)
+            share = np.exp(fine - total)
+            err = np.abs(np.exp(coarse - total) - share)
+            gap = math.fsum(err)
+            rounding = 4.0 * _EPS * math.fsum(share * size)
+            split = err > tol / len(err)
+            converged = math.isfinite(total) and gap <= tol + rounding
+            if converged or not math.isfinite(gap) or len(lo) + np.count_nonzero(split) > MAX_PANELS:
+                results[k] = IntegralResult.from_log(total, gap + rounding, len(lo), converged, ADAPTIVE)
+                del panels[k]
+                continue
+            mid = 0.5 * (lo[split] + hi[split])
+            zero = np.zeros_like(mid)
+            # the left child keeps beta, the parent's exponent at lo, and the
+            # right child alpha, its exponent at hi
+            child_ab = np.concatenate([np.column_stack([zero, ab[split, 1]]), np.column_stack([ab[split, 0], zero])])
+            pairs, row = np.unique(child_ab, axis=0, return_inverse=True)
+            child_lo, child_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+            jobs.append((exponents[k], child_lo, child_hi, tuple(map(tuple, pairs.tolist())), row.reshape(-1)))
+            children.append((k, child_lo, child_hi, child_ab))
+            panels[k] = tuple(column[~split] for column in panels[k])
+        if not jobs:
+            break
+        for (k, *new), sums in zip(children, _log_terms(log_abs, jobs, e, interval, log_weight)):
+            panels[k] = tuple(np.concatenate(pair) for pair in zip(panels[k], (*new, *_panel_sums(sums))))
     return tuple(results)
 
 
@@ -307,7 +347,6 @@ def integrate_piecewise(
     max_panels: int = MAX_PANELS,
     *,
     end_exponent: float = 0.0,
-    kink_exponent: float = 0.0,
 ) -> IntegralResult:
     """Integrate ``f`` over ``interval``, splitting exactly at ``breakpoints``.
 
@@ -321,14 +360,10 @@ def integrate_piecewise(
     tol : target relative tolerance.  Panels are bisected worst-error-first
         until the summed error estimate drops below tol times the integral's
         magnitude (L1 of panel contributions when there is cancellation).
-    end_exponent : e where ``f`` behaves like |t - a|^e and |b - t|^e times an
-        analytic factor at the ends; every panel touching an end uses a
-        Gauss-Jacobi rule with that exponent on that side.
-    kink_exponent : the same for |t - c|^k at each breakpoint c, on both sides.
-
-    Both exponents state facts about ``f`` and must exceed -1.  A panel that
-    touches neither an end with a nonzero ``end_exponent`` nor a breakpoint
-    with a nonzero ``kink_exponent`` uses the Gauss-Legendre pair.
+    end_exponent : e > -1 where ``f`` behaves like |t - a|^e and |b - t|^e
+        times an analytic factor at the ends; every panel touching an end
+        uses a Gauss-Jacobi rule with that exponent on that side, and every
+        other panel the Gauss-Legendre pair.
 
     Returns ``converged=False`` when the panel budget ``max_panels`` runs out,
     and at once, with a NaN value, when a panel's value is not finite:
@@ -339,15 +374,15 @@ def integrate_piecewise(
         raise ValueError(f"empty interval {interval}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    end_exponent, kink_exponent = float(end_exponent), float(kink_exponent)
-    if not (end_exponent > -1.0 and kink_exponent > -1.0):
-        raise ValueError(f"exponents must exceed -1, got ({end_exponent}, {kink_exponent})")
+    end_exponent = float(end_exponent)
+    if not end_exponent > -1.0:
+        raise ValueError(f"end exponent must exceed -1, got {end_exponent}")
     if isinstance(breakpoints, RootList):
         breakpoints = breakpoints.roots
     points = () if breakpoints is None else breakpoints
     cuts = sorted({float(p) for p in points if a < p < b})
     edges = [a, *cuts, b]
-    sides = [end_exponent, *(kink_exponent for _ in cuts), end_exponent]
+    sides = [end_exponent, *(0.0 for _ in cuts), end_exponent]
 
     # heap entries: (-err, id, lo, hi, value, exponent at lo, exponent at hi)
     heap: list[tuple[float, int, float, float, float, float, float]] = []
@@ -385,17 +420,6 @@ def integrate_piecewise(
     value = math.fsum(p[4] for p in panels)
     error = math.fsum(-p[0] for p in panels)
     return IntegralResult(value, error, len(panels), converged)
-
-
-def gaussian_truncation_radius(growth_degree: int, tol: float) -> float:
-    """Smallest integer-stepped R >= 10 with (1 + R)^g * exp(-R^2/2) < tol * 1e-3."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    target = math.log(tol) + math.log(1e-3)
-    radius = 10.0
-    while growth_degree * math.log1p(radius) - 0.5 * radius * radius >= target:
-        radius += 1.0
-    return radius
 
 
 def subordination_check(x: float, tol: float = 1e-10) -> Verdict:

@@ -8,10 +8,14 @@ import json
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
+from spherehc import norms
 from spherehc.cli import main
+
+from oracles import hermite_fourth_moment, log_fraction
 
 SCAN_HEADER = ["n", "d", "p", "q", "lhs_log", "rhs_log", "margin_log", "num_error_log", "status"]
 
@@ -138,16 +142,43 @@ def test_ratio_past_float_overflow_exits_zero(capsys):
     assert math.isfinite(float(row["lhs"])) and math.isfinite(float(row["ratio"]))
 
 
-def test_gaussian_overflow_exits_inconclusive_quickly(capsys):
-    # |h_80|^4 overflows a float: the adaptive panels stop at the first
-    # non-finite value and the CLI reports a one-line reason, not a traceback
+@pytest.mark.parametrize("d", [80, 180])
+def test_gaussian_past_float_overflow_fails_quickly(capsys, d):
+    # |h_d|^4 overflows a float from d = 80; the root-interval integrator
+    # sums in log space, so the verdict is decided and the lhs matches the
+    # exact log(E[h_d^4]^(1/4) / sqrt(d!))
     start = time.perf_counter()
-    code, out, err = run(capsys, "ratio", "--gaussian", "--d", "80", "--p", "2", "--q", "4")
+    code, out, _ = run(capsys, "ratio", "--gaussian", "--d", str(d), "--p", "2", "--q", "4", "--format", "csv")
     elapsed = time.perf_counter() - start
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["status"] == "fails"
+    exact = log_fraction(Fraction(hermite_fourth_moment(d), math.factorial(d) ** 2)) / 4
+    assert abs(float(row["lhs"]) - exact) <= float(row["numeric_error"])
+    assert elapsed < 2.0
+
+
+def test_ratio_past_float_range_prints_inf(capsys):
+    # log(||h_400||_200 / ||h_400||_2) is about 1057: the ratio column is inf,
+    # the log-scale verdict stays finite and decided
+    code, out, _ = run(capsys, "ratio", "--gaussian", "--d", "400", "--p", "2", "--q", "200", "--format", "csv")
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["status"] == "fails" and row["ratio"] == "inf"
+    assert float(row["lhs"]) > 709 and math.isfinite(float(row["lhs"]))
+
+
+def test_non_finite_norm_exits_inconclusive(capsys, monkeypatch):
+    # no accepted input reaches a non-finite norm any more; the mapping of
+    # ArithmeticError to exit 3 with a one-line reason stays
+    def overflowed(*args, **kwargs):
+        raise ArithmeticError("norm integral is inf, not a finite positive number")
+
+    monkeypatch.setattr(norms, "norm_ratio_gaussian", overflowed)
+    code, out, err = run(capsys, "ratio", "--gaussian", "--d", "80", "--p", "2", "--q", "4")
     assert code == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "inconclusive" in err
-    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("n,d,q", [(30, 50, 8), (20, 40, 12)])

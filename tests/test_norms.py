@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spherehc import specfun
+from spherehc import hypercheck, specfun
 from spherehc.norms import (
     CIRCLE_FORMULA,
     CLOSED_FORM,
@@ -22,8 +22,8 @@ from spherehc.norms import (
     zonal_lp_norm,
     zonal_power_integral,
 )
-from spherehc.norms import _zonal_power_adaptive
 from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, gauss_jacobi, integrate_piecewise
+from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE
 
 from oracles import hermite_fourth_moment, log_fraction, simpson_composite, sphere_power_integral_exact
 
@@ -254,9 +254,15 @@ def test_gap_below_an_ulp_of_the_log_integral_converges():
     res = zonal_power_integral(0.5, 400, 4.0, 1e-12, normalized=False)
     assert res.method == GAUSS_JACOBI and res.converged
     assert res.log_value > 4096
-    ref = _zonal_power_adaptive(spec, 4.0, specfun.gegenbauer_roots(spec).roots, res.log_value, 1e-12)
+
+    # relative to exp(res.log_value), so the panels' integrand fits a float;
+    # at lam = 1/2 the weight is 1 and G_d is evaluated at s = t
+    def f(t):
+        return np.exp(4.0 * specfun.gegenbauer_log_abs_scaled(spec, t)[1] - res.log_value)
+
+    ref = integrate_piecewise(f, specfun.gegenbauer_roots(spec), (-1.0, 1.0), 1e-12)
     assert ref.converged
-    assert abs(res.log_value - ref.log_value) <= res.relative_error + ref.relative_error
+    assert abs(ref.log_value) <= res.relative_error + ref.relative_error
 
 
 @pytest.mark.parametrize("p,q", [(2.0, 4.0), (1.5, 3.0), (3.0, 6.0)])
@@ -291,17 +297,35 @@ def test_quartic_norm_past_float_overflow(n, d):
 
 # ------------------------------------------------- Jacobi-panel adaptive path
 
-@pytest.mark.parametrize("d", [1, 30, 171, 200, 400])
-@pytest.mark.parametrize("n", [2, 3, 13, 1000])
-def test_l2_closed_form_band_holds_against_mpmath(n, d):
-    # a difference of lgamma values was 5e-14 off at (2, 400) and 7e-13 at
-    # n = 1000, outside the 5e-15 it claimed
+def _l2_closed_log_mpmath(n: int, d: int) -> float:
     from mpmath import mp
 
     with mp.workdps(40):
-        exact = float(0.5 * (mp.log(n - 1) - mp.log(d) - mp.log(2 * d + n - 1) - mp.log(mp.beta(n - 1, d))))
+        return float(0.5 * (mp.log(n - 1) - mp.log(d) - mp.log(2 * d + n - 1) - mp.log(mp.beta(n - 1, d))))
+
+
+@pytest.mark.parametrize("d", [1, 30, 171, 200, 400])
+@pytest.mark.parametrize("n", [2, 3, 13, 1000, 5000])
+def test_l2_closed_form_band_holds_against_mpmath(n, d):
+    # a difference of lgamma values was 5e-14 off at (2, 400) and 7e-13 at
+    # n = 1000, outside the 5e-15 it claimed
     closed = sphere_l2_norm_closed(SphereParams(n), d)
-    assert abs(closed.log_value - exact) <= closed.error_estimate
+    assert abs(closed.log_value - _l2_closed_log_mpmath(n, d)) <= closed.error_estimate
+
+
+def test_l2_closed_form_band_is_tight():
+    # the true error at (1000, 1) is about 2e-16; a band of eps per term
+    # and per unit of |term| gave 2.3e-13 there
+    assert sphere_l2_norm_closed(SphereParams(1000), 1).error_estimate < 1e-14
+
+
+def test_l2_closed_form_past_float_range():
+    # ||Y_400||_2 on S^5000 passes the float range: value is inf, the log
+    # stays finite and exact, and utol1_check still gives a verdict
+    closed = sphere_l2_norm_closed(SphereParams(5000), 400)
+    assert closed.value == math.inf
+    assert abs(closed.log_value - _l2_closed_log_mpmath(5000, 400)) <= closed.error_estimate
+    assert hypercheck.utol1_check(5000, 400).status in (HOLDS, FAILS, INCONCLUSIVE)
 
 
 # log norms by the Gauss-Legendre panels (all exponents 0) and their bands
@@ -318,15 +342,13 @@ def test_gaussian_kink_panels_match_legendre_panels(d):
 
 def test_zonal_fallback_panels_match_legendre_panels():
     # (n, d, p) = (1000, 30, 1.5): 432 Legendre panels gave this log integral
-    spec = specfun.GegenbauerSpec(499.5, 30)
-    res = _zonal_power_adaptive(spec, 1.5, specfun.gegenbauer_roots(spec).roots, 0.0, 1e-12)
+    res = zonal_power_integral(499.5, 30, 1.5, 1e-12, normalized=False)
     assert res.converged and res.subintervals_used < 100
     assert abs(res.log_value - 52.439212310665624) <= res.relative_error + 9.99877582912462e-13
 
 
-@pytest.mark.parametrize("d", [2, 9, 20, 40])
-@pytest.mark.parametrize("p", [2, 4])
-def test_gaussian_even_norms_within_band_of_oracle(d, p):
+@pytest.mark.parametrize("p,d", [(p, d) for p in (2, 4) for d in (2, 9, 20, 40)] + [(4, 80), (2, 180)])
+def test_gaussian_even_norms_within_band_of_oracle(p, d):
     moment = math.factorial(d) if p == 2 else hermite_fourth_moment(d)
     exact = log_fraction(Fraction(moment)) / p
     nv = gaussian_lp_norm(d, float(p))

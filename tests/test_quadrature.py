@@ -11,14 +11,14 @@ import warnings
 import numpy as np
 import pytest
 
-from spherehc import hypercheck, specfun
+from spherehc import hypercheck, quadrature, specfun
 from spherehc.norms import gaussian_lp_norm
 from spherehc.quadrature import (
+    ADAPTIVE,
     GAUSS_JACOBI,
     _panel_rule,
     gauss_jacobi,
     gauss_legendre,
-    gaussian_truncation_radius,
     integrate_piecewise,
     integrate_root_intervals,
     subordination_check,
@@ -217,10 +217,12 @@ def test_end_exponent_panels_match_beta_integrals(e, k):
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, -0.71])
-def test_kink_exponent_panels_match_closed_form(r):
-    res = integrate_piecewise(lambda t: np.abs(t - r) ** 1.5, [r], (-1.0, 1.0), 1e-12, kink_exponent=1.5)
+def test_root_interval_power_at_a_root_matches_closed_form(r):
+    # the rule on each side of r carries the exponent 1.5 at r, so the first
+    # round integrates |t - r|^1.5 exactly
+    (res,) = integrate_root_intervals(lambda t: np.log(np.abs(t - r)), [r], (1.5,), 0.0, 1e-12)
     exact = ((1 - r) ** 2.5 + (1 + r) ** 2.5) / 2.5
-    assert res.converged and res.subintervals_used == 2
+    assert res.converged and res.method == GAUSS_JACOBI and res.subintervals_used == 2
     assert res.value == pytest.approx(exact, rel=1e-14)
 
 
@@ -244,16 +246,58 @@ def test_integrand_called_once_per_panel():
         sizes.append(t.size)
         return np.abs(t) ** 1.5 * (1 - t * t) ** 0.5
 
-    res = integrate_piecewise(f, [0.0], (-1.0, 1.0), 1e-13, end_exponent=0.5, kink_exponent=1.5)
+    res = integrate_piecewise(f, [0.0], (-1.0, 1.0), 1e-13, end_exponent=0.5)
     assert res.converged
     assert sizes == [48] * len(sizes) and len(sizes) == 2 * res.subintervals_used - 2
 
 
+def test_root_intervals_call_log_abs_once_per_round():
+    # at lam = 499.5 the end weight is too steep for 32 nodes, so both
+    # exponents bisect; every round evaluates the new panels of both at once,
+    # and each round's children come in pairs of 48 nodes each
+    spec = GegenbauerSpec(499.5, 6)
+    roots = specfun.gegenbauer_roots(spec).roots
+    sizes = []
+
+    def log_abs(t):
+        sizes.append(t.size)
+        return specfun.gegenbauer_log_abs_scaled(spec, math.sqrt(999.0) * t)[1]
+
+    results = integrate_root_intervals(log_abs, roots, (4.0, 1.5), 499.5, 1e-12)
+    assert all(r.method == ADAPTIVE and r.converged for r in results)
+    first = 2 * 48 * (len(roots) + 1)
+    assert sizes[0] == first and len(sizes) > 1
+    assert all(size % 96 == 0 for size in sizes[1:])
+    # a split panel is replaced by two children of 48 nodes each, so every
+    # panel past the first round's counts 96 evaluated nodes
+    splits = sum(r.subintervals_used for r in results) - 2 * (len(roots) + 1)
+    assert sum(sizes) == first + 96 * splits
+
+
+def test_root_intervals_stop_unconverged_at_the_panel_budget(monkeypatch):
+    # noise of 1e-9 in log|P| keeps the panel gaps near 1e-9, which no
+    # bisection closes; the loop ends at MAX_PANELS with converged=False
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
+    rng = np.random.default_rng(3)
+
+    def log_abs(t):
+        return np.log(np.abs(t)) + 1e-9 * rng.standard_normal(t.shape)
+
+    (res,) = integrate_root_intervals(log_abs, [0.0], (2.0,), 0.0, 1e-12)
+    assert res.method == ADAPTIVE and not res.converged
+    assert 2 < res.subintervals_used <= 64
+    assert res.value == pytest.approx(2 / 3, rel=1e-6)
+
+
 @pytest.mark.parametrize("exponents", [(-1.0, 0.0), (0.0, -1.5)])
 def test_exponent_at_or_below_minus_one_is_rejected(exponents):
-    end, kink = exponents
+    # (end exponent, exponent at the roots)
+    end, p = exponents
     with pytest.raises(ValueError):
-        integrate_piecewise(np.abs, [0.0], (-1.0, 1.0), 1e-10, end_exponent=end, kink_exponent=kink)
+        integrate_root_intervals(lambda t: np.log(np.abs(t)), [0.0], (p,), end, 1e-10)
+    if end <= -1.0:
+        with pytest.raises(ValueError):
+            integrate_piecewise(np.abs, [0.0], (-1.0, 1.0), 1e-10, end_exponent=end)
 
 
 def test_jacobi_rule_with_swapped_exponents_is_the_mirror_image():
@@ -270,10 +314,7 @@ def test_jacobi_panels_past_mu0_overflow():
     assert np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine)) and nodes.min() > 0.8
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = integrate_piecewise(
-            lambda t: np.abs(t) * (1 - t * t) ** 1500, [0.0], (-1.0, 1.0), 1e-12,
-            end_exponent=1500.0, kink_exponent=1.0,
-        )
+        (res,) = integrate_root_intervals(lambda t: np.log(np.abs(t)), [0.0], (1.0,), 1500.0, 1e-12)
     assert res.converged
     assert res.value == pytest.approx(1 / 1501, rel=1e-13)
 
@@ -340,14 +381,22 @@ def test_gaussian_higher_moments(k):
     assert value == pytest.approx(gaussian_even_moment(k), rel=1e-11)
 
 
-def test_truncation_radius_floor_and_growth():
-    assert gaussian_truncation_radius(0, 1e-12) == 10.0
-    r_small = gaussian_truncation_radius(8, 1e-12)
-    r_large = gaussian_truncation_radius(800, 1e-12)
-    assert r_large > r_small >= 10.0
-    # the stated bound really holds at the returned radius
-    g, tol = 800, 1e-12
-    assert g * math.log1p(r_large) - 0.5 * r_large**2 < math.log(tol * 1e-3)
+@pytest.mark.parametrize("d,p", [(20, 1000.0), (100, 500.0)])
+def test_gaussian_peak_past_the_roots_is_resolved(d, p):
+    # for large p d, |h_d|^p exp(-y^2/2) peaks near sqrt(p d), far past the
+    # largest root; a radius from the growth bound (1 + R)^(p d) exp(-R^2/2)
+    # left the end rule's nodes beyond the peak, which it missed by a factor
+    # of exp(5e4) while the 16/32 gap looked converged.  Away from the roots
+    # the integrand is smooth, so the trapezoid rule on a window around the
+    # peak (both tails, by symmetry) is an accurate reference
+    spec = specfun.HermiteSpec(d)
+    y = np.linspace(math.sqrt(p * d) - 50.0, math.sqrt(p * d) + 50.0, 200001)
+    log_f = p * specfun.hermite_log_abs(spec, y)[1] - 0.5 * y * y - 0.5 * math.log(2.0 * math.pi)
+    top = float(log_f.max())
+    exact = (top + math.log(2.0 * np.trapezoid(np.exp(log_f - top), y))) / p
+    nv = gaussian_lp_norm(d, p)
+    assert nv.converged
+    assert abs(nv.log_value - exact) <= nv.error_estimate
 
 
 # -------------------------------------------------------------- subordination
