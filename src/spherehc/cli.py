@@ -167,7 +167,7 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[dict], metadata: dict, 
             "command": cfg.command,
             "tol": cfg.tol,
             "seed": cfg.seed,
-            **metadata,
+            **{key: _json_safe(value) for key, value in metadata.items()},
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
         payload = {
@@ -200,6 +200,16 @@ def _verdict_columns(v) -> dict:
         "numeric_error": v.numeric_error,
         "status": v.status,
     }
+
+
+def _exit_code(statuses) -> int:
+    """The exit code of the worst verdict: 2 if any fails, else 3 if any is inconclusive, else 0."""
+    statuses = set(statuses)
+    if FAILS in statuses:
+        return UNEXPECTED_VERDICT
+    if INCONCLUSIVE in statuses:
+        return INCONCLUSIVE_EXIT
+    return 0
 
 
 def _cmd_lemma(cfg: RunConfig, args) -> int:
@@ -291,8 +301,10 @@ def _cmd_limit(cfg: RunConfig, args) -> int:
     monotone = True
     for n in sorted(args.n):
         sphere = norms.norm_ratio_sphere(SphereParams(n), args.d, args.p, args.q, cfg.tol)
-        gap = abs(gaussian.value - sphere.value)
-        # status records monotone progress toward the Gaussian limit
+        # status records monotone progress toward the Gaussian limit, measured
+        # between the logs: past d of a few hundred the ratios round to the
+        # same float or overflow, and their logs stay finite and distinct
+        gap = abs(gaussian.log_value - sphere.log_value)
         improving = prev_gap is None or gap < prev_gap
         monotone = monotone and improving
         rows.append({
@@ -317,20 +329,11 @@ def _cmd_logsob(cfg: RunConfig, args) -> int:
         if not args.coeffs:
             raise ValueError("need --coeffs (or --random TRIALS)")
         polys = [hypercheck.ZonalPolynomial(args.n, tuple(args.coeffs))]
-    worst = HOLDS
     for i, g in enumerate(polys):
         v = hypercheck.logsob_check(g, args.rhs, tol=cfg.tol)
         rows.append({"trial": i, "n": g.n, "degree": g.degree, "rhs_kind": args.rhs, **_verdict_columns(v)})
-        if v.status == FAILS:
-            worst = FAILS
-        elif v.status == INCONCLUSIVE and worst != FAILS:
-            worst = INCONCLUSIVE
     _emit(cfg, columns, rows, {}, [])
-    if worst == FAILS:
-        return UNEXPECTED_VERDICT
-    if worst == INCONCLUSIVE:
-        return INCONCLUSIVE_EXIT
-    return 0
+    return _exit_code(row["status"] for row in rows)
 
 
 def _cmd_subordination(cfg: RunConfig, args) -> int:
@@ -339,21 +342,9 @@ def _cmd_subordination(cfg: RunConfig, args) -> int:
     if any(x < 0 for x in args.x):
         raise ValueError("subordination identity needs x >= 0")
     columns = ["x", "lhs", "rhs", "margin", "numeric_error", "status"]
-    rows = []
-    worst = HOLDS
-    for x in args.x:
-        v = subordination_check(x, tol=1e-10)
-        rows.append({"x": x, **_verdict_columns(v)})
-        if v.status == FAILS:
-            worst = FAILS
-        elif v.status == INCONCLUSIVE and worst != FAILS:
-            worst = INCONCLUSIVE
+    rows = [{"x": x, **_verdict_columns(subordination_check(x, tol=1e-10))} for x in args.x]
     _emit(cfg, columns, rows, {}, [])
-    if worst == FAILS:
-        return UNEXPECTED_VERDICT
-    if worst == INCONCLUSIVE:
-        return INCONCLUSIVE_EXIT
-    return 0
+    return _exit_code(row["status"] for row in rows)
 
 
 def _cmd_necessity(cfg: RunConfig, args) -> int:

@@ -15,9 +15,10 @@ QUADPACK's QAWS (Piessens et al., QUADPACK, Springer 1983).
 
 ``integrate_piecewise`` serves the integrands that are not |P|^p: the signed
 entropy, general zonal polynomials and subordination.  It splits at the
-given breakpoints and bisects the worst panel first; a panel touching an
-end carries ``end_exponent`` through a Gauss-Jacobi pair whose weight
-function is divided out of its weights in log space.
+given breakpoints, and a panel touching an end carries ``end_exponent``
+through a Gauss-Jacobi pair whose weight function is divided out of its
+weights in log space.  It runs the same bisection rounds (``_bisect``), with
+the panel values summed in linear space.
 
 Non-convergence, including a non-finite sum, is reported through
 ``converged=False``, never as a silently wrong value.
@@ -25,7 +26,6 @@ Non-convergence, including a non-finite sum, is reported through
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,6 +55,7 @@ GAUSS_JACOBI = "gauss-jacobi"
 MAX_PANELS = 2**14
 _COARSE = 16
 _FINE = 32
+_RULES = (slice(0, _COARSE), slice(_COARSE, _COARSE + _FINE))  # the two rules in a row of 48 nodes
 _EPS = float(np.finfo(float).eps)
 
 
@@ -171,57 +172,103 @@ def _log_sum_exp(terms: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=256)
-def _rule_rows(count: int, pairs: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and rule-only log weights of the Gauss-Jacobi rule, one row per (alpha, beta) in ``pairs``.
+def _rule_rows(levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and rule-only log weights of the 16- and then the 32-node Gauss-Jacobi rule,
+    one row per pair of exponents in ``levels``.
 
-    alpha belongs to the right edge (x = 1) of a panel and beta to the left.
+    Row i * len(levels) + j has alpha = levels[i], the exponent at the right
+    edge (x = 1) of a panel, and beta = levels[j], the exponent at its left.
     """
-    rows = [_jacobi_log_rule(count, *ab) for ab in pairs]
-    x, rest = (np.array(column) for column in zip(*rows))
+    rules = [[_jacobi_log_rule(count, alpha, beta) for count in (_COARSE, _FINE)] for alpha in levels for beta in levels]
+    x, rest = (np.array([np.concatenate([coarse[i], fine[i]]) for coarse, fine in rules]) for i in (0, 1))
     x.flags.writeable = False
     rest.flags.writeable = False
     return x, rest
 
 
-def _log_terms(log_abs, jobs, end_exponent, interval, log_weight):
-    """Per job, (p log|P|, log w) on the 16 and on the 32 nodes of its panels, from one ``log_abs`` call.
+def _job(edges: np.ndarray, inner: float, end: float) -> tuple:
+    """A job for ``_bisect``: one panel between each two consecutive ``edges``,
+    with exponent ``end`` at the first and the last edge and ``inner`` at the others."""
+    # the exponents a panel edge can carry: these two, and the 0 that bisection gives every new edge
+    levels = tuple(dict.fromkeys((0.0, inner, end)))
+    left = np.full(len(edges) - 1, levels.index(inner))
+    right = left.copy()
+    left[0] = right[-1] = levels.index(end)
+    return levels, np.column_stack([edges[:-1], edges[1:]]), right * len(levels) + left
 
-    A job is (p, lo, hi, pairs, row): panel i spans [lo[i], hi[i]] and takes the
-    rule pairs[row[i]]; log w adds the end power and ``log_weight`` to its rule-only part.
+
+def _bisect(f, jobs, weigh, settle) -> list[IntegralResult]:
+    """The bisection rounds of both integrators: one result per job.
+
+    A job is (levels, spans, rows): panel i spans [spans[i, 0], spans[i, 1]]
+    and takes row rows[i] = r * len(levels) + l of ``_rule_rows(levels)``,
+    with levels[l] its exponent at the left end and levels[r] at the right.
+    Each round calls ``f`` once, on the 16 and the 32 nodes of every new
+    panel of every open job.
+
+    ``weigh(k, spans, (values, t, x, rest, half), first)`` turns job k's new
+    panels into one row of sums per panel (coarse, fine, ...): ``values`` of
+    ``f`` at the abscissae ``t``, rule nodes ``x`` and rule-only log weights
+    ``rest`` have one row of 16 + 32 per panel, and ``half`` holds the
+    half-widths.  In the first round it may return a final IntegralResult
+    instead.  ``settle(k, sums)`` gives (converged, split, result) for all
+    panels of job k.  The job ends with ``result()`` when it converged, when
+    nothing is to be split (split None or all False) or when the split would
+    pass ``MAX_PANELS``.  Otherwise the panels where split holds are bisected:
+    a child keeps its parent's exponent on the side it still touches and gets
+    levels[0] = 0 on the new side, so the left child takes row l and the
+    right child row r * len(levels).
     """
-    nodes, rests = [], []
-    for _, lo, hi, pairs, row in jobs:
-        lo, hi = lo[:, None], hi[:, None]
-        half = 0.5 * (hi - lo)
-        log_half = np.log(half)
-        for count in (_COARSE, _FINE):
-            x, rest = _rule_rows(count, pairs)
-            x, rest = x[row], rest[row] + log_half
-            u = 1.0 + x
-            if end_exponent != 0.0:
-                # (t - a) = half (1 + x) and (b - t) = half (1 - x); the same
-                # products build t - a and b - t from the ends, so on an end
-                # panel the end power cancels the rule's own to within
-                # end_exponent * eps per node, inside the log rounding term
-                a, b = interval
-                rest += end_exponent * (np.log((lo - a) + half * u) + np.log((b - hi) + half * (1.0 - x)))
-            nodes.append((lo + half * u).ravel())
-            rests.append(rest.ravel() if log_weight is None else rest.ravel() + log_weight(nodes[-1]))
-    log_f = np.asarray(log_abs(np.concatenate(nodes)), dtype=float)
-    pieces = np.split(log_f, np.cumsum([t.size for t in nodes])[:-1])
-    return [
-        ((p * pieces[2 * k], rests[2 * k]), (p * pieces[2 * k + 1], rests[2 * k + 1]))
-        for k, (p, *_) in enumerate(jobs)
-    ]
+    results: dict[int, IntegralResult] = {}
+    panels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # k -> spans, rows, sums
+    new = {k: job[1:] for k, job in enumerate(jobs)}
+    first = True
+    while new:
+        built = {}
+        for k, (spans, rows) in new.items():
+            x, rest = _rule_rows(jobs[k][0])
+            lo = spans[:, :1]
+            half = 0.5 * (spans[:, 1:] - lo)
+            x = x[rows]
+            built[k] = (lo + half * (1.0 + x), x, rest[rows], half)
+        values = np.asarray(f(np.concatenate([t.ravel() for t, *_ in built.values()])), dtype=float)
+        end = 0
+        for k, (t, *rule) in built.items():
+            start, end = end, end + t.size
+            sums = weigh(k, new[k][0], (values[start:end].reshape(t.shape), t, *rule), first)
+            if isinstance(sums, IntegralResult):
+                results[k] = sums
+                continue
+            added = (*new[k], sums)
+            panels[k] = tuple(map(np.concatenate, zip(panels[k], added))) if k in panels else added
+        new = {}
+        for k, (spans, rows, sums) in list(panels.items()):
+            converged, split, result = settle(k, sums)
+            grow = 0 if split is None else np.count_nonzero(split)
+            if converged or not grow or len(spans) + grow > MAX_PANELS:
+                results[k] = result()
+                del panels[k]
+                continue
+            keep = ~split
+            panels[k] = (spans[keep], rows[keep], sums[keep])
+            spans, rows = spans[split], rows[split]
+            mid = 0.5 * (spans[:, 0] + spans[:, 1])
+            # the left children [lo, mid] first, then the right children [mid, hi]
+            spans = np.concatenate([spans, spans])
+            spans[:grow, 1] = spans[grow:, 0] = mid
+            left = rows % len(jobs[k][0])
+            new[k] = (spans, np.concatenate([left, rows - left]))
+        first = False
+    return [results[k] for k in range(len(jobs))]
 
 
-def _panel_sums(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _panel_sums(terms) -> np.ndarray:
     """Per panel: the log 16-node sum, the log 32-node sum and the largest log size on the 32 nodes."""
     (coarse_f, coarse_rest), (fine_f, fine_rest) = terms
     coarse = np.array([_log_sum_exp(panel) for panel in (coarse_f + coarse_rest).reshape(-1, _COARSE)])
     fine = np.array([_log_sum_exp(panel) for panel in (fine_f + fine_rest).reshape(-1, _FINE)])
     size = (np.abs(fine_f) + np.abs(fine_rest)).reshape(fine.size, -1)
-    return coarse, fine, np.max(size, axis=1, where=np.isfinite(size), initial=0.0)
+    return np.column_stack([coarse, fine, np.max(size, axis=1, where=np.isfinite(size), initial=0.0)])
 
 
 def integrate_root_intervals(
@@ -246,128 +293,88 @@ def integrate_root_intervals(
 
     Bisection (``method`` ADAPTIVE): where the first round misses that, each
     round bisects the panels whose own gap exceeds an equal share of ``tol``.
-    A child keeps its parent's exponent on the side it still touches and gets
-    0 on the new side.  The error is the summed panel gaps plus each panel's
-    log rounding weighted by its share of the sum.  A sum that is not finite,
-    which bisection cannot mend, or more than ``MAX_PANELS`` panels end the
-    loop with ``converged=False``.
+    The error is the summed panel gaps plus each panel's log rounding
+    weighted by its share of the sum.  A sum that is not finite, which
+    bisection cannot mend, or more than ``MAX_PANELS`` panels end the loop
+    with ``converged=False``.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     exponents = tuple(float(p) for p in exponents)
-    end_exponent = float(end_exponent)
-    if not min(exponents + (end_exponent,)) > -1.0:
-        raise ValueError(f"exponents must exceed -1, got {exponents} and end exponent {end_exponent}")
+    e = float(end_exponent)
+    if not min(exponents + (e,)) > -1.0:
+        raise ValueError(f"exponents must exceed -1, got {exponents} and end exponent {e}")
     edges = np.array([interval[0], *roots, interval[1]], dtype=float)
     if len(edges) < 3 or np.any(np.diff(edges) <= 0):
         raise ValueError("roots must be non-empty and strictly increasing inside the interval")
-    row = np.ones(len(edges) - 1, dtype=int)
-    row[0], row[-1] = 0, 2
-    e = end_exponent
-    jobs = [(p, edges[:-1], edges[1:], ((p, e), (p, p), (e, p)), row) for p in exponents]
-    terms = _log_terms(log_abs, jobs, e, interval, log_weight)
+    a, b = interval
 
-    results = []
-    panels = {}  # exponent index -> (lo, hi, (alpha, beta) rows, coarse, fine, size) per panel
-    for k, (p, lo, hi, pairs, _) in enumerate(jobs):
-        (coarse_f, coarse_rest), (fine_f, fine_rest) = terms[k]
-        coarse = _log_sum_exp(coarse_f + coarse_rest)
-        fine = _log_sum_exp(fine_f + fine_rest)
-        gap = abs(math.expm1(coarse - fine)) if math.isfinite(fine) else math.inf
-        # each summand's logarithm is rounded at the size of its parts, which
-        # is a relative error of the sum the m/2m gap does not see
-        size = np.abs(fine_f) + np.abs(fine_rest)
-        rounding = 4.0 * _EPS * float(np.max(size, where=np.isfinite(size), initial=0.0))
-        converged = math.isfinite(gap) and gap <= tol + rounding
-        results.append(IntegralResult.from_log(fine, gap + rounding, len(lo), converged, GAUSS_JACOBI))
-        if not converged and math.isfinite(fine):
-            panels[k] = (lo, hi, np.array(pairs)[row], *_panel_sums(terms[k]))
+    def weigh(k, spans, part, first):
+        log_f, t, x, rest, half = part
+        rest = rest + np.log(half)
+        if e != 0.0:
+            # (t - a) = half (1 + x) and (b - t) = half (1 - x); the same
+            # products build t - a and b - t from the ends, so on an end
+            # panel the end power cancels the rule's own to within
+            # end_exponent * eps per node, inside the log rounding term
+            rest += e * (np.log((spans[:, :1] - a) + half * (1.0 + x)) + np.log((b - spans[:, 1:]) + half * (1.0 - x)))
+        if log_weight is not None:
+            rest += log_weight(t.ravel()).reshape(t.shape)
+        log_f = exponents[k] * log_f
+        terms = [(log_f[:, rule], rest[:, rule]) for rule in _RULES]
+        if first:
+            (coarse_f, coarse_rest), (fine_f, fine_rest) = terms
+            coarse = _log_sum_exp((coarse_f + coarse_rest).ravel())
+            fine = _log_sum_exp((fine_f + fine_rest).ravel())
+            gap = abs(math.expm1(coarse - fine)) if math.isfinite(fine) else math.inf
+            # each summand's logarithm is rounded at the size of its parts, which
+            # is a relative error of the sum the m/2m gap does not see
+            size = np.abs(fine_f) + np.abs(fine_rest)
+            rounding = 4.0 * _EPS * float(np.max(size, where=np.isfinite(size), initial=0.0))
+            converged = math.isfinite(gap) and gap <= tol + rounding
+            if converged or not math.isfinite(fine):
+                return IntegralResult.from_log(fine, gap + rounding, len(spans), converged, GAUSS_JACOBI)
+        return _panel_sums(terms)
 
-    while panels:
-        jobs, children = [], []
-        for k, (lo, hi, ab, coarse, fine, size) in list(panels.items()):
-            total = _log_sum_exp(fine)
-            share = np.exp(fine - total)
-            err = np.abs(np.exp(coarse - total) - share)
-            gap = math.fsum(err)
-            rounding = 4.0 * _EPS * math.fsum(share * size)
-            split = err > tol / len(err)
-            converged = math.isfinite(total) and gap <= tol + rounding
-            if converged or not math.isfinite(gap) or len(lo) + np.count_nonzero(split) > MAX_PANELS:
-                results[k] = IntegralResult.from_log(total, gap + rounding, len(lo), converged, ADAPTIVE)
-                del panels[k]
-                continue
-            mid = 0.5 * (lo[split] + hi[split])
-            zero = np.zeros_like(mid)
-            # the left child keeps beta, the parent's exponent at lo, and the
-            # right child alpha, its exponent at hi
-            child_ab = np.concatenate([np.column_stack([zero, ab[split, 1]]), np.column_stack([ab[split, 0], zero])])
-            pairs, row = np.unique(child_ab, axis=0, return_inverse=True)
-            child_lo, child_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-            jobs.append((exponents[k], child_lo, child_hi, tuple(map(tuple, pairs.tolist())), row.reshape(-1)))
-            children.append((k, child_lo, child_hi, child_ab))
-            panels[k] = tuple(column[~split] for column in panels[k])
-        if not jobs:
-            break
-        for (k, *new), sums in zip(children, _log_terms(log_abs, jobs, e, interval, log_weight)):
-            panels[k] = tuple(np.concatenate(pair) for pair in zip(panels[k], (*new, *_panel_sums(sums))))
-    return tuple(results)
+    def settle(k, sums):
+        coarse, fine, size = sums.T
+        total = _log_sum_exp(fine)
+        share = np.exp(fine - total)
+        err = np.abs(np.exp(coarse - total) - share)
+        gap = math.fsum(err)
+        rounding = 4.0 * _EPS * math.fsum(share * size)
+        converged = math.isfinite(total) and gap <= tol + rounding
+        split = err > tol / len(err) if math.isfinite(gap) else None
+        return converged, split, lambda: IntegralResult.from_log(total, gap + rounding, len(fine), converged, ADAPTIVE)
+
+    return tuple(_bisect(log_abs, [_job(edges, p, e) for p in exponents], weigh, settle))
 
 
-@lru_cache(maxsize=256)
-def _panel_rule(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of both rule sizes, then the 16- and the 32-node weights, for a
-    panel whose integrand behaves like (1 - x)^alpha at x = 1 and (1 + x)^beta
-    at x = -1.
-
-    The weights are Gauss-Jacobi weights with the weight function divided
-    out; with both exponents 0 they are the Gauss-Legendre weights, bitwise.
-    """
-    rules = [_jacobi_log_rule(count, alpha, beta) for count in (_COARSE, _FINE)]
-    return np.concatenate([x for x, _ in rules]), *(np.exp(rest) for _, rest in rules)
-
-
-def _panel(f, a: float, b: float, left: float, right: float) -> tuple[float, float, float]:
-    """(fine value, error estimate, |fine value|) for one panel with exponents
-    ``left`` at a and ``right`` at b, from one call of ``f``."""
-    nodes, coarse_w, fine_w = _panel_rule(right, left)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    values = np.asarray(f(mid + half * nodes), dtype=float)
-    coarse = half * float(coarse_w @ values[:_COARSE])
-    fine = half * float(fine_w @ values[_COARSE:])
-    return fine, abs(fine - coarse), abs(fine)
-
-
-def integrate_piecewise(
-    f,
-    breakpoints,
-    interval,
-    tol: float,
-    max_panels: int = MAX_PANELS,
-    *,
-    end_exponent: float = 0.0,
-) -> IntegralResult:
+def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: float = 0.0) -> IntegralResult:
     """Integrate ``f`` over ``interval``, splitting exactly at ``breakpoints``.
 
     Parameters
     ----------
     f : callable mapping an ndarray of abscissae to an ndarray of values;
-        it is called once per panel, on the 48 nodes of both rule sizes.
+        it is called once per round, on the 48 nodes of both rule sizes of
+        every new panel.
     breakpoints : RootList or sequence of floats; points where the integrand
         has kinks.  Points outside the open interval are ignored.
     interval : (a, b) with a < b.
-    tol : target relative tolerance.  Panels are bisected worst-error-first
-        until the summed error estimate drops below tol times the integral's
-        magnitude (L1 of panel contributions when there is cancellation).
+    tol : target relative tolerance.  Each round bisects the panels whose
+        16/32 gap exceeds an equal share of tol times the integral's
+        magnitude (the L1 sum of the panel values, which sees cancellation),
+        until the summed gap drops below that.
     end_exponent : e > -1 where ``f`` behaves like |t - a|^e and |b - t|^e
         times an analytic factor at the ends; every panel touching an end
         uses a Gauss-Jacobi rule with that exponent on that side, and every
         other panel the Gauss-Legendre pair.
 
-    Returns ``converged=False`` when the panel budget ``max_panels`` runs out,
-    and at once, with a NaN value, when a panel's value is not finite:
-    bisection cannot make an overflowed integrand finite.
+    The rounds are those of ``integrate_root_intervals``, with the panel
+    values summed in linear space.  Returns ``converged=False`` when the
+    split would pass ``MAX_PANELS`` panels, and at once, with a NaN value,
+    when a panel's value is not finite: bisection cannot make an overflowed
+    integrand finite.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
@@ -380,46 +387,28 @@ def integrate_piecewise(
     if isinstance(breakpoints, RootList):
         breakpoints = breakpoints.roots
     points = () if breakpoints is None else breakpoints
-    cuts = sorted({float(p) for p in points if a < p < b})
-    edges = [a, *cuts, b]
-    sides = [end_exponent, *(0.0 for _ in cuts), end_exponent]
+    edges = np.array([a, *sorted({float(p) for p in points if a < p < b}), b])
 
-    # heap entries: (-err, id, lo, hi, value, exponent at lo, exponent at hi)
-    heap: list[tuple[float, int, float, float, float, float, float]] = []
-    counter = 0
-    values: dict[int, tuple[float, float, float]] = {}
+    def weigh(k, spans, part, first):
+        values, _, _, rest, half = part
+        w = np.exp(rest)
+        # a panel's sum over each rule is half (w . f), one dot product per
+        # panel: the same sum as on that panel alone
+        return half * np.concatenate([(w[:, None, rule] @ values[:, rule, None])[:, 0] for rule in _RULES], axis=1)
 
-    def push(lo: float, hi: float, left: float, right: float) -> None:
-        nonlocal counter
-        val, err, mag = _panel(f, lo, hi, left, right)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, left, right))
-        values[counter] = (val, err, mag)
-        counter += 1
-
-    for lo, hi, left, right in zip(edges, edges[1:], sides, sides[1:]):
-        push(lo, hi, left, right)
-
-    converged = True
-    while True:
-        err_total = math.fsum(v[1] for v in values.values())
-        abs_total = math.fsum(v[2] for v in values.values())
+    def settle(k, sums):
+        # in Python floats: a few panels are summed faster so, and an
+        # overflowed panel's inf - inf gives NaN without a warning
+        coarse, fine = sums.T.tolist()
+        err = [abs(value - estimate) for estimate, value in zip(coarse, fine)]
+        err_total, abs_total = math.fsum(err), math.fsum(map(abs, fine))
         if not math.isfinite(err_total + abs_total):
-            return IntegralResult(math.nan, math.inf, len(values), False)
-        if err_total <= tol * max(abs_total, 1e-300):
-            break
-        if len(values) >= max_panels:
-            converged = False
-            break
-        _, idx, lo, hi, _, left, right = heapq.heappop(heap)
-        del values[idx]
-        mid = 0.5 * (lo + hi)
-        push(lo, mid, left, 0.0)
-        push(mid, hi, 0.0, right)
+            return False, None, lambda: IntegralResult(math.nan, math.inf, len(fine), False)
+        allowed = tol * max(abs_total, 1e-300)
+        converged = err_total <= allowed
+        return converged, np.array(err) > allowed / len(err), lambda: IntegralResult(math.fsum(fine), err_total, len(fine), converged)
 
-    panels = sorted(heap, key=lambda e: e[2])
-    value = math.fsum(p[4] for p in panels)
-    error = math.fsum(-p[0] for p in panels)
-    return IntegralResult(value, error, len(panels), converged)
+    return _bisect(f, [_job(edges, 0.0, end_exponent)], weigh, settle)[0]
 
 
 def subordination_check(x: float, tol: float = 1e-10) -> Verdict:

@@ -245,6 +245,30 @@ def test_limit_monotone_exit_zero(capsys):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+@pytest.mark.parametrize("d,q", [("300", "100"), ("400", "200")])
+def test_limit_compares_logs_where_ratios_round_together(capsys, d, q):
+    # at d = 300 both gaps |G - S| round to 3.39e298 and at d = 400 both are
+    # inf, while the log ratios (about 19 -> 107 against 687, and 21 -> 121
+    # against 1057) clearly move toward the Gaussian ratio
+    argv = ("limit", "--d", d, "--p", "2", "--q", q, "--n", "10,100")
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    assert [row["status"] for row in csv.DictReader(io.StringIO(out))] == ["holds", "holds"]
+
+
+def test_json_metadata_holds_no_invalid_constants(capsys):
+    # the Gaussian ratio overflows at d = 400; metadata writes it as "inf",
+    # as the rows do, instead of the non-JSON literal Infinity
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    code, out, _ = run(capsys, "limit", "--d", "400", "--p", "2", "--q", "200", "--n", "10,100", "--format", "json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["metadata"]["gaussian_ratio"] == "inf"
+    assert [row["rhs"] for row in payload["rows"]] == ["inf", "inf"]
+
+
 def test_logsob_explicit_coefficients(capsys):
     code, out, _ = run(capsys, "logsob", "--n", "2", "--coeffs", "1,0.1,0.05", "--rhs", "beckner", "--format", "csv")
     assert code == 0
