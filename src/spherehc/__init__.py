@@ -46,8 +46,6 @@ from .norms import (
 )
 from .quadrature import (
     IntegralResult,
-    QuadratureRule,
-    gauss_legendre,
     integrate_piecewise,
     subordination_check,
 )

@@ -270,18 +270,19 @@ def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, b
     rel = max((2.0 * v.error_estimate for v in closed), default=0.0)
     mass = math.fsum(terms)
     lam = params.lam
-    log_c = math.log(specfun.c_lambda(lam))
     coeffs = np.asarray(g.coeffs, dtype=float)
 
     def entropy_integrand(t: np.ndarray) -> np.ndarray:
         u = np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float)
         usq = u * u
         # u^2 log u^2, with 0 log 0 = 0
-        return usq * np.log(np.where(usq > 0.0, usq, 1.0)) * np.exp(norms._log_weight(lam, t, log_c))
+        return usq * np.log(np.where(usq > 0.0, usq, 1.0))
 
+    # the integrator carries the weight (1 - t^2)^(lam - 1/2); c_lam normalizes it
     ent = integrate_piecewise(entropy_integrand, [], (-1.0, 1.0), tol, end_exponent=lam - 0.5)
-    value = ent.value - mass * math.log(mass)
-    err = ent.error_estimate + rel * mass * (abs(math.log(mass)) + 1.0)
+    c = specfun.c_lambda(lam)
+    value = c * ent.value - mass * math.log(mass)
+    err = c * ent.error_estimate + rel * mass * (abs(math.log(mass)) + 1.0)
     return value, err, ent.converged, terms
 
 

@@ -24,7 +24,6 @@ from .quadrature import (
 __all__ = [
     "QUADRATURE",
     "CLOSED_FORM",
-    "CIRCLE_FORMULA",
     "SphereParams",
     "NormValue",
     "RatioValue",
@@ -39,7 +38,6 @@ __all__ = [
 
 QUADRATURE = "quadrature"
 CLOSED_FORM = "closed-form"
-CIRCLE_FORMULA = "circle-formula"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _ROUNDING = 5e-15
@@ -138,18 +136,6 @@ def _zonal_power_integrals(
     return out
 
 
-def _log_weight(lam: float, t: np.ndarray, log_const: float) -> np.ndarray:
-    """log(exp(log_const) (1 - t^2)^(lam - 1/2)), the Gegenbauer weight in log form.
-
-    With log_const = log c_lam it is the log density of t = xi . e1 on S^n; at
-    lam = 1/2 it is the constant, even at t = +-1.
-    """
-    if lam == 0.5:
-        return np.full_like(t, log_const)
-    with np.errstate(divide="ignore"):
-        return (lam - 0.5) * np.log1p(-t * t) + log_const
-
-
 def _norm_from_integral(res: IntegralResult, p: float, log_prefactor: float, method: str) -> NormValue:
     if not (res.value > 0 and math.isfinite(res.log_value)):
         raise ArithmeticError(f"norm integral is {res.value}, not a finite positive number")
@@ -169,16 +155,17 @@ def sphere_lp_norm(
 
     Computed as (integral of |C_d|^p against the Gegenbauer weight)^(1/p) with
     the integrand split at the polynomial's roots.  n = 1 degenerates the
-    weight (lam = 0) and is routed to a direct trigonometric formula; the
-    paper fixes no degree normalization there, so the caller must opt in with
-    ``circle_convention="cosine"`` (profile cos(d theta)).
+    weight (lam = 0); the paper fixes no degree normalization there, so the
+    caller must opt in with ``circle_convention="cosine"`` (profile
+    cos(d theta)), whose norm has the closed form
+    (B(1/2, (p + 1)/2) / pi)^(1/p) for every d >= 1.
     """
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     if params.n == 1:
-        return _circle_lp_norm(d, p, tol, circle_convention)
+        return _circle_lp_norm(d, p, circle_convention)
     if d == 0:
         return NormValue(1.0, p, 0.0, CLOSED_FORM, 0.0)
     return _zonal_norms(params.lam, d, (p,), tol)[0]
@@ -191,7 +178,7 @@ def _zonal_norms(lam: float, d: int, exponents, tol: float) -> list[NormValue]:
     return [_norm_from_integral(res, p, prefactor, QUADRATURE) for p, res in zip(exponents, integrals)]
 
 
-def _circle_lp_norm(d: int, p: float, tol: float, convention: str | None) -> NormValue:
+def _circle_lp_norm(d: int, p: float, convention: str | None) -> NormValue:
     if convention != "cosine":
         raise ValueError(
             "norms on S^1 need an explicit convention: pass circle_convention='cosine' "
@@ -199,14 +186,12 @@ def _circle_lp_norm(d: int, p: float, tol: float, convention: str | None) -> Nor
         )
     if d == 0:
         return NormValue(1.0, p, 0.0, CLOSED_FORM, 0.0)
-
-    # mean of |cos|^p over a full period, the integral over (0, pi) over pi;
-    # independent of d >= 1
-    def log_abs(v: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(np.cos(v)))
-
-    res = integrate_root_intervals(log_abs, (0.5 * math.pi,), (p,), 0.0, tol, interval=(0.0, math.pi))[0]
-    return _norm_from_integral(res, p, -math.log(math.pi) / p, CIRCLE_FORMULA)
+    # the mean of |cos|^p over a period, B(1/2, (p + 1)/2) / pi, independent
+    # of d >= 1; the band is a few eps of the logarithms summed
+    log_mean = specfun.log_beta(0.5, 0.5 * (p + 1.0)) - math.log(math.pi)
+    log_norm = log_mean / p
+    rel = 4.0 * _EPS * (abs(log_mean) + math.log(math.pi)) / p + _EPS
+    return NormValue(_exp(log_norm), p, rel, CLOSED_FORM, log_norm)
 
 
 def sphere_l2_norm_closed(params: SphereParams, d: int) -> NormValue:
@@ -338,12 +323,12 @@ def zonal_lp_norm(params: SphereParams, coeffs, p: float, tol: float = 1e-12) ->
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     lam = params.lam
-    log_c = math.log(specfun.c_lambda(lam))
     coeffs = np.asarray(coeffs, dtype=float)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        u = np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float)
-        return np.abs(u) ** p * np.exp(_log_weight(lam, t, log_c))
+        return np.abs(np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float)) ** p
 
+    # the integrator carries the weight (1 - t^2)^(lam - 1/2), and c_lam
+    # enters the prefactor
     res = integrate_piecewise(integrand, [], (-1.0, 1.0), tol, end_exponent=lam - 0.5)
-    return _norm_from_integral(res, p, 0.0, QUADRATURE)
+    return _norm_from_integral(res, p, math.log(specfun.c_lambda(lam)) / p, QUADRATURE)

@@ -2,7 +2,7 @@
 intervals in log space and adaptive panels in linear space.
 
 ``integrate_root_intervals`` takes every integral of the form |P|^p times a
-weight: the zonal |C_d|^p, the Gaussian side and the circle.  Between
+weight: the zonal |C_d|^p and the Gaussian side.  Between
 consecutive edges of (a, roots of P..., b), |P|^p behaves like a known power
 of the distance to each edge times an analytic factor, so each interval gets
 a Gauss-Jacobi rule carrying those exponents (``specfun.jacobi_rule_log``:
@@ -15,10 +15,11 @@ QUADPACK's QAWS (Piessens et al., QUADPACK, Springer 1983).
 
 ``integrate_piecewise`` serves the integrands that are not |P|^p: the signed
 entropy, general zonal polynomials and subordination.  It splits at the
-given breakpoints, and a panel touching an end carries ``end_exponent``
-through a Gauss-Jacobi pair whose weight function is divided out of its
-weights in log space.  It runs the same bisection rounds (``_bisect``), with
-the panel values summed in linear space.
+given breakpoints and runs the same bisection rounds (``_bisect``), with the
+panel values summed in linear space.  Both integrators take the end weight
+((t - a)(b - t))^end_exponent from ``_bisect``, which builds every panel's
+log weights in one place: the Gauss-Jacobi rule's weights with its own
+weight function divided out, the panel's half-width and the end weight.
 
 Non-convergence, including a non-finite sum, is reported through
 ``converged=False``, never as a silently wrong value.
@@ -37,10 +38,7 @@ from .specfun import RootList
 from .verdict import Verdict
 
 __all__ = [
-    "QuadratureRule",
     "IntegralResult",
-    "gauss_legendre",
-    "gauss_jacobi",
     "integrate_root_intervals",
     "integrate_piecewise",
     "subordination_check",
@@ -59,64 +57,29 @@ _RULES = (slice(0, _COARSE), slice(_COARSE, _COARSE + _FINE))  # the two rules i
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Gauss rule on ``interval``: exact for polynomials up to degree 2*count - 1.
-
-    ``log_weights`` stay finite where ``weights`` overflow to inf.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    interval: tuple[float, float]
-    log_weights: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.nodes)
-
-
-@lru_cache(maxsize=64)
-def gauss_legendre(count: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1]: the Gauss-Jacobi rule with alpha = beta = 0."""
-    return gauss_jacobi(count, 0.0, 0.0)
-
-
 @lru_cache(maxsize=256)
-def gauss_jacobi(count: int, alpha: float, beta: float) -> QuadratureRule:
-    """Gauss-Jacobi rule on [-1, 1] for the weight (1 - x)^alpha (1 + x)^beta.
+def _jacobi_log_rule(count: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, log weights and rule-only log weights log w - alpha log(1 - x) - beta log(1 + x)
+    of the Gauss-Jacobi rule on [-1, 1] for the weight (1 - x)^alpha (1 + x)^beta.
 
-    Nodes and log weights come from ``specfun.jacobi_rule_log``; with
-    alpha < beta the rule is the (beta, alpha) rule mirrored, so the two
-    share one build.  The cache holds at most 256 rules.  The weights sum to
-    mu0 = 2^(alpha + beta + 1) B(alpha + 1, beta + 1), which passes the float
-    range when alpha + beta is beyond about 1000 and one exponent is small;
-    ``weights`` are then inf, and ``log_weights`` stay finite.
-    """
-    if alpha < beta:
-        rule = gauss_jacobi(count, beta, alpha)
-        nodes, log_weights = -rule.nodes[::-1], rule.log_weights[::-1]
-    else:
-        nodes, log_weights = specfun.jacobi_rule_log(count, float(alpha), float(beta))
-    with np.errstate(over="ignore"):
-        weights = np.exp(log_weights)
-    for array in (nodes, weights, log_weights):
-        array.flags.writeable = False
-    return QuadratureRule(nodes, weights, (-1.0, 1.0), log_weights)
-
-
-def _jacobi_log_rule(count: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and rule-only log weights log w - alpha log(1 - x) - beta log(1 + x).
-
-    This divides the rule's own weight function out of its weights, so the
+    The rule-only weights divide the rule's own weight function out, so the
     rule applies to an integrand that still carries those powers.  The powers
     are taken with log1p: log(1 - x) of a rounded 1 - x is off by eps/2, which
     alpha multiplies; at alpha = beta = 2499 that put a zonal L^2 norm about
-    4e-14 off, outside its band.
+    4e-14 off, outside its band.  Nodes and log weights come from
+    ``specfun.jacobi_rule_log``; with alpha < beta the rule is the (beta,
+    alpha) rule mirrored, so the two share one build.  The cache holds at
+    most 256 rules.
     """
-    rule = gauss_jacobi(count, alpha, beta)
-    x = rule.nodes
-    return x, rule.log_weights - alpha * np.log1p(-x) - beta * np.log1p(x)
+    if alpha < beta:
+        x, log_w, _ = _jacobi_log_rule(count, beta, alpha)
+        x, log_w = -x[::-1], log_w[::-1]
+    else:
+        x, log_w = specfun.jacobi_rule_log(count, float(alpha), float(beta))
+    rest = log_w - alpha * np.log1p(-x) - beta * np.log1p(x)
+    for array in (x, log_w, rest):
+        array.flags.writeable = False
+    return x, log_w, rest
 
 
 @dataclass(frozen=True)
@@ -163,12 +126,14 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _log_sum_exp(terms: np.ndarray) -> float:
-    # shifted by the largest term, so no exponential overflows
-    top = float(np.max(terms))
-    if not math.isfinite(top):
-        return top
-    return top + math.log(float(np.sum(np.exp(terms - top))))
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """log sum exp(terms) over the last axis; a row whose largest term is not finite gives that term."""
+    top = terms.max(-1)
+    # shifted by the largest term, so no exponential overflows; a top of
+    # +-inf gives inf - inf = NaN, which the last line replaces
+    with np.errstate(invalid="ignore"):
+        total = top + np.log(np.exp(terms - top[..., None]).sum(-1))
+    return total if np.isfinite(top).all() else np.where(np.isfinite(top), total, top)
 
 
 @lru_cache(maxsize=256)
@@ -180,7 +145,7 @@ def _rule_rows(levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     edge (x = 1) of a panel, and beta = levels[j], the exponent at its left.
     """
     rules = [[_jacobi_log_rule(count, alpha, beta) for count in (_COARSE, _FINE)] for alpha in levels for beta in levels]
-    x, rest = (np.array([np.concatenate([coarse[i], fine[i]]) for coarse, fine in rules]) for i in (0, 1))
+    x, rest = (np.array([np.concatenate([coarse[i], fine[i]]) for coarse, fine in rules]) for i in (0, 2))
     x.flags.writeable = False
     rest.flags.writeable = False
     return x, rest
@@ -194,30 +159,33 @@ def _job(edges: np.ndarray, inner: float, end: float) -> tuple:
     left = np.full(len(edges) - 1, levels.index(inner))
     right = left.copy()
     left[0] = right[-1] = levels.index(end)
-    return levels, np.column_stack([edges[:-1], edges[1:]]), right * len(levels) + left
+    return (levels, edges[0], edges[-1], end), np.column_stack([edges[:-1], edges[1:]]), right * len(levels) + left
 
 
 def _bisect(f, jobs, weigh, settle) -> list[IntegralResult]:
     """The bisection rounds of both integrators: one result per job.
 
-    A job is (levels, spans, rows): panel i spans [spans[i, 0], spans[i, 1]]
-    and takes row rows[i] = r * len(levels) + l of ``_rule_rows(levels)``,
-    with levels[l] its exponent at the left end and levels[r] at the right.
-    Each round calls ``f`` once, on the 16 and the 32 nodes of every new
-    panel of every open job.
+    A job is ((levels, a, b, e), spans, rows): panel i spans [spans[i, 0],
+    spans[i, 1]] and takes row rows[i] = r * len(levels) + l of
+    ``_rule_rows(levels)``, with levels[l] its exponent at the left end and
+    levels[r] at the right.  Each round calls ``f`` once, on the 16 and the
+    32 nodes of every new panel of every open job.
 
-    ``weigh(k, spans, (values, t, x, rest, half), first)`` turns job k's new
-    panels into one row of sums per panel (coarse, fine, ...): ``values`` of
-    ``f`` at the abscissae ``t``, rule nodes ``x`` and rule-only log weights
-    ``rest`` have one row of 16 + 32 per panel, and ``half`` holds the
-    half-widths.  In the first round it may return a final IntegralResult
-    instead.  ``settle(k, sums)`` gives (converged, split, result) for all
-    panels of job k.  The job ends with ``result()`` when it converged, when
-    nothing is to be split (split None or all False) or when the split would
-    pass ``MAX_PANELS``.  Otherwise the panels where split holds are bisected:
-    a child keeps its parent's exponent on the side it still touches and gets
-    levels[0] = 0 on the new side, so the left child takes row l and the
-    right child row r * len(levels).
+    A panel's log weights are its row's rule-only log weights, plus the log
+    of its half-width, plus e log((t - a)(b - t)) when e is not 0, so that
+    the sum of exp(log weight) f(t) over either rule is the panel's integral
+    of f(t) ((t - a)(b - t))^e.  ``weigh(k, spans, (values, t, log_w),
+    first)`` turns job k's new panels into one row of sums per panel
+    (coarse, fine, ...): ``values`` of ``f`` at the abscissae ``t`` and the
+    log weights ``log_w`` have one row of 16 + 32 per panel.  In the first
+    round it may return a final IntegralResult instead.  ``settle(k, sums)``
+    gives (converged, split, result) for all panels of job k.  The job ends
+    with ``result()`` when it converged, when nothing is to be split (split
+    None or all False) or when the split would pass ``MAX_PANELS``.
+    Otherwise the panels where split holds are bisected: a child keeps its
+    parent's exponent on the side it still touches and gets levels[0] = 0 on
+    the new side, so the left child takes row l and the right child row
+    r * len(levels).
     """
     results: dict[int, IntegralResult] = {}
     panels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # k -> spans, rows, sums
@@ -226,16 +194,23 @@ def _bisect(f, jobs, weigh, settle) -> list[IntegralResult]:
     while new:
         built = {}
         for k, (spans, rows) in new.items():
-            x, rest = _rule_rows(jobs[k][0])
-            lo = spans[:, :1]
-            half = 0.5 * (spans[:, 1:] - lo)
+            levels, a, b, e = jobs[k][0]
+            x, rest = _rule_rows(levels)
+            lo, hi = spans[:, :1], spans[:, 1:]
+            half = 0.5 * (hi - lo)
             x = x[rows]
-            built[k] = (lo + half * (1.0 + x), x, rest[rows], half)
-        values = np.asarray(f(np.concatenate([t.ravel() for t, *_ in built.values()])), dtype=float)
+            log_w = rest[rows] + np.log(half)
+            if e != 0.0:
+                # t - a = (lo - a) + half (1 + x) and b - t = (b - hi) + half (1 - x):
+                # on an end panel lo - a or b - hi is 0, so the end power cancels
+                # the rule's own to within e eps per node
+                log_w += e * (np.log((lo - a) + half * (1.0 + x)) + np.log((b - hi) + half * (1.0 - x)))
+            built[k] = (lo + half * (1.0 + x), log_w)
+        values = np.asarray(f(np.concatenate([t.ravel() for t, _ in built.values()])), dtype=float)
         end = 0
-        for k, (t, *rule) in built.items():
+        for k, (t, log_w) in built.items():
             start, end = end, end + t.size
-            sums = weigh(k, new[k][0], (values[start:end].reshape(t.shape), t, *rule), first)
+            sums = weigh(k, new[k][0], (values[start:end].reshape(t.shape), t, log_w), first)
             if isinstance(sums, IntegralResult):
                 results[k] = sums
                 continue
@@ -256,7 +231,7 @@ def _bisect(f, jobs, weigh, settle) -> list[IntegralResult]:
             # the left children [lo, mid] first, then the right children [mid, hi]
             spans = np.concatenate([spans, spans])
             spans[:grow, 1] = spans[grow:, 0] = mid
-            left = rows % len(jobs[k][0])
+            left = rows % len(jobs[k][0][0])
             new[k] = (spans, np.concatenate([left, rows - left]))
         first = False
     return [results[k] for k in range(len(jobs))]
@@ -264,11 +239,10 @@ def _bisect(f, jobs, weigh, settle) -> list[IntegralResult]:
 
 def _panel_sums(terms) -> np.ndarray:
     """Per panel: the log 16-node sum, the log 32-node sum and the largest log size on the 32 nodes."""
-    (coarse_f, coarse_rest), (fine_f, fine_rest) = terms
-    coarse = np.array([_log_sum_exp(panel) for panel in (coarse_f + coarse_rest).reshape(-1, _COARSE)])
-    fine = np.array([_log_sum_exp(panel) for panel in (fine_f + fine_rest).reshape(-1, _FINE)])
-    size = (np.abs(fine_f) + np.abs(fine_rest)).reshape(fine.size, -1)
-    return np.column_stack([coarse, fine, np.max(size, axis=1, where=np.isfinite(size), initial=0.0)])
+    (coarse_f, coarse_w), (fine_f, fine_w) = terms
+    size = np.abs(fine_f) + np.abs(fine_w)
+    largest = np.max(size, axis=1, where=np.isfinite(size), initial=0.0)
+    return np.column_stack([_log_sum_exp(coarse_f + coarse_w), _log_sum_exp(fine_f + fine_w), largest])
 
 
 def integrate_root_intervals(
@@ -307,29 +281,20 @@ def integrate_root_intervals(
     edges = np.array([interval[0], *roots, interval[1]], dtype=float)
     if len(edges) < 3 or np.any(np.diff(edges) <= 0):
         raise ValueError("roots must be non-empty and strictly increasing inside the interval")
-    a, b = interval
 
     def weigh(k, spans, part, first):
-        log_f, t, x, rest, half = part
-        rest = rest + np.log(half)
-        if e != 0.0:
-            # (t - a) = half (1 + x) and (b - t) = half (1 - x); the same
-            # products build t - a and b - t from the ends, so on an end
-            # panel the end power cancels the rule's own to within
-            # end_exponent * eps per node, inside the log rounding term
-            rest += e * (np.log((spans[:, :1] - a) + half * (1.0 + x)) + np.log((b - spans[:, 1:]) + half * (1.0 - x)))
+        log_f, t, log_w = part
         if log_weight is not None:
-            rest += log_weight(t.ravel()).reshape(t.shape)
+            log_w += log_weight(t.ravel()).reshape(t.shape)
         log_f = exponents[k] * log_f
-        terms = [(log_f[:, rule], rest[:, rule]) for rule in _RULES]
+        terms = [(log_f[:, rule], log_w[:, rule]) for rule in _RULES]
         if first:
-            (coarse_f, coarse_rest), (fine_f, fine_rest) = terms
-            coarse = _log_sum_exp((coarse_f + coarse_rest).ravel())
-            fine = _log_sum_exp((fine_f + fine_rest).ravel())
+            coarse, fine = (float(_log_sum_exp((rule_f + rule_w).ravel())) for rule_f, rule_w in terms)
             gap = abs(math.expm1(coarse - fine)) if math.isfinite(fine) else math.inf
             # each summand's logarithm is rounded at the size of its parts, which
             # is a relative error of the sum the m/2m gap does not see
-            size = np.abs(fine_f) + np.abs(fine_rest)
+            fine_f, fine_w = terms[1]
+            size = np.abs(fine_f) + np.abs(fine_w)
             rounding = 4.0 * _EPS * float(np.max(size, where=np.isfinite(size), initial=0.0))
             converged = math.isfinite(gap) and gap <= tol + rounding
             if converged or not math.isfinite(fine):
@@ -338,7 +303,7 @@ def integrate_root_intervals(
 
     def settle(k, sums):
         coarse, fine, size = sums.T
-        total = _log_sum_exp(fine)
+        total = float(_log_sum_exp(fine))
         share = np.exp(fine - total)
         err = np.abs(np.exp(coarse - total) - share)
         gap = math.fsum(err)
@@ -351,7 +316,8 @@ def integrate_root_intervals(
 
 
 def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: float = 0.0) -> IntegralResult:
-    """Integrate ``f`` over ``interval``, splitting exactly at ``breakpoints``.
+    """Integrate ``f`` times the end weight ((t - a)(b - t))^end_exponent over
+    ``interval`` = (a, b), splitting exactly at ``breakpoints``.
 
     Parameters
     ----------
@@ -365,9 +331,10 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
         16/32 gap exceeds an equal share of tol times the integral's
         magnitude (the L1 sum of the panel values, which sees cancellation),
         until the summed gap drops below that.
-    end_exponent : e > -1 where ``f`` behaves like |t - a|^e and |b - t|^e
-        times an analytic factor at the ends; every panel touching an end
-        uses a Gauss-Jacobi rule with that exponent on that side, and every
+    end_exponent : e > -1; the integral is of f(t) ((t - a)(b - t))^e, the
+        end weight that ``integrate_root_intervals`` takes too, and ``f``
+        itself should be smooth at the ends.  Every panel touching an end
+        uses a Gauss-Jacobi rule with exponent e on that side, and every
         other panel the Gauss-Legendre pair.
 
     The rounds are those of ``integrate_root_intervals``, with the panel
@@ -390,11 +357,11 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
     edges = np.array([a, *sorted({float(p) for p in points if a < p < b}), b])
 
     def weigh(k, spans, part, first):
-        values, _, _, rest, half = part
-        w = np.exp(rest)
-        # a panel's sum over each rule is half (w . f), one dot product per
-        # panel: the same sum as on that panel alone
-        return half * np.concatenate([(w[:, None, rule] @ values[:, rule, None])[:, 0] for rule in _RULES], axis=1)
+        values, _, log_w = part
+        w = np.exp(log_w)
+        # a panel's sum over each rule is w . f, one dot product per panel:
+        # the same sum as on that panel alone
+        return np.concatenate([(w[:, None, rule] @ values[:, rule, None])[:, 0] for rule in _RULES], axis=1)
 
     def settle(k, sums):
         # in Python floats: a few panels are summed faster so, and an

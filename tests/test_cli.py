@@ -6,12 +6,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import spherehc
 from spherehc import norms
 from spherehc.cli import main
 
@@ -73,6 +78,14 @@ def test_unknown_command_is_usage_error(capsys):
 def test_bad_jobs_is_usage_error(capsys):
     code, _, _ = run(capsys, "--jobs", "0", "lemma", "--n", "2", "--k-max", "2")
     assert code == 64
+
+
+@pytest.mark.parametrize("argv,code", [(["lemma", "--n", "2", "--k-max", "3"], 0), (["lemma", "--frobnicate"], 64)])
+def test_python_dash_m_runs_the_cli(argv, code):
+    src = str(Path(spherehc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "spherehc", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
 
 
 def test_boundary_tie_exits_inconclusive(capsys):

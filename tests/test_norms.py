@@ -10,7 +10,6 @@ import pytest
 
 from spherehc import hypercheck, specfun
 from spherehc.norms import (
-    CIRCLE_FORMULA,
     CLOSED_FORM,
     QUADRATURE,
     SphereParams,
@@ -22,7 +21,7 @@ from spherehc.norms import (
     zonal_lp_norm,
     zonal_power_integral,
 )
-from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, gauss_jacobi, integrate_piecewise
+from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, _jacobi_log_rule, integrate_piecewise
 from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE
 
 from oracles import hermite_fourth_moment, log_fraction, simpson_composite, sphere_power_integral_exact
@@ -158,10 +157,30 @@ def test_circle_cosine_norms():
     # mean of |cos|^p over a period: p=2 gives 1/2, p=4 gives 3/8
     nv = sphere_lp_norm(SphereParams(1), 3, 2.0, circle_convention="cosine")
     assert nv.value**2 == pytest.approx(0.5, rel=1e-12)
-    assert nv.method == CIRCLE_FORMULA
+    assert nv.method == CLOSED_FORM
     nv4 = sphere_lp_norm(SphereParams(1), 1, 4.0, circle_convention="cosine")
     assert nv4.value**4 == pytest.approx(3 / 8, rel=1e-12)
     assert sphere_lp_norm(SphereParams(1), 0, 4.0, circle_convention="cosine").value == 1.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 41.0, 1e3, 1e5])
+def test_circle_closed_form_band_holds_against_mpmath(p):
+    from mpmath import mp
+
+    nv = sphere_lp_norm(SphereParams(1), 5, p, circle_convention="cosine")
+    with mp.workdps(40):
+        exact = float((mp.log(mp.beta(0.5, (mp.mpf(p) + 1) / 2)) - mp.log(mp.pi)) / p)
+    assert abs(nv.log_value - exact) <= nv.error_estimate < 1e-14
+
+
+def test_circle_ratio():
+    # ||cos||_4 / ||cos||_2 = (3/8)^(1/4) / (1/2)^(1/2), whatever the degree
+    ratio = norm_ratio_sphere(SphereParams(1), 3, 2.0, 4.0, circle_convention="cosine")
+    exact = 0.25 * math.log(3 / 8) - 0.5 * math.log(0.5)
+    assert ratio.converged
+    assert abs(ratio.log_value - exact) <= ratio.error_estimate
+    with pytest.raises(ValueError):
+        norm_ratio_sphere(SphereParams(1), 3, 2.0, 4.0)
 
 
 def test_zonal_norm_of_constant():
@@ -279,11 +298,11 @@ def test_one_pass_ratio_matches_two_norms(n, d, p, q):
 
 
 def test_jacobi_rule_cache_is_bounded():
-    limit = gauss_jacobi.cache_info().maxsize
+    limit = _jacobi_log_rule.cache_info().maxsize
     assert limit is not None
     for k in range(limit + 8):
-        gauss_jacobi(4, 0.5 + k, 2.0)
-    assert gauss_jacobi.cache_info().currsize <= limit
+        _jacobi_log_rule(4, 0.5 + k, 2.0)
+    assert _jacobi_log_rule.cache_info().currsize <= limit
 
 
 @pytest.mark.parametrize("n,d", [(2, 58), (13, 74), (13, 100), (2, 100)])

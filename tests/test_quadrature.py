@@ -16,9 +16,8 @@ from spherehc.norms import gaussian_lp_norm
 from spherehc.quadrature import (
     ADAPTIVE,
     GAUSS_JACOBI,
+    _jacobi_log_rule,
     _rule_rows,
-    gauss_jacobi,
-    gauss_legendre,
     integrate_piecewise,
     integrate_root_intervals,
     subordination_check,
@@ -30,28 +29,34 @@ from oracles import gaussian_even_moment, simpson_composite, xlogx
 
 # ----------------------------------------------------------------- gauss rule
 
+def _legendre(count):
+    """Nodes and weights of the count-point Gauss-Legendre rule, the Gauss-Jacobi rule (0, 0)."""
+    nodes, log_w = specfun.jacobi_rule_log(count, 0.0, 0.0)
+    return nodes, np.exp(log_w)
+
+
 def test_one_point_rule():
-    rule = gauss_legendre(1)
-    assert rule.nodes.tolist() == [0.0]
-    assert rule.weights.tolist() == [2.0]
+    nodes, weights = _legendre(1)
+    assert nodes.tolist() == [0.0]
+    assert weights.tolist() == [2.0]
 
 
 def test_two_point_rule_integrates_x2():
-    rule = gauss_legendre(2)
-    assert float(rule.weights @ rule.nodes**2) == pytest.approx(2 / 3, rel=1e-15)
+    nodes, weights = _legendre(2)
+    assert float(weights @ nodes**2) == pytest.approx(2 / 3, rel=1e-15)
 
 
 def test_high_monomial_exactness():
-    rule = gauss_legendre(20)
-    got = float(rule.weights @ rule.nodes**38)
+    nodes, weights = _legendre(20)
+    got = float(weights @ nodes**38)
     assert got == pytest.approx(2 / 39, rel=1e-13)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 13, 21])
 def test_gauss_exactness_all_monomials(count):
-    rule = gauss_legendre(count)
+    nodes, weights = _legendre(count)
     for k in range(2 * count):
-        got = float(rule.weights @ rule.nodes**k)
+        got = float(weights @ nodes**k)
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         if exact == 0.0:
             assert abs(got) < 1e-14
@@ -60,12 +65,12 @@ def test_gauss_exactness_all_monomials(count):
 
 
 def test_rule_invariants():
-    rule = gauss_legendre(15)
-    assert np.all(np.diff(rule.nodes) > 0)
-    assert np.all(rule.weights > 0)
-    assert rule.nodes[0] > -1 and rule.nodes[-1] < 1
+    nodes, weights = _legendre(15)
+    assert np.all(np.diff(nodes) > 0)
+    assert np.all(weights > 0)
+    assert nodes[0] > -1 and nodes[-1] < 1
     with pytest.raises(ValueError):
-        gauss_legendre(0)
+        specfun.jacobi_rule_log(0, 0.0, 0.0)
 
 
 # ------------------------------------------------------------------ piecewise
@@ -132,8 +137,8 @@ def test_even_power_matches_single_gauss_rule(n, d, p):
         return specfun.gegenbauer_eval(spec, t) ** p * c * (1 - t * t) ** (lam - 0.5)
 
     degree = p * d + (n - 2)
-    rule = gauss_legendre(degree // 2 + 1)
-    exact = float(rule.weights @ f(rule.nodes))
+    nodes, weights = _legendre(degree // 2 + 1)
+    exact = float(weights @ f(nodes))
     res = integrate_piecewise(f, specfun.gegenbauer_roots(spec), (-1.0, 1.0), 1e-12)
     assert res.value == pytest.approx(exact, rel=1e-12)
 
@@ -176,9 +181,9 @@ def _legendre_reference(f, edges, tol):
 
     def panel(lo, hi):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        rc, rf = gauss_legendre(16), gauss_legendre(32)
-        coarse = half * float(rc.weights @ np.asarray(f(mid + half * rc.nodes), dtype=float))
-        fine = half * float(rf.weights @ np.asarray(f(mid + half * rf.nodes), dtype=float))
+        (xc, wc), (xf, wf) = _legendre(16), _legendre(32)
+        coarse = half * float(wc @ np.asarray(f(mid + half * xc), dtype=float))
+        fine = half * float(wf @ np.asarray(f(mid + half * xf), dtype=float))
         return fine, abs(fine - coarse), abs(fine)
 
     heap, values, ids = [], {}, itertools.count()
@@ -211,11 +216,29 @@ def _entropy_integrand(g):
 @pytest.mark.parametrize("e", [0.5, 1.0, 5.5])
 @pytest.mark.parametrize("k", [0, 2, 6])
 def test_end_exponent_panels_match_beta_integrals(e, k):
-    # integral t^k (1 - t^2)^e dt = B((k + 1)/2, e + 1) for even k
-    res = integrate_piecewise(lambda t: t**k * (1 - t * t) ** e, [], (-1.0, 1.0), 1e-12, end_exponent=e)
+    # integral t^k (1 - t^2)^e dt = B((k + 1)/2, e + 1) for even k; the
+    # integrator carries the end weight ((t + 1)(1 - t))^e itself
+    res = integrate_piecewise(lambda t: t**k, [], (-1.0, 1.0), 1e-12, end_exponent=e)
     assert res.converged and res.subintervals_used == 1
     a, b = (k + 1) / 2, e + 1
     assert res.value == pytest.approx(math.gamma(a) * math.gamma(b) / math.gamma(a + b), rel=1e-14)
+
+
+@pytest.mark.parametrize("e", [0.0, 0.5, 5.5])
+def test_end_exponent_means_the_same_in_both_integrators(e):
+    # both integrate |P|^p ((t + 1)(1 - t))^e: one in linear space from |P|^p,
+    # the other in log space from log|P|
+    spec = GegenbauerSpec(1.5, 5)
+    roots = specfun.gegenbauer_roots(spec).roots
+    p = 3.0
+
+    def poly(t):
+        return np.asarray(specfun.gegenbauer_eval(spec, t), dtype=float)
+
+    linear = integrate_piecewise(lambda t: np.abs(poly(t)) ** p, roots, (-1.0, 1.0), 1e-12, end_exponent=e)
+    (log_space,) = integrate_root_intervals(lambda t: np.log(np.abs(poly(t))), roots, (p,), e, 1e-12)
+    assert linear.converged and log_space.converged
+    assert abs(linear.value - log_space.value) <= linear.error_estimate + log_space.error_estimate
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, -0.71])
@@ -330,15 +353,17 @@ def test_exponent_at_or_below_minus_one_is_rejected(exponents):
 
 
 def test_jacobi_rule_with_swapped_exponents_is_the_mirror_image():
-    rule, mirror = gauss_jacobi(16, 0.5, 3.0), gauss_jacobi(16, 3.0, 0.5)
-    assert np.array_equal(rule.nodes, -mirror.nodes[::-1])
-    assert np.array_equal(rule.log_weights, mirror.log_weights[::-1])
+    nodes, log_w, _ = _jacobi_log_rule(16, 0.5, 3.0)
+    mirror_nodes, mirror_log_w, _ = _jacobi_log_rule(16, 3.0, 0.5)
+    assert np.array_equal(nodes, -mirror_nodes[::-1])
+    assert np.array_equal(log_w, mirror_log_w[::-1])
 
 
 def test_jacobi_panels_past_mu0_overflow():
     # alpha + beta = 1501: mu0 = 2^1502 B(2, 1501) passes the float range,
     # but the log weights do not, so the end panels keep their Jacobi rules
-    assert gauss_jacobi(16, 1.0, 1500.0).weights[-1] == math.inf
+    with np.errstate(over="ignore"):
+        assert np.exp(specfun.jacobi_rule_log(16, 1.0, 1500.0)[1][-1]) == math.inf
     # levels (0, 1, 1500): row 1 * 3 + 2 has alpha = 1 and beta = 1500
     nodes, rest = _rule_rows((0.0, 1.0, 1500.0))
     assert np.all(np.isfinite(np.exp(rest))) and nodes[5].min() > 0.8
