@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,16 +38,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    tol: float = 1e-12
-    jobs: int = 1
-    output_format: str = "table"
-    output_path: str | None = None
-    seed: int = 0
 
 
 def _int_list(text: str) -> list[int]:
@@ -150,8 +139,8 @@ def _json_safe(value):
     return value
 
 
-def _emit(cfg: RunConfig, columns: list[str], rows: list[dict], metadata: dict, summary: list[str]) -> None:
-    if cfg.output_format == "csv":
+def _emit(args, columns: list[str], rows: list[dict], metadata: dict, summary: list[str]) -> None:
+    if args.output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -160,13 +149,13 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[dict], metadata: dict, 
         text = buf.getvalue()
         for line in summary:
             print(line, file=sys.stderr)
-    elif cfg.output_format == "json":
+    elif args.output_format == "json":
         meta = {
             "tool": "spherehc",
             "version": __version__,
-            "command": cfg.command,
-            "tol": cfg.tol,
-            "seed": cfg.seed,
+            "command": args.command,
+            "tol": args.tol,
+            "seed": args.seed,
             **{key: _json_safe(value) for key, value in metadata.items()},
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
@@ -185,8 +174,8 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[dict], metadata: dict, 
         lines.extend(summary)
         text = "\n".join(lines) + "\n"
 
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -212,7 +201,7 @@ def _exit_code(statuses) -> int:
     return 0
 
 
-def _cmd_lemma(cfg: RunConfig, args) -> int:
+def _cmd_lemma(args) -> int:
     if args.k_max < 1 or not args.n:
         raise ValueError("need a nonempty --n list and --k-max >= 1")
     columns = ["n", "k", "lhs", "rhs", "margin", "numeric_error", "status", "equality", "h_k"]
@@ -230,18 +219,18 @@ def _cmd_lemma(cfg: RunConfig, args) -> int:
             })
             if n <= 3 and v.status != HOLDS:
                 unexpected = True
-    _emit(cfg, columns, rows, {}, [])
+    _emit(args, columns, rows, {}, [])
     return UNEXPECTED_VERDICT if unexpected else 0
 
 
-def _cmd_scan(cfg: RunConfig, args) -> int:
+def _cmd_scan(args) -> int:
     if not (args.q > args.p > 1.0):
         raise ValueError(f"need q > p > 1, got p={args.p}, q={args.q}")
     report = hypercheck.counterexample_scan(
         args.p, args.q,
         range(args.n_min, args.n_max + 1),
         range(args.d_min, args.d_max + 1),
-        tol=cfg.tol, jobs=cfg.jobs,
+        tol=args.tol, jobs=args.jobs,
     )
     columns = ["n", "d", "p", "q", "lhs_log", "rhs_log", "margin_log", "num_error_log", "status"]
     rows = [
@@ -261,46 +250,46 @@ def _cmd_scan(cfg: RunConfig, args) -> int:
         "n0_estimate": report.n0_estimate,
         "note": report.note,
     }
-    _emit(cfg, columns, rows, meta, summary)
+    _emit(args, columns, rows, meta, summary)
     if rows and all(r["status"] == INCONCLUSIVE for r in rows):
         return INCONCLUSIVE_EXIT
     return 0
 
 
-def _cmd_ratio(cfg: RunConfig, args) -> int:
+def _cmd_ratio(args) -> int:
     if not (args.q > args.p > 1.0):
         raise ValueError(f"need q > p > 1, got p={args.p}, q={args.q}")
     if args.d < 1:
         raise ValueError(f"need d >= 1, got {args.d}")
     if args.gaussian:
-        v = hypercheck.hermite_bound_check(args.d, args.p, args.q, cfg.tol)
+        v = hypercheck.hermite_bound_check(args.d, args.p, args.q, args.tol)
         kind, n = "gaussian", None
     else:
-        v = hypercheck.count1_check(args.n, args.d, args.p, args.q, cfg.tol)
+        v = hypercheck.count1_check(args.n, args.d, args.p, args.q, args.tol)
         kind, n = "sphere", args.n
     columns = ["kind", "n", "d", "p", "q", "ratio", "lhs", "rhs", "margin", "numeric_error", "status"]
     rows = [{
         "kind": kind, "n": n, "d": args.d, "p": args.p, "q": args.q,
         "ratio": norms._exp(v.lhs), **_verdict_columns(v),
     }]
-    _emit(cfg, columns, rows, {}, [])
+    _emit(args, columns, rows, {}, [])
     return INCONCLUSIVE_EXIT if v.status == INCONCLUSIVE else 0
 
 
-def _cmd_limit(cfg: RunConfig, args) -> int:
+def _cmd_limit(args) -> int:
     if not args.n:
         raise ValueError("need a nonempty --n list")
     if args.d < 1:
         raise ValueError(f"need d >= 1, got {args.d}")
     if not (args.q > args.p >= 1.0):
         raise ValueError(f"need q > p >= 1, got p={args.p}, q={args.q}")
-    gaussian = norms.norm_ratio_gaussian(args.d, args.p, args.q, cfg.tol)
+    gaussian = norms.norm_ratio_gaussian(args.d, args.p, args.q, args.tol)
     columns = ["n", "d", "p", "q", "lhs", "rhs", "margin", "numeric_error", "status"]
     rows = []
     prev_gap = None
     monotone = True
     for n in sorted(args.n):
-        sphere = norms.norm_ratio_sphere(SphereParams(n), args.d, args.p, args.q, cfg.tol)
+        sphere = norms.norm_ratio_sphere(SphereParams(n), args.d, args.p, args.q, args.tol)
         # status records monotone progress toward the Gaussian limit, measured
         # between the logs: past d of a few hundred the ratios round to the
         # same float or overflow, and their logs stay finite and distinct
@@ -315,39 +304,39 @@ def _cmd_limit(cfg: RunConfig, args) -> int:
             "status": HOLDS if improving else FAILS,
         })
         prev_gap = gap
-    _emit(cfg, columns, rows, {"gaussian_ratio": gaussian.value}, [])
+    _emit(args, columns, rows, {"gaussian_ratio": gaussian.value}, [])
     return 0 if monotone else UNEXPECTED_VERDICT
 
 
-def _cmd_logsob(cfg: RunConfig, args) -> int:
+def _cmd_logsob(args) -> int:
     columns = ["trial", "n", "degree", "rhs_kind", "lhs", "rhs", "margin", "numeric_error", "status"]
     rows = []
     if args.random > 0:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         polys = [hypercheck.random_zonal_polynomial(args.n, args.degree, rng) for _ in range(args.random)]
     else:
         if not args.coeffs:
             raise ValueError("need --coeffs (or --random TRIALS)")
         polys = [hypercheck.ZonalPolynomial(args.n, tuple(args.coeffs))]
     for i, g in enumerate(polys):
-        v = hypercheck.logsob_check(g, args.rhs, tol=cfg.tol)
+        v = hypercheck.logsob_check(g, args.rhs, tol=args.tol)
         rows.append({"trial": i, "n": g.n, "degree": g.degree, "rhs_kind": args.rhs, **_verdict_columns(v)})
-    _emit(cfg, columns, rows, {}, [])
+    _emit(args, columns, rows, {}, [])
     return _exit_code(row["status"] for row in rows)
 
 
-def _cmd_subordination(cfg: RunConfig, args) -> int:
+def _cmd_subordination(args) -> int:
     if not args.x:
         raise ValueError("need a nonempty --x list")
     if any(x < 0 for x in args.x):
         raise ValueError("subordination identity needs x >= 0")
     columns = ["x", "lhs", "rhs", "margin", "numeric_error", "status"]
     rows = [{"x": x, **_verdict_columns(subordination_check(x, tol=1e-10))} for x in args.x]
-    _emit(cfg, columns, rows, {}, [])
+    _emit(args, columns, rows, {}, [])
     return _exit_code(row["status"] for row in rows)
 
 
-def _cmd_necessity(cfg: RunConfig, args) -> int:
+def _cmd_necessity(args) -> int:
     if not (args.q >= args.p > 1.0):
         raise ValueError(f"need q >= p > 1, got p={args.p}, q={args.q}")
     pair = hypercheck.ExponentPair(args.p, args.q)
@@ -361,8 +350,8 @@ def _cmd_necessity(cfg: RunConfig, args) -> int:
     ]
     rows = []
     for eps in args.eps:
-        r = hypercheck.perturbative_necessity(args.n, args.p, args.q, t, eps, cfg.tol)
-        err = 10.0 * cfg.tol + 4e-16
+        r = hypercheck.perturbative_necessity(args.n, args.p, args.q, t, eps, args.tol)
+        err = 10.0 * args.tol + 4e-16
         # lhs/rhs are the measured semigroup and plain norms; the verdict is the
         # hypercontractivity comparison itself (ties at the critical time are
         # expected and reported as inconclusive)
@@ -372,11 +361,11 @@ def _cmd_necessity(cfg: RunConfig, args) -> int:
             "predicted_lhs": r.predicted_lhs, "predicted_rhs": r.predicted_rhs,
             **_verdict_columns(v),
         })
-    _emit(cfg, columns, rows, {}, [])
+    _emit(args, columns, rows, {}, [])
     return 0
 
 
-def _repro_checks(cfg: RunConfig):
+def _repro_checks(args):
     """Yield (name, expected, observed, ok) for every reproduced paper number."""
     for n in (2, 3):
         table = hypercheck.lemma_table(n, 10_000)
@@ -391,19 +380,19 @@ def _repro_checks(cfg: RunConfig):
     ) < 1e-12 and h2 < 0 and h3 < 0
     yield ("h(4) matches closed forms and is negative (n=2,3)", "match", "match" if ok else "mismatch", ok)
 
-    v = hypercheck.utol1_check(13, 7, cfg.tol)
+    v = hypercheck.utol1_check(13, 7, args.tol)
     yield ("explicit counterexample inequality fails at (n=13, d=7)", FAILS, v.status, v.status == FAILS)
-    v = hypercheck.count1_check(13, 7, 2, 4, cfg.tol)
+    v = hypercheck.count1_check(13, 7, 2, 4, args.tol)
     yield ("norm-ratio bound fails at (n=13, d=7), p=2, q=4", FAILS, v.status, v.status == FAILS)
 
-    report = hypercheck.counterexample_scan(2, 4, range(2, 14), range(1, 11), tol=cfg.tol, jobs=cfg.jobs)
+    report = hypercheck.counterexample_scan(2, 4, range(2, 14), range(1, 11), tol=args.tol, jobs=args.jobs)
     ok = report.first_failure is not None and report.first_failure <= (13, 7)
     yield ("scan n<=13, d<=10 first failure at most (13,7)", "(13, 7)", str(report.first_failure), ok)
 
     ok = True
     for n in (2, 3):
         for d in range(1, 31):
-            if hypercheck.count1_check(n, d, 2, 4, cfg.tol).status != HOLDS:
+            if hypercheck.count1_check(n, d, 2, 4, args.tol).status != HOLDS:
                 ok = False
     yield ("sufficiency shadow: no zonal failure on S^2, S^3 (d <= 30)", "holds", "holds" if ok else "violated", ok)
 
@@ -411,21 +400,21 @@ def _repro_checks(cfg: RunConfig):
     yield ("subordination identity at x = 0, 1, 5", "holds", "holds" if ok else "violated", ok)
 
     flip_ok = (
-        hypercheck.hermite_bound_check(2, 2, 4, cfg.tol).status == HOLDS
-        and hypercheck.hermite_bound_check(3, 2, 4, cfg.tol).status == FAILS
+        hypercheck.hermite_bound_check(2, 2, 4, args.tol).status == HOLDS
+        and hypercheck.hermite_bound_check(3, 2, 4, args.tol).status == FAILS
     )
     yield ("Gaussian bound flips from holds to fails at d=3 (p=2, q=4)", "flip at 3", "flip at 3" if flip_ok else "no flip", flip_ok)
 
-    g20 = hypercheck.hermite_growth_rate(20, 2, 4, cfg.tol)
-    g40 = hypercheck.hermite_growth_rate(40, 2, 4, cfg.tol)
+    g20 = hypercheck.hermite_growth_rate(20, 2, 4, args.tol)
+    g40 = hypercheck.hermite_growth_rate(40, 2, 4, args.tol)
     target = math.sqrt(3)
     ok = abs(g40 - target) / target < 0.05 and abs(g40 - target) < abs(g20 - target)
     yield ("growth rate: d=40 within 5% of sqrt(3) and closer than d=20", "converging", "converging" if ok else "violated", ok)
 
     ok = True
     for d in (1, 2, 3):
-        gauss = norms.norm_ratio_gaussian(d, 2, 4, cfg.tol).value
-        gaps = [abs(norms.norm_ratio_sphere(SphereParams(n), d, 2, 4, cfg.tol).value - gauss) for n in (10, 100, 1000)]
+        gauss = norms.norm_ratio_gaussian(d, 2, 4, args.tol).value
+        gaps = [abs(norms.norm_ratio_sphere(SphereParams(n), d, 2, 4, args.tol).value - gauss) for n in (10, 100, 1000)]
         ok = ok and gaps[0] > gaps[1] > gaps[2]
     yield ("sphere ratio approaches Gaussian ratio (d <= 3)", "monotone", "monotone" if ok else "violated", ok)
 
@@ -433,7 +422,7 @@ def _repro_checks(cfg: RunConfig):
     t = pair.t_star(2)
     ok = True
     for eps in (1e-2, 1e-3):
-        r = hypercheck.perturbative_necessity(2, 2, 4, t, eps, cfg.tol)
+        r = hypercheck.perturbative_necessity(2, 2, 4, t, eps, args.tol)
         bound = 5.0 * eps**3
         ok = ok and abs(r.measured_lhs - r.predicted_lhs) <= bound and abs(r.measured_rhs - r.predicted_rhs) <= bound
     yield ("Taylor predictions accurate to O(eps^3) at the critical time", "within bound", "within bound" if ok else "violated", ok)
@@ -443,16 +432,16 @@ def _repro_checks(cfg: RunConfig):
     yield ("condition (ii) boundary equality at the critical time (n=4)", "equality", "equality" if ok else "violated", ok)
 
 
-def _cmd_repro(cfg: RunConfig, args) -> int:
+def _cmd_repro(args) -> int:
     columns = ["check", "expected", "observed", "status"]
     rows = []
     all_ok = True
-    for name, expected, observed, ok in _repro_checks(cfg):
+    for name, expected, observed, ok in _repro_checks(args):
         rows.append({"check": name, "expected": expected, "observed": observed, "status": "pass" if ok else "fail"})
         all_ok = all_ok and ok
     n_pass = sum(1 for r in rows if r["status"] == "pass")
     summary = [f"repro: {n_pass}/{len(rows)} checks pass"]
-    _emit(cfg, columns, rows, {"passed": n_pass, "total": len(rows)}, summary)
+    _emit(args, columns, rows, {"passed": n_pass, "total": len(rows)}, summary)
     return 0 if all_ok else UNEXPECTED_VERDICT
 
 
@@ -473,16 +462,8 @@ def _dispatch(parser: _Parser, args) -> int:
         parser.error(f"--tol must be in (0, 1e-3], got {args.tol}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    cfg = RunConfig(
-        command=args.command,
-        tol=args.tol,
-        jobs=args.jobs,
-        output_format=args.output_format,
-        output_path=args.output_path,
-        seed=args.seed,
-    )
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
         return USAGE_ERROR  # unreachable; error() raises

@@ -249,8 +249,10 @@ def beckner_constant(n: int, k: int) -> float:
 
 
 def _require_nonnegative(g: ZonalPolynomial) -> None:
-    grid = np.linspace(-1.0, 1.0, 4097)
-    prof = np.asarray(g.profile(grid), dtype=float)
+    # the profile is least at an end or at a real root of its derivative,
+    # 2 lam sum_{k>=1} a_k C_{k-1}^(lam+1) (DLMF 18.9.19)
+    critical = specfun._series_roots((g.n - 1) / 2 + 1.0, g.coeffs[1:])
+    prof = np.asarray(g.profile(np.array([-1.0, 1.0, *critical])), dtype=float)
     floor = -1e-12 * max(1.0, float(np.max(np.abs(prof))))
     if float(np.min(prof)) < floor:
         raise NonnegativityError(
@@ -289,8 +291,9 @@ def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, b
 def entropy_functional(g: ZonalPolynomial, tol: float = 1e-10) -> float:
     """integral g^2 ln g^2 dsigma - (integral g^2 dsigma) ln(integral g^2 dsigma).
 
-    Requires g >= 0 pointwise (checked on a dense grid; raises
-    NonnegativityError otherwise).  Homogeneous of degree 2 in g.
+    Requires g >= 0 pointwise (checked at the ends and at the real roots of
+    g' from its comrade matrix; raises NonnegativityError otherwise).
+    Homogeneous of degree 2 in g.
     """
     return _entropy_with_error(g, tol)[0]
 

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .quadrature import (
-    IntegralResult,
-    _exp,
-    integrate_piecewise,
-    integrate_root_intervals,
-)
+from .quadrature import IntegralResult, _exp, integrate_root_intervals
 
 __all__ = [
     "QUADRATURE",
@@ -317,18 +312,24 @@ def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> Ratio
 
 
 def zonal_lp_norm(params: SphereParams, coeffs, p: float, tol: float = 1e-12) -> NormValue:
-    """||sum_k a_k Y_k||_p on S^n (n >= 2) by quadrature of the zonal profile."""
+    """||sum_k a_k Y_k||_p on S^n (n >= 2) by quadrature of the zonal profile u.
+
+    As in ``zonal_power_integral``, the real roots of u in (-1, 1), here from
+    its comrade matrix, split [-1, 1] for ``integrate_root_intervals``, and
+    log|u| comes from one series pass of the recurrence.
+    """
     if params.n < 2:
         raise ValueError(f"zonal quadrature needs n >= 2, got {params.n}")
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     lam = params.lam
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float).tolist()
+    ab = specfun._gegenbauer_ab(lam, len(coeffs) - 1)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.abs(np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float)) ** p
+    def log_abs(t: np.ndarray) -> np.ndarray:
+        return specfun._log_abs(ab, t, coeffs)[1]
 
     # the integrator carries the weight (1 - t^2)^(lam - 1/2), and c_lam
     # enters the prefactor
-    res = integrate_piecewise(integrand, [], (-1.0, 1.0), tol, end_exponent=lam - 0.5)
+    (res,) = integrate_root_intervals(log_abs, specfun._series_roots(lam, coeffs), (p,), lam - 0.5, tol)
     return _norm_from_integral(res, p, math.log(specfun.c_lambda(lam)) / p, QUADRATURE)

@@ -2,7 +2,7 @@
 intervals in log space and adaptive panels in linear space.
 
 ``integrate_root_intervals`` takes every integral of the form |P|^p times a
-weight: the zonal |C_d|^p and the Gaussian side.  Between
+weight: the zonal |C_d|^p, general zonal series and the Gaussian side.  Between
 consecutive edges of (a, roots of P..., b), |P|^p behaves like a known power
 of the distance to each edge times an analytic factor, so each interval gets
 a Gauss-Jacobi rule carrying those exponents (``specfun.jacobi_rule_log``:
@@ -14,7 +14,7 @@ gap is too large are bisected, still in log space, in the manner of
 QUADPACK's QAWS (Piessens et al., QUADPACK, Springer 1983).
 
 ``integrate_piecewise`` serves the integrands that are not |P|^p: the signed
-entropy, general zonal polynomials and subordination.  It splits at the
+entropy and subordination.  It splits at the
 given breakpoints and runs the same bisection rounds (``_bisect``), with the
 panel values summed in linear space.  Both integrators take the end weight
 ((t - a)(b - t))^end_exponent from ``_bisect``, which builds every panel's
@@ -199,13 +199,20 @@ def _bisect(f, jobs, weigh, settle) -> list[IntegralResult]:
             lo, hi = spans[:, :1], spans[:, 1:]
             half = 0.5 * (hi - lo)
             x = x[rows]
+            rise = half * (1.0 + x)
+            t = lo + rise
             log_w = rest[rows] + np.log(half)
             if e != 0.0:
-                # t - a = (lo - a) + half (1 + x) and b - t = (b - hi) + half (1 - x):
-                # on an end panel lo - a or b - hi is 0, so the end power cancels
-                # the rule's own to within e eps per node
-                log_w += e * (np.log((lo - a) + half * (1.0 + x)) + np.log((b - hi) + half * (1.0 - x)))
-            built[k] = (lo + half * (1.0 + x), log_w)
+                # t - a = (lo - a) + half (1 + x) and b - t = (b - hi) + half (1 - x)
+                # are exact next to an end, where lo - a or b - hi is 0; but each
+                # log carries about eps of rounding, which e multiplies.  Where
+                # s = (t - (a + b)/2) / ((b - a)/2) has s^2 < 1/4, the weight is
+                # ((b - a)/2)^2 (1 - s^2) instead, whose log1p rounds at s^2 eps.
+                s2 = ((t - 0.5 * (a + b)) / (0.5 * (b - a))) ** 2
+                ends = np.log((lo - a) + rise) + np.log((b - hi) + half * (1.0 - x))
+                centre = 2.0 * math.log(0.5 * (b - a)) + np.log1p(-np.minimum(s2, 0.25))
+                log_w += e * np.where(s2 < 0.25, centre, ends)
+            built[k] = (t, log_w)
         values = np.asarray(f(np.concatenate([t.ravel() for t, _ in built.values()])), dtype=float)
         end = 0
         for k, (t, log_w) in built.items():
@@ -252,10 +259,11 @@ def integrate_root_intervals(
 
     (a, b) is ``interval``.  ``log_abs`` maps an ndarray of abscissae to
     log|P| (up to a constant) for a polynomial P whose roots in (a, b) are
-    exactly ``roots``, at least one and all simple; it is called once per
-    round, on the nodes of every exponent still open.  ``log_weight``, if
-    given, is the log of a weight smooth on [a, b].  The exponents and
-    ``end_exponent`` must exceed -1.  One result is returned per exponent.
+    exactly ``roots``, all simple; with none, (a, b) is one interval.  It is
+    called once per round, on the nodes of every exponent still open.
+    ``log_weight``, if given, is the log of a weight smooth on [a, b].  The
+    exponents and ``end_exponent`` must exceed -1.  One result is returned
+    per exponent.
 
     First round: each interval between consecutive edges of (a, roots..., b)
     gets the 16- and the 32-node Gauss-Jacobi rule with exponent p at a root
@@ -279,8 +287,8 @@ def integrate_root_intervals(
     if not min(exponents + (e,)) > -1.0:
         raise ValueError(f"exponents must exceed -1, got {exponents} and end exponent {e}")
     edges = np.array([interval[0], *roots, interval[1]], dtype=float)
-    if len(edges) < 3 or np.any(np.diff(edges) <= 0):
-        raise ValueError("roots must be non-empty and strictly increasing inside the interval")
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError("roots must be strictly increasing inside the interval")
 
     def weigh(k, spans, part, first):
         log_f, t, log_w = part

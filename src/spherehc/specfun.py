@@ -164,10 +164,11 @@ def _scaled_ab(lam: float, d: int) -> tuple[list[float], list[float]]:
     return a, b
 
 
-def _log_abs(ab, x) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log|P_d(x)| of a ``_recurrence`` pass, with its shift added in log space."""
+def _log_abs(ab, x, coeffs=None) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log|P_d(x)| (or of the series sum_k coeffs[k] P_k) of a ``_recurrence``
+    pass, with its shift added in log space."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    value, _, shift = _recurrence(*ab, x)
+    value, _, shift = _recurrence(*ab, x, coeffs)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(value)) + _LN2 * shift
     return np.sign(value), log_abs
@@ -236,6 +237,34 @@ def hermite_log_abs(spec: HermiteSpec, y) -> tuple[np.ndarray, np.ndarray]:
     large degree.
     """
     return _log_abs(_hermite_ab(spec.degree), y)
+
+
+def _series_roots(lam: float, coeffs) -> tuple[float, ...]:
+    """The real roots in (-1, 1) of u = sum_k coeffs[k] C_k^(lam), sorted.
+
+    They are the real eigenvalues of u's comrade matrix (Barnett, Linear
+    Algebra Appl. 12, 1975): with v = (C_0, ..., C_{d-1}), the recurrence
+    x C_{k-1} = (C_k + b_k C_{k-2}) / a_k reads x v = T v + (C_d / a_d) e_d
+    for a tridiagonal T, and where u = 0, C_d = -sum_{k<d} coeffs[k] C_k /
+    coeffs[d].  LAPACK gives a real eigenvalue an imaginary part of exactly
+    0; a double root can come out as a complex pair and is then not listed.
+    """
+    coeffs = [float(c) for c in coeffs]
+    # a leading coefficient at most 1e-300 times the largest is dropped: its
+    # comrade row could overflow, and the roots it adds lie far outside [-1, 1]
+    top = max(map(abs, coeffs), default=0.0)
+    while coeffs and abs(coeffs[-1]) <= 1e-300 * top:
+        coeffs.pop()
+    d = len(coeffs) - 1
+    if d < 1:
+        return ()
+    a, b = map(np.array, _gegenbauer_ab(lam, d))
+    matrix = np.zeros((d, d))
+    matrix.flat[1 :: d + 1] = 1.0 / a[:-1]
+    matrix.flat[d :: d + 1] = b[1:] / a[1:]
+    matrix[-1] -= np.array(coeffs[:-1]) / (coeffs[-1] * a[-1])
+    roots = np.linalg.eigvals(matrix).tolist()
+    return tuple(sorted({x.real for x in roots if x.imag == 0.0 and -1.0 < x.real < 1.0}))
 
 
 def _golub_welsch(diag, off, a, b, c, derivative, lo: float, hi: float):

@@ -289,6 +289,15 @@ def test_logsob_explicit_coefficients(capsys):
     assert row["status"] == "holds"
 
 
+def test_logsob_rejects_a_dip_between_grid_points(capsys):
+    # (t - 2^-12)^2 - 5e-8 on S^2 dips below zero only between the points of
+    # a 4,097-point grid; the entropy checks need g >= 0
+    coeffs = "0.3333333429379781,-0.00048828125,0.6666666666666666"
+    code, _, err = run(capsys, "logsob", "--n", "2", "--coeffs", coeffs)
+    assert code == 64
+    assert "g >= 0" in err
+
+
 def test_necessity_rows(capsys):
     code, out, _ = run(
         capsys, "necessity", "--n", "2", "--p", "2", "--q", "4", "--eps", "1e-2,1e-3", "--format", "csv"

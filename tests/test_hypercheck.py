@@ -248,6 +248,15 @@ def test_entropy_rejects_negative_polynomials():
         entropy_functional(ZonalPolynomial(2, (0.0, 1.0)))
 
 
+def test_entropy_rejects_a_dip_between_grid_points():
+    # u = (t - 2^-12)^2 - 5e-8 on S^2: least at t = 2^-12, between the
+    # points of a 4,097-point grid, where its least value is +9.6e-9
+    g = ZonalPolynomial(2, (1 / 3 + 2**-24 - 5e-8, -(2**-11), 2 / 3))
+    assert min(g.profile(np.linspace(-1.0, 1.0, 4097))) > 0.0
+    with pytest.raises(NonnegativityError, match="-5.000e-08"):
+        entropy_functional(g)
+
+
 def test_logsob_constant_is_boundary():
     v = logsob_check(ZonalPolynomial(2, (2.0,)), RHS_BECKNER)
     assert v.status != FAILS

@@ -195,6 +195,25 @@ def test_zonal_norm_matches_single_harmonic():
     assert nv.value == pytest.approx(direct.value, rel=1e-10)
 
 
+def test_zonal_norm_of_one_harmonic_within_bands_of_the_dedicated_path():
+    # the kinks of |C_4|^1.5 are split at the comrade-matrix roots; left to
+    # bisection they put the log norm 2.2e-12 off, against a band of 5.3e-13
+    nv = zonal_lp_norm(SphereParams(3), [0.0, 0.0, 0.0, 0.0, 1.0], 1.5)
+    direct = sphere_lp_norm(SphereParams(3), 4, 1.5)
+    assert nv.converged and direct.converged
+    assert abs(nv.log_value - direct.log_value) <= nv.error_estimate + direct.error_estimate
+
+
+def test_zonal_norm_past_float_overflow():
+    # the integral of |C_8^499.5|^40 is about exp(1416): only its logarithm
+    # fits in a float, though the norm does
+    nv = zonal_lp_norm(SphereParams(1000), [0.0] * 8 + [1.0], 40.0)
+    direct = sphere_lp_norm(SphereParams(1000), 8, 40.0)
+    assert nv.converged
+    assert nv.log_value == pytest.approx(35.45909377330079, rel=1e-14)
+    assert abs(nv.log_value - direct.log_value) <= nv.error_estimate + direct.error_estimate
+
+
 def test_error_estimates_are_honest():
     # reported relative error bounds the observed deviation from the closed form
     for n, d in ((3, 7), (9, 13)):
@@ -380,6 +399,18 @@ def test_fallback_even_powers_within_band_of_oracle(n, d, p):
     res = zonal_power_integral((n - 1) / 2, d, float(p), 1e-12)
     assert res.method == ADAPTIVE and res.converged
     assert abs(res.log_value - _scaled_log_exact(n, d, p)) <= res.relative_error
+
+
+@pytest.mark.parametrize("n", [10001, 100000])
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 4])
+def test_sphere_norms_at_steep_weights_within_band_of_oracle(n, d, p):
+    # e = lam - 1/2 multiplies the rounding of the end weight's logarithm,
+    # which the 16/32 gap does not see
+    nv = sphere_lp_norm(SphereParams(n), d, float(p))
+    exact = log_fraction(sphere_power_integral_exact(Fraction(n - 1, 2), d, p)) / p
+    assert nv.converged
+    assert abs(nv.log_value - exact) <= nv.error_estimate
 
 
 @pytest.mark.parametrize("n", [1500, 5000, 100000])

@@ -180,10 +180,13 @@ def _legendre_reference(f, edges, tol):
     it ran before panels carried exponents: (value, error estimate, panels)."""
 
     def panel(lo, hi):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        (xc, wc), (xf, wf) = _legendre(16), _legendre(32)
-        coarse = half * float(wc @ np.asarray(f(mid + half * xc), dtype=float))
-        fine = half * float(wf @ np.asarray(f(mid + half * xf), dtype=float))
+        half = np.array([0.5 * (hi - lo)])
+        # nodes and weights formed as the integrator forms them: lo + half (1 + x)
+        # and exp(log w + log half)
+        coarse, fine = (
+            float(np.exp(log_w + np.log(half)) @ np.asarray(f(lo + half * (1.0 + x)), dtype=float))
+            for x, log_w in (specfun.jacobi_rule_log(count, 0.0, 0.0) for count in (16, 32))
+        )
         return fine, abs(fine - coarse), abs(fine)
 
     heap, values, ids = [], {}, itertools.count()
@@ -411,7 +414,14 @@ def test_root_intervals_take_several_exponents_in_one_pass():
     assert both == alone
     assert all(r.method == GAUSS_JACOBI and r.converged for r in both)
     with pytest.raises(ValueError):
-        integrate_root_intervals(log_abs, (), (2.0,), 1.0, 1e-12)
+        integrate_root_intervals(log_abs, (0.5, -0.5), (2.0,), 1.0, 1e-12)
+
+
+def test_root_intervals_without_roots_take_one_interval():
+    # integral of (2 + t)^2 (1 - t^2) over [-1, 1] = 16/3 + 2/3 - 2/5 = 28/5
+    (res,) = integrate_root_intervals(lambda t: np.log(2.0 + t), (), (2.0,), 1.0, 1e-12)
+    assert res.converged and res.method == GAUSS_JACOBI and res.subintervals_used == 1
+    assert res.value == pytest.approx(5.6, rel=1e-14)
 
 
 # ------------------------------------------------------------------- gaussian

@@ -263,6 +263,25 @@ def test_root_interlacing(lam):
             assert upper[i] < lower[i] < upper[i + 1]
 
 
+@pytest.mark.parametrize("lam,d", [(0.5, 3), (1.5, 9), (499.5, 8), (2.5, 40)])
+def test_series_roots_of_one_polynomial_are_its_roots(lam, d):
+    # the comrade matrix of C_d alone is similar to its Jacobi matrix
+    roots = specfun._series_roots(lam, [0.0] * d + [1.0])
+    expected = specfun.gegenbauer_roots(GegenbauerSpec(lam, d)).roots
+    assert roots == pytest.approx(expected, rel=0, abs=32 * np.finfo(float).eps)
+
+
+def test_series_roots_are_the_real_roots_inside_the_interval():
+    # on S^2, c + P_2(t) = 1.5 t^2 - 0.5 + c
+    halves = pytest.approx((-0.5, 0.5), rel=0, abs=4 * np.finfo(float).eps)
+    assert specfun._series_roots(0.5, [0.125, 0.0, 1.0]) == halves
+    # trailing zeros and a leading coefficient whose comrade row would overflow
+    assert specfun._series_roots(0.5, [0.125, 0.0, 1.0, 0.0, 1e-310, 0.0]) == halves
+    assert specfun._series_roots(0.5, [-5.5, 0.0, 1.0]) == ()  # roots at +-2
+    assert specfun._series_roots(0.5, [1.0, 0.0, 1.0]) == ()  # a complex pair
+    assert specfun._series_roots(0.5, [3.0]) == specfun._series_roots(0.5, [0.0, 0.0]) == ()
+
+
 def test_rootlist_rejects_disorder():
     with pytest.raises(ValueError):
         RootList((0.5, 0.1), specfun.SPHERE_INTERVAL)
