@@ -17,7 +17,7 @@ import numpy as np
 from . import norms, specfun
 from .norms import SphereParams
 from .quadrature import integrate_piecewise
-from .verdict import FAILS, INCONCLUSIVE, Verdict
+from .verdict import FAILS, INCONCLUSIVE, Verdict, rounding_allowance
 
 __all__ = [
     "NonnegativityError",
@@ -71,6 +71,8 @@ class ExponentPair:
 
     def t_star(self, n: int) -> float:
         """Boundary time of the necessary condition on S^n."""
+        if n < 1:
+            raise ValueError(f"sphere dimension must be >= 1, got {n}")
         return math.log((self.q - 1.0) / (self.p - 1.0)) / (2.0 * math.sqrt(n))
 
 
@@ -149,10 +151,6 @@ def poisson_condition_ii(n: int, p: float, q: float, t: float) -> Verdict:
     return Verdict.exact(-t * math.sqrt(n), _condition_rhs_log(p, q))
 
 
-def _log_rounding(lhs: float, rhs: float) -> float:
-    return 4.0e-16 * (abs(lhs) + abs(rhs) + 1.0)
-
-
 def count1_check(n: int, d: int, p: float, q: float, tol: float = 1e-12) -> Verdict:
     """Zonal-witness inequality at the critical time, in log scale.
 
@@ -169,7 +167,7 @@ def count1_check(n: int, d: int, p: float, q: float, tol: float = 1e-12) -> Verd
     ratio = norms.norm_ratio_sphere(SphereParams(n), d, p, q, tol)
     lhs = ratio.log_value
     rhs = 0.5 * math.sqrt(d * (d + n - 1.0) / n) * math.log((q - 1.0) / (p - 1.0))
-    err = math.inf if not ratio.converged else ratio.error_estimate + _log_rounding(lhs, rhs)
+    err = math.inf if not ratio.converged else ratio.error_estimate + rounding_allowance(lhs, rhs)
     return Verdict.compare(lhs, rhs, err)
 
 
@@ -196,7 +194,7 @@ def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
         + 4.0 * closed.log_value
         - math.log(specfun.c_lambda(lam))
     )
-    band = res.relative_error + _log_rounding(lhs, rhs) + 4.0 * closed.error_estimate
+    band = res.relative_error + rounding_allowance(lhs, rhs) + 4.0 * closed.error_estimate
     err = math.inf if not res.converged else band
     return Verdict.compare(lhs, rhs, err)
 
@@ -372,7 +370,7 @@ def hermite_bound_check(d: int, p: float, q: float, tol: float = 1e-12) -> Verdi
     ratio = norms.norm_ratio_gaussian(d, p, q, tol)
     lhs = ratio.log_value
     rhs = 0.5 * math.sqrt(d) * math.log((q - 1.0) / (p - 1.0))
-    err = math.inf if not ratio.converged else ratio.error_estimate + _log_rounding(lhs, rhs)
+    err = math.inf if not ratio.converged else ratio.error_estimate + rounding_allowance(lhs, rhs)
     return Verdict.compare(lhs, rhs, err)
 
 
@@ -454,6 +452,8 @@ def random_zonal_polynomial(n: int, max_degree: int, rng: np.random.Generator) -
     Gaussian coefficients with decaying scale; the constant term is shifted so
     the profile clears zero with a positive safety margin.
     """
+    if max_degree < 0:
+        raise ValueError(f"degree must be >= 0, got {max_degree}")
     coeffs = rng.normal(size=max_degree + 1) / (1.0 + np.arange(max_degree + 1))
     grid = np.linspace(-1.0, 1.0, 2049)
     prof = np.asarray(specfun.gegenbauer_series((n - 1) / 2, coeffs, grid), dtype=float)

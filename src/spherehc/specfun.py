@@ -15,12 +15,13 @@ and the exponent is kept as a shift.  Division by a power of two is exact,
 so a value that fits in a float is bitwise the bare loop's, and
 log-magnitudes stay finite far beyond float overflow.
 
-Roots are Golub-Welsch eigenvalues (Math. Comp. 23, 1969) of the dense
-tridiagonal Jacobi matrix (numpy.linalg.eigvalsh), polished by one guarded
-Newton step.  Gauss-Jacobi rules, Gauss-Legendre among them, take their
-nodes the same way and their weights, in log space, from the same pass
-(``jacobi_rule_log``), so no other library is needed.  Expanded coefficient
-forms exist only as exact-rational oracles in the test suite.
+Roots are Golub-Welsch eigenvalues (Math. Comp. 23, 1969) of the Jacobi
+matrix built from the same a_k, b_k and c_k (numpy.linalg.eigvalsh), polished
+by one guarded Newton step on that recurrence, so a family's matrix and its
+Newton step cannot disagree.  Gauss-Jacobi rules, Gauss-Legendre among them,
+take their nodes the same way and their weights, in log space, from the same
+pass (``jacobi_rule_log``), so no other library is needed.  Expanded
+coefficient forms exist only as exact-rational oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -267,25 +268,31 @@ def _series_roots(lam: float, coeffs) -> tuple[float, ...]:
     return tuple(sorted({x.real for x in roots if x.imag == 0.0 and -1.0 < x.real < 1.0}))
 
 
-def _golub_welsch(diag, off, a, b, c, derivative, lo: float, hi: float):
-    """Jacobi-matrix eigenvalues and one guarded Newton step toward the roots of P_d.
+def _jacobi_matrix(a, b, c=None) -> np.ndarray:
+    """The recurrence P_k = (a_k x + c_k) P_{k-1} - b_k P_{k-2} as its Jacobi matrix.
 
-    The symmetric tridiagonal matrix has diagonal ``diag`` (zero when None)
-    and off-diagonal ``off``; ``np.linalg.eigvalsh`` returns its eigenvalues
-    in ascending order.  ``a``, ``b`` and ``c`` are P_d's recurrence, and
-    ``derivative(t, P_d, P_{d-1})`` gives P_d' from the same pass.  Steps are
-    capped at 45% of the gap to the nearest neighbor (or ``lo``/``hi``) so
-    roots cannot cross; a vanishing derivative would mean a multiple root.
-
-    Returns the eigenvalues, the steps, and P_d, P_d' and the shift at the
-    eigenvalues.
+    Symmetric tridiagonal, lower half filled: diagonal -c_k / a_k (zero when
+    ``c`` is None) and off-diagonal sqrt(b_{k+1} / (a_k a_{k+1})).  Its
+    eigenvalues are the roots of P_d (Golub and Welsch, Math. Comp. 23, 1969).
     """
-    count = len(off) + 1
+    count, a = len(a), np.array(a)
     matrix = np.zeros((count, count))
-    if diag is not None:
-        matrix.flat[:: count + 1] = diag
-    matrix.flat[count :: count + 1] = off
-    nodes = np.linalg.eigvalsh(matrix, UPLO="L")
+    if c is not None:
+        matrix.flat[:: count + 1] = -np.array(c) / a
+    matrix.flat[count :: count + 1] = np.sqrt(np.array(b[1:]) / (a[:-1] * a[1:]))
+    return matrix
+
+
+def _golub_welsch(a, b, c, derivative, lo: float, hi: float):
+    """Eigenvalues of P_d's Jacobi matrix and one guarded Newton step on P_d's recurrence.
+
+    ``derivative(t, P_d, P_{d-1})`` gives P_d' from the pass that evaluates
+    P_d.  Steps are capped at 45% of the gap to the nearest neighbor (or
+    ``lo``/``hi``) so roots cannot cross; a vanishing derivative would mean a
+    multiple root.  Returns the eigenvalues in ascending order, the steps, and
+    P_d, P_d' and the shift at the eigenvalues.
+    """
+    nodes = np.linalg.eigvalsh(_jacobi_matrix(a, b, c), UPLO="L")
     value, prev, shift = _recurrence(a, b, nodes, c=c)
     slope = derivative(nodes, value, prev)
     if (slope == 0.0).any():
@@ -296,46 +303,31 @@ def _golub_welsch(diag, off, a, b, c, derivative, lo: float, hi: float):
     return nodes, np.maximum(np.minimum(-value / slope, cap), -cap), value, slope, shift
 
 
-def _mirrored(roots: np.ndarray) -> tuple[float, ...]:
-    """Roots of an even or odd polynomial, averaged with their mirror images."""
-    return tuple((0.5 * (roots - roots[::-1])).tolist())
+def _symmetric_roots(ab, derivative, lo: float, hi: float, domain: str) -> RootList:
+    """All d roots of an even or odd P_d with recurrence ``ab``, averaged with their mirror images."""
+    nodes, step, *_ = _golub_welsch(*ab, None, derivative, lo, hi)
+    roots = nodes + step
+    return RootList(tuple((0.5 * (roots - roots[::-1])).tolist()), domain)
 
 
 def gegenbauer_roots(spec: GegenbauerSpec) -> RootList:
-    """All d roots of C_d^(lam) in (-1, 1), via the Jacobi-matrix eigenproblem.
+    """All d roots of C_d^(lam) in (-1, 1), via the Jacobi matrix of its recurrence.
 
-    Off-diagonal entries are sqrt(k (k + 2 lam - 1) / (4 (k + lam)(k + lam - 1))).
     The Newton derivative is (1 - t^2) C_d' = (d + 2 lam - 1) C_{d-1} - d t C_d
     (DLMF 18.9).
     """
     lam, d = spec.lam, spec.degree
-    if d < 2:
-        return RootList((0.0,) * d, SPHERE_INTERVAL)
-    k = np.arange(1.0, d)
-    off = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
-    # Q_k = k! C_k has the same roots, and its coefficients are exact for
-    # half-integer lam: Q_k = 2 (k + lam - 1) t Q_{k-1} - (k - 1)(k + 2 lam - 2) Q_{k-2}
-    a = [2.0 * (k + lam - 1.0) for k in range(1, d + 1)]
-    b = [(k - 1.0) * (k + 2.0 * lam - 2.0) for k in range(1, d + 1)]
-    nodes, step, *_ = _golub_welsch(
-        None, off, a, b, None,
-        lambda t, q, q1: d * ((d + 2.0 * lam - 1.0) * q1 - t * q) / (1.0 - t * t), -1.0, 1.0,
-    )
-    return RootList(_mirrored(nodes + step), SPHERE_INTERVAL)
+    derivative = lambda t, c, c1: ((d + 2.0 * lam - 1.0) * c1 - d * t * c) / (1.0 - t * t)
+    return _symmetric_roots(_gegenbauer_ab(lam, d), derivative, -1.0, 1.0, SPHERE_INTERVAL)
 
 
 def hermite_roots(spec: HermiteSpec) -> RootList:
-    """All d roots of h_d on the real line, via the Jacobi matrix (off-diagonal sqrt(k)).
+    """All d roots of h_d on the real line, via the Jacobi matrix of its recurrence.
 
     The Newton derivative is h_d' = d h_{d-1}.
     """
     d = spec.degree
-    if d < 2:
-        return RootList((0.0,) * d, REAL_LINE)
-    off = np.sqrt(np.arange(1.0, d))
-    a, b = _hermite_ab(d)
-    nodes, step, *_ = _golub_welsch(None, off, a, b, None, lambda t, h, h1: d * h1, -math.inf, math.inf)
-    return RootList(_mirrored(nodes + step), REAL_LINE)
+    return _symmetric_roots(_hermite_ab(d), lambda t, h, h1: d * h1, -math.inf, math.inf, REAL_LINE)
 
 
 def jacobi_rule_log(count: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -373,16 +365,12 @@ def jacobi_rule_log(count: int, alpha: float, beta: float) -> tuple[np.ndarray, 
     a[1:] = (t - 1.0) * t / (2.0 * u)
     c[1:] = (0.5 * diff * s) * (t - 1.0) / v
     b = (j + (alpha - 1.0)) * (j + (beta - 1.0)) * t / v
-    # the symmetric Jacobi matrix of the same recurrence
-    diag, off = -c / a, np.sqrt(b / (a[:-1] * a[1:]))
     tilt, last = m / (2.0 * m + s), 2.0 * (m + alpha) * (m + beta) / (2.0 * m + s)
 
     def derivative(x, p, p1):
         return ((diff * tilt - m * x) * p + last * p1) / ((1.0 - x) * (1.0 + x))
 
-    x, step, value, slope, shift = _golub_welsch(
-        diag, off, a.tolist(), [0.0, *b.tolist()], c.tolist(), derivative, -1.0, 1.0
-    )
+    x, step, value, slope, shift = _golub_welsch(a.tolist(), [0.0, *b.tolist()], c.tolist(), derivative, -1.0, 1.0)
     # P_m' at x + step; (1 - x^2) P_m'' = (alpha - beta + (s + 2) x) P_m' - m (m + s + 1) P_m
     curvature = ((diff + (s + 2.0) * x) * slope - m * (m + s + 1.0) * value) / ((1.0 - x) * (1.0 + x))
     nodes = x + step

@@ -10,6 +10,11 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
+def rounding_allowance(lhs: float, rhs: float) -> float:
+    """A few ulps of the float evaluation of both sides: 4e-16 (|lhs| + |rhs| + 1)."""
+    return 4.0e-16 * (abs(lhs) + abs(rhs) + 1.0)
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of one checked inequality ``lhs <= rhs``.
@@ -50,7 +55,7 @@ class Verdict:
         if math.isinf(lhs) or math.isinf(rhs):
             rounding = 0.0
         else:
-            rounding = 4.0e-16 * (abs(lhs) + abs(rhs) + 1.0)
+            rounding = rounding_allowance(lhs, rhs)
         status = HOLDS if margin >= -rounding else FAILS
         return cls(lhs, rhs, margin, rounding, status)
 

@@ -80,6 +80,42 @@ def test_bad_jobs_is_usage_error(capsys):
     assert code == 64
 
 
+_NECESSITY = ("necessity", "--n", "2", "--p", "2", "--q", "4")
+
+
+@pytest.mark.parametrize("argv", [
+    # degrees past cli.MAX_DEGREE, rejected before any Jacobi matrix is built
+    ("ratio", "--n", "2", "--d", "100000", "--p", "2", "--q", "4"),
+    ("ratio", "--gaussian", "--d", "2001", "--p", "2", "--q", "4"),
+    ("limit", "--d", "5000", "--p", "2", "--q", "4", "--n", "10"),
+    ("scan", "--p", "2", "--q", "4", "--n-max", "3", "--d-max", "3000"),
+    ("logsob", "--n", "2", "--random", "1", "--degree", "2001"),
+    ("logsob", "--n", "2", "--coeffs", ",".join(["1"] * 2002)),
+    ("logsob", "--n", "2", "--random", "1", "--degree", "-1"),
+    ("necessity", "--n", "0", "--p", "2", "--q", "4"),
+    ("necessity", "--n", "-1", "--p", "2", "--q", "4"),
+    # non-finite numbers
+    ("ratio", "--n", "3", "--d", "5", "--p", "2", "--q", "inf"),
+    ("scan", "--p", "2", "--q", "inf", "--n-max", "3", "--d-max", "3"),
+    ("scan", "--p", "nan", "--q", "4", "--n-max", "3", "--d-max", "3"),
+    (*_NECESSITY, "--t", "inf"),
+    (*_NECESSITY, "--eps", "1e-2,nan"),
+    ("subordination", "--x", "inf"),
+    ("logsob", "--n", "2", "--coeffs", "nan,1"),
+    # an empty list, and checks only the library makes
+    (*_NECESSITY, "--eps", ","),
+    ("lemma", "--n", "2,0", "--k-max", "3"),
+    ("subordination", "--x", "1,-1"),
+    (*_NECESSITY, "--t", "-1"),
+    ("necessity", "--n", "2", "--p", "4", "--q", "2"),
+    ("ratio", "--n", "3", "--d", "0", "--p", "2", "--q", "4"),
+])
+def test_hostile_argv_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 64, err
+    assert "error:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,code", [(["lemma", "--n", "2", "--k-max", "3"], 0), (["lemma", "--frobnicate"], 64)])
 def test_python_dash_m_runs_the_cli(argv, code):
     src = str(Path(spherehc.__file__).resolve().parents[1])

@@ -58,6 +58,9 @@ def test_exponent_pair():
         ExponentPair(1.0, 2.0)
     with pytest.raises(ValueError):
         ExponentPair(3.0, 2.0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="dimension"):
+            pair.t_star(n)
 
 
 # ---------------------------------------------------------------- semigroup
@@ -294,6 +297,11 @@ def test_random_zonal_polynomials_are_nonnegative():
     for _ in range(25):
         g = random_zonal_polynomial(3, 8, rng)
         assert float(np.min(np.asarray(g.profile(grid)))) >= 0.0
+
+
+def test_random_zonal_polynomial_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="degree"):
+        random_zonal_polynomial(2, -1, np.random.default_rng(0))
 
 
 # -------------------------------------------------------------- necessity

@@ -282,6 +282,49 @@ def test_series_roots_are_the_real_roots_inside_the_interval():
     assert specfun._series_roots(0.5, [3.0]) == specfun._series_roots(0.5, [0.0, 0.0]) == ()
 
 
+_ROOT_LAMBDAS = [0.5, 1.0, 6.0, 499.5, 2499.5]
+
+
+@pytest.mark.parametrize("lam", _ROOT_LAMBDAS)
+def test_jacobi_matrix_of_the_recurrence_has_the_closed_form_entries(lam):
+    # the closed forms the root finders once wrote beside their recurrences:
+    # Gegenbauer sqrt(k (k + 2 lam - 1) / (4 (k + lam)(k + lam - 1))), Hermite sqrt(k)
+    d = 400
+    k = np.arange(1.0, d)
+    matrix = specfun._jacobi_matrix(*specfun._gegenbauer_ab(lam, d))
+    closed = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
+    np.testing.assert_allclose(np.diag(matrix, -1), closed, rtol=4 * np.finfo(float).eps, atol=0)
+    assert not np.diag(matrix).any() and not np.triu(matrix).any()
+    matrix = specfun._jacobi_matrix(*specfun._hermite_ab(d))
+    assert np.array_equal(np.diag(matrix, -1), np.sqrt(k))
+    assert not np.diag(matrix).any() and not np.triu(matrix).any()
+
+
+@pytest.mark.parametrize("lam", _ROOT_LAMBDAS)
+def test_gegenbauer_roots_match_a_50_digit_recurrence(lam):
+    # one 50-digit Newton step on C_d from a float root lands within ~1e-32 of
+    # the true root.  The root nearest 0 carries the rounding of the float
+    # recurrence: at most 5.4 ulps over d <= 400 (lam = 0.5, d = 254); the
+    # others stay within about 1
+    from mpmath import mp
+
+    with mp.workdps(50):
+        lam_mp = mp.mpf(lam)
+        a = [2 * (k + lam_mp - 1) / k for k in range(1, 401)]
+        b = [(k + 2 * lam_mp - 2) / k for k in range(1, 401)]
+        for d in (1, 2, 7, 40, 254, 400):
+            roots = specfun.gegenbauer_roots(GegenbauerSpec(lam, d)).roots
+            # the roots are symmetric; past d = 40, every fifth from the middle out
+            for i in range(d // 2, d, 1 if d <= 40 else 5):
+                t = mp.mpf(roots[i])
+                prev, cur = mp.mpf(1), a[0] * t
+                for k in range(1, d):
+                    prev, cur = cur, a[k] * t * cur - b[k] * prev
+                exact = t - cur * (1 - t * t) / ((d + 2 * lam_mp - 1) * prev - d * t * cur)
+                ulp = np.spacing(max(abs(float(exact)), np.finfo(float).tiny))
+                assert abs(float(exact - t)) <= 8 * ulp, (d, i)
+
+
 def test_rootlist_rejects_disorder():
     with pytest.raises(ValueError):
         RootList((0.5, 0.1), specfun.SPHERE_INTERVAL)
