@@ -34,6 +34,8 @@ _EQUALITY_ATOL = 1e-14
 # the largest degree any option may ask for: root finders build a dense d x d
 # Jacobi matrix (32 MB here), and count1_check takes about 2 s at d = 2000
 MAX_DEGREE = 2000
+# the largest --k-max: lemma holds a row per k in memory (112 MB at the cap)
+MAX_K = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -467,6 +469,8 @@ def _dispatch(parser: _Parser, args) -> int:
     degree = max(len(coeffs) - 1, *(getattr(args, name, 0) for name in ("d", "d_max", "degree")))
     if degree > MAX_DEGREE:
         parser.error(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+    if getattr(args, "k_max", 0) > MAX_K:
+        parser.error(f"--k-max {args.k_max} exceeds the cap of {MAX_K}")
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

@@ -181,19 +181,16 @@ def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
     instead of a quadrature one); the two must agree in status on every grid
     cell.  The Beta functions are taken as (n - 1)^2 / (d^2 (2d + n - 1)^2
     B(n-1, d)^2) = ||Y_d||_2^4 and B(1/2, n/2) = 1 / c_lam, both without
-    lgamma cancellation, and the band adds 4 times the closed form's.
+    lgamma cancellation, and the band adds 4 times the closed form's.  The
+    lhs is ``norms.zonal_power_integral``'s log ||Y_d||_4^4 minus log c_lam.
     """
     if n < 2 or d < 1:
         raise ValueError(f"need n >= 2 and d >= 1, got ({n}, {d})")
-    lam = (n - 1) / 2
-    res = norms.zonal_power_integral(lam, d, 4.0, tol, normalized=False)
-    lhs = 4.0 * (0.5 * d * math.log(2.0 * lam) - specfun.log_gamma(d + 1.0)) + res.log_value
+    log_c = math.log(specfun.c_lambda((n - 1) / 2))
+    res = norms.zonal_power_integral((n - 1) / 2, d, 4.0, tol)
+    lhs = res.log_value - log_c
     closed = norms.sphere_l2_norm_closed(SphereParams(n), d)
-    rhs = (
-        math.sqrt(d * (d + n - 1.0) / n) * math.log(9.0)
-        + 4.0 * closed.log_value
-        - math.log(specfun.c_lambda(lam))
-    )
+    rhs = math.sqrt(d * (d + n - 1.0) / n) * math.log(9.0) + 4.0 * closed.log_value - log_c
     band = res.relative_error + rounding_allowance(lhs, rhs) + 4.0 * closed.error_estimate
     err = math.inf if not res.converged else band
     return Verdict.compare(lhs, rhs, err)
@@ -304,6 +301,10 @@ def logsob_check(g: ZonalPolynomial, rhs_kind: str, tol: float = 1e-10) -> Verdi
     """
     if rhs_kind not in (RHS_BECKNER, RHS_SQRT_EIGENVALUE):
         raise ValueError(f"unknown rhs kind {rhs_kind!r}")
+    if not any(g.coeffs[1:]):
+        # a constant g: its entropy and every term of the sum are exactly 0
+        _require_nonnegative(g)
+        return Verdict.exact(0.0, 0.0)
     lhs, err, converged, terms = _entropy_with_error(g, tol)
     if rhs_kind == RHS_BECKNER:
         coefficients = [beckner_constant(g.n, k) for k in range(len(terms))]

@@ -1,9 +1,10 @@
 """L^p norms of zonal spherical harmonics and of Hermite polynomials in Gauss space.
 
 All norms carry a log-scale accessor so ratios of astronomically large values
-(right-hand sides reach 9^sqrt(d(d+n-1)/n)) never leave log space.  The scaling
-prefactor d!/(2 lam)^(d/2) cancels in every ratio, so the scaled Gegenbauer
-evaluator is used throughout.
+(right-hand sides reach 9^sqrt(d(d+n-1)/n)) never leave log space.  Every
+zonal |u|^p integral, of Y_d or of a series, takes one path
+(``_zonal_integrals``): log|u| from the plain Gegenbauer recurrence, whose
+rescale shift keeps it finite past the float range, split at u's roots.
 """
 
 from __future__ import annotations
@@ -81,46 +82,38 @@ class RatioValue:
     converged: bool = True
 
 
-def zonal_power_integral(
-    lam: float, d: int, p: float, tol: float, normalized: bool = True
-) -> IntegralResult:
-    """integral over [-1, 1] of |C_d^(lam)(t)|^p (1 - t^2)^(lam - 1/2) dt, rescaled.
+def zonal_power_integral(lam: float, d: int, p: float, tol: float) -> IntegralResult:
+    """integral over [-1, 1] of |C_d^(lam)(t)|^p c_lam (1 - t^2)^(lam - 1/2) dt for d >= 1.
 
-    Returned is the integral of the *scaled* profile |G_d(s)|^p,
-    G_d(s) = (d! / (2 lam)^(d/2)) C_d^(lam)(s / sqrt(2 lam)), against the
-    weight: the raw integral equals the result times ((2 lam)^(d/2) / d!)^p.
-    With ``normalized`` the weight carries c_lam (probability normalization);
-    without it the bare weight of the counterexample inequality is used.
-
-    The roots of C_d^(lam) split [-1, 1] for
-    ``quadrature.integrate_root_intervals``, with the end exponent
-    lam - 1/2.  log|G| comes from ``specfun.gegenbauer_log_abs_scaled``,
-    which keeps the recurrence's power-of-two shift, so ``log_value`` stays
-    finite where G or |G|^p overflows.  ``norm_ratio_sphere`` integrates both
-    exponents of a ratio in one pass.  Where 32 nodes do not resolve an
-    interval (at lam ~ 500, say, where (1 - t^2)^(lam - 1/2) is steep) the
-    integrator bisects in log space and ``method`` is ADAPTIVE.
-
-    ``relative_error`` is the integrator's, plus a floor of 4 p (d + 1) eps
-    for the rounding of the d-step recurrence, which the 16/32 gap does not
-    show.
+    With lam = (n - 1) / 2 this is ||Y_d||_p^p on S^n; see ``_zonal_integrals``.
     """
-    return _zonal_power_integrals(lam, d, (p,), tol, normalized)[0]
-
-
-def _zonal_power_integrals(
-    lam: float, d: int, exponents, tol: float, normalized: bool = True
-) -> list[IntegralResult]:
-    """``zonal_power_integral`` for each exponent, from one root split and one recurrence pass per round."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    scale = math.sqrt(2.0 * lam)
-    log_c = math.log(specfun.c_lambda(lam)) if normalized else 0.0
+    return _zonal_integrals(lam, d, None, (p,), tol)[0]
+
+
+def _zonal_integrals(lam: float, d: int, coeffs, exponents, tol: float) -> list[IntegralResult]:
+    """integral over [-1, 1] of |u(t)|^p c_lam (1 - t^2)^(lam - 1/2) dt for each exponent p.
+
+    u is C_d^(lam) when ``coeffs`` is None, else the degree-d series
+    sum_k coeffs[k] C_k^(lam).  Its real roots in (-1, 1), from
+    ``specfun.gegenbauer_roots`` or from its comrade matrix, split [-1, 1]
+    for ``quadrature.integrate_root_intervals`` with the end exponent
+    lam - 1/2, and log|u| comes from one pass of the plain recurrence per
+    round, so ``log_value`` stays finite where u or the integral passes the
+    float range.  Where 32 nodes do not resolve an interval (at lam ~ 500,
+    say, where (1 - t^2)^(lam - 1/2) is steep) the integrator bisects in log
+    space and ``method`` is ADAPTIVE.  ``relative_error`` is the
+    integrator's, plus a floor of 4 p (d + 1) eps for the rounding of the
+    d-step recurrence, which the 16/32 gap does not show.
+    """
     spec = specfun.GegenbauerSpec(lam, d)
-    roots = specfun.gegenbauer_roots(spec).roots
+    roots = specfun.gegenbauer_roots(spec).roots if coeffs is None else specfun._series_roots(lam, coeffs)
+    ab = specfun._gegenbauer_ab(lam, d)
+    log_c = math.log(specfun.c_lambda(lam))
 
     def log_abs(t: np.ndarray) -> np.ndarray:
-        return specfun.gegenbauer_log_abs_scaled(spec, scale * t)[1]
+        return specfun._log_abs(ab, t, coeffs)[1]
 
     out = []
     for p, res in zip(exponents, integrate_root_intervals(log_abs, roots, exponents, lam - 0.5, tol)):
@@ -131,12 +124,12 @@ def _zonal_power_integrals(
     return out
 
 
-def _norm_from_integral(res: IntegralResult, p: float, log_prefactor: float, method: str) -> NormValue:
+def _norm_from_integral(res: IntegralResult, p: float) -> NormValue:
     if not (res.value > 0 and math.isfinite(res.log_value)):
         raise ArithmeticError(f"norm integral is {res.value}, not a finite positive number")
-    log_norm = log_prefactor + res.log_value / p
+    log_norm = res.log_value / p
     rel = res.relative_error / p + _ROUNDING
-    return NormValue(_exp(log_norm), p, rel, method, log_norm, res.converged)
+    return NormValue(_exp(log_norm), p, rel, QUADRATURE, log_norm, res.converged)
 
 
 def sphere_lp_norm(
@@ -163,14 +156,7 @@ def sphere_lp_norm(
         return _circle_lp_norm(d, p, circle_convention)
     if d == 0:
         return NormValue(1.0, p, 0.0, CLOSED_FORM, 0.0)
-    return _zonal_norms(params.lam, d, (p,), tol)[0]
-
-
-def _zonal_norms(lam: float, d: int, exponents, tol: float) -> list[NormValue]:
-    """||Y_d||_p on S^n (lam = (n - 1) / 2, d >= 1) for each p, from one root-split pass."""
-    prefactor = 0.5 * d * math.log(2.0 * lam) - specfun.log_gamma(d + 1.0)
-    integrals = _zonal_power_integrals(lam, d, exponents, tol)
-    return [_norm_from_integral(res, p, prefactor, QUADRATURE) for p, res in zip(exponents, integrals)]
+    return _norm_from_integral(_zonal_integrals(params.lam, d, None, (p,), tol)[0], p)
 
 
 def _circle_lp_norm(d: int, p: float, convention: str | None) -> NormValue:
@@ -264,7 +250,7 @@ def _gaussian_norms(d: int, exponents, tol: float) -> list[NormValue]:
         log_tail = p * log_abs_radius - 0.5 * radius * radius
         rel = res.relative_error + _exp(log_tail - res.log_value) + 4.0 * p * (d + 1) * _EPS
         res = IntegralResult.from_log(res.log_value, rel, res.subintervals_used, res.converged, res.method)
-        out.append(_norm_from_integral(res, p, 0.0, QUADRATURE))
+        out.append(_norm_from_integral(res, p))
     return out
 
 
@@ -299,7 +285,7 @@ def norm_ratio_sphere(
             sphere_lp_norm(params, d, q, tol, circle_convention),
             sphere_lp_norm(params, d, p, tol, circle_convention),
         )
-    return _ratio(*_zonal_norms(params.lam, d, (q, p), tol))
+    return _ratio(*map(_norm_from_integral, _zonal_integrals(params.lam, d, None, (q, p), tol), (q, p)))
 
 
 def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> RatioValue:
@@ -312,24 +298,10 @@ def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> Ratio
 
 
 def zonal_lp_norm(params: SphereParams, coeffs, p: float, tol: float = 1e-12) -> NormValue:
-    """||sum_k a_k Y_k||_p on S^n (n >= 2) by quadrature of the zonal profile u.
-
-    As in ``zonal_power_integral``, the real roots of u in (-1, 1), here from
-    its comrade matrix, split [-1, 1] for ``integrate_root_intervals``, and
-    log|u| comes from one series pass of the recurrence.
-    """
+    """||sum_k a_k Y_k||_p on S^n (n >= 2) from ``_zonal_integrals``, as for ``zonal_power_integral``."""
     if params.n < 2:
         raise ValueError(f"zonal quadrature needs n >= 2, got {params.n}")
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    lam = params.lam
     coeffs = np.asarray(coeffs, dtype=float).tolist()
-    ab = specfun._gegenbauer_ab(lam, len(coeffs) - 1)
-
-    def log_abs(t: np.ndarray) -> np.ndarray:
-        return specfun._log_abs(ab, t, coeffs)[1]
-
-    # the integrator carries the weight (1 - t^2)^(lam - 1/2), and c_lam
-    # enters the prefactor
-    (res,) = integrate_root_intervals(log_abs, specfun._series_roots(lam, coeffs), (p,), lam - 0.5, tol)
-    return _norm_from_integral(res, p, math.log(specfun.c_lambda(lam)) / p, QUADRATURE)
+    return _norm_from_integral(_zonal_integrals(params.lam, len(coeffs) - 1, coeffs, (p,), tol)[0], p)

@@ -55,6 +55,9 @@ _COARSE = 16
 _FINE = 32
 _RULES = (slice(0, _COARSE), slice(_COARSE, _COARSE + _FINE))  # the two rules in a row of 48 nodes
 _EPS = float(np.finfo(float).eps)
+# a 16-node sum e^700 times the 32-node one is as wrong as any larger; capped
+# there, a gap stays finite (MAX_PANELS of e^700 sum below the float max)
+_LOG_GAP_CAP = 700.0
 
 
 @lru_cache(maxsize=256)
@@ -298,7 +301,7 @@ def integrate_root_intervals(
         terms = [(log_f[:, rule], log_w[:, rule]) for rule in _RULES]
         if first:
             coarse, fine = (float(_log_sum_exp((rule_f + rule_w).ravel())) for rule_f, rule_w in terms)
-            gap = abs(math.expm1(coarse - fine)) if math.isfinite(fine) else math.inf
+            gap = abs(math.expm1(min(coarse - fine, _LOG_GAP_CAP))) if math.isfinite(fine) else math.inf
             # each summand's logarithm is rounded at the size of its parts, which
             # is a relative error of the sum the m/2m gap does not see
             fine_f, fine_w = terms[1]
@@ -313,7 +316,7 @@ def integrate_root_intervals(
         coarse, fine, size = sums.T
         total = float(_log_sum_exp(fine))
         share = np.exp(fine - total)
-        err = np.abs(np.exp(coarse - total) - share)
+        err = np.abs(np.exp(np.minimum(coarse - total, _LOG_GAP_CAP)) - share)
         gap = math.fsum(err)
         rounding = 4.0 * _EPS * math.fsum(share * size)
         converged = math.isfinite(total) and gap <= tol + rounding

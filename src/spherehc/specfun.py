@@ -39,7 +39,6 @@ __all__ = [
     "RootList",
     "gegenbauer_eval",
     "gegenbauer_eval_scaled",
-    "gegenbauer_log_abs_scaled",
     "gegenbauer_series",
     "hermite_eval",
     "hermite_log_abs",
@@ -201,20 +200,10 @@ def gegenbauer_eval_scaled(spec: GegenbauerSpec, s) -> float | np.ndarray:
         G_d = ((d + lam - 1)/lam) s G_{d-1} - ((d-1)(d + 2 lam - 2)/(2 lam)) G_{d-2}
 
     so no factorial or power of lam is ever formed; values are exact up to
-    rounding until they pass the float range, where they become inf
-    (``gegenbauer_log_abs_scaled`` stays finite there).
+    rounding until they pass the float range, where they become inf.
     Converges to the Hermite value h_d(s) as lam -> inf.
     """
     return _plain(_recurrence(*_scaled_ab(spec.lam, spec.degree), s), s)
-
-
-def gegenbauer_log_abs_scaled(spec: GegenbauerSpec, s) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log|G_d(s)| of ``gegenbauer_eval_scaled`` as arrays matching ``s``.
-
-    The rescale shift is added in log space, so log|G_d| stays finite where
-    G_d itself passes the float range (from d = 171 on S^2).
-    """
-    return _log_abs(_scaled_ab(spec.lam, spec.degree), s)
 
 
 def gegenbauer_series(lam: float, coeffs, x) -> float | np.ndarray:

@@ -109,6 +109,9 @@ _NECESSITY = ("necessity", "--n", "2", "--p", "2", "--q", "4")
     (*_NECESSITY, "--t", "-1"),
     ("necessity", "--n", "2", "--p", "4", "--q", "2"),
     ("ratio", "--n", "3", "--d", "0", "--p", "2", "--q", "4"),
+    # a k-max past cli.MAX_K, rejected before lemma_table allocates
+    ("lemma", "--n", "2", "--k-max", "10000000000000"),
+    ("lemma", "--n", "2", "--k-max", "100001"),
 ])
 def test_hostile_argv_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -124,13 +127,14 @@ def test_python_dash_m_runs_the_cli(argv, code):
     assert done.returncode == code, done.stderr
 
 
-def test_boundary_tie_exits_inconclusive(capsys):
-    # a constant polynomial sits exactly on the log-Sobolev boundary (0 <= 0):
-    # the margin cannot clear the error band, so the contract reports 3
-    code, out, _ = run(capsys, "logsob", "--n", "2", "--coeffs", "1", "--format", "csv")
-    assert code == 3
-    row = next(csv.DictReader(io.StringIO(out)))
-    assert row["status"] == "inconclusive"
+@pytest.mark.parametrize("argv", [("--n", "2", "--coeffs", "3"), ("--n", "3", "--random", "2", "--degree", "0")])
+def test_constant_polynomial_holds_on_the_boundary(capsys, argv):
+    # a constant g sits exactly on the log-Sobolev boundary: both sides are
+    # 0, which a quadrature lhs of about 1e-15 left inconclusive
+    code, out, _ = run(capsys, "logsob", *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows and all(row["status"] == "holds" and float(row["margin"]) == 0.0 for row in rows)
 
 
 # -------------------------------------------------------------------- schema

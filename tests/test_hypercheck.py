@@ -268,6 +268,16 @@ def test_logsob_constant_is_boundary():
 
 
 @pytest.mark.parametrize("rhs_kind", [RHS_BECKNER, RHS_SQRT_EIGENVALUE])
+def test_logsob_constant_holds_exactly(rhs_kind):
+    # a constant g has entropy 0 and only zero terms in the sum, so the
+    # verdict is exact; a quadrature lhs of about 1e-15 was inconclusive
+    v = logsob_check(ZonalPolynomial(3, (3.0, 0.0, 0.0)), rhs_kind)
+    assert v.status == HOLDS and v.lhs == v.rhs == 0.0
+    with pytest.raises(NonnegativityError):
+        logsob_check(ZonalPolynomial(3, (-3.0,)), rhs_kind)
+
+
+@pytest.mark.parametrize("rhs_kind", [RHS_BECKNER, RHS_SQRT_EIGENVALUE])
 def test_logsob_small_perturbation(rhs_kind):
     # both coefficient families equal 2 at k=1, so the margin is higher order
     for n in (2, 3):

@@ -21,17 +21,15 @@ from spherehc.norms import (
     zonal_lp_norm,
     zonal_power_integral,
 )
-from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, _jacobi_log_rule, integrate_piecewise
+from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, _jacobi_log_rule, integrate_piecewise, integrate_root_intervals
 from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE
 
 from oracles import hermite_fourth_moment, log_fraction, simpson_composite, sphere_power_integral_exact
 
 
-def _scaled_log_exact(n: int, d: int, p: int) -> float:
-    """log of the exact zonal_power_integral value, (d!/(2 lam)^(d/2))^p times the oracle."""
-    lam = Fraction(n - 1, 2)
-    raw = sphere_power_integral_exact(lam, d, p)
-    return log_fraction(raw * Fraction(math.factorial(d)) ** p / (2 * lam) ** (d * p // 2))
+def _log_exact(n: int, d: int, p: int) -> float:
+    """log of the exact zonal_power_integral value, the normalized integral of |C_d|^p."""
+    return log_fraction(sphere_power_integral_exact(Fraction(n - 1, 2), d, p))
 
 
 def test_degree_zero_norm_is_one():
@@ -231,7 +229,7 @@ def test_error_estimates_are_honest():
 def test_root_interval_rule_error_is_honest(n, d, p):
     res = zonal_power_integral((n - 1) / 2, d, float(p), 1e-12)
     assert res.method == GAUSS_JACOBI and res.converged
-    assert abs(res.log_value - _scaled_log_exact(n, d, p)) <= res.relative_error
+    assert abs(res.log_value - _log_exact(n, d, p)) <= res.relative_error
 
 
 @pytest.mark.parametrize("n,d,p", [(2, 30, 1.5), (3, 30, 1.5), (3, 7, 3.0), (13, 7, 1.5), (13, 30, 3.0)])
@@ -246,8 +244,7 @@ def test_root_interval_rule_matches_adaptive_for_odd_powers(n, d, p):
     ref = integrate_piecewise(f, specfun.gegenbauer_roots(spec), (-1.0, 1.0), 1e-13)
     res = zonal_power_integral(lam, d, p, 1e-13)
     assert ref.converged and res.method == GAUSS_JACOBI
-    log_raw = res.log_value + p * (0.5 * d * math.log(2 * lam) - math.lgamma(d + 1))
-    diff = abs(log_raw - ref.log_value)
+    diff = abs(res.log_value - ref.log_value)
     assert diff <= res.relative_error + ref.relative_error
     assert diff <= 1e-12
 
@@ -258,47 +255,57 @@ def test_steep_weight_falls_back_to_adaptive_panels():
     # log c_lam free of lgamma cancellation (about 1e-13 at lam = 499.5)
     res = zonal_power_integral(499.5, 6, 4.0, 1e-12)
     assert res.method == ADAPTIVE and res.converged
-    exact = _scaled_log_exact(1000, 6, 4)
+    exact = _log_exact(1000, 6, 4)
     assert res.value == pytest.approx(math.exp(exact), rel=1e-14)
     assert abs(res.log_value - exact) <= res.relative_error
 
 
-@pytest.mark.parametrize("n,d,p", [(30, 50, 8), (20, 40, 12)])
+@pytest.mark.parametrize("n,d,p", [(30, 50, 20), (20, 40, 24)])
 def test_adaptive_fallback_past_float_range(n, d, p):
     # the 16/32 gap misses tol here and the integral's log passes 709; the
     # fallback integrates relative to the rule's estimate, so it stays finite
     res = zonal_power_integral((n - 1) / 2, d, float(p), 1e-12)
     assert res.method == ADAPTIVE and res.converged
-    exact = _scaled_log_exact(n, d, p)
+    exact = _log_exact(n, d, p)
     assert exact > 709
     assert abs(res.log_value - exact) <= res.relative_error
 
 
-@pytest.mark.parametrize("d", [171, 200])
+@pytest.mark.parametrize("d", [171, 200, 400])
 def test_l2_norm_past_factorial_overflow_matches_closed_form(d):
-    # from d = 171 G_d = d! P_d passes the float range on S^2; log|G_d| keeps
-    # the recurrence's shift, so the norm stays finite
+    # from d = 171 on, d! passes the float range; the integrand |P_d|^2 on
+    # S^2 carries no such factor, so neither the value nor the rounding term
+    # of the band grows with log d!.  A profile scaled by d! / (2 lam)^(d/2)
+    # gave a band of 2.15e-12 and a gap of 1.7e-13 at d = 400
     quad = sphere_lp_norm(SphereParams(2), d, 2.0)
     closed = sphere_l2_norm_closed(SphereParams(2), d)
+    band = quad.error_estimate + closed.error_estimate
     assert quad.method == QUADRATURE and quad.converged
-    assert abs(quad.log_value - closed.log_value) <= quad.error_estimate + closed.error_estimate
+    assert abs(quad.log_value - closed.log_value) <= min(band, 1e-14)
+    assert band <= 1e-12
 
 
 def test_gap_below_an_ulp_of_the_log_integral_converges():
-    # the log integral is about 7990, where one ulp (9.1e-13) is close to tol:
-    # a 16/32 gap within tol plus the log-sum rounding is accepted, and the
-    # value agrees with the adaptive panels within the two bands
+    # log|400! P_400| to the 4th power integrates to about 7990, where one ulp
+    # (9.1e-13) is close to tol: a 16/32 gap within tol plus the log-sum
+    # rounding is accepted, and the value agrees with the adaptive panels
+    # within the two bands
     spec = specfun.GegenbauerSpec(0.5, 400)
-    res = zonal_power_integral(0.5, 400, 4.0, 1e-12, normalized=False)
+    ab = specfun._gegenbauer_ab(0.5, 400)
+
+    def log_abs(t):
+        return specfun._log_abs(ab, t)[1] + math.lgamma(401.0)
+
+    roots = specfun.gegenbauer_roots(spec).roots
+    (res,) = integrate_root_intervals(log_abs, roots, (4.0,), 0.0, 1e-12)
     assert res.method == GAUSS_JACOBI and res.converged
     assert res.log_value > 4096
 
-    # relative to exp(res.log_value), so the panels' integrand fits a float;
-    # at lam = 1/2 the weight is 1 and G_d is evaluated at s = t
+    # relative to exp(res.log_value), so the panels' integrand fits a float
     def f(t):
-        return np.exp(4.0 * specfun.gegenbauer_log_abs_scaled(spec, t)[1] - res.log_value)
+        return np.exp(4.0 * log_abs(t) - res.log_value)
 
-    ref = integrate_piecewise(f, specfun.gegenbauer_roots(spec), (-1.0, 1.0), 1e-12)
+    ref = integrate_piecewise(f, roots, (-1.0, 1.0), 1e-12)
     assert ref.converged
     assert abs(ref.log_value) <= res.relative_error + ref.relative_error
 
@@ -380,9 +387,12 @@ def test_gaussian_kink_panels_match_legendre_panels(d):
 
 def test_zonal_fallback_panels_match_legendre_panels():
     # (n, d, p) = (1000, 30, 1.5): 432 Legendre panels gave this log integral
-    res = zonal_power_integral(499.5, 30, 1.5, 1e-12, normalized=False)
+    # of the scaled profile d!/(2 lam)^(d/2) C_d(s/sqrt(2 lam)) against the
+    # bare weight; it is converted to the normalized integral of |C_d|^p
+    ref = 52.439212310665624 + 1.5 * (15.0 * math.log(999.0) - math.lgamma(31.0)) + math.log(specfun.c_lambda(499.5))
+    res = zonal_power_integral(499.5, 30, 1.5, 1e-12)
     assert res.converged and res.subintervals_used < 100
-    assert abs(res.log_value - 52.439212310665624) <= res.relative_error + 9.99877582912462e-13
+    assert abs(res.log_value - ref) <= res.relative_error + 9.99877582912462e-13
 
 
 @pytest.mark.parametrize("p,d", [(p, d) for p in (2, 4) for d in (2, 9, 20, 40)] + [(4, 80), (2, 180)])
@@ -398,7 +408,7 @@ def test_gaussian_even_norms_within_band_of_oracle(p, d):
 def test_fallback_even_powers_within_band_of_oracle(n, d, p):
     res = zonal_power_integral((n - 1) / 2, d, float(p), 1e-12)
     assert res.method == ADAPTIVE and res.converged
-    assert abs(res.log_value - _scaled_log_exact(n, d, p)) <= res.relative_error
+    assert abs(res.log_value - _log_exact(n, d, p)) <= res.relative_error
 
 
 @pytest.mark.parametrize("n", [10001, 100000])

@@ -310,13 +310,13 @@ def test_root_intervals_call_log_abs_once_per_round():
     # at lam = 499.5 the end weight is too steep for 32 nodes, so both
     # exponents bisect; every round evaluates the new panels of both at once,
     # and each round's children come in pairs of 48 nodes each
-    spec = GegenbauerSpec(499.5, 6)
-    roots = specfun.gegenbauer_roots(spec).roots
+    ab = specfun._gegenbauer_ab(499.5, 6)
+    roots = specfun.gegenbauer_roots(GegenbauerSpec(499.5, 6)).roots
     sizes = []
 
     def log_abs(t):
         sizes.append(t.size)
-        return specfun.gegenbauer_log_abs_scaled(spec, math.sqrt(999.0) * t)[1]
+        return specfun._log_abs(ab, t)[1]
 
     results = integrate_root_intervals(log_abs, roots, (4.0, 1.5), 499.5, 1e-12)
     assert all(r.method == ADAPTIVE and r.converged for r in results)
@@ -327,6 +327,18 @@ def test_root_intervals_call_log_abs_once_per_round():
     # panel past the first round's counts 96 evaluated nodes
     splits = sum(r.subintervals_used for r in results) - 2 * (len(roots) + 1)
     assert sum(sizes) == first + 96 * splits
+
+
+def test_root_intervals_bisect_past_an_overflowing_gap():
+    # exp(-p (t - x0)^2) peaks on a node of the 16-node rule and between
+    # nodes of the 32-node one, so the 16-node sum is e^(p delta^2) times the
+    # 32-node sum, far past the float range; the gap must stay finite, so
+    # that bisection goes on rather than stopping or overflowing
+    x0 = float(quadrature._jacobi_log_rule(16, 0.0, 0.0)[0][8])
+    p = 1e7
+    (res,) = integrate_root_intervals(lambda t: -((t - x0) ** 2), (), (p,), 0.0, 1e-12)
+    assert res.method == ADAPTIVE and res.converged
+    assert abs(res.log_value - 0.5 * math.log(math.pi / p)) <= res.relative_error
 
 
 def test_root_intervals_stop_unconverged_at_the_panel_budget(monkeypatch):
@@ -400,13 +412,13 @@ def test_s3_entropy_takes_few_panels(monkeypatch):
 def test_root_intervals_take_several_exponents_in_one_pass():
     # one log|P| call on the nodes of both exponents gives the results of
     # one call per exponent, bitwise
-    spec = GegenbauerSpec(1.5, 9)
-    roots = specfun.gegenbauer_roots(spec).roots
+    ab = specfun._gegenbauer_ab(1.5, 9)
+    roots = specfun.gegenbauer_roots(GegenbauerSpec(1.5, 9)).roots
     sizes = []
 
     def log_abs(t):
         sizes.append(t.size)
-        return specfun.gegenbauer_log_abs_scaled(spec, math.sqrt(3.0) * t)[1]
+        return specfun._log_abs(ab, t)[1]
 
     both = integrate_root_intervals(log_abs, roots, (4.0, 1.5), 1.0, 1e-12)
     alone = tuple(integrate_root_intervals(log_abs, roots, (e,), 1.0, 1e-12)[0] for e in (4.0, 1.5))

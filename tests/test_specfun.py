@@ -183,14 +183,16 @@ def test_hermite_log_abs_across_rescale_matches_oracle():
         assert got == pytest.approx(log_fraction(abs(exact)), rel=1e-15, abs=1e-12)
 
 
-@pytest.mark.parametrize("d", [171, 200])
-def test_gegenbauer_log_abs_scaled_past_float_range_matches_oracle(d):
-    # on S^2, G_d(1) = d! passes the float range from d = 171 on
-    ss = [1.0, -0.9990234375, 0.25, -0.75]
-    sign, log_abs = specfun.gegenbauer_log_abs_scaled(GegenbauerSpec(0.5, d), np.array(ss))
+@pytest.mark.parametrize("d", [320, 400])
+def test_gegenbauer_log_abs_past_float_range_matches_oracle(d):
+    # on S^1000 (lam = 499.5), C_d(1) = binom(d + 998, d) passes the float
+    # range from d = 309 on; the log pass of the plain recurrence keeps its
+    # rescale shift, so log|C_d| stays finite
+    xs = [1.0, -0.9990234375, 0.25, -0.75]
+    sign, log_abs = specfun._log_abs(specfun._gegenbauer_ab(499.5, d), np.array(xs))
     assert log_abs[0] > math.log(np.finfo(float).max)
-    for s, got_sign, got in zip(ss, sign, log_abs):
-        exact = gegenbauer_scaled_explicit(Fraction(1, 2), d, Fraction(s))
+    for x, got_sign, got in zip(xs, sign, log_abs):
+        exact = gegenbauer_explicit(Fraction(999, 2), d, Fraction(x))
         assert got_sign == (1 if exact > 0 else -1)
         assert got == pytest.approx(log_fraction(abs(exact)), rel=1e-15, abs=1e-12)
 
