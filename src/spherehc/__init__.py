@@ -60,7 +60,6 @@ from .specfun import (
     hermite_eval,
     hermite_roots,
     log_beta,
-    log_gamma,
 )
 from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
 

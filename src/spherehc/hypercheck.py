@@ -311,7 +311,7 @@ def logsob_check(g: ZonalPolynomial, rhs_kind: str, tol: float = 1e-10) -> Verdi
     else:
         coefficients = [2.0 * math.sqrt(k * (k + g.n - 1.0) / g.n) for k in range(len(terms))]
     rhs = math.fsum(c * term for c, term in zip(coefficients, terms))
-    total_err = math.inf if not converged else err + 1e-14 * (abs(rhs) + 1.0)
+    total_err = math.inf if not converged else err + rounding_allowance(lhs, rhs)
     return Verdict.compare(lhs, rhs, total_err)
 
 

@@ -18,7 +18,6 @@ from . import specfun
 from .quadrature import IntegralResult, _exp, integrate_root_intervals
 
 __all__ = [
-    "QUADRATURE",
     "CLOSED_FORM",
     "SphereParams",
     "NormValue",
@@ -32,11 +31,9 @@ __all__ = [
     "zonal_lp_norm",
 ]
 
-QUADRATURE = "quadrature"
 CLOSED_FORM = "closed-form"
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_ROUNDING = 5e-15
 _EPS = float(np.finfo(float).eps)
 
 
@@ -61,7 +58,9 @@ class NormValue:
 
     ``value`` is exp(log_value) and may overflow to inf for extreme inputs;
     ``log_value`` is always finite.  ``error_estimate`` is relative to value
-    (zero for closed forms up to rounding).
+    (zero for closed forms up to rounding).  ``method`` is CLOSED_FORM or the
+    integral's own: ``quadrature.GAUSS_JACOBI`` when the first round of root
+    intervals converged, ``quadrature.ADAPTIVE`` when it bisected.
     """
 
     value: float
@@ -128,8 +127,9 @@ def _norm_from_integral(res: IntegralResult, p: float) -> NormValue:
     if not (res.value > 0 and math.isfinite(res.log_value)):
         raise ArithmeticError(f"norm integral is {res.value}, not a finite positive number")
     log_norm = res.log_value / p
-    rel = res.relative_error / p + _ROUNDING
-    return NormValue(_exp(log_norm), p, rel, QUADRATURE, log_norm, res.converged)
+    # the integral's error, and the rounding of the division by p
+    rel = res.relative_error / p + _EPS * abs(log_norm)
+    return NormValue(_exp(log_norm), p, rel, res.method, log_norm, res.converged)
 
 
 def sphere_lp_norm(

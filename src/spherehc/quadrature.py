@@ -34,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .specfun import RootList
 from .verdict import Verdict
 
 __all__ = [
@@ -129,14 +128,25 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
-    """log sum exp(terms) over the last axis; a row whose largest term is not finite gives that term."""
+def _log_sum_exp(terms: np.ndarray, size: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per row of ``terms`` (the last axis): log sum exp(terms), and the mean of
+    ``size`` weighted by each term's share of that sum (None without ``size``).
+
+    A non-finite size counts as 0 (its term is -inf, with no share).  A row
+    whose largest term is not finite gives that term and a mean of 0.
+    """
     top = terms.max(-1)
+    finite = np.isfinite(top)
     # shifted by the largest term, so no exponential overflows; a top of
-    # +-inf gives inf - inf = NaN, which the last line replaces
+    # +-inf gives inf - inf = NaN, which the finite mask replaces
     with np.errstate(invalid="ignore"):
-        total = top + np.log(np.exp(terms - top[..., None]).sum(-1))
-    return total if np.isfinite(top).all() else np.where(np.isfinite(top), total, top)
+        scaled = np.exp(terms - top[..., None])
+        mass = scaled.sum(-1)
+        total = top + np.log(mass)
+        mean = None if size is None else (scaled * np.where(np.isfinite(size), size, 0.0)).sum(-1) / mass
+    if finite.all():
+        return total, mean
+    return np.where(finite, total, top), None if mean is None else np.where(finite, mean, 0.0)
 
 
 @lru_cache(maxsize=256)
@@ -247,12 +257,19 @@ def _bisect(f, jobs, weigh, settle) -> list[IntegralResult]:
     return [results[k] for k in range(len(jobs))]
 
 
-def _panel_sums(terms) -> np.ndarray:
-    """Per panel: the log 16-node sum, the log 32-node sum and the largest log size on the 32 nodes."""
+def _panel_sums(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of nodes: the log 16-node sum, the log 32-node sum and the log size on the 32 nodes.
+
+    ``terms`` holds (p log|P|, log w) for each rule.  A summand's log size
+    is |p log|P|| + |log w|: its logarithm is rounded at about eps times
+    that, a relative error of the sum the 16/32 gap does not see.  The row's
+    log size is the mean over its summands, each weighted by its share of
+    the 32-node sum.
+    """
     (coarse_f, coarse_w), (fine_f, fine_w) = terms
-    size = np.abs(fine_f) + np.abs(fine_w)
-    largest = np.max(size, axis=1, where=np.isfinite(size), initial=0.0)
-    return np.column_stack([_log_sum_exp(coarse_f + coarse_w), _log_sum_exp(fine_f + fine_w), largest])
+    coarse, _ = _log_sum_exp(coarse_f + coarse_w)
+    fine, size = _log_sum_exp(fine_f + fine_w, np.abs(fine_f) + np.abs(fine_w))
+    return coarse, fine, size
 
 
 def integrate_root_intervals(
@@ -268,18 +285,24 @@ def integrate_root_intervals(
     exponents and ``end_exponent`` must exceed -1.  One result is returned
     per exponent.
 
+    Every round's ``relative_error`` is its 16/32 gap plus one rounding term,
+    4 eps times the log size of the sum: the mean of the summands' log sizes
+    |p log|P|| + |log w|, each weighted by its share of the 32-node sum
+    (``_panel_sums``).  A summand's logarithm is rounded at about eps times
+    its size, a relative error the gap does not see, and the gap of two sums
+    of size L cannot resolve less than an ulp of L; so a round counts as
+    converged when its gap is within ``tol`` plus that rounding.
+
     First round: each interval between consecutive edges of (a, roots..., b)
     gets the 16- and the 32-node Gauss-Jacobi rule with exponent p at a root
-    and ``end_exponent`` at a or b.  The value is the 32-node logsumexp, and
-    ``relative_error`` its gap to the 16-node sum plus the rounding of the
-    logarithms summed.  The result (``method`` GAUSS_JACOBI) counts as
-    converged when the gap is within ``tol`` plus that rounding: the gap of
-    two sums of size L cannot resolve less than an ulp of L.
+    and ``end_exponent`` at a or b.  All nodes are summed as one row, the
+    value is the 32-node logsumexp and ``method`` is GAUSS_JACOBI.
 
     Bisection (``method`` ADAPTIVE): where the first round misses that, each
     round bisects the panels whose own gap exceeds an equal share of ``tol``.
-    The error is the summed panel gaps plus each panel's log rounding
-    weighted by its share of the sum.  A sum that is not finite, which
+    The gap is the sum of the panel gaps, and the log size is the panels'
+    own, each weighted by the panel's share of the sum: the same mean over
+    all summands as in the first round.  A sum that is not finite, which
     bisection cannot mend, or more than ``MAX_PANELS`` panels end the loop
     with ``converged=False``.
     """
@@ -300,25 +323,23 @@ def integrate_root_intervals(
         log_f = exponents[k] * log_f
         terms = [(log_f[:, rule], log_w[:, rule]) for rule in _RULES]
         if first:
-            coarse, fine = (float(_log_sum_exp((rule_f + rule_w).ravel())) for rule_f, rule_w in terms)
+            # all nodes of the job as one row
+            coarse, fine, size = map(float, _panel_sums([(f.ravel(), w.ravel()) for f, w in terms]))
             gap = abs(math.expm1(min(coarse - fine, _LOG_GAP_CAP))) if math.isfinite(fine) else math.inf
-            # each summand's logarithm is rounded at the size of its parts, which
-            # is a relative error of the sum the m/2m gap does not see
-            fine_f, fine_w = terms[1]
-            size = np.abs(fine_f) + np.abs(fine_w)
-            rounding = 4.0 * _EPS * float(np.max(size, where=np.isfinite(size), initial=0.0))
+            rounding = 4.0 * _EPS * size
             converged = math.isfinite(gap) and gap <= tol + rounding
             if converged or not math.isfinite(fine):
                 return IntegralResult.from_log(fine, gap + rounding, len(spans), converged, GAUSS_JACOBI)
-        return _panel_sums(terms)
+        return np.column_stack(_panel_sums(terms))
 
     def settle(k, sums):
         coarse, fine, size = sums.T
-        total = float(_log_sum_exp(fine))
+        # the panels' log sizes, each weighted by the panel's share of the sum
+        total, size = map(float, _log_sum_exp(fine, size))
         share = np.exp(fine - total)
         err = np.abs(np.exp(np.minimum(coarse - total, _LOG_GAP_CAP)) - share)
         gap = math.fsum(err)
-        rounding = 4.0 * _EPS * math.fsum(share * size)
+        rounding = 4.0 * _EPS * size
         converged = math.isfinite(total) and gap <= tol + rounding
         split = err > tol / len(err) if math.isfinite(gap) else None
         return converged, split, lambda: IntegralResult.from_log(total, gap + rounding, len(fine), converged, ADAPTIVE)
@@ -335,8 +356,8 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
     f : callable mapping an ndarray of abscissae to an ndarray of values;
         it is called once per round, on the 48 nodes of both rule sizes of
         every new panel.
-    breakpoints : RootList or sequence of floats; points where the integrand
-        has kinks.  Points outside the open interval are ignored.
+    breakpoints : sequence of floats; points where the integrand has kinks.
+        Points outside the open interval are ignored.
     interval : (a, b) with a < b.
     tol : target relative tolerance.  Each round bisects the panels whose
         16/32 gap exceeds an equal share of tol times the integral's
@@ -362,10 +383,7 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
     end_exponent = float(end_exponent)
     if not end_exponent > -1.0:
         raise ValueError(f"end exponent must exceed -1, got {end_exponent}")
-    if isinstance(breakpoints, RootList):
-        breakpoints = breakpoints.roots
-    points = () if breakpoints is None else breakpoints
-    edges = np.array([a, *sorted({float(p) for p in points if a < p < b}), b])
+    edges = np.array([a, *sorted({float(p) for p in breakpoints if a < p < b}), b])
 
     def weigh(k, spans, part, first):
         values, _, log_w = part

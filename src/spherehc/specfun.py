@@ -32,8 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SPHERE_INTERVAL",
-    "REAL_LINE",
     "GegenbauerSpec",
     "HermiteSpec",
     "RootList",
@@ -45,13 +43,9 @@ __all__ = [
     "gegenbauer_roots",
     "hermite_roots",
     "jacobi_rule_log",
-    "log_gamma",
     "log_beta",
     "c_lambda",
 ]
-
-SPHERE_INTERVAL = "sphere"
-REAL_LINE = "real-line"
 
 _LIMIT = 1e300
 _LN2 = math.log(2.0)
@@ -70,12 +64,6 @@ class GegenbauerSpec:
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
 
-    @classmethod
-    def for_sphere(cls, n: int, degree: int) -> "GegenbauerSpec":
-        if n < 2:
-            raise ValueError(f"sphere dimension must be >= 2, got {n}")
-        return cls((n - 1) / 2, degree)
-
 
 @dataclass(frozen=True)
 class HermiteSpec:
@@ -93,7 +81,6 @@ class RootList:
     """Ordered real roots of a degree-d polynomial; used to split |P|^p integrands."""
 
     roots: tuple[float, ...]
-    domain: str
 
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.roots, self.roots[1:])):
@@ -292,11 +279,11 @@ def _golub_welsch(a, b, c, derivative, lo: float, hi: float):
     return nodes, np.maximum(np.minimum(-value / slope, cap), -cap), value, slope, shift
 
 
-def _symmetric_roots(ab, derivative, lo: float, hi: float, domain: str) -> RootList:
+def _symmetric_roots(ab, derivative, lo: float, hi: float) -> RootList:
     """All d roots of an even or odd P_d with recurrence ``ab``, averaged with their mirror images."""
     nodes, step, *_ = _golub_welsch(*ab, None, derivative, lo, hi)
     roots = nodes + step
-    return RootList(tuple((0.5 * (roots - roots[::-1])).tolist()), domain)
+    return RootList(tuple((0.5 * (roots - roots[::-1])).tolist()))
 
 
 def gegenbauer_roots(spec: GegenbauerSpec) -> RootList:
@@ -307,7 +294,7 @@ def gegenbauer_roots(spec: GegenbauerSpec) -> RootList:
     """
     lam, d = spec.lam, spec.degree
     derivative = lambda t, c, c1: ((d + 2.0 * lam - 1.0) * c1 - d * t * c) / (1.0 - t * t)
-    return _symmetric_roots(_gegenbauer_ab(lam, d), derivative, -1.0, 1.0, SPHERE_INTERVAL)
+    return _symmetric_roots(_gegenbauer_ab(lam, d), derivative, -1.0, 1.0)
 
 
 def hermite_roots(spec: HermiteSpec) -> RootList:
@@ -316,7 +303,7 @@ def hermite_roots(spec: HermiteSpec) -> RootList:
     The Newton derivative is h_d' = d h_{d-1}.
     """
     d = spec.degree
-    return _symmetric_roots(_hermite_ab(d), lambda t, h, h1: d * h1, -math.inf, math.inf, REAL_LINE)
+    return _symmetric_roots(_hermite_ab(d), lambda t, h, h1: d * h1, -math.inf, math.inf)
 
 
 def jacobi_rule_log(count: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -395,13 +382,6 @@ def _log_jacobi_mass(alpha: float, beta: float) -> float:
         + _stirling_tail(b)
         - _stirling_tail(total)
     )
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma needs a positive argument, got {x}")
-    return math.lgamma(x)
 
 
 def log_beta(a: float, b: float) -> float:

@@ -170,6 +170,16 @@ def test_subordination_rows(capsys):
         assert abs(float(row["margin"])) < 1e-10
 
 
+def test_subordination_honours_tol(capsys):
+    # the identity's atol and the integral's tolerance follow --tol; a fixed
+    # 1e-10 gave a band of 1.4e-14 at x = 1 whatever --tol said
+    code, out, _ = run(capsys, "subordination", "--x", "1", "--tol", "1e-3", "--format", "csv")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["status"] == "holds"
+    assert float(row["numeric_error"]) > 1e-9
+
+
 def test_ratio_reports_failing_cell(capsys):
     code, out, _ = run(capsys, "ratio", "--n", "13", "--d", "7", "--p", "2", "--q", "4", "--format", "csv")
     assert code == 0

@@ -367,6 +367,21 @@ def test_count1_fails_at_paper_cell():
     assert abs(v.margin) > 10 * v.numeric_error
 
 
+def test_count1_band_at_paper_cell_weighs_summands_by_share():
+    # the band takes each summand's log rounding weighted by its share of the
+    # sum, and no fixed floor per norm: the largest summand size over all
+    # nodes and a 5e-15 floor per norm gave 6.56e-14 for the same lhs
+    v = count1_check(13, 7, 2, 4)
+    assert v.lhs == 1.7681906301224943
+    assert v.numeric_error < 0.7 * 6.56e-14
+    lam = Fraction(6)
+    exact = (
+        log_fraction(sphere_power_integral_exact(lam, 7, 4)) / 4
+        - log_fraction(sphere_power_integral_exact(lam, 7, 2)) / 2
+    )
+    assert abs(v.lhs - exact) <= v.numeric_error
+
+
 def test_count1_holds_in_small_dimensions():
     for n in (2, 3):
         for d in range(1, 31):

@@ -11,7 +11,6 @@ import pytest
 from spherehc import hypercheck, specfun
 from spherehc.norms import (
     CLOSED_FORM,
-    QUADRATURE,
     SphereParams,
     gaussian_lp_norm,
     norm_ratio_gaussian,
@@ -41,7 +40,7 @@ def test_degree_zero_norm_is_one():
 def test_degree_one_l2_on_s2():
     nv = sphere_lp_norm(SphereParams(2), 1, 2.0)
     assert nv.value**2 == pytest.approx(1 / 3, rel=1e-12)
-    assert nv.method == QUADRATURE
+    assert nv.method == GAUSS_JACOBI
     closed = sphere_l2_norm_closed(SphereParams(2), 1)
     assert closed.value**2 == pytest.approx(1 / 3, rel=1e-14)
 
@@ -241,7 +240,7 @@ def test_root_interval_rule_matches_adaptive_for_odd_powers(n, d, p):
     def f(t):
         return np.abs(specfun.gegenbauer_eval(spec, t)) ** p * c * (1 - t * t) ** (lam - 0.5)
 
-    ref = integrate_piecewise(f, specfun.gegenbauer_roots(spec), (-1.0, 1.0), 1e-13)
+    ref = integrate_piecewise(f, specfun.gegenbauer_roots(spec).roots, (-1.0, 1.0), 1e-13)
     res = zonal_power_integral(lam, d, p, 1e-13)
     assert ref.converged and res.method == GAUSS_JACOBI
     diff = abs(res.log_value - ref.log_value)
@@ -258,6 +257,13 @@ def test_steep_weight_falls_back_to_adaptive_panels():
     exact = _log_exact(1000, 6, 4)
     assert res.value == pytest.approx(math.exp(exact), rel=1e-14)
     assert abs(res.log_value - exact) <= res.relative_error
+
+
+@pytest.mark.parametrize("n,d,method", [(13, 7, GAUSS_JACOBI), (1000, 6, ADAPTIVE)])
+def test_norm_method_tells_first_round_from_bisection(n, d, method):
+    nv = sphere_lp_norm(SphereParams(n), d, 4.0)
+    assert nv.method == method and nv.converged
+    assert abs(nv.log_value - _log_exact(n, d, 4) / 4) <= nv.error_estimate
 
 
 @pytest.mark.parametrize("n,d,p", [(30, 50, 20), (20, 40, 24)])
@@ -280,7 +286,7 @@ def test_l2_norm_past_factorial_overflow_matches_closed_form(d):
     quad = sphere_lp_norm(SphereParams(2), d, 2.0)
     closed = sphere_l2_norm_closed(SphereParams(2), d)
     band = quad.error_estimate + closed.error_estimate
-    assert quad.method == QUADRATURE and quad.converged
+    assert quad.method == GAUSS_JACOBI and quad.converged
     assert abs(quad.log_value - closed.log_value) <= min(band, 1e-14)
     assert band <= 1e-12
 

@@ -17,6 +17,7 @@ from spherehc.quadrature import (
     ADAPTIVE,
     GAUSS_JACOBI,
     _jacobi_log_rule,
+    _log_sum_exp,
     _rule_rows,
     integrate_piecewise,
     integrate_root_intervals,
@@ -93,7 +94,7 @@ def test_cubed_gegenbauer_against_simpson():
     def f(t):
         return np.abs(np.asarray(specfun.gegenbauer_eval(spec, t))) ** 3 * c
 
-    cuts = specfun.gegenbauer_roots(spec)
+    cuts = specfun.gegenbauer_roots(spec).roots
     res = integrate_piecewise(f, cuts, (-1.0, 1.0), 1e-12)
     oracle = simpson_composite(f, -1.0, 1.0, 1_000_000)
     assert res.converged
@@ -139,7 +140,7 @@ def test_even_power_matches_single_gauss_rule(n, d, p):
     degree = p * d + (n - 2)
     nodes, weights = _legendre(degree // 2 + 1)
     exact = float(weights @ f(nodes))
-    res = integrate_piecewise(f, specfun.gegenbauer_roots(spec), (-1.0, 1.0), 1e-12)
+    res = integrate_piecewise(f, specfun.gegenbauer_roots(spec).roots, (-1.0, 1.0), 1e-12)
     assert res.value == pytest.approx(exact, rel=1e-12)
 
 
@@ -434,6 +435,17 @@ def test_root_intervals_without_roots_take_one_interval():
     (res,) = integrate_root_intervals(lambda t: np.log(2.0 + t), (), (2.0,), 1.0, 1e-12)
     assert res.converged and res.method == GAUSS_JACOBI and res.subintervals_used == 1
     assert res.value == pytest.approx(5.6, rel=1e-14)
+
+
+def test_log_sum_exp_weighs_sizes_by_share():
+    # rows (1, 3) and (2, 2) both sum to 4; a size of inf counts as 0
+    terms = np.log(np.array([[1.0, 3.0], [2.0, 2.0]]))
+    total, mean = _log_sum_exp(terms, np.array([[4.0, 8.0], [1.0, np.inf]]))
+    assert total == pytest.approx(np.log([4.0, 4.0]), rel=1e-15)
+    assert mean == pytest.approx([(4.0 + 24.0) / 4.0, 2.0 / 4.0], rel=1e-15)
+    # a row whose largest term is not finite gives that term and no size
+    total, mean = _log_sum_exp(np.array([[-np.inf, -np.inf], [0.0, np.inf]]), np.ones((2, 2)))
+    assert total.tolist() == [-np.inf, np.inf] and mean.tolist() == [0.0, 0.0]
 
 
 # ------------------------------------------------------------------- gaussian
