@@ -400,7 +400,7 @@ def _repro_checks(args):
                 ok = False
     yield ("sufficiency shadow: no zonal failure on S^2, S^3 (d <= 30)", "holds", "holds" if ok else "violated", ok)
 
-    ok = all(subordination_check(x).status == HOLDS for x in (0.0, 1.0, 5.0))
+    ok = all(subordination_check(x, args.tol).status == HOLDS for x in (0.0, 1.0, 5.0))
     yield ("subordination identity at x = 0, 1, 5", "holds", "holds" if ok else "violated", ok)
 
     flip_ok = (

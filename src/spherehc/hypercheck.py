@@ -243,9 +243,9 @@ def beckner_constant(n: int, k: int) -> float:
     return 2.0 * n * math.fsum(1.0 / (2.0 * m + n) for m in range(k))
 
 
-def _require_nonnegative(g: ZonalPolynomial) -> None:
+def _require_nonnegative(g: ZonalPolynomial) -> tuple[float, ...]:
     # the profile is least at an end or at a real root of its derivative,
-    # 2 lam sum_{k>=1} a_k C_{k-1}^(lam+1) (DLMF 18.9.19)
+    # 2 lam sum_{k>=1} a_k C_{k-1}^(lam+1) (DLMF 18.9.19); those roots are returned
     critical = specfun._series_roots((g.n - 1) / 2 + 1.0, g.coeffs[1:])
     prof = np.asarray(g.profile(np.array([-1.0, 1.0, *critical])), dtype=float)
     floor = -1e-12 * max(1.0, float(np.max(np.abs(prof))))
@@ -253,14 +253,17 @@ def _require_nonnegative(g: ZonalPolynomial) -> None:
         raise NonnegativityError(
             f"zonal polynomial dips to {float(np.min(prof)):.3e}; entropy checks need g >= 0"
         )
+    return critical
 
 
 def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, bool, list[float]]:
     """Entropy of g, its error, convergence, and a_k^2 ||Y_k||_2^2 for each degree k.
 
     By orthogonality the terms sum to the mass integral g^2 dsigma (||Y_0||_2 = 1).
+    The panels start at the real roots of g' from the sign check, where
+    u^2 log u^2 is least smooth.
     """
-    _require_nonnegative(g)
+    critical = _require_nonnegative(g)
     params = SphereParams(g.n)
     closed = [norms.sphere_l2_norm_closed(params, k) for k in range(1, len(g.coeffs))]
     terms = [g.coeffs[0] ** 2, *(a * a * math.exp(2.0 * v.log_value) for a, v in zip(g.coeffs[1:], closed))]
@@ -276,7 +279,7 @@ def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, b
         return usq * np.log(np.where(usq > 0.0, usq, 1.0))
 
     # the integrator carries the weight (1 - t^2)^(lam - 1/2); c_lam normalizes it
-    ent = integrate_piecewise(entropy_integrand, [], (-1.0, 1.0), tol, end_exponent=lam - 0.5)
+    ent = integrate_piecewise(entropy_integrand, critical, (-1.0, 1.0), tol, end_exponent=lam - 0.5)
     c = specfun.c_lambda(lam)
     value = c * ent.value - mass * math.log(mass)
     err = c * ent.error_estimate + rel * mass * (abs(math.log(mass)) + 1.0)
@@ -287,8 +290,8 @@ def entropy_functional(g: ZonalPolynomial, tol: float = 1e-10) -> float:
     """integral g^2 ln g^2 dsigma - (integral g^2 dsigma) ln(integral g^2 dsigma).
 
     Requires g >= 0 pointwise (checked at the ends and at the real roots of
-    g' from its comrade matrix; raises NonnegativityError otherwise).
-    Homogeneous of degree 2 in g.
+    g' from its comrade matrix; raises NonnegativityError otherwise).  The
+    integral is split at those roots.  Homogeneous of degree 2 in g.
     """
     return _entropy_with_error(g, tol)[0]
 

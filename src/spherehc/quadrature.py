@@ -370,10 +370,11 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
         other panel the Gauss-Legendre pair.
 
     The rounds are those of ``integrate_root_intervals``, with the panel
-    values summed in linear space.  Returns ``converged=False`` when the
-    split would pass ``MAX_PANELS`` panels, and at once, with a NaN value,
-    when a panel's value is not finite: bisection cannot make an overflowed
-    integrand finite.
+    values summed in linear space.  The error estimate is the summed gap
+    plus 4 eps times the L1 sum, the rounding of the sum.  Returns
+    ``converged=False`` when the split would pass ``MAX_PANELS`` panels,
+    and at once, with a NaN value, when a panel's value is not finite:
+    bisection cannot make an overflowed integrand finite.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
@@ -402,7 +403,10 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
             return False, None, lambda: IntegralResult(math.nan, math.inf, len(fine), False)
         allowed = tol * max(abs_total, 1e-300)
         converged = err_total <= allowed
-        return converged, np.array(err) > allowed / len(err), lambda: IntegralResult(math.fsum(fine), err_total, len(fine), converged)
+        # the panel sums and their total each round at about eps of the L1
+        # sum, an error the gap does not see
+        error = err_total + 4.0 * _EPS * abs_total
+        return converged, np.array(err) > allowed / len(err), lambda: IntegralResult(math.fsum(fine), error, len(fine), converged)
 
     return _bisect(f, [_job(edges, 0.0, end_exponent)], weigh, settle)[0]
 

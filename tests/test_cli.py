@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import spherehc
-from spherehc import norms
+from spherehc import cli, norms
 from spherehc.cli import main
 
 from oracles import hermite_fourth_moment, log_fraction
@@ -424,3 +424,17 @@ def test_repro_suite_passes(capsys):
     code, out, _ = run(capsys, "repro")
     assert code == 0
     assert "repro: 14/14 checks pass" in out
+
+
+def test_repro_subordination_row_follows_tol(capsys, monkeypatch):
+    tols = []
+    check = cli.subordination_check
+
+    def recording(x, tol=1e-10):
+        tols.append(tol)
+        return check(x, tol)
+
+    monkeypatch.setattr(cli, "subordination_check", recording)
+    code, out, _ = run(capsys, "repro", "--tol", "1e-11")
+    assert code == 0 and "repro: 14/14 checks pass" in out
+    assert len(tols) == 3 and set(tols) == {1e-11}

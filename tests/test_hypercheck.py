@@ -301,6 +301,31 @@ def test_logsob_random_sample_holds():
             assert logsob_check(g, kind).status == HOLDS
 
 
+def test_logsob_entropies_start_at_the_critical_points(monkeypatch):
+    # the 250 degree-8 inputs of the logsob benchmark at seed 7: split at the
+    # real roots of g', where u^2 log u^2 is least smooth, their entropies
+    # take 406 integrand calls (1,001 when bisection has to find those
+    # points), and the split costs no eigen-solve beyond the sign check's
+    calls = []
+    solves = []
+    integrate, series_roots = hypercheck.integrate_piecewise, specfun._series_roots
+
+    def counted(f, *args, **kwargs):
+        return integrate(lambda t: calls.append(t.size) or f(t), *args, **kwargs)
+
+    def solving(*args):
+        solves.append(args)
+        return series_roots(*args)
+
+    monkeypatch.setattr(hypercheck, "integrate_piecewise", counted)
+    monkeypatch.setattr(specfun, "_series_roots", solving)
+    rng = np.random.default_rng(7)
+    for i in range(250):
+        entropy_functional(random_zonal_polynomial(2 if i % 2 == 0 else 3, 8, rng))
+    assert len(solves) == 250
+    assert len(calls) <= 450
+
+
 def test_random_zonal_polynomials_are_nonnegative():
     rng = np.random.default_rng(5)
     grid = np.linspace(-1, 1, 1001)

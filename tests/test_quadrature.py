@@ -7,6 +7,7 @@ import math
 import heapq
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +107,23 @@ def test_error_estimate_bounds_truth_on_exact_cases():
     # |t|^3 has a known integral 1/2 * 2 = 0.5 per side
     res = integrate_piecewise(lambda t: np.abs(t) ** 3, [0.0], (-1.0, 1.0), 1e-13)
     assert abs(res.value - 0.5) <= max(res.error_estimate, 5e-15)
+
+
+@pytest.mark.parametrize(
+    "f, exact",
+    [
+        (np.exp, "2.350402387287602913764763701191201630311"),
+        (lambda t: 1.0 / (3.0 + t), "0.6931471805599453094172321214581765680755"),
+        (lambda t: np.sqrt(2.0 + t), "2.797434948471087920388226016345078067219"),
+    ],
+)
+def test_piecewise_band_covers_the_rounding_of_its_sum(f, exact):
+    # one panel whose 16- and 32-node sums agree to the last bit has a gap
+    # of 0, but the sum itself rounds: e - 1/e comes out 7.3e-16 from its
+    # 40-digit value
+    res = integrate_piecewise(f, [], (-1.0, 1.0), 1e-12)
+    assert res.converged
+    assert abs(Fraction(res.value) - Fraction(exact)) <= res.error_estimate
 
 
 def test_breakpoint_sufficiency():
