@@ -24,6 +24,7 @@ from .hypercheck import (
     heat_condition,
     hermite_bound_check,
     hermite_growth_rate,
+    lemma_all,
     lemma_check,
     lemma_table,
     logsob_check,

@@ -8,6 +8,7 @@ grid scanner that maps where the zonal witness breaks the norm bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,7 +18,7 @@ import numpy as np
 from . import norms, specfun
 from .norms import SphereParams
 from .quadrature import integrate_piecewise
-from .verdict import FAILS, INCONCLUSIVE, Verdict, rounding_allowance
+from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict, rounding_allowance
 
 __all__ = [
     "NonnegativityError",
@@ -35,6 +36,7 @@ __all__ = [
     "utol1_check",
     "lemma_check",
     "lemma_table",
+    "lemma_all",
     "h_function",
     "beckner_constant",
     "entropy_functional",
@@ -223,8 +225,8 @@ def lemma_table(n: int, k_max: int) -> list[Verdict]:
 def h_function(n: int, k: int) -> float:
     """2/n + ln((k + n/2 - 1)/(n/2)) - (2/n) sqrt(k (k + n - 1)/n).
 
-    Decreasing in k; negative from k = 4 on for n in {2, 3}, which closes the
-    lemma for large k.
+    Decreasing from k = 2 on for n <= 3; negative from k = 2 on for n = 2 and
+    from k = 4 on for n = 3, which closes the lemma for large k (``lemma_all``).
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got ({n}, {k})")
@@ -236,6 +238,48 @@ def h_function(n: int, k: int) -> float:
     )
 
 
+class LemmaResult(NamedTuple):
+    status: str
+    k: int
+
+
+def _monotonicity_coefficients(n: int, k0: int) -> list:
+    """P(k) = (k + n/2 - 1)^2 (2k + n - 1)^2 - n^3 k (k + n - 1) at k = k0 + s,
+    as exact coefficients in s (Fractions), lowest first."""
+    from fractions import Fraction  # imported here: 2-3 ms on every import of the package
+
+    def expand(*factors):  # the product of the linear factors c + m s
+        out = [Fraction(1)]
+        for c, m in factors:
+            out = [c * a + m * b for a, b in zip(out + [0], [0] + out)]
+        return out
+
+    half, odd = k0 + Fraction(n, 2) - 1, Fraction(2 * k0 + n - 1)
+    square = expand((half, 1), (half, 1), (odd, 2), (odd, 2))
+    cross = expand((Fraction(k0), 1), (Fraction(k0 + n - 1), 1))
+    return [a - n**3 * b for a, b in zip(square, cross + [0, 0])]
+
+
+def lemma_all(n: int) -> LemmaResult:
+    """The summation lemma for every k >= 1: ``(fails, first failing k)`` or ``(holds, k0)``.
+
+    lemma_check runs for k = 1, 2, ... to the first failure, or to the first
+    k0 >= 2 with h(k0) < 0 beyond its rounding and every coefficient of
+    P(k0 + s) in s a positive rational.  Then lhs - rhs <= (n/2) h(k) <= (n/2)
+    h(k0) < 0 for all k >= k0: the first step compares the sum with an
+    integral, the second holds as h' < 0 is P(k) > 0 (squaring positive sides).
+    """
+    for k in itertools.count(1):
+        v = lemma_check(n, k)
+        if v.status == FAILS:
+            return LemmaResult(FAILS, k)
+        h = h_function(n, k)
+        # h's three terms are at most |h| + (4/n)(1 + rhs) in size together
+        if k >= 2 and h < -rounding_allowance(h, 4.0 / n * (1.0 + v.rhs)):
+            if all(c > 0 for c in _monotonicity_coefficients(n, k)):
+                return LemmaResult(HOLDS, k)
+
+
 def beckner_constant(n: int, k: int) -> float:
     """Conformal log-Sobolev coefficient Delta_n(k) = 2 n sum_{m=0}^{k-1} 1/(2m+n)."""
     if n < 1 or k < 0:
@@ -243,11 +287,15 @@ def beckner_constant(n: int, k: int) -> float:
     return 2.0 * n * math.fsum(1.0 / (2.0 * m + n) for m in range(k))
 
 
-def _require_nonnegative(g: ZonalPolynomial) -> tuple[float, ...]:
+def _critical_values(g: ZonalPolynomial) -> tuple[tuple[float, ...], np.ndarray]:
     # the profile is least at an end or at a real root of its derivative,
-    # 2 lam sum_{k>=1} a_k C_{k-1}^(lam+1) (DLMF 18.9.19); those roots are returned
+    # 2 lam sum_{k>=1} a_k C_{k-1}^(lam+1) (DLMF 18.9.19); those roots, its values
     critical = specfun._series_roots((g.n - 1) / 2 + 1.0, g.coeffs[1:])
-    prof = np.asarray(g.profile(np.array([-1.0, 1.0, *critical])), dtype=float)
+    return critical, np.asarray(g.profile(np.array([-1.0, 1.0, *critical])), dtype=float)
+
+
+def _require_nonnegative(g: ZonalPolynomial) -> tuple[float, ...]:
+    critical, prof = _critical_values(g)
     floor = -1e-12 * max(1.0, float(np.max(np.abs(prof))))
     if float(np.min(prof)) < floor:
         raise NonnegativityError(
@@ -454,7 +502,8 @@ def random_zonal_polynomial(n: int, max_degree: int, rng: np.random.Generator) -
     """Random nonnegative zonal polynomial of the given degree.
 
     Gaussian coefficients with decaying scale; the constant term is shifted so
-    the profile clears zero with a positive safety margin.
+    the profile clears zero with a positive margin over a grid, and by the
+    shortfall if its minimum (at an end or critical point) is below half that.
     """
     if max_degree < 0:
         raise ValueError(f"degree must be >= 0, got {max_degree}")
@@ -462,5 +511,9 @@ def random_zonal_polynomial(n: int, max_degree: int, rng: np.random.Generator) -
     grid = np.linspace(-1.0, 1.0, 2049)
     prof = np.asarray(specfun.gegenbauer_series((n - 1) / 2, coeffs, grid), dtype=float)
     lo = float(np.min(prof))
-    coeffs[0] += -lo + 0.01 * (abs(lo) + 1.0) + 0.05 * abs(rng.normal())
+    shift = -lo + 0.01 * (abs(lo) + 1.0) + 0.05 * abs(rng.normal())
+    coeffs[0] += shift
+    least = float(np.min(_critical_values(ZonalPolynomial(n, tuple(coeffs)))[1]))
+    if least < 0.5 * (shift + lo):
+        coeffs[0] += (shift + lo) - least
     return ZonalPolynomial(n, tuple(coeffs))

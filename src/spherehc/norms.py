@@ -182,19 +182,20 @@ def sphere_l2_norm_closed(params: SphereParams, d: int) -> NormValue:
     familiar identity.  d = 0 is rejected (the formula has d in a denominator;
     the degree-0 norm is 1 by convention).
 
-    For integer n, 1 / (d B(n-1, d)) = prod_{j=1}^{n-2} (1 + d/j), so the log
-    norm is a sum of log1p terms; a difference of lgamma values instead loses
-    5e-14 at (n, d) = (2, 400) and 1e-10 at n = 1e5.  ``error_estimate`` is
-    half the terms' errors, an ulp of each term and, for log1p(d/j), the
-    rounding of d/j damped to eps min(1, d/j), plus eps |log norm| for the
-    sum.  ``value`` is inf past the float range; ``log_value`` stays finite.
+    For integer n, 1 / (d B(n-1, d)) = prod_{j=1}^{n-2} (1 + d/j) = prod_{i=1}^{d}
+    (1 + (n-2)/i), so the log norm is a sum of min(n - 2, d) log1p terms; a
+    difference of lgamma values instead loses 5e-14 at (n, d) = (2, 400) and
+    1e-10 at n = 1e5.  ``error_estimate`` is half the terms' errors, an ulp of
+    each term and, for log1p(r), the rounding of r damped to eps min(1, r),
+    plus eps |log norm| for the sum.  ``value`` is inf past the float range.
     """
     n = params.n
     if n < 2:
         raise ValueError(f"closed form needs n >= 2, got {n}")
     if d < 1:
         raise ValueError("closed form needs d >= 1 (degree-0 norm is 1 by convention)")
-    ratios = [d / j for j in range(1, n - 1)]
+    short, long = sorted((n - 2, d))
+    ratios = [long / j for j in range(1, short + 1)]
     terms = [math.log(n - 1.0), -math.log(2.0 * d + n - 1.0), *map(math.log1p, ratios)]
     log_norm = 0.5 * math.fsum(terms)
     rounding = math.fsum(map(abs, terms)) + math.fsum(min(1.0, r) for r in ratios)

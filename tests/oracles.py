@@ -89,38 +89,38 @@ def hermite_fourth_moment(d: int) -> int:
     )
 
 
-def sphere_even_moment(lam: Fraction, two_j: int) -> Fraction:
-    """E[t^(2j)] under the normalized weight c_lam (1 - t^2)^(lam - 1/2) dt."""
-    j = two_j // 2
-    out = Fraction(1)
-    for i in range(1, j + 1):
-        out *= Fraction(2 * i - 1, 1) / (2 * lam + 2 * i)
-    return out
-
-
 def sphere_power_integral_exact(lam: Fraction, d: int, p_even: int) -> Fraction:
-    """Exact integral of C_d^(lam)(t)^p against the normalized weight, even p."""
-    coeffs: dict[int, Fraction] = {}
-    for j in range(d // 2 + 1):
-        c = (
-            Fraction((-1) ** j)
-            * rising(lam, d - j)
-            / (math.factorial(j) * math.factorial(d - 2 * j))
-            * 2 ** (d - 2 * j)
-        )
-        coeffs[d - 2 * j] = c
-    poly = {0: Fraction(1)}
+    """Exact integral of C_d^(lam)(t)^p against the normalized weight, even p.
+
+    C_d^(lam) = (1/D) sum_k a_k t^k with integer a_k over one common
+    denominator D, so its p-th power is taken on the integers.  The even
+    moments E[t^(2i)] under c_lam (1 - t^2)^(lam - 1/2) dt follow by the
+    running product m_{2i} = m_{2i-2} (2i - 1) / (2 lam + 2i), m_0 = 1.
+    """
+    coeffs = {
+        d - 2 * j: Fraction((-1) ** j)
+        * rising(lam, d - j)
+        / (math.factorial(j) * math.factorial(d - 2 * j))
+        * 2 ** (d - 2 * j)
+        for j in range(d // 2 + 1)
+    }
+    denom = math.lcm(*(c.denominator for c in coeffs.values()))
+    base = [(k, c.numerator * (denom // c.denominator)) for k, c in coeffs.items()]
+    poly = [1]
     for _ in range(p_even):
-        nxt: dict[int, Fraction] = {}
-        for i, ci in poly.items():
-            for k, ck in coeffs.items():
-                nxt[i + k] = nxt.get(i + k, Fraction(0)) + ci * ck
+        nxt = [0] * (len(poly) + d)
+        for i, ci in enumerate(poly):
+            if ci:
+                for k, ck in base:
+                    nxt[i + k] += ci * ck
         poly = nxt
-    total = Fraction(0)
-    for deg, c in poly.items():
-        if deg % 2 == 0:
-            total += c * sphere_even_moment(lam, deg)
-    return total
+    # C_d has the parity of d, so an even power has only even degrees
+    total, moment = Fraction(0), Fraction(1)
+    for deg in range(0, len(poly), 2):
+        if deg:
+            moment *= Fraction(deg - 1) / (2 * lam + deg)
+        total += poly[deg] * moment
+    return total / denom**p_even
 
 
 def gauss_jacobi_mp(m: int, alpha: float, beta: float, guesses, dps: int = 40):

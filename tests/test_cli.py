@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import spherehc
-from spherehc import cli, norms
+from spherehc import cli, hypercheck, norms
 from spherehc.cli import main
 
 from oracles import hermite_fourth_moment, log_fraction
@@ -117,6 +117,31 @@ def test_hostile_argv_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 64, err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ratio", "--n", "3", "--d", "7", "--p", "2", "--q", "1e6"),
+    ("ratio", "--gaussian", "--d", "3", "--p", "2", "--q", "1e6"),
+    ("limit", "--d", "2", "--p", "2", "--q", "1e6", "--n", "10,100"),
+    ("scan", "--p", "2", "--q", "1e6", "--n-max", "4", "--d-max", "3", "--jobs", "1"),
+    ("necessity", "--n", "2", "--p", "2", "--q", "1e6"),
+])
+@pytest.mark.filterwarnings("error")
+def test_exponents_at_the_cap_give_verdicts(capsys, argv):
+    assert cli.MAX_EXPONENT == 1e6
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "nan" not in out
+
+
+@pytest.mark.parametrize("q", ["1e16", "1e200"])
+def test_exponents_past_the_cap_are_rejected_before_any_work(capsys, monkeypatch, q):
+    # at 1e16 the end weight rounded to nan (exit 3), at 1e200 the eigen-solve failed
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    for argv in (("ratio", "--n", "3", "--d", "7", "--p", "2", "--q", q),
+                 ("necessity", "--n", "2", "--p", q, "--q", q)):
+        code, _, err = run(capsys, *argv)
+        assert code == 64 and "exceeds the cap" in err
 
 
 @pytest.mark.parametrize("argv,code", [(["lemma", "--n", "2", "--k-max", "3"], 0), (["lemma", "--frobnicate"], 64)])
@@ -424,6 +449,27 @@ def test_repro_suite_passes(capsys):
     code, out, _ = run(capsys, "repro")
     assert code == 0
     assert "repro: 14/14 checks pass" in out
+
+
+def test_repro_computes_each_verdict_once(capsys, monkeypatch):
+    # 120 scan cells and the 40 shadow cells with d > 10; the lemma rows read
+    # the all-k certificate, not a table
+    calls = []
+    check = hypercheck.count1_check
+
+    def counted(*args):
+        calls.append(args[:2])
+        return check(*args)
+
+    def no_table(*args):
+        raise AssertionError("repro built a lemma table")
+
+    monkeypatch.setattr(hypercheck, "count1_check", counted)
+    monkeypatch.setattr(hypercheck, "lemma_table", no_table)
+    code, out, _ = run(capsys, "repro")
+    assert code == 0 and "repro: 14/14 checks pass" in out
+    assert out.count("for all k >= 1") == 2
+    assert len(calls) == 160 and len(set(calls)) == 160
 
 
 def test_repro_subordination_row_follows_tol(capsys, monkeypatch):

@@ -26,6 +26,7 @@ from spherehc.hypercheck import (
     heat_condition,
     hermite_bound_check,
     hermite_growth_rate,
+    lemma_all,
     lemma_check,
     lemma_table,
     logsob_check,
@@ -174,6 +175,29 @@ def test_lemma_table_matches_pointwise():
         assert table[k - 1].status == v.status
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lemma_all_agrees_with_the_table(n):
+    table = lemma_table(n, 2000)
+    failing = [k for k, v in enumerate(table, start=1) if v.status == FAILS]
+    result = lemma_all(n)
+    assert result.status == (FAILS if failing else HOLDS)
+    if failing:
+        assert result.k == failing[0]
+
+
+def test_lemma_all_decides_small_dimensions():
+    assert lemma_all(2) == (HOLDS, 2)
+    assert lemma_all(3) == (HOLDS, 4)
+    assert lemma_all(4) == (FAILS, 2)
+
+
+def test_lemma_certificate_coefficients():
+    # P(k0 + s) in s, exactly; on S^2, P(1) = 1 * 9 - 8 * 2 = -7
+    for n, k0 in ((2, 2), (3, 4)):
+        assert all(isinstance(c, Fraction) and c > 0 for c in hypercheck._monotonicity_coefficients(n, k0))
+    assert hypercheck._monotonicity_coefficients(2, 1)[0] == -7
+
+
 def test_h_function_frozen_values():
     assert h_function(2, 4) == pytest.approx(1 + 2 * math.log(2) - math.sqrt(10), rel=1e-14)
     assert h_function(3, 4) == pytest.approx((2 + 3 * math.log(3) - 4 * math.sqrt(2)) / 3, rel=1e-14)
@@ -306,6 +330,8 @@ def test_logsob_entropies_start_at_the_critical_points(monkeypatch):
     # real roots of g', where u^2 log u^2 is least smooth, their entropies
     # take 406 integrand calls (1,001 when bisection has to find those
     # points), and the split costs no eigen-solve beyond the sign check's
+    rng = np.random.default_rng(7)
+    polys = [random_zonal_polynomial(2 if i % 2 == 0 else 3, 8, rng) for i in range(250)]
     calls = []
     solves = []
     integrate, series_roots = hypercheck.integrate_piecewise, specfun._series_roots
@@ -319,9 +345,8 @@ def test_logsob_entropies_start_at_the_critical_points(monkeypatch):
 
     monkeypatch.setattr(hypercheck, "integrate_piecewise", counted)
     monkeypatch.setattr(specfun, "_series_roots", solving)
-    rng = np.random.default_rng(7)
-    for i in range(250):
-        entropy_functional(random_zonal_polynomial(2 if i % 2 == 0 else 3, 8, rng))
+    for g in polys:
+        entropy_functional(g)
     assert len(solves) == 250
     assert len(calls) <= 450
 
@@ -332,6 +357,13 @@ def test_random_zonal_polynomials_are_nonnegative():
     for _ in range(25):
         g = random_zonal_polynomial(3, 8, rng)
         assert float(np.min(np.asarray(g.profile(grid)))) >= 0.0
+
+
+def test_random_zonal_polynomials_clear_zero_at_high_degree():
+    # the 2,049-point grid alone missed dips near +-1 down to -8.7 here
+    for seed in range(6):
+        for n in (2, 3):
+            hypercheck._require_nonnegative(random_zonal_polynomial(n, 300, np.random.default_rng(seed)))
 
 
 def test_random_zonal_polynomial_rejects_a_negative_degree():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,26 @@ def test_closed_form_s3_degree_two():
     assert closed.value**2 == pytest.approx(1.0, rel=1e-14)
     quad = sphere_lp_norm(SphereParams(3), 2, 2.0)
     assert quad.value**2 == pytest.approx(1.0, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [13, 10**5, 10**7, 10**9])
+@pytest.mark.parametrize("d", [1, 6, 40])
+def test_closed_form_takes_the_shorter_product(n, d):
+    # 1 / (d B(n-1, d)) = C(n - 2 + d, d); the float reference rounds its three logs
+    terms = (math.log(n - 1), -math.log(2 * d + n - 1), math.log(math.comb(n - 2 + d, d)))
+    closed = sphere_l2_norm_closed(SphereParams(n), d)
+    assert abs(closed.log_value - 0.5 * math.fsum(terms)) <= closed.error_estimate + 2.3e-16 * sum(map(abs, terms))
+
+
+def test_closed_form_memory_does_not_grow_with_n():
+    # a product over j = 1..n-2 peaked at 65 MB here
+    tracemalloc.start()
+    try:
+        sphere_l2_norm_closed(SphereParams(10**6), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_closed_form_rejects_degree_zero():
