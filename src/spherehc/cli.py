@@ -38,6 +38,10 @@ MAX_DEGREE = 2000
 MAX_EXPONENT = 1e6
 # the largest --k-max: lemma holds a row per k in memory (112 MB at the cap)
 MAX_K = 100_000
+# the largest sphere dimension: at n = 1e6, d = 2000 a zonal norm is 4e-2 off in log
+MAX_N = 10**5
+# the most (n, d) cells one scan may ask for: it builds the whole grid first
+MAX_SCAN_CELLS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -477,6 +481,13 @@ def _dispatch(parser: _Parser, args) -> int:
         parser.error(f"exponent {exponent:g} exceeds the cap of {MAX_EXPONENT:g}")
     if getattr(args, "k_max", 0) > MAX_K:
         parser.error(f"--k-max {args.k_max} exceeds the cap of {MAX_K}")
+    n = getattr(args, "n", None)
+    dimension = max(*(n if isinstance(n, list) else [n or 0]), getattr(args, "n_min", 0), getattr(args, "n_max", 0))
+    if dimension > MAX_N:
+        parser.error(f"dimension {dimension} exceeds the cap of {MAX_N}")
+    cells = max(0, args.n_max - args.n_min + 1) * max(0, args.d_max - args.d_min + 1) if args.command == "scan" else 0
+    if cells > MAX_SCAN_CELLS:
+        parser.error(f"scan of {cells} cells exceeds the cap of {MAX_SCAN_CELLS}")
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

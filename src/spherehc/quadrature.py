@@ -20,6 +20,10 @@ panel values summed in linear space.  Both integrators take the end weight
 ((t - a)(b - t))^end_exponent from ``_bisect``, which builds every panel's
 log weights in one place: the Gauss-Jacobi rule's weights with its own
 weight function divided out, the panel's half-width and the end weight.
+The exponents of one call share their edges and end weight, so each round
+holds the panels of all of them in one table and builds their nodes and
+weights in one broadcast; in the first round each exponent's nodes are one
+row of a stacked logsumexp.
 
 Non-convergence, including a non-finite sum, is reported through
 ``converged=False``, never as a silently wrong value.
@@ -164,97 +168,98 @@ def _rule_rows(levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return x, rest
 
 
-def _job(edges: np.ndarray, inner: float, end: float) -> tuple:
-    """A job for ``_bisect``: one panel between each two consecutive ``edges``,
-    with exponent ``end`` at the first and the last edge and ``inner`` at the others."""
-    # the exponents a panel edge can carry: these two, and the 0 that bisection gives every new edge
-    levels = tuple(dict.fromkeys((0.0, inner, end)))
-    left = np.full(len(edges) - 1, levels.index(inner))
-    right = left.copy()
-    left[0] = right[-1] = levels.index(end)
-    return (levels, edges[0], edges[-1], end), np.column_stack([edges[:-1], edges[1:]]), right * len(levels) + left
-
-
-def _bisect(f, jobs, weigh, settle) -> list[IntegralResult]:
+def _bisect(f, edges: np.ndarray, end: float, inners, weigh, settle) -> list[IntegralResult]:
     """The bisection rounds of both integrators: one result per job.
 
-    A job is ((levels, a, b, e), spans, rows): panel i spans [spans[i, 0],
-    spans[i, 1]] and takes row rows[i] = r * len(levels) + l of
-    ``_rule_rows(levels)``, with levels[l] its exponent at the left end and
-    levels[r] at the right.  Each round calls ``f`` once, on the 16 and the
-    32 nodes of every new panel of every open job.
+    Job k integrates f(t) ((t - a)(b - t))^end over (a, b) = (edges[0],
+    edges[-1]), from one panel between each two consecutive ``edges`` with
+    exponent ``end`` at a and b and inners[k] at the other edges.  The jobs
+    share levels = (0, end, inners...) without repeats: a panel with
+    exponent levels[l] at its left end and levels[r] at its right takes row
+    r * len(levels) + l of ``_rule_rows(levels)``, so jobs differ only in
+    their rows.
 
-    A panel's log weights are its row's rule-only log weights, plus the log
-    of its half-width, plus e log((t - a)(b - t)) when e is not 0, so that
-    the sum of exp(log weight) f(t) over either rule is the panel's integral
-    of f(t) ((t - a)(b - t))^e.  ``weigh(k, spans, (values, t, log_w),
-    first)`` turns job k's new panels into one row of sums per panel
-    (coarse, fine, ...): ``values`` of ``f`` at the abscissae ``t`` and the
-    log weights ``log_w`` have one row of 16 + 32 per panel.  In the first
-    round it may return a final IntegralResult instead.  ``settle(k, sums)``
-    gives (converged, split, result) for all panels of job k.  The job ends
-    with ``result()`` when it converged, when nothing is to be split (split
-    None or all False) or when the split would pass ``MAX_PANELS``.
-    Otherwise the panels where split holds are bisected: a child keeps its
-    parent's exponent on the side it still touches and gets levels[0] = 0 on
-    the new side, so the left child takes row l and the right child row
-    r * len(levels).
+    One table holds the open panels of all jobs: spans, rows, job index and
+    sums.  Each round gathers the rule rows of its new panels and builds
+    their abscissae and log weights in one broadcast: the row's rule-only
+    log weights, plus the log of the half-width, plus end log((t - a)(b - t))
+    when end is not 0, so that the sum of exp(log weight) f(t) over either
+    rule is the panel's integral of f(t) ((t - a)(b - t))^end.  It calls
+    ``f`` once, on the 16 and the 32 nodes of every new panel.
+    ``weigh(job, (values, t, log_w), first)`` gets the new panels' job
+    indices and, one row of 16 + 32 per panel, the values of ``f`` at the
+    abscissae ``t`` and the log weights ``log_w``.  It returns (done, sums):
+    one row of sums per new panel (coarse, fine, ...), and in the first
+    round the jobs it finished, mapped to their IntegralResults, with sums
+    None when that is every job.  ``settle(k, sums)`` gives (converged,
+    split, result) for all panels of job k, in the order they were made.
+    The job ends with ``result()`` when it converged, when nothing is to be
+    split (split None or all False) or when the split would pass
+    ``MAX_PANELS``.  Otherwise the panels where split holds are bisected: a
+    child keeps its parent's exponent on the side it still touches and gets
+    levels[0] = 0 on the new side, so the left child takes row l and the
+    right child row r * len(levels).
     """
+    levels = tuple(dict.fromkeys((0.0, end, *inners)))
+    x, rest = _rule_rows(levels)
+    a, b = edges[0], edges[-1]
+    count = len(edges) - 1
+    job, panel = np.divmod(np.arange(len(inners) * count), count)
+    spans = edges[np.add.outer(panel, (0, 1))]
+    inner, outer = np.array([levels.index(p) for p in inners])[job], levels.index(end)
+    rows = np.where(panel == count - 1, outer, inner) * len(levels) + np.where(panel == 0, outer, inner)
+    table = None
     results: dict[int, IntegralResult] = {}
-    panels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # k -> spans, rows, sums
-    new = {k: job[1:] for k, job in enumerate(jobs)}
-    first = True
-    while new:
-        built = {}
-        for k, (spans, rows) in new.items():
-            levels, a, b, e = jobs[k][0]
-            x, rest = _rule_rows(levels)
-            lo, hi = spans[:, :1], spans[:, 1:]
-            half = 0.5 * (hi - lo)
-            x = x[rows]
-            rise = half * (1.0 + x)
-            t = lo + rise
-            log_w = rest[rows] + np.log(half)
-            if e != 0.0:
-                # t - a = (lo - a) + half (1 + x) and b - t = (b - hi) + half (1 - x)
-                # are exact next to an end, where lo - a or b - hi is 0; but each
-                # log carries about eps of rounding, which e multiplies.  Where
-                # s = (t - (a + b)/2) / ((b - a)/2) has s^2 < 1/4, the weight is
-                # ((b - a)/2)^2 (1 - s^2) instead, whose log1p rounds at s^2 eps.
-                s2 = ((t - 0.5 * (a + b)) / (0.5 * (b - a))) ** 2
-                ends = np.log((lo - a) + rise) + np.log((b - hi) + half * (1.0 - x))
-                centre = 2.0 * math.log(0.5 * (b - a)) + np.log1p(-np.minimum(s2, 0.25))
-                log_w += e * np.where(s2 < 0.25, centre, ends)
-            built[k] = (t, log_w)
-        values = np.asarray(f(np.concatenate([t.ravel() for t, _ in built.values()])), dtype=float)
-        end = 0
-        for k, (t, log_w) in built.items():
-            start, end = end, end + t.size
-            sums = weigh(k, new[k][0], (values[start:end].reshape(t.shape), t, log_w), first)
-            if isinstance(sums, IntegralResult):
-                results[k] = sums
+    while True:
+        lo, hi = spans[:, :1], spans[:, 1:]
+        half = 0.5 * (hi - lo)
+        nodes = x[rows]
+        rise = half * (1.0 + nodes)
+        t = lo + rise
+        log_w = rest[rows] + np.log(half)
+        if end != 0.0:
+            # t - a = (lo - a) + half (1 + x) and b - t = (b - hi) + half (1 - x)
+            # are exact next to an end, where lo - a or b - hi is 0; but each
+            # log carries about eps of rounding, which end multiplies.  Where
+            # s = (t - (a + b)/2) / ((b - a)/2) has s^2 < 1/4, the weight is
+            # ((b - a)/2)^2 (1 - s^2) instead, whose log1p rounds at s^2 eps.
+            s2 = ((t - 0.5 * (a + b)) / (0.5 * (b - a))) ** 2
+            ends = np.log((lo - a) + rise) + np.log((b - hi) + half * (1.0 - nodes))
+            centre = 2.0 * math.log(0.5 * (b - a)) + np.log1p(-np.minimum(s2, 0.25))
+            log_w += end * np.where(s2 < 0.25, centre, ends)
+        values = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
+        done, sums = weigh(job, (values, t, log_w), table is None)
+        results.update(done)
+        if sums is None:
+            break
+        # each job's panels in order: those kept from earlier rounds, then the new ones
+        new = (spans, rows, job, sums)
+        table = new if table is None else [np.concatenate(pair) for pair in zip(table, new)]
+        spans, rows, job, sums = table
+        split = np.zeros(len(job), dtype=bool)
+        for k in range(len(inners)):
+            if k in results:
                 continue
-            added = (*new[k], sums)
-            panels[k] = tuple(map(np.concatenate, zip(panels[k], added))) if k in panels else added
-        new = {}
-        for k, (spans, rows, sums) in list(panels.items()):
-            converged, split, result = settle(k, sums)
-            grow = 0 if split is None else np.count_nonzero(split)
-            if converged or not grow or len(spans) + grow > MAX_PANELS:
+            mine = job == k
+            converged, part, result = settle(k, sums[mine])
+            grow = 0 if part is None else np.count_nonzero(part)
+            if converged or not grow or len(part) + grow > MAX_PANELS:
                 results[k] = result()
-                del panels[k]
-                continue
-            keep = ~split
-            panels[k] = (spans[keep], rows[keep], sums[keep])
-            spans, rows = spans[split], rows[split]
-            mid = 0.5 * (spans[:, 0] + spans[:, 1])
-            # the left children [lo, mid] first, then the right children [mid, hi]
-            spans = np.concatenate([spans, spans])
-            spans[:grow, 1] = spans[grow:, 0] = mid
-            left = rows % len(jobs[k][0][0])
-            new[k] = (spans, np.concatenate([left, rows - left]))
-        first = False
-    return [results[k] for k in range(len(jobs))]
+            else:
+                split[mine] = part
+        if len(results) == len(inners):
+            break
+        keep = ~split & np.array([k not in results for k in range(len(inners))])[job]
+        table = [column[keep] for column in table]
+        spans, rows, job = spans[split], rows[split], job[split]
+        mid = 0.5 * (spans[:, 0] + spans[:, 1])
+        # the left children [lo, mid] first, then the right children [mid, hi]
+        grow = len(mid)
+        spans = np.concatenate([spans, spans])
+        spans[:grow, 1] = spans[grow:, 0] = mid
+        left = rows % len(levels)
+        rows, job = np.concatenate([left, rows - left]), np.concatenate([job, job])
+    return [results[k] for k in range(len(inners))]
 
 
 def _panel_sums(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -316,21 +321,27 @@ def integrate_root_intervals(
     if np.any(np.diff(edges) <= 0):
         raise ValueError("roots must be strictly increasing inside the interval")
 
-    def weigh(k, spans, part, first):
+    powers = np.array(exponents)
+
+    def weigh(job, part, first):
         log_f, t, log_w = part
         if log_weight is not None:
             log_w += log_weight(t.ravel()).reshape(t.shape)
-        log_f = exponents[k] * log_f
+        log_f = powers[job, None] * log_f
         terms = [(log_f[:, rule], log_w[:, rule]) for rule in _RULES]
+        done = {}
         if first:
-            # all nodes of the job as one row
-            coarse, fine, size = map(float, _panel_sums([(f.ravel(), w.ravel()) for f, w in terms]))
-            gap = abs(math.expm1(min(coarse - fine, _LOG_GAP_CAP))) if math.isfinite(fine) else math.inf
-            rounding = 4.0 * _EPS * size
-            converged = math.isfinite(gap) and gap <= tol + rounding
-            if converged or not math.isfinite(fine):
-                return IntegralResult.from_log(fine, gap + rounding, len(spans), converged, GAUSS_JACOBI)
-        return np.column_stack(_panel_sums(terms))
+            # all nodes of each job as one row
+            whole = _panel_sums([(f.reshape(len(powers), -1), w.reshape(len(powers), -1)) for f, w in terms])
+            for k, (coarse, fine, size) in enumerate(zip(*(row.tolist() for row in whole))):
+                gap = abs(math.expm1(min(coarse - fine, _LOG_GAP_CAP))) if math.isfinite(fine) else math.inf
+                rounding = 4.0 * _EPS * size
+                converged = math.isfinite(gap) and gap <= tol + rounding
+                if converged or not math.isfinite(fine):
+                    done[k] = IntegralResult.from_log(fine, gap + rounding, len(edges) - 1, converged, GAUSS_JACOBI)
+            if len(done) == len(powers):
+                return done, None
+        return done, np.column_stack(_panel_sums(terms))
 
     def settle(k, sums):
         coarse, fine, size = sums.T
@@ -344,7 +355,7 @@ def integrate_root_intervals(
         split = err > tol / len(err) if math.isfinite(gap) else None
         return converged, split, lambda: IntegralResult.from_log(total, gap + rounding, len(fine), converged, ADAPTIVE)
 
-    return tuple(_bisect(log_abs, [_job(edges, p, e) for p in exponents], weigh, settle))
+    return tuple(_bisect(log_abs, edges, e, exponents, weigh, settle))
 
 
 def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: float = 0.0) -> IntegralResult:
@@ -386,12 +397,12 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
         raise ValueError(f"end exponent must exceed -1, got {end_exponent}")
     edges = np.array([a, *sorted({float(p) for p in breakpoints if a < p < b}), b])
 
-    def weigh(k, spans, part, first):
+    def weigh(job, part, first):
         values, _, log_w = part
         w = np.exp(log_w)
         # a panel's sum over each rule is w . f, one dot product per panel:
         # the same sum as on that panel alone
-        return np.concatenate([(w[:, None, rule] @ values[:, rule, None])[:, 0] for rule in _RULES], axis=1)
+        return {}, np.concatenate([(w[:, None, rule] @ values[:, rule, None])[:, 0] for rule in _RULES], axis=1)
 
     def settle(k, sums):
         # in Python floats: a few panels are summed faster so, and an
@@ -408,7 +419,7 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
         error = err_total + 4.0 * _EPS * abs_total
         return converged, np.array(err) > allowed / len(err), lambda: IntegralResult(math.fsum(fine), error, len(fine), converged)
 
-    return _bisect(f, [_job(edges, 0.0, end_exponent)], weigh, settle)[0]
+    return _bisect(f, edges, end_exponent, (0.0,), weigh, settle)[0]
 
 
 def subordination_check(x: float, tol: float = 1e-10) -> Verdict:

@@ -5,7 +5,9 @@ P_k = (a_k x + c_k) P_{k-1} - b_k P_{k-2} with P_0 = 1 and P_{-1} = 0; the
 families differ only in a_k, b_k and c_k, and c_k is nonzero only for Jacobi
 polynomials with alpha != beta.  One pass can also sum a series
 sum_k s_k P_k, and it returns P_{d-1} beside P_d for the root finders'
-Newton step.
+Newton step.  The loop writes every step into preallocated arrays, with
+the operations of the plain expression in its order, so it is bitwise the
+plain loop.
 
 Rescale rule: |P_k| <= (|a_k| max|x| + |c_k| + |b_k|) max(|P_{k-1}|, |P_{k-2}|) bounds
 each value before it is computed.  While the running product of these
@@ -103,7 +105,10 @@ def _recurrence(a, b, x, coeffs=None, c=None):
         return (prev if coeffs is None else coeffs[0] * prev), np.zeros_like(x), 0
     if c is None:
         c = [0.0] * len(a)
-    cur = a[0] * x + c[0] if c[0] else a[0] * x
+    # every step writes into these arrays; without ``out``, a 0-d x would give scalars
+    cur, buf = np.multiply(x, a[0], out=np.empty_like(x)), np.empty_like(x)
+    if c[0]:
+        cur += c[0]
     acc = None
     limit = _LIMIT
     if coeffs is not None:
@@ -122,13 +127,19 @@ def _recurrence(a, b, x, coeffs=None, c=None):
             if acc is not None:
                 size = np.maximum(size, np.abs(acc) / csum)
             exponent = np.frexp(size)[1]
-            cur, prev = np.ldexp(cur, -exponent), np.ldexp(prev, -exponent)
+            np.ldexp(cur, -exponent, out=cur)
+            np.ldexp(prev, -exponent, out=prev)
             if acc is not None:
                 acc = np.ldexp(acc, -exponent)
             shift = shift + exponent
             bound = factor
-        step = ak * x + ck if ck else ak * x
-        prev, cur = cur, step * cur - bk * prev
+        np.multiply(x, ak, out=buf)
+        if ck:
+            buf += ck
+        buf *= cur
+        prev *= bk
+        buf -= prev
+        prev, cur, buf = cur, buf, prev
         if acc is not None:
             acc = acc + coeffs[k + 1] * cur
     return (cur if acc is None else acc), prev, shift
@@ -157,7 +168,9 @@ def _log_abs(ab, x, coeffs=None) -> tuple[np.ndarray, np.ndarray]:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     value, _, shift = _recurrence(*ab, x, coeffs)
     with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(value)) + _LN2 * shift
+        log_abs = np.log(np.abs(value))
+    if not isinstance(shift, int):
+        log_abs += _LN2 * shift
     return np.sign(value), log_abs
 
 

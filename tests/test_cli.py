@@ -144,6 +144,31 @@ def test_exponents_past_the_cap_are_rejected_before_any_work(capsys, monkeypatch
         assert code == 64 and "exceeds the cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("ratio", "--n", "100001", "--d", "2", "--p", "2", "--q", "4"),
+    ("limit", "--d", "2", "--p", "2", "--q", "4", "--n", "10,100001"),
+    ("lemma", "--n", "2,100001", "--k-max", "3"),
+    ("logsob", "--n", "100001", "--coeffs", "1,1"),
+    ("necessity", "--n", "100001", "--p", "2", "--q", "4"),
+    ("scan", "--p", "2", "--q", "4", "--n-max", "100001", "--d-max", "1"),
+    ("scan", "--p", "2", "--q", "4", "--n-min", "100001", "--n-max", "3", "--d-max", "1"),
+    # grids of 2e8 and of 100,100 cells
+    ("scan", "--p", "2", "--q", "4", "--n-max", "100000", "--d-max", "2000"),
+    ("scan", "--p", "2", "--q", "4", "--n-max", "1002", "--d-max", "100"),
+])
+def test_dimensions_and_scan_grids_past_the_cap_are_rejected_before_any_work(capsys, monkeypatch, argv):
+    assert cli.MAX_N == 10**5 and cli.MAX_SCAN_CELLS == 100_000
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    code, _, err = run(capsys, *argv)
+    assert code == 64 and "exceeds the cap" in err
+
+
+def test_dimension_at_the_cap_gives_a_verdict(capsys):
+    code, out, err = run(capsys, "ratio", "--n", "100000", "--d", "2", "--p", "2", "--q", "4", "--format", "csv")
+    assert code == 0, err
+    assert "nan" not in out
+
+
 @pytest.mark.parametrize("argv,code", [(["lemma", "--n", "2", "--k-max", "3"], 0), (["lemma", "--frobnicate"], 64)])
 def test_python_dash_m_runs_the_cli(argv, code):
     src = str(Path(spherehc.__file__).resolve().parents[1])

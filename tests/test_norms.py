@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spherehc import hypercheck, specfun
+from spherehc import cli, hypercheck, specfun
 from spherehc.norms import (
     CLOSED_FORM,
     SphereParams,
@@ -296,6 +296,27 @@ def test_adaptive_fallback_past_float_range(n, d, p):
     exact = _log_exact(n, d, p)
     assert exact > 709
     assert abs(res.log_value - exact) <= res.relative_error
+
+
+# the corners of the domain the CLI accepts, read from its caps: from n of a
+# few million the end intervals' bump is missed and norms are O(1) off in log
+# (at n = 1e6, d = 2000 already 4e-2), so raising cli.MAX_N fails these
+_CORNERS = [(n, d) for n in (2, 3, cli.MAX_N) for d in (1, 2, 40)] + [(2, cli.MAX_DEGREE), (cli.MAX_N, cli.MAX_DEGREE)]
+
+
+@pytest.mark.parametrize("n,d", _CORNERS)
+def test_l2_norm_at_the_domain_corners_matches_the_closed_form(n, d):
+    nv = sphere_lp_norm(SphereParams(n), d, 2.0)
+    closed = sphere_l2_norm_closed(SphereParams(n), d)
+    assert nv.converged
+    assert abs(nv.log_value - closed.log_value) <= nv.error_estimate + closed.error_estimate
+
+
+@pytest.mark.parametrize("d", [2, 6, 40])
+def test_l4_norm_at_the_dimension_cap_matches_the_exact_integral(d):
+    nv = sphere_lp_norm(SphereParams(cli.MAX_N), d, 4.0)
+    assert nv.converged
+    assert abs(nv.log_value - _log_exact(cli.MAX_N, d, 4) / 4) <= nv.error_estimate
 
 
 @pytest.mark.parametrize("d", [171, 200, 400])

@@ -348,6 +348,40 @@ def test_root_intervals_call_log_abs_once_per_round():
     assert sum(sizes) == first + 96 * splits
 
 
+def _gegenbauer_case(lam, d):
+    ab = specfun._gegenbauer_ab(lam, d)
+    roots = specfun.gegenbauer_roots(GegenbauerSpec(lam, d)).roots
+    return (lambda t: specfun._log_abs(ab, t)[1]), roots, lam - 0.5, {}
+
+
+def _hermite_case(d):
+    spec = specfun.HermiteSpec(d)
+    roots = specfun.hermite_roots(spec).roots
+    radius = roots[-1] + 10.0
+    log_weight = lambda y: -0.5 * y * y
+    return (lambda y: specfun.hermite_log_abs(spec, y)[1]), roots, 0.0, {"interval": (-radius, radius), "log_weight": log_weight}
+
+
+@pytest.mark.parametrize("case,exponents,methods", [
+    # every job converges in the first round
+    (_gegenbauer_case(1.0, 15), (4.0, 2.0), (GAUSS_JACOBI, GAUSS_JACOBI)),
+    # both bisect
+    (_gegenbauer_case(499.5, 6), (4.0, 1.5), (ADAPTIVE, ADAPTIVE)),
+    # the Gaussian side, with a log weight
+    (_hermite_case(40), (4.0, 2.0), (ADAPTIVE, ADAPTIVE)),
+    # S^12 at d = 7: p = 4 converges in the first round, p = 40 bisects
+    (_gegenbauer_case(6.0, 7), (40.0, 4.0), (ADAPTIVE, GAUSS_JACOBI)),
+])
+def test_root_interval_jobs_are_independent(case, exponents, methods):
+    # the exponents of one call share one panel table per round, but each
+    # result is bitwise the one a call with that exponent alone gives
+    log_abs, roots, end, options = case
+    together = integrate_root_intervals(log_abs, roots, exponents, end, 1e-12, **options)
+    alone = [integrate_root_intervals(log_abs, roots, (p,), end, 1e-12, **options)[0] for p in exponents]
+    assert tuple(r.method for r in together) == methods
+    assert list(together) == alone
+
+
 def test_root_intervals_bisect_past_an_overflowing_gap():
     # exp(-p (t - x0)^2) peaks on a node of the 16-node rule and between
     # nodes of the 32-node one, so the 16-node sum is e^(p delta^2) times the

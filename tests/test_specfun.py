@@ -173,6 +173,36 @@ def test_scaled_is_bitwise_the_plain_recurrence(lam, d):
     assert np.array_equal(specfun.gegenbauer_eval_scaled(GegenbauerSpec(lam, d), s), expected)
 
 
+def test_recurrence_with_diagonal_terms_is_bitwise_the_plain_loop():
+    # the in-place steps do the operations of (a_k x + c_k) P_{k-1} - b_k P_{k-2} in its order
+    rng = np.random.default_rng(5)
+    a, b, c = (rng.uniform(0.5, 2.0, 25).tolist() for _ in range(3))
+    x = rng.uniform(-1.0, 1.0, 33)
+    prev, cur = np.ones_like(x), a[0] * x + c[0]
+    for ak, bk, ck in zip(a[1:], b[1:], c[1:]):
+        prev, cur = cur, (ak * x + ck) * cur - bk * prev
+    value, last, shift = specfun._recurrence(a, b, x, c=c)
+    assert shift == 0 and np.array_equal(value, cur) and np.array_equal(last, prev)
+
+
+@pytest.mark.parametrize("d,x,rescaled", [
+    (30, np.linspace(-1.0, 1.0, 9), False),
+    (300, np.linspace(-30.0, 30.0, 9), True),
+    (30, 0.3, False),
+    (300, 30.0, True),
+])
+def test_recurrence_leaves_x_alone_and_returns_arrays_of_its_own(d, x, rescaled):
+    # the loop writes into three arrays of its own, also for a 0-d x
+    x = np.asarray(x, dtype=float)
+    saved = x.copy()
+    value, prev, shift = specfun._recurrence(*specfun._hermite_ab(d), x)
+    assert isinstance(shift, int) != rescaled
+    assert np.array_equal(x, saved)
+    assert np.shape(value) == np.shape(prev) == x.shape
+    for first, second in ((value, prev), (value, x), (prev, x)):
+        assert not np.shares_memory(first, second)
+
+
 def test_hermite_log_abs_across_rescale_matches_oracle():
     # h_400 passes the float range at every one of these points
     ys = [3.25, -37.5, 90.0]
