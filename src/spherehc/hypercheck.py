@@ -169,8 +169,7 @@ def count1_check(n: int, d: int, p: float, q: float, tol: float = 1e-12) -> Verd
     ratio = norms.norm_ratio_sphere(SphereParams(n), d, p, q, tol)
     lhs = ratio.log_value
     rhs = 0.5 * math.sqrt(d * (d + n - 1.0) / n) * math.log((q - 1.0) / (p - 1.0))
-    err = math.inf if not ratio.converged else ratio.error_estimate + rounding_allowance(lhs, rhs)
-    return Verdict.compare(lhs, rhs, err)
+    return Verdict.compare(lhs, rhs, ratio.error_estimate + rounding_allowance(lhs, rhs), ratio.converged)
 
 
 def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
@@ -194,8 +193,7 @@ def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
     closed = norms.sphere_l2_norm_closed(SphereParams(n), d)
     rhs = math.sqrt(d * (d + n - 1.0) / n) * math.log(9.0) + 4.0 * closed.log_value - log_c
     band = res.relative_error + rounding_allowance(lhs, rhs) + 4.0 * closed.error_estimate
-    err = math.inf if not res.converged else band
-    return Verdict.compare(lhs, rhs, err)
+    return Verdict.compare(lhs, rhs, band, res.converged)
 
 
 def lemma_check(n: int, k: int) -> Verdict:
@@ -317,6 +315,8 @@ def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, b
     terms = [g.coeffs[0] ** 2, *(a * a * math.exp(2.0 * v.log_value) for a, v in zip(g.coeffs[1:], closed))]
     rel = max((2.0 * v.error_estimate for v in closed), default=0.0)
     mass = math.fsum(terms)
+    if not 0.0 < mass < math.inf:
+        raise ArithmeticError(f"mass integral is {mass}, not a positive finite float")
     lam = params.lam
     coeffs = np.asarray(g.coeffs, dtype=float)
 
@@ -362,8 +362,7 @@ def logsob_check(g: ZonalPolynomial, rhs_kind: str, tol: float = 1e-10) -> Verdi
     else:
         coefficients = [2.0 * math.sqrt(k * (k + g.n - 1.0) / g.n) for k in range(len(terms))]
     rhs = math.fsum(c * term for c, term in zip(coefficients, terms))
-    total_err = math.inf if not converged else err + rounding_allowance(lhs, rhs)
-    return Verdict.compare(lhs, rhs, total_err)
+    return Verdict.compare(lhs, rhs, err + rounding_allowance(lhs, rhs), converged)
 
 
 class NecessityResult(NamedTuple):
@@ -371,6 +370,8 @@ class NecessityResult(NamedTuple):
     measured_rhs: float
     predicted_lhs: float
     predicted_rhs: float
+    band: float
+    converged: bool
 
 
 def perturbative_necessity(
@@ -383,6 +384,8 @@ def perturbative_necessity(
     predicted_lhs = 1 + (q-1)/2 eps^2 e^{-2 t sqrt(n)} ||Y_1||_2^2
     predicted_rhs = 1 + (p-1)/2 eps^2 ||Y_1||_2^2
 
+    ``band`` is measured_lhs err_q + measured_rhs err_p from the two norms'
+    relative errors, and ``converged`` holds when both norms converged.
     Requires |eps| max|Y_1| < 1 so the perturbed function stays positive.
     """
     if not (1.0 < p <= q):
@@ -400,11 +403,12 @@ def perturbative_necessity(
     damp = math.exp(-t * math.sqrt(n))
     g = ZonalPolynomial(n, (1.0, eps))
     g_t = poisson_semigroup_apply(g, t)
-    measured_lhs = norms.zonal_lp_norm(params, g_t.coeffs, q, tol).value
-    measured_rhs = norms.zonal_lp_norm(params, g.coeffs, p, tol).value
+    lhs = norms.zonal_lp_norm(params, g_t.coeffs, q, tol)
+    rhs = norms.zonal_lp_norm(params, g.coeffs, p, tol)
     predicted_lhs = 1.0 + 0.5 * (q - 1.0) * eps * eps * damp * damp * y1_sq
     predicted_rhs = 1.0 + 0.5 * (p - 1.0) * eps * eps * y1_sq
-    return NecessityResult(measured_lhs, measured_rhs, predicted_lhs, predicted_rhs)
+    band = lhs.value * lhs.error_estimate + rhs.value * rhs.error_estimate
+    return NecessityResult(lhs.value, rhs.value, predicted_lhs, predicted_rhs, band, lhs.converged and rhs.converged)
 
 
 def hermite_bound_check(d: int, p: float, q: float, tol: float = 1e-12) -> Verdict:
@@ -422,8 +426,7 @@ def hermite_bound_check(d: int, p: float, q: float, tol: float = 1e-12) -> Verdi
     ratio = norms.norm_ratio_gaussian(d, p, q, tol)
     lhs = ratio.log_value
     rhs = 0.5 * math.sqrt(d) * math.log((q - 1.0) / (p - 1.0))
-    err = math.inf if not ratio.converged else ratio.error_estimate + rounding_allowance(lhs, rhs)
-    return Verdict.compare(lhs, rhs, err)
+    return Verdict.compare(lhs, rhs, ratio.error_estimate + rounding_allowance(lhs, rhs), ratio.converged)
 
 
 def hermite_growth_rate(d: int, p: float, q: float, tol: float = 1e-12) -> float:

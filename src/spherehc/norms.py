@@ -73,7 +73,8 @@ class NormValue:
 
 @dataclass(frozen=True)
 class RatioValue:
-    """A norm ratio ||.||_q / ||.||_p with combined relative error estimate."""
+    """A norm ratio ||.||_q / ||.||_p (q >= p) with combined relative error estimate;
+    not ``converged`` when a norm is not, or when the ratio is below 1 past its band."""
 
     value: float
     log_value: float
@@ -124,8 +125,8 @@ def _zonal_integrals(lam: float, d: int, coeffs, exponents, tol: float) -> list[
 
 
 def _norm_from_integral(res: IntegralResult, p: float) -> NormValue:
-    if not (res.value > 0 and math.isfinite(res.log_value)):
-        raise ArithmeticError(f"norm integral is {res.value}, not a finite positive number")
+    if not math.isfinite(res.log_value):
+        raise ArithmeticError(f"norm integral has log {res.log_value}, not a finite number")
     log_norm = res.log_value / p
     # the integral's error, and the rounding of the division by p
     rel = res.relative_error / p + _EPS * abs(log_norm)
@@ -209,7 +210,7 @@ def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
     log|h_d| comes from the rescaled Hermite recurrence and the density is
     the log weight -y^2/2 - log sqrt(2 pi), so no degree overflows.  R lies
     a fixed distance past a bound on the peak of |h_d|^p exp(-y^2/2), see
-    ``_gaussian_norms``.  The error adds the tails and 4 p (d + 1) eps for
+    ``_gaussian_integrals``.  The error adds the tails and 4 p (d + 1) eps for
     the recurrence.
     """
     if p < 1:
@@ -218,11 +219,11 @@ def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
         raise ValueError(f"degree must be >= 0, got {d}")
     if d == 0:
         return NormValue(1.0, p, 0.0, CLOSED_FORM, 0.0)
-    return _gaussian_norms(d, (p,), tol)[0]
+    return _norm_from_integral(_gaussian_integrals(d, (p,), tol)[0], p)
 
 
-def _gaussian_norms(d: int, exponents, tol: float) -> list[NormValue]:
-    """||h_d||_p (d >= 1) for each p, from one roots call and one pass per round.
+def _gaussian_integrals(d: int, exponents, tol: float) -> list[IntegralResult]:
+    """E|h_d|^p (d >= 1) for each p, from one roots call and one pass per round.
 
     Past y_hi = (r + sqrt(r^2 + 4 p d)) / 2, with r the largest root and p the
     largest exponent, p log|h_d| - y^2/2 is past its peak, concave and of
@@ -250,19 +251,16 @@ def _gaussian_norms(d: int, exponents, tol: float) -> list[NormValue]:
         # the tails relative to the integral, and the recurrence floor
         log_tail = p * log_abs_radius - 0.5 * radius * radius
         rel = res.relative_error + _exp(log_tail - res.log_value) + 4.0 * p * (d + 1) * _EPS
-        res = IntegralResult.from_log(res.log_value, rel, res.subintervals_used, res.converged, res.method)
-        out.append(_norm_from_integral(res, p))
+        out.append(IntegralResult.from_log(res.log_value, rel, res.subintervals_used, res.converged, res.method))
     return out
 
 
 def _ratio(nq: NormValue, np_: NormValue) -> RatioValue:
     log_ratio = nq.log_value - np_.log_value
-    return RatioValue(
-        _exp(log_ratio),
-        log_ratio,
-        nq.error_estimate + np_.error_estimate,
-        nq.converged and np_.converged,
-    )
+    band = nq.error_estimate + np_.error_estimate
+    # under a probability measure q >= p gives ||f||_q >= ||f||_p (Lyapunov),
+    # so a ratio below 1 past its band comes from a wrong norm
+    return RatioValue(_exp(log_ratio), log_ratio, band, nq.converged and np_.converged and log_ratio >= -band)
 
 
 def norm_ratio_sphere(
@@ -295,7 +293,7 @@ def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> Ratio
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
     if d == 0 or p == q:
         return RatioValue(1.0, 0.0, 0.0)
-    return _ratio(*_gaussian_norms(d, (q, p), tol))
+    return _ratio(*map(_norm_from_integral, _gaussian_integrals(d, (q, p), tol), (q, p)))
 
 
 def zonal_lp_norm(params: SphereParams, coeffs, p: float, tol: float = 1e-12) -> NormValue:

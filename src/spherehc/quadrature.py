@@ -14,16 +14,16 @@ gap is too large are bisected, still in log space, in the manner of
 QUADPACK's QAWS (Piessens et al., QUADPACK, Springer 1983).
 
 ``integrate_piecewise`` serves the integrands that are not |P|^p: the signed
-entropy and subordination.  It splits at the
-given breakpoints and runs the same bisection rounds (``_bisect``), with the
-panel values summed in linear space.  Both integrators take the end weight
-((t - a)(b - t))^end_exponent from ``_bisect``, which builds every panel's
-log weights in one place: the Gauss-Jacobi rule's weights with its own
-weight function divided out, the panel's half-width and the end weight.
-The exponents of one call share their edges and end weight, so each round
-holds the panels of all of them in one table and builds their nodes and
-weights in one broadcast; in the first round each exponent's nodes are one
-row of a stacked logsumexp.
+entropy and subordination.  It splits at the given breakpoints and runs the
+same bisection rounds (``_bisect``), with the panel values summed in linear
+space.  ``_bisect`` checks both integrators' exponents and edges and builds
+every panel's log weights in one place: the Gauss-Jacobi rule's weights with
+its own weight function divided out, the panel's half-width, the end weight
+((t - a)(b - t))^end_exponent and the caller's smooth log weight (the
+Gaussian density).  The exponents of one call share their edges and weights,
+so each round holds the panels of all of them in one table and builds their
+nodes and weights in one broadcast; in the first round each exponent's nodes
+are one row of a stacked logsumexp.
 
 Non-convergence, including a non-finite sum, is reported through
 ``converged=False``, never as a silently wrong value.
@@ -168,38 +168,42 @@ def _rule_rows(levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return x, rest
 
 
-def _bisect(f, edges: np.ndarray, end: float, inners, weigh, settle) -> list[IntegralResult]:
+def _bisect(f, edges: np.ndarray, end: float, inners, weigh, settle, log_weight=None) -> list[IntegralResult]:
     """The bisection rounds of both integrators: one result per job.
 
-    Job k integrates f(t) ((t - a)(b - t))^end over (a, b) = (edges[0],
-    edges[-1]), from one panel between each two consecutive ``edges`` with
-    exponent ``end`` at a and b and inners[k] at the other edges.  The jobs
-    share levels = (0, end, inners...) without repeats: a panel with
-    exponent levels[l] at its left end and levels[r] at its right takes row
-    r * len(levels) + l of ``_rule_rows(levels)``, so jobs differ only in
-    their rows.
+    Job k integrates f(t) ((t - a)(b - t))^end w(t) over (a, b) = (edges[0],
+    edges[-1]), w = exp(log_weight) or 1, from one panel between each two
+    consecutive ``edges`` with exponent ``end`` at a and b and inners[k] at
+    the other edges; ValueError unless every exponent exceeds -1 and the
+    edges increase.  The jobs share levels = (0, end, inners...) without
+    repeats: a panel with exponent levels[l] at its left end and levels[r]
+    at its right takes row r * len(levels) + l of ``_rule_rows(levels)``, so
+    jobs differ only in their rows.
 
     One table holds the open panels of all jobs: spans, rows, job index and
     sums.  Each round gathers the rule rows of its new panels and builds
     their abscissae and log weights in one broadcast: the row's rule-only
     log weights, plus the log of the half-width, plus end log((t - a)(b - t))
-    when end is not 0, so that the sum of exp(log weight) f(t) over either
-    rule is the panel's integral of f(t) ((t - a)(b - t))^end.  It calls
-    ``f`` once, on the 16 and the 32 nodes of every new panel.
-    ``weigh(job, (values, t, log_w), first)`` gets the new panels' job
-    indices and, one row of 16 + 32 per panel, the values of ``f`` at the
-    abscissae ``t`` and the log weights ``log_w``.  It returns (done, sums):
-    one row of sums per new panel (coarse, fine, ...), and in the first
-    round the jobs it finished, mapped to their IntegralResults, with sums
-    None when that is every job.  ``settle(k, sums)`` gives (converged,
-    split, result) for all panels of job k, in the order they were made.
-    The job ends with ``result()`` when it converged, when nothing is to be
-    split (split None or all False) or when the split would pass
-    ``MAX_PANELS``.  Otherwise the panels where split holds are bisected: a
-    child keeps its parent's exponent on the side it still touches and gets
-    levels[0] = 0 on the new side, so the left child takes row l and the
-    right child row r * len(levels).
+    when end is not 0, plus log_weight(t), so that the sum of exp(log weight)
+    f(t) over either rule is the panel's integral of f(t) ((t - a)(b - t))^end
+    w(t).  It calls ``f`` once, on the 16 and the 32 nodes of every new panel.
+    ``weigh(job, (values, log_w), first)`` gets the new panels' job indices
+    and, one row of 16 + 32 per panel, the values of ``f`` and the log
+    weights.  It returns (done, sums): one row of sums per new panel (coarse,
+    fine, ...), and in the first round the jobs it finished, mapped to their
+    IntegralResults, with sums None when that is every job.  ``settle(k,
+    sums)`` gives (converged, split, result) for all panels of job k, in the
+    order they were made.  The job ends with ``result()`` when it converged,
+    when nothing is to be split (split None or all False) or when the split
+    would pass ``MAX_PANELS``.  Otherwise the panels where split holds are
+    bisected: a child keeps its parent's exponent on the side it still
+    touches and gets levels[0] = 0 on the new side, so the left child takes
+    row l and the right child row r * len(levels).
     """
+    if not all(e > -1.0 for e in (end, *inners)):
+        raise ValueError(f"exponents must exceed -1, got {tuple(inners)} and end exponent {end}")
+    if not np.all(np.diff(edges) > 0):
+        raise ValueError(f"edges must strictly increase, got {edges.tolist()}")
     levels = tuple(dict.fromkeys((0.0, end, *inners)))
     x, rest = _rule_rows(levels)
     a, b = edges[0], edges[-1]
@@ -227,8 +231,10 @@ def _bisect(f, edges: np.ndarray, end: float, inners, weigh, settle) -> list[Int
             ends = np.log((lo - a) + rise) + np.log((b - hi) + half * (1.0 - nodes))
             centre = 2.0 * math.log(0.5 * (b - a)) + np.log1p(-np.minimum(s2, 0.25))
             log_w += end * np.where(s2 < 0.25, centre, ends)
+        if log_weight is not None:
+            log_w += log_weight(t.ravel()).reshape(t.shape)
         values = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
-        done, sums = weigh(job, (values, t, log_w), table is None)
+        done, sums = weigh(job, (values, log_w), table is None)
         results.update(done)
         if sums is None:
             break
@@ -313,20 +319,11 @@ def integrate_root_intervals(
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    exponents = tuple(float(p) for p in exponents)
-    e = float(end_exponent)
-    if not min(exponents + (e,)) > -1.0:
-        raise ValueError(f"exponents must exceed -1, got {exponents} and end exponent {e}")
+    powers = np.array(exponents, dtype=float)
     edges = np.array([interval[0], *roots, interval[1]], dtype=float)
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("roots must be strictly increasing inside the interval")
-
-    powers = np.array(exponents)
 
     def weigh(job, part, first):
-        log_f, t, log_w = part
-        if log_weight is not None:
-            log_w += log_weight(t.ravel()).reshape(t.shape)
+        log_f, log_w = part
         log_f = powers[job, None] * log_f
         terms = [(log_f[:, rule], log_w[:, rule]) for rule in _RULES]
         done = {}
@@ -355,7 +352,7 @@ def integrate_root_intervals(
         split = err > tol / len(err) if math.isfinite(gap) else None
         return converged, split, lambda: IntegralResult.from_log(total, gap + rounding, len(fine), converged, ADAPTIVE)
 
-    return tuple(_bisect(log_abs, edges, e, exponents, weigh, settle))
+    return tuple(_bisect(log_abs, edges, float(end_exponent), powers.tolist(), weigh, settle, log_weight))
 
 
 def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: float = 0.0) -> IntegralResult:
@@ -369,7 +366,7 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
         every new panel.
     breakpoints : sequence of floats; points where the integrand has kinks.
         Points outside the open interval are ignored.
-    interval : (a, b) with a < b.
+    interval : (a, b) with a < b, else ``_bisect`` raises ValueError.
     tol : target relative tolerance.  Each round bisects the panels whose
         16/32 gap exceeds an equal share of tol times the integral's
         magnitude (the L1 sum of the panel values, which sees cancellation),
@@ -387,18 +384,13 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
     and at once, with a NaN value, when a panel's value is not finite:
     bisection cannot make an overflowed integrand finite.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise ValueError(f"empty interval {interval}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    end_exponent = float(end_exponent)
-    if not end_exponent > -1.0:
-        raise ValueError(f"end exponent must exceed -1, got {end_exponent}")
+    a, b = float(interval[0]), float(interval[1])
     edges = np.array([a, *sorted({float(p) for p in breakpoints if a < p < b}), b])
 
     def weigh(job, part, first):
-        values, _, log_w = part
+        values, log_w = part
         w = np.exp(log_w)
         # a panel's sum over each rule is w . f, one dot product per panel:
         # the same sum as on that panel alone
@@ -419,7 +411,7 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
         error = err_total + 4.0 * _EPS * abs_total
         return converged, np.array(err) > allowed / len(err), lambda: IntegralResult(math.fsum(fine), error, len(fine), converged)
 
-    return _bisect(f, edges, end_exponent, (0.0,), weigh, settle)[0]
+    return _bisect(f, edges, float(end_exponent), (0.0,), weigh, settle)[0]
 
 
 def subordination_check(x: float, tol: float = 1e-10) -> Verdict:

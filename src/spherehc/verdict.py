@@ -31,8 +31,9 @@ class Verdict:
     status: str
 
     @classmethod
-    def compare(cls, lhs: float, rhs: float, numeric_error: float) -> "Verdict":
-        """Strict trichotomy: the margin must clear the error band either way."""
+    def compare(cls, lhs: float, rhs: float, numeric_error: float, converged: bool = True) -> "Verdict":
+        """Strict trichotomy: the margin must clear the error band either way (unconverged: an infinite band)."""
+        numeric_error = numeric_error if converged else math.inf
         margin = rhs - lhs
         if margin > numeric_error:
             status = HOLDS

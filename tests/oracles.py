@@ -173,3 +173,59 @@ def log_fraction(x: Fraction) -> float:
     """log x for a positive rational, accurate where x is far outside float range."""
     shift = x.numerator.bit_length() - x.denominator.bit_length()
     return math.log(float(x / Fraction(2) ** shift)) + shift * math.log(2.0)
+
+
+def zonal_power_integral_mp(n: int, d: int, p: float, roots, dps: int = 20) -> float:
+    """log of the integral of |C_d^(lam)(t)|^p c_lam (1 - t^2)^(lam - 1/2) over [-1, 1], lam = (n - 1)/2, in mpmath.
+
+    For any real p >= 1, where the Fraction oracle needs an even p.  The
+    integrand is even, so this integrates exp(phi - phi(t*)) over [0, 1] with
+    phi = p log|C_d| + (lam - 1/2) log(1 - t^2), C_d from its three-term
+    recurrence, and doubles it.  Between two roots, and past the outermost
+    root r, phi is concave.  Past r its peak t* is found by bisection on
+    phi', and with sigma = 1/sqrt(-phi''(t*)) the interval [r, 1] is split
+    at t* and t* +- 8 sigma, t* +- 40 sigma.  An interval between roots is
+    dropped when phi's tangent at its midpoint stays below phi(t*) - 100
+    there: concave, phi lies below that tangent, so the interval holds at
+    most exp(phi(t*) - 100).  ``roots`` (floats; those of C_d in (0, 1)
+    suffice) only place the splits.  Each piece is a Gauss-Legendre
+    ``mp.quad`` at ``dps`` digits.
+    """
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        lam, p, half = mp.mpf(n - 1) / 2, mp.mpf(p), mp.mpf(1) / 2
+        steps = [(2 * (k + lam - 1) / k, (k + 2 * lam - 2) / k) for k in range(2, d + 1)]
+
+        def phi(t):
+            prev, cur = mp.mpf(1), 2 * lam * t
+            for a, b in steps:
+                prev, cur = cur, a * t * cur - b * prev
+            return p * mp.log(abs(cur)) + (lam - half) * mp.log(1 - t * t)
+
+        def slope(t):  # phi'(t), with C_d' from the differentiated recurrence
+            prev, cur, dprev, dcur = mp.mpf(1), 2 * lam * t, mp.mpf(0), 2 * lam
+            for a, b in steps:
+                prev, cur, dprev, dcur = cur, a * t * cur - b * prev, dcur, a * (cur + t * dcur) - b * dprev
+            return p * dcur / cur - (2 * lam - 1) * t / (1 - t * t)
+
+        inner = [mp.mpf(float(r)) for r in roots if r > 0]
+        outer = inner[-1] if inner else mp.mpf(0)
+        lo, hi = outer, mp.mpf(1)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        peak = (lo + hi) / 2
+        h = mp.mpf(10) ** (-dps // 3)
+        sigma = 1 / mp.sqrt((slope(peak - h) - slope(peak + h)) / (2 * h))
+        top = phi(peak)
+        pieces = [
+            (a, b) for a, b in zip([mp.mpf(0)] + inner[:-1], inner)
+            if phi((a + b) / 2) + abs(slope((a + b) / 2)) * (b - a) / 2 > top - 100
+        ]
+        cuts = (peak + k * sigma for k in (-40, -8, 0, 8, 40))
+        ends = sorted({outer, mp.mpf(1), *(c for c in cuts if outer < c < 1)})
+        pieces += zip(ends[:-1], ends[1:])
+        total = mp.fsum(mp.quad(lambda t: mp.exp(phi(t) - top), piece, method="gauss-legendre") for piece in pieces)
+        log_c = mp.loggamma(lam + 1) - mp.loggamma(lam + half) - mp.log(mp.pi) / 2
+        return float(mp.log(2 * total) + top + log_c)

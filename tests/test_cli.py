@@ -144,29 +144,41 @@ def test_exponents_past_the_cap_are_rejected_before_any_work(capsys, monkeypatch
         assert code == 64 and "exceeds the cap" in err
 
 
+_PAST_N = str(cli.MAX_N + 1)
+
+
 @pytest.mark.parametrize("argv", [
-    ("ratio", "--n", "100001", "--d", "2", "--p", "2", "--q", "4"),
-    ("limit", "--d", "2", "--p", "2", "--q", "4", "--n", "10,100001"),
-    ("lemma", "--n", "2,100001", "--k-max", "3"),
-    ("logsob", "--n", "100001", "--coeffs", "1,1"),
-    ("necessity", "--n", "100001", "--p", "2", "--q", "4"),
-    ("scan", "--p", "2", "--q", "4", "--n-max", "100001", "--d-max", "1"),
-    ("scan", "--p", "2", "--q", "4", "--n-min", "100001", "--n-max", "3", "--d-max", "1"),
-    # grids of 2e8 and of 100,100 cells
-    ("scan", "--p", "2", "--q", "4", "--n-max", "100000", "--d-max", "2000"),
+    ("ratio", "--n", _PAST_N, "--d", "2", "--p", "2", "--q", "4"),
+    ("limit", "--d", "2", "--p", "2", "--q", "4", "--n", f"10,{_PAST_N}"),
+    ("lemma", "--n", f"2,{_PAST_N}", "--k-max", "3"),
+    ("logsob", "--n", _PAST_N, "--coeffs", "1,1"),
+    ("necessity", "--n", _PAST_N, "--p", "2", "--q", "4"),
+    ("scan", "--p", "2", "--q", "4", "--n-max", _PAST_N, "--d-max", "1"),
+    ("scan", "--p", "2", "--q", "4", "--n-min", _PAST_N, "--n-max", "3", "--d-max", "1"),
+    # grids of MAX_N * 2000 and of 100,100 cells
+    ("scan", "--p", "2", "--q", "4", "--n-max", str(cli.MAX_N), "--d-max", "2000"),
     ("scan", "--p", "2", "--q", "4", "--n-max", "1002", "--d-max", "100"),
 ])
 def test_dimensions_and_scan_grids_past_the_cap_are_rejected_before_any_work(capsys, monkeypatch, argv):
-    assert cli.MAX_N == 10**5 and cli.MAX_SCAN_CELLS == 100_000
+    assert cli.MAX_SCAN_CELLS == 100_000
     monkeypatch.setattr(cli, "_COMMANDS", {})
     code, _, err = run(capsys, *argv)
     assert code == 64 and "exceeds the cap" in err
 
 
 def test_dimension_at_the_cap_gives_a_verdict(capsys):
-    code, out, err = run(capsys, "ratio", "--n", "100000", "--d", "2", "--p", "2", "--q", "4", "--format", "csv")
+    code, out, err = run(capsys, "ratio", "--n", str(cli.MAX_N), "--d", "2", "--p", "2", "--q", "4", "--format", "csv")
     assert code == 0, err
     assert "nan" not in out
+
+
+def test_large_q_at_the_dimension_cap_fails_as_the_exact_integral_says(capsys):
+    # n = 1e5, d = 2, q = 40 printed holds (lhs -0.402) where the exact lhs is
+    # 3.031 > rhs 2.591; at the cap the lhs is the Fraction oracle's 3.0295
+    code, out, err = run(capsys, "ratio", "--n", str(cli.MAX_N), "--d", "2", "--p", "2", "--q", "40", "--format", "csv")
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and row["status"] == "fails", err
+    assert float(row["lhs"]) == pytest.approx(3.029512, abs=1e-6)
 
 
 @pytest.mark.parametrize("argv,code", [(["lemma", "--n", "2", "--k-max", "3"], 0), (["lemma", "--frobnicate"], 64)])
@@ -333,8 +345,8 @@ def test_sphere_overflow_exit_prints_no_warnings(capsys):
     "argv,statuses",
     [
         (("ratio", "--n", "5000", "--d", "6", "--p", "2", "--q", "4"), ["fails"]),
-        (("ratio", "--n", "100000", "--d", "3", "--p", "1.5", "--q", "3"), ["holds"]),
-        (("limit", "--n", "10,1000,100000", "--d", "3", "--p", "2", "--q", "4"), ["holds"] * 3),
+        (("ratio", "--n", str(cli.MAX_N), "--d", "3", "--p", "1.5", "--q", "3"), ["holds"]),
+        (("limit", "--n", f"10,1000,{cli.MAX_N}", "--d", "3", "--p", "2", "--q", "4"), ["holds"] * 3),
     ],
 )
 def test_overflowing_jacobi_rules_print_no_warnings(capsys, argv, statuses):
@@ -389,6 +401,14 @@ def test_logsob_explicit_coefficients(capsys):
     assert row["status"] == "holds"
 
 
+@pytest.mark.parametrize("coeffs", ["1e-200,1e-201", "1e200,1e199"])
+def test_logsob_mass_past_the_float_range_exits_inconclusive(capsys, coeffs):
+    # the mass a_0^2 + a_1^2 ||Y_1||_2^2 underflows to 0 or overflows to inf
+    code, _, err = run(capsys, "logsob", "--n", "3", "--coeffs", coeffs)
+    assert code == 3, err
+    assert "Traceback" not in err
+
+
 def test_logsob_rejects_a_dip_between_grid_points(capsys):
     # (t - 2^-12)^2 - 5e-8 on S^2 dips below zero only between the points of
     # a 4,097-point grid; the entropy checks need g >= 0
@@ -407,6 +427,18 @@ def test_necessity_rows(capsys):
     assert len(rows) == 2
     for row in rows:
         assert float(row["lhs"]) == pytest.approx(float(row["predicted_lhs"]), abs=1e-8)
+
+
+def test_necessity_band_comes_from_the_measured_norms(capsys):
+    # at the critical time the margin shrinks like eps^4: 2.22e-10 at 1e-2 and
+    # 2.24e-14 at 1e-3, outside the norms' band of about 5e-15; at 1e-4 it is 0
+    code, out, err = run(
+        capsys, "necessity", "--n", "2", "--p", "2", "--q", "4", "--eps", "1e-2,1e-3,1e-4", "--format", "csv"
+    )
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["status"] for row in rows] == ["holds", "holds", "inconclusive"]
+    assert all(0.0 < float(row["numeric_error"]) < 1e-14 for row in rows)
 
 
 def test_json_format_carries_metadata(capsys):

@@ -270,6 +270,12 @@ def test_entropy_scaling_homogeneity():
     assert entropy_functional(g2) == pytest.approx(9 * entropy_functional(g1), rel=1e-9)
 
 
+def test_entropy_whose_mass_underflows_raises_arithmetic_error():
+    # a_0^2 + a_1^2 ||Y_1||_2^2 is 0.0 in floats: its log would be a ValueError
+    with pytest.raises(ArithmeticError, match="mass"):
+        entropy_functional(ZonalPolynomial(3, (1e-200, 1e-201)))
+
+
 def test_entropy_rejects_negative_polynomials():
     with pytest.raises(NonnegativityError):
         entropy_functional(ZonalPolynomial(2, (0.0, 1.0)))
@@ -375,8 +381,9 @@ def test_random_zonal_polynomial_rejects_a_negative_degree():
 
 def test_necessity_zero_perturbation():
     r = perturbative_necessity(2, 2, 4, 0.3, 0.0)
-    for value in r:
+    for value in (r.measured_lhs, r.measured_rhs, r.predicted_lhs, r.predicted_rhs):
         assert value == pytest.approx(1.0, abs=1e-13)
+    assert r.converged and 0.0 < r.band < 1e-14
 
 
 def test_necessity_taylor_accuracy_and_decay():
@@ -411,6 +418,14 @@ def test_necessity_rejects_large_perturbations():
 
 
 # -------------------------------------------------- counterexample machinery
+
+def test_count1_ratio_below_one_is_inconclusive():
+    # Lyapunov: ||f||_40 >= ||f||_2 on a probability space.  At n = 1e5 the
+    # missed end bump (ROADMAP item 1) gives log ratio -0.402, and a holds
+    # where the exact lhs 3.031 exceeds the rhs 2.591
+    v = count1_check(100000, 2, 2, 40)
+    assert v.lhs < 0 and v.status == INCONCLUSIVE
+
 
 def test_count1_degree_one_holds():
     for n in (2, 5, 13, 50):
@@ -653,3 +668,5 @@ def test_verdict_trichotomy():
 def test_nonconverged_inputs_are_inconclusive():
     v = Verdict.compare(1.0, 2.0, math.inf)
     assert v.status == INCONCLUSIVE
+    v = Verdict.compare(1.0, 2.0, 1e-12, converged=False)
+    assert v.status == INCONCLUSIVE and v.numeric_error == math.inf

@@ -24,7 +24,13 @@ from spherehc.norms import (
 from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, _jacobi_log_rule, integrate_piecewise, integrate_root_intervals
 from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE
 
-from oracles import hermite_fourth_moment, log_fraction, simpson_composite, sphere_power_integral_exact
+from oracles import (
+    hermite_fourth_moment,
+    log_fraction,
+    simpson_composite,
+    sphere_power_integral_exact,
+    zonal_power_integral_mp,
+)
 
 
 def _log_exact(n: int, d: int, p: int) -> float:
@@ -298,10 +304,12 @@ def test_adaptive_fallback_past_float_range(n, d, p):
     assert abs(res.log_value - exact) <= res.relative_error
 
 
-# the corners of the domain the CLI accepts, read from its caps: from n of a
-# few million the end intervals' bump is missed and norms are O(1) off in log
-# (at n = 1e6, d = 2000 already 4e-2), so raising cli.MAX_N fails these
-_CORNERS = [(n, d) for n in (2, 3, cli.MAX_N) for d in (1, 2, 40)] + [(2, cli.MAX_DEGREE), (cli.MAX_N, cli.MAX_DEGREE)]
+# the corners of the domain the CLI accepts, read from its caps, and n = 1e5,
+# the cap before large p was seen to miss the end intervals' bump there: at
+# p = 2 that happens from n of a few million (at n = 1e6, d = 2000 the norm is
+# already 4e-2 off in log), so raising cli.MAX_N that far fails these
+_CORNERS = [(n, d) for n in (2, 3, cli.MAX_N, 10**5) for d in (1, 2, 40)]
+_CORNERS += [(2, cli.MAX_DEGREE), (cli.MAX_N, cli.MAX_DEGREE), (10**5, cli.MAX_DEGREE)]
 
 
 @pytest.mark.parametrize("n,d", _CORNERS)
@@ -317,6 +325,26 @@ def test_l4_norm_at_the_dimension_cap_matches_the_exact_integral(d):
     nv = sphere_lp_norm(SphereParams(cli.MAX_N), d, 4.0)
     assert nv.converged
     assert abs(nv.log_value - _log_exact(cli.MAX_N, d, 4) / 4) <= nv.error_estimate
+
+
+# past the outermost root (1 - t^2)^(lam - 1/2) |C_d|^p is a bump that large
+# p pushes away from the end rule's nodes; at n = 1e5 it is missed for d = 2
+# and p 32-1000 (ROADMAP item 1), and the cap keeps the CLI below that
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 13, 40])
+def test_large_and_non_integer_exponents_at_the_dimension_cap_match_the_mpmath_reference(d):
+    lam = (cli.MAX_N - 1) / 2
+    roots = specfun.gegenbauer_roots(specfun.GegenbauerSpec(lam, d)).roots
+    for p in (32, 33.3, 64, 97.5, 128, 256, 1000, 1e6):
+        res = zonal_power_integral(lam, d, p, 1e-12)
+        assert res.converged
+        assert abs(res.log_value - zonal_power_integral_mp(cli.MAX_N, d, p, roots)) <= res.relative_error, p
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the end interval's bump is missed at n = 1e5")
+def test_large_exponent_past_the_dimension_cap_matches_the_exact_integral():
+    # the library has no cap: the result is 248.8 below the exact log
+    res = zonal_power_integral((10**5 - 1) / 2, 2, 64.0, 1e-12)
+    assert abs(res.log_value - _log_exact(10**5, 2, 64)) <= res.relative_error
 
 
 @pytest.mark.parametrize("d", [171, 200, 400])
@@ -469,6 +497,13 @@ def test_sphere_norms_at_steep_weights_within_band_of_oracle(n, d, p):
     exact = log_fraction(sphere_power_integral_exact(Fraction(n - 1, 2), d, p)) / p
     assert nv.converged
     assert abs(nv.log_value - exact) <= nv.error_estimate
+
+
+def test_zonal_lp_norm_whose_integral_underflows_keeps_its_log():
+    # the integral 1e-400 underflows to 0.0; its log, and so the norm, does not
+    nv = zonal_lp_norm(SphereParams(3), [1e-200], 2.0)
+    assert nv.converged
+    assert abs(nv.log_value - math.log(1e-200)) <= nv.error_estimate
 
 
 @pytest.mark.parametrize("n", [1500, 5000, 100000])

@@ -186,8 +186,9 @@ def test_non_finite_integrand_stops_at_once():
 
 
 def test_interval_validation():
-    with pytest.raises(ValueError):
-        integrate_piecewise(np.abs, [], (1.0, -1.0), 1e-10)
+    for interval in ((1.0, -1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError):
+            integrate_piecewise(np.abs, [], interval, 1e-10)
     with pytest.raises(ValueError):
         integrate_piecewise(np.abs, [], (-1.0, 1.0), -1e-10)
 
