@@ -36,7 +36,6 @@ from .hypercheck import (
 )
 from .norms import (
     NormValue,
-    RatioValue,
     SphereParams,
     gaussian_lp_norm,
     norm_ratio_gaussian,

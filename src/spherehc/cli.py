@@ -303,7 +303,7 @@ def _cmd_limit(args) -> int:
     rows = []
     prev_gap = None
     monotone = True
-    for n in sorted(args.n):
+    for n in sorted(set(args.n)):
         sphere = norms.norm_ratio_sphere(SphereParams(n), args.d, args.p, args.q, args.tol)
         # status records monotone progress toward the Gaussian limit, measured
         # between the logs: past d of a few hundred the ratios round to the
@@ -489,6 +489,8 @@ def _dispatch(parser: _Parser, args) -> int:
     cells = max(0, args.n_max - args.n_min + 1) * max(0, args.d_max - args.d_min + 1) if args.command == "scan" else 0
     if cells > MAX_SCAN_CELLS:
         parser.error(f"scan of {cells} cells exceeds the cap of {MAX_SCAN_CELLS}")
+    if args.command == "scan" and cells == 0:
+        parser.error("empty scan grid: need --n-min <= --n-max and --d-min <= --d-max")
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

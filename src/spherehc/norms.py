@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .quadrature import IntegralResult, _exp, integrate_root_intervals
+from .quadrature import ADAPTIVE, IntegralResult, _exp, integrate_root_intervals
 
 __all__ = [
     "CLOSED_FORM",
     "SphereParams",
     "NormValue",
-    "RatioValue",
     "sphere_lp_norm",
     "sphere_l2_norm_closed",
     "gaussian_lp_norm",
@@ -54,32 +53,30 @@ class SphereParams:
 
 @dataclass(frozen=True)
 class NormValue:
-    """An L^p norm with provenance.
+    """An L^p norm, or a norm ratio ||.||_q / ||.||_p (q >= p), with provenance.
 
-    ``value`` is exp(log_value) and may overflow to inf for extreme inputs;
-    ``log_value`` is always finite.  ``error_estimate`` is relative to value
-    (zero for closed forms up to rounding).  ``method`` is CLOSED_FORM or the
-    integral's own: ``quadrature.GAUSS_JACOBI`` when the first round of root
-    intervals converged, ``quadrature.ADAPTIVE`` when it bisected.
+    ``log_value`` is always finite; ``value`` is exp(log_value) and may
+    overflow to inf for extreme inputs.  ``error_estimate`` is relative to
+    value, so a band on log_value (zero for closed forms up to rounding).
+    ``method`` is CLOSED_FORM or the integral's own: ``quadrature.GAUSS_JACOBI``
+    when the first round of root intervals converged, ``quadrature.ADAPTIVE``
+    when it bisected; a ratio's is its two norms' method when they share one,
+    else ADAPTIVE.  A ratio is not ``converged`` when a norm is not, or when
+    it is below 1 past its band.
     """
 
-    value: float
-    p: float
+    log_value: float
     error_estimate: float
     method: str
-    log_value: float
     converged: bool = True
 
+    @property
+    def value(self) -> float:
+        return _exp(self.log_value)
 
-@dataclass(frozen=True)
-class RatioValue:
-    """A norm ratio ||.||_q / ||.||_p (q >= p) with combined relative error estimate;
-    not ``converged`` when a norm is not, or when the ratio is below 1 past its band."""
 
-    value: float
-    log_value: float
-    error_estimate: float
-    converged: bool = True
+# the norm of Y_0 and of h_0, and every ratio with d = 0 or p = q
+_ONE = NormValue(0.0, 0.0, CLOSED_FORM)
 
 
 def zonal_power_integral(lam: float, d: int, p: float, tol: float) -> IntegralResult:
@@ -130,50 +127,35 @@ def _norm_from_integral(res: IntegralResult, p: float) -> NormValue:
     log_norm = res.log_value / p
     # the integral's error, and the rounding of the division by p
     rel = res.relative_error / p + _EPS * abs(log_norm)
-    return NormValue(_exp(log_norm), p, rel, res.method, log_norm, res.converged)
+    return NormValue(log_norm, rel, res.method, res.converged)
 
 
-def sphere_lp_norm(
-    params: SphereParams,
-    d: int,
-    p: float,
-    tol: float = 1e-12,
-    circle_convention: str | None = None,
-) -> NormValue:
+def sphere_lp_norm(params: SphereParams, d: int, p: float, tol: float = 1e-12) -> NormValue:
     """L^p norm of the zonal harmonic Y_d(xi) = C_d^(lam)(xi . e1) on S^n.
 
     Computed as (integral of |C_d|^p against the Gegenbauer weight)^(1/p) with
     the integrand split at the polynomial's roots.  n = 1 degenerates the
-    weight (lam = 0); the paper fixes no degree normalization there, so the
-    caller must opt in with ``circle_convention="cosine"`` (profile
-    cos(d theta)), whose norm has the closed form
-    (B(1/2, (p + 1)/2) / pi)^(1/p) for every d >= 1.
+    weight (lam = 0), and the degree-d profile there is cos(d theta), whose
+    norm has the closed form (B(1/2, (p + 1)/2) / pi)^(1/p) for every d >= 1.
     """
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    if params.n == 1:
-        return _circle_lp_norm(d, p, circle_convention)
     if d == 0:
-        return NormValue(1.0, p, 0.0, CLOSED_FORM, 0.0)
+        return _ONE
+    if params.n == 1:
+        return _circle_lp_norm(p)
     return _norm_from_integral(_zonal_integrals(params.lam, d, None, (p,), tol)[0], p)
 
 
-def _circle_lp_norm(d: int, p: float, convention: str | None) -> NormValue:
-    if convention != "cosine":
-        raise ValueError(
-            "norms on S^1 need an explicit convention: pass circle_convention='cosine' "
-            "for the degree-d zonal profile cos(d theta)"
-        )
-    if d == 0:
-        return NormValue(1.0, p, 0.0, CLOSED_FORM, 0.0)
+def _circle_lp_norm(p: float) -> NormValue:
     # the mean of |cos|^p over a period, B(1/2, (p + 1)/2) / pi, independent
     # of d >= 1; the band is a few eps of the logarithms summed
     log_mean = specfun.log_beta(0.5, 0.5 * (p + 1.0)) - math.log(math.pi)
     log_norm = log_mean / p
     rel = 4.0 * _EPS * (abs(log_mean) + math.log(math.pi)) / p + _EPS
-    return NormValue(_exp(log_norm), p, rel, CLOSED_FORM, log_norm)
+    return NormValue(log_norm, rel, CLOSED_FORM)
 
 
 def sphere_l2_norm_closed(params: SphereParams, d: int) -> NormValue:
@@ -201,7 +183,7 @@ def sphere_l2_norm_closed(params: SphereParams, d: int) -> NormValue:
     log_norm = 0.5 * math.fsum(terms)
     rounding = math.fsum(map(abs, terms)) + math.fsum(min(1.0, r) for r in ratios)
     rel = _EPS * (0.5 * rounding + abs(log_norm))
-    return NormValue(_exp(log_norm), 2.0, rel, CLOSED_FORM, log_norm)
+    return NormValue(log_norm, rel, CLOSED_FORM)
 
 
 def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
@@ -218,7 +200,7 @@ def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     if d == 0:
-        return NormValue(1.0, p, 0.0, CLOSED_FORM, 0.0)
+        return _ONE
     return _norm_from_integral(_gaussian_integrals(d, (p,), tol)[0], p)
 
 
@@ -255,22 +237,16 @@ def _gaussian_integrals(d: int, exponents, tol: float) -> list[IntegralResult]:
     return out
 
 
-def _ratio(nq: NormValue, np_: NormValue) -> RatioValue:
+def _ratio(nq: NormValue, np_: NormValue) -> NormValue:
     log_ratio = nq.log_value - np_.log_value
     band = nq.error_estimate + np_.error_estimate
+    method = nq.method if nq.method == np_.method else ADAPTIVE
     # under a probability measure q >= p gives ||f||_q >= ||f||_p (Lyapunov),
     # so a ratio below 1 past its band comes from a wrong norm
-    return RatioValue(_exp(log_ratio), log_ratio, band, nq.converged and np_.converged and log_ratio >= -band)
+    return NormValue(log_ratio, band, method, nq.converged and np_.converged and log_ratio >= -band)
 
 
-def norm_ratio_sphere(
-    params: SphereParams,
-    d: int,
-    p: float,
-    q: float,
-    tol: float = 1e-12,
-    circle_convention: str | None = None,
-) -> RatioValue:
+def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:
     """||Y_d||_q / ||Y_d||_p on S^n, computed as exp of the log-norm difference.
 
     For n >= 2 both norms come from one root split and one recurrence pass.
@@ -278,21 +254,18 @@ def norm_ratio_sphere(
     if not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
     if d == 0 or p == q:
-        return RatioValue(1.0, 0.0, 0.0)
+        return _ONE
     if params.n == 1:
-        return _ratio(
-            sphere_lp_norm(params, d, q, tol, circle_convention),
-            sphere_lp_norm(params, d, p, tol, circle_convention),
-        )
+        return _ratio(_circle_lp_norm(q), _circle_lp_norm(p))
     return _ratio(*map(_norm_from_integral, _zonal_integrals(params.lam, d, None, (q, p), tol), (q, p)))
 
 
-def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> RatioValue:
+def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:
     """||h_d||_q / ||h_d||_p under the standard Gaussian measure."""
     if not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
     if d == 0 or p == q:
-        return RatioValue(1.0, 0.0, 0.0)
+        return _ONE
     return _ratio(*map(_norm_from_integral, _gaussian_integrals(d, (q, p), tol), (q, p)))
 
 

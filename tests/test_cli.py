@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -112,6 +113,9 @@ _NECESSITY = ("necessity", "--n", "2", "--p", "2", "--q", "4")
     # a k-max past cli.MAX_K, rejected before lemma_table allocates
     ("lemma", "--n", "2", "--k-max", "10000000000000"),
     ("lemma", "--n", "2", "--k-max", "100001"),
+    # scans over an empty grid
+    ("scan", "--p", "2", "--q", "4", "--n-min", "5", "--n-max", "3", "--d-max", "2"),
+    ("scan", "--p", "2", "--q", "4", "--n-max", "3", "--d-max", "0"),
 ])
 def test_hostile_argv_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -164,6 +168,14 @@ def test_dimensions_and_scan_grids_past_the_cap_are_rejected_before_any_work(cap
     monkeypatch.setattr(cli, "_COMMANDS", {})
     code, _, err = run(capsys, *argv)
     assert code == 64 and "exceeds the cap" in err
+
+
+def test_readme_quotes_the_caps_the_cli_enforces():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quoted = re.findall(r"`cli\.(MAX_[A-Z_]+) = ([0-9.e+]+)`", readme)
+    assert sorted(name for name, _ in quoted) == ["MAX_DEGREE", "MAX_EXPONENT", "MAX_K", "MAX_N", "MAX_SCAN_CELLS"]
+    for name, number in quoted:
+        assert float(number) == getattr(cli, name), name
 
 
 def test_dimension_at_the_cap_gives_a_verdict(capsys):
@@ -368,6 +380,21 @@ def test_limit_monotone_exit_zero(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     gaps = [abs(float(r["margin"])) for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_limit_takes_the_circle(capsys):
+    # on S^1 the profile is cos(2 theta): lhs = (3/8)^(1/4) / (1/2)^(1/2)
+    code, out, err = run(capsys, "limit", "--d", "2", "--p", "2", "--q", "4", "--n", "1,10,100", "--format", "csv")
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["n"], r["status"]) for r in rows] == [("1", "holds"), ("10", "holds"), ("100", "holds")]
+    assert float(rows[0]["lhs"]) == pytest.approx((3 / 8) ** 0.25 / 0.5**0.5, rel=1e-14)
+
+
+def test_limit_gives_one_row_per_distinct_dimension(capsys):
+    code, out, err = run(capsys, "limit", "--d", "2", "--p", "2", "--q", "4", "--n", "10,100,10", "--format", "csv")
+    assert code == 0, err
+    assert [r["n"] for r in csv.DictReader(io.StringIO(out))] == ["10", "100"]
 
 
 @pytest.mark.parametrize("d,q", [("300", "100"), ("400", "200")])

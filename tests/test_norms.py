@@ -172,26 +172,21 @@ def test_large_n_stays_finite():
     assert nv.converged
 
 
-def test_circle_requires_convention():
-    with pytest.raises(ValueError):
-        sphere_lp_norm(SphereParams(1), 2, 3.0)
-
-
 def test_circle_cosine_norms():
     # mean of |cos|^p over a period: p=2 gives 1/2, p=4 gives 3/8
-    nv = sphere_lp_norm(SphereParams(1), 3, 2.0, circle_convention="cosine")
+    nv = sphere_lp_norm(SphereParams(1), 3, 2.0)
     assert nv.value**2 == pytest.approx(0.5, rel=1e-12)
     assert nv.method == CLOSED_FORM
-    nv4 = sphere_lp_norm(SphereParams(1), 1, 4.0, circle_convention="cosine")
+    nv4 = sphere_lp_norm(SphereParams(1), 1, 4.0)
     assert nv4.value**4 == pytest.approx(3 / 8, rel=1e-12)
-    assert sphere_lp_norm(SphereParams(1), 0, 4.0, circle_convention="cosine").value == 1.0
+    assert sphere_lp_norm(SphereParams(1), 0, 4.0).value == 1.0
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 41.0, 1e3, 1e5])
 def test_circle_closed_form_band_holds_against_mpmath(p):
     from mpmath import mp
 
-    nv = sphere_lp_norm(SphereParams(1), 5, p, circle_convention="cosine")
+    nv = sphere_lp_norm(SphereParams(1), 5, p)
     with mp.workdps(40):
         exact = float((mp.log(mp.beta(0.5, (mp.mpf(p) + 1) / 2)) - mp.log(mp.pi)) / p)
     assert abs(nv.log_value - exact) <= nv.error_estimate < 1e-14
@@ -199,12 +194,24 @@ def test_circle_closed_form_band_holds_against_mpmath(p):
 
 def test_circle_ratio():
     # ||cos||_4 / ||cos||_2 = (3/8)^(1/4) / (1/2)^(1/2), whatever the degree
-    ratio = norm_ratio_sphere(SphereParams(1), 3, 2.0, 4.0, circle_convention="cosine")
+    ratio = norm_ratio_sphere(SphereParams(1), 3, 2.0, 4.0)
     exact = 0.25 * math.log(3 / 8) - 0.5 * math.log(0.5)
     assert ratio.converged
     assert abs(ratio.log_value - exact) <= ratio.error_estimate
-    with pytest.raises(ValueError):
-        norm_ratio_sphere(SphereParams(1), 3, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("n,d,p,q,method", [
+    (1000, 6, 2.0, 4.0, ADAPTIVE),
+    (13, 7, 2.0, 4.0, GAUSS_JACOBI),
+    # p keeps the rule while q bisects: a mixed pair reads adaptive
+    (1000, 30, 1.5, 3.0, ADAPTIVE),
+    (1, 3, 2.0, 4.0, CLOSED_FORM),
+    (13, 0, 2.0, 4.0, CLOSED_FORM),
+])
+def test_ratio_method_says_how_its_norms_were_made(n, d, p, q, method):
+    ratio = norm_ratio_sphere(SphereParams(n), d, p, q)
+    assert ratio.method == method and ratio.converged
+    assert ratio.value == math.exp(ratio.log_value)
 
 
 def test_zonal_norm_of_constant():
