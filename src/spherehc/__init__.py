@@ -52,7 +52,6 @@ from .quadrature import (
 from .specfun import (
     GegenbauerSpec,
     HermiteSpec,
-    RootList,
     c_lambda,
     gegenbauer_eval,
     gegenbauer_eval_scaled,

@@ -32,7 +32,8 @@ INCONCLUSIVE_EXIT = 3
 _EQUALITY_ATOL = 1e-14
 
 # the largest degree any option may ask for: root finders build a dense d x d
-# Jacobi matrix (32 MB here), and count1_check takes about 2 s at d = 2000
+# Jacobi matrix (32 MB at the cap); at d = 2000, count1_check takes 1.4-1.8 s
+# on S^13 but 8-11 s on S^3, where it comes back inconclusive (ROADMAP item 3)
 MAX_DEGREE = 2000
 # the largest --p or --q: at 1e16 the integrator's end weight is nan, at 1e200 eigvalsh fails
 MAX_EXPONENT = 1e6

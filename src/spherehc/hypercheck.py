@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import norms, specfun
 from .norms import SphereParams
 from .quadrature import integrate_piecewise
-from .verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict, rounding_allowance
+from .verdict import FAILS, HOLDS, Verdict, rounding_allowance
 
 __all__ = [
     "NonnegativityError",
@@ -192,7 +193,7 @@ def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
     lhs = res.log_value - log_c
     closed = norms.sphere_l2_norm_closed(SphereParams(n), d)
     rhs = math.sqrt(d * (d + n - 1.0) / n) * math.log(9.0) + 4.0 * closed.log_value - log_c
-    band = res.relative_error + rounding_allowance(lhs, rhs) + 4.0 * closed.error_estimate
+    band = res.error_estimate + rounding_allowance(lhs, rhs) + 4.0 * closed.error_estimate
     return Verdict.compare(lhs, rhs, band, res.converged)
 
 
@@ -465,11 +466,7 @@ class ScanReport:
 
 def _scan_cell(args: tuple[int, int, float, float, float]) -> tuple[tuple[int, int], Verdict]:
     n, d, p, q, tol = args
-    verdict = count1_check(n, d, p, q, tol)
-    if verdict.status == INCONCLUSIVE:
-        # one retry at a tighter tolerance before giving up on the cell
-        verdict = count1_check(n, d, p, q, tol / 100.0)
-    return (n, d), verdict
+    return (n, d), count1_check(n, d, p, q, tol)
 
 
 def counterexample_scan(
@@ -483,20 +480,23 @@ def counterexample_scan(
     """Evaluate count1_check over the (n, d) grid and locate the failure frontier.
 
     Cells are merged by key so the report is deterministic regardless of the
-    worker count.  Inconclusive cells are reported as such, never counted as
-    failures.
+    worker count.  At most min(jobs, cells, CPU count) workers start, and
+    none when that is 1.  Inconclusive cells are reported as such, never
+    counted as failures.
     """
     exponents = ExponentPair(p, q)
     if not q > max(2.0, p):
         raise ValueError(f"counterexample scan needs q > max(2, p), got ({p}, {q})")
     cells = sorted((int(n), int(d)) for n in n_range for d in d_range)
     tasks = [(n, d, p, q, tol) for n, d in cells]
-    if jobs > 1 and len(tasks) > 1:
+    # with fork the pool starts all its workers at once: none past the CPUs or cells
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: multiprocessing costs every import of the package 12-24 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_scan_cell, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = dict(pool.map(_scan_cell, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         results = dict(map(_scan_cell, tasks))
     grid = {key: results[key] for key in cells}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .quadrature import ADAPTIVE, IntegralResult, _exp, integrate_root_intervals
+from .quadrature import ADAPTIVE, NormValue, _exp, integrate_root_intervals
 
 __all__ = [
     "CLOSED_FORM",
@@ -51,35 +51,11 @@ class SphereParams:
         return (self.n - 1) / 2
 
 
-@dataclass(frozen=True)
-class NormValue:
-    """An L^p norm, or a norm ratio ||.||_q / ||.||_p (q >= p), with provenance.
-
-    ``log_value`` is always finite; ``value`` is exp(log_value) and may
-    overflow to inf for extreme inputs.  ``error_estimate`` is relative to
-    value, so a band on log_value (zero for closed forms up to rounding).
-    ``method`` is CLOSED_FORM or the integral's own: ``quadrature.GAUSS_JACOBI``
-    when the first round of root intervals converged, ``quadrature.ADAPTIVE``
-    when it bisected; a ratio's is its two norms' method when they share one,
-    else ADAPTIVE.  A ratio is not ``converged`` when a norm is not, or when
-    it is below 1 past its band.
-    """
-
-    log_value: float
-    error_estimate: float
-    method: str
-    converged: bool = True
-
-    @property
-    def value(self) -> float:
-        return _exp(self.log_value)
-
-
 # the norm of Y_0 and of h_0, and every ratio with d = 0 or p = q
 _ONE = NormValue(0.0, 0.0, CLOSED_FORM)
 
 
-def zonal_power_integral(lam: float, d: int, p: float, tol: float) -> IntegralResult:
+def zonal_power_integral(lam: float, d: int, p: float, tol: float) -> NormValue:
     """integral over [-1, 1] of |C_d^(lam)(t)|^p c_lam (1 - t^2)^(lam - 1/2) dt for d >= 1.
 
     With lam = (n - 1) / 2 this is ||Y_d||_p^p on S^n; see ``_zonal_integrals``.
@@ -89,7 +65,7 @@ def zonal_power_integral(lam: float, d: int, p: float, tol: float) -> IntegralRe
     return _zonal_integrals(lam, d, None, (p,), tol)[0]
 
 
-def _zonal_integrals(lam: float, d: int, coeffs, exponents, tol: float) -> list[IntegralResult]:
+def _zonal_integrals(lam: float, d: int, coeffs, exponents, tol: float) -> list[NormValue]:
     """integral over [-1, 1] of |u(t)|^p c_lam (1 - t^2)^(lam - 1/2) dt for each exponent p.
 
     u is C_d^(lam) when ``coeffs`` is None, else the degree-d series
@@ -100,12 +76,12 @@ def _zonal_integrals(lam: float, d: int, coeffs, exponents, tol: float) -> list[
     round, so ``log_value`` stays finite where u or the integral passes the
     float range.  Where 32 nodes do not resolve an interval (at lam ~ 500,
     say, where (1 - t^2)^(lam - 1/2) is steep) the integrator bisects in log
-    space and ``method`` is ADAPTIVE.  ``relative_error`` is the
+    space and ``method`` is ADAPTIVE.  ``error_estimate`` is the
     integrator's, plus a floor of 4 p (d + 1) eps for the rounding of the
     d-step recurrence, which the 16/32 gap does not show.
     """
     spec = specfun.GegenbauerSpec(lam, d)
-    roots = specfun.gegenbauer_roots(spec).roots if coeffs is None else specfun._series_roots(lam, coeffs)
+    roots = specfun.gegenbauer_roots(spec) if coeffs is None else specfun._series_roots(lam, coeffs)
     ab = specfun._gegenbauer_ab(lam, d)
     log_c = math.log(specfun.c_lambda(lam))
 
@@ -114,20 +90,18 @@ def _zonal_integrals(lam: float, d: int, coeffs, exponents, tol: float) -> list[
 
     out = []
     for p, res in zip(exponents, integrate_root_intervals(log_abs, roots, exponents, lam - 0.5, tol)):
-        rel = res.relative_error + 4.0 * p * (d + 1) * _EPS
-        out.append(
-            IntegralResult.from_log(res.log_value + log_c, rel, res.subintervals_used, res.converged, res.method)
-        )
+        rel = res.error_estimate + 4.0 * p * (d + 1) * _EPS
+        out.append(NormValue(res.log_value + log_c, rel, res.method, res.converged, res.panels))
     return out
 
 
-def _norm_from_integral(res: IntegralResult, p: float) -> NormValue:
+def _norm_from_integral(res: NormValue, p: float) -> NormValue:
     if not math.isfinite(res.log_value):
         raise ArithmeticError(f"norm integral has log {res.log_value}, not a finite number")
     log_norm = res.log_value / p
     # the integral's error, and the rounding of the division by p
-    rel = res.relative_error / p + _EPS * abs(log_norm)
-    return NormValue(log_norm, rel, res.method, res.converged)
+    rel = res.error_estimate / p + _EPS * abs(log_norm)
+    return NormValue(log_norm, rel, res.method, res.converged, res.panels)
 
 
 def sphere_lp_norm(params: SphereParams, d: int, p: float, tol: float = 1e-12) -> NormValue:
@@ -204,7 +178,7 @@ def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
     return _norm_from_integral(_gaussian_integrals(d, (p,), tol)[0], p)
 
 
-def _gaussian_integrals(d: int, exponents, tol: float) -> list[IntegralResult]:
+def _gaussian_integrals(d: int, exponents, tol: float) -> list[NormValue]:
     """E|h_d|^p (d >= 1) for each p, from one roots call and one pass per round.
 
     Past y_hi = (r + sqrt(r^2 + 4 p d)) / 2, with r the largest root and p the
@@ -214,7 +188,7 @@ def _gaussian_integrals(d: int, exponents, tol: float) -> list[IntegralResult]:
     measure, which the error adds relative to the integral.
     """
     spec = specfun.HermiteSpec(d)
-    roots = specfun.hermite_roots(spec).roots
+    roots = specfun.hermite_roots(spec)
     peak_bound = 0.5 * (roots[-1] + math.sqrt(roots[-1] ** 2 + 4.0 * max(exponents) * d))
     radius = peak_bound + math.sqrt(-2.0 * math.log(tol * 1e-3))
 
@@ -232,8 +206,8 @@ def _gaussian_integrals(d: int, exponents, tol: float) -> list[IntegralResult]:
     for p, res in zip(exponents, integrals):
         # the tails relative to the integral, and the recurrence floor
         log_tail = p * log_abs_radius - 0.5 * radius * radius
-        rel = res.relative_error + _exp(log_tail - res.log_value) + 4.0 * p * (d + 1) * _EPS
-        out.append(IntegralResult.from_log(res.log_value, rel, res.subintervals_used, res.converged, res.method))
+        rel = res.error_estimate + _exp(log_tail - res.log_value) + 4.0 * p * (d + 1) * _EPS
+        out.append(NormValue(res.log_value, rel, res.method, res.converged, res.panels))
     return out
 
 
@@ -243,7 +217,8 @@ def _ratio(nq: NormValue, np_: NormValue) -> NormValue:
     method = nq.method if nq.method == np_.method else ADAPTIVE
     # under a probability measure q >= p gives ||f||_q >= ||f||_p (Lyapunov),
     # so a ratio below 1 past its band comes from a wrong norm
-    return NormValue(log_ratio, band, method, nq.converged and np_.converged and log_ratio >= -band)
+    converged = nq.converged and np_.converged and log_ratio >= -band
+    return NormValue(log_ratio, band, method, converged, nq.panels + np_.panels)
 
 
 def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:

@@ -42,6 +42,7 @@ from .verdict import Verdict
 
 __all__ = [
     "IntegralResult",
+    "NormValue",
     "integrate_root_intervals",
     "integrate_piecewise",
     "subordination_check",
@@ -90,39 +91,42 @@ def _jacobi_log_rule(count: int, alpha: float, beta: float) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """An integral, its error estimate and how it was obtained.
+    """A signed integral of ``integrate_piecewise`` in linear space, with its error estimate.
 
-    ``value`` may overflow to inf; ``log_value`` (log |value|) and
-    ``relative_error`` (the error estimate over |value|) stay finite where the
-    integral is finite, so log-scale callers should read those.
-    ``subintervals_used`` counts the panels of the last round: the root
-    intervals when the first round of ``integrate_root_intervals`` converged.
+    ``subintervals_used`` counts the panels of the last round.
     """
 
     value: float
     error_estimate: float
     subintervals_used: int
     converged: bool = True
-    method: str = ADAPTIVE
-    log_value: float | None = None
-    relative_error: float | None = None
 
-    def __post_init__(self) -> None:
-        magnitude = abs(self.value)
-        if self.log_value is None:
-            with np.errstate(divide="ignore"):
-                object.__setattr__(self, "log_value", float(np.log(magnitude)))
-        if self.relative_error is None:
-            rel = self.error_estimate / magnitude if magnitude != 0 else math.inf
-            object.__setattr__(self, "relative_error", rel)
 
-    @classmethod
-    def from_log(
-        cls, log_value: float, relative_error: float, subintervals_used: int, converged: bool, method: str
-    ) -> "IntegralResult":
-        """Build a positive integral from its logarithm; ``value`` is inf on overflow."""
-        value = _exp(log_value)
-        return cls(value, relative_error * value, subintervals_used, converged, method, log_value, relative_error)
+@dataclass(frozen=True)
+class NormValue:
+    """A positive quantity in log space with provenance: a |P|^p integral of
+    ``integrate_root_intervals``, an L^p norm or a norm ratio ||.||_q / ||.||_p (q >= p).
+
+    ``log_value`` is finite unless ``converged`` is False; ``value`` is
+    exp(log_value) and may overflow to inf.  ``error_estimate`` is relative
+    to value, so a band on log_value (zero for closed forms up to rounding).
+    ``method`` is ``norms.CLOSED_FORM`` or the integral's own: GAUSS_JACOBI
+    when the first round of root intervals converged, ADAPTIVE when it
+    bisected; a ratio's is its norms' method when they share one, else
+    ADAPTIVE.  ``panels`` counts the integral's panels in its last round; a
+    ratio's is the sum of its norms', a closed form's 0.  A ratio is not
+    ``converged`` when a norm is not, or when it is below 1 past its band.
+    """
+
+    log_value: float
+    error_estimate: float
+    method: str
+    converged: bool = True
+    panels: int = 0
+
+    @property
+    def value(self) -> float:
+        return _exp(self.log_value)
 
 
 def _exp(x: float) -> float:
@@ -168,7 +172,7 @@ def _rule_rows(levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return x, rest
 
 
-def _bisect(f, edges: np.ndarray, end: float, inners, weigh, settle, log_weight=None) -> list[IntegralResult]:
+def _bisect(f, edges: np.ndarray, end: float, inners, weigh, settle, log_weight=None) -> list:
     """The bisection rounds of both integrators: one result per job.
 
     Job k integrates f(t) ((t - a)(b - t))^end w(t) over (a, b) = (edges[0],
@@ -191,7 +195,7 @@ def _bisect(f, edges: np.ndarray, end: float, inners, weigh, settle, log_weight=
     and, one row of 16 + 32 per panel, the values of ``f`` and the log
     weights.  It returns (done, sums): one row of sums per new panel (coarse,
     fine, ...), and in the first round the jobs it finished, mapped to their
-    IntegralResults, with sums None when that is every job.  ``settle(k,
+    results, with sums None when that is every job.  ``settle(k,
     sums)`` gives (converged, split, result) for all panels of job k, in the
     order they were made.  The job ends with ``result()`` when it converged,
     when nothing is to be split (split None or all False) or when the split
@@ -213,7 +217,7 @@ def _bisect(f, edges: np.ndarray, end: float, inners, weigh, settle, log_weight=
     inner, outer = np.array([levels.index(p) for p in inners])[job], levels.index(end)
     rows = np.where(panel == count - 1, outer, inner) * len(levels) + np.where(panel == 0, outer, inner)
     table = None
-    results: dict[int, IntegralResult] = {}
+    results = {}
     while True:
         lo, hi = spans[:, :1], spans[:, 1:]
         half = 0.5 * (hi - lo)
@@ -285,7 +289,7 @@ def _panel_sums(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def integrate_root_intervals(
     log_abs, roots, exponents, end_exponent: float, tol: float, *, interval=(-1.0, 1.0), log_weight=None
-) -> tuple[IntegralResult, ...]:
+) -> tuple[NormValue, ...]:
     """integral over (a, b) of |P(t)|^p ((t - a)(b - t))^end_exponent exp(log_weight(t)) dt for each exponent p.
 
     (a, b) is ``interval``.  ``log_abs`` maps an ndarray of abscissae to
@@ -293,10 +297,10 @@ def integrate_root_intervals(
     exactly ``roots``, all simple; with none, (a, b) is one interval.  It is
     called once per round, on the nodes of every exponent still open.
     ``log_weight``, if given, is the log of a weight smooth on [a, b].  The
-    exponents and ``end_exponent`` must exceed -1.  One result is returned
-    per exponent.
+    exponents and ``end_exponent`` must exceed -1.  One ``NormValue`` is
+    returned per exponent, its ``panels`` those of its last round.
 
-    Every round's ``relative_error`` is its 16/32 gap plus one rounding term,
+    Every round's ``error_estimate`` is its 16/32 gap plus one rounding term,
     4 eps times the log size of the sum: the mean of the summands' log sizes
     |p log|P|| + |log w|, each weighted by its share of the 32-node sum
     (``_panel_sums``).  A summand's logarithm is rounded at about eps times
@@ -335,7 +339,7 @@ def integrate_root_intervals(
                 rounding = 4.0 * _EPS * size
                 converged = math.isfinite(gap) and gap <= tol + rounding
                 if converged or not math.isfinite(fine):
-                    done[k] = IntegralResult.from_log(fine, gap + rounding, len(edges) - 1, converged, GAUSS_JACOBI)
+                    done[k] = NormValue(fine, gap + rounding, GAUSS_JACOBI, converged, len(edges) - 1)
             if len(done) == len(powers):
                 return done, None
         return done, np.column_stack(_panel_sums(terms))
@@ -350,7 +354,7 @@ def integrate_root_intervals(
         rounding = 4.0 * _EPS * size
         converged = math.isfinite(total) and gap <= tol + rounding
         split = err > tol / len(err) if math.isfinite(gap) else None
-        return converged, split, lambda: IntegralResult.from_log(total, gap + rounding, len(fine), converged, ADAPTIVE)
+        return converged, split, lambda: NormValue(total, gap + rounding, ADAPTIVE, converged, len(fine))
 
     return tuple(_bisect(log_abs, edges, float(end_exponent), powers.tolist(), weigh, settle, log_weight))
 

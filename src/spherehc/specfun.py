@@ -36,7 +36,6 @@ import numpy as np
 __all__ = [
     "GegenbauerSpec",
     "HermiteSpec",
-    "RootList",
     "gegenbauer_eval",
     "gegenbauer_eval_scaled",
     "gegenbauer_series",
@@ -76,17 +75,6 @@ class HermiteSpec:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
-
-
-@dataclass(frozen=True)
-class RootList:
-    """Ordered real roots of a degree-d polynomial; used to split |P|^p integrands."""
-
-    roots: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.roots, self.roots[1:])):
-            raise ValueError("roots must be strictly increasing")
 
 
 def _recurrence(a, b, x, coeffs=None, c=None):
@@ -201,7 +189,8 @@ def gegenbauer_eval_scaled(spec: GegenbauerSpec, s) -> float | np.ndarray:
 
     so no factorial or power of lam is ever formed; values are exact up to
     rounding until they pass the float range, where they become inf.
-    Converges to the Hermite value h_d(s) as lam -> inf.
+    Converges to the Hermite value h_d(s) as lam -> inf.  No norm uses it; it
+    stays because the benchmark's tracer (``benchmarks/spans.py``) wraps it by name.
     """
     return _plain(_recurrence(*_scaled_ab(spec.lam, spec.degree), s), s)
 
@@ -292,14 +281,14 @@ def _golub_welsch(a, b, c, derivative, lo: float, hi: float):
     return nodes, np.maximum(np.minimum(-value / slope, cap), -cap), value, slope, shift
 
 
-def _symmetric_roots(ab, derivative, lo: float, hi: float) -> RootList:
-    """All d roots of an even or odd P_d with recurrence ``ab``, averaged with their mirror images."""
+def _symmetric_roots(ab, derivative, lo: float, hi: float) -> tuple[float, ...]:
+    """All d roots, ascending, of an even or odd P_d with recurrence ``ab``, averaged with their mirror images."""
     nodes, step, *_ = _golub_welsch(*ab, None, derivative, lo, hi)
     roots = nodes + step
-    return RootList(tuple((0.5 * (roots - roots[::-1])).tolist()))
+    return tuple((0.5 * (roots - roots[::-1])).tolist())
 
 
-def gegenbauer_roots(spec: GegenbauerSpec) -> RootList:
+def gegenbauer_roots(spec: GegenbauerSpec) -> tuple[float, ...]:
     """All d roots of C_d^(lam) in (-1, 1), via the Jacobi matrix of its recurrence.
 
     The Newton derivative is (1 - t^2) C_d' = (d + 2 lam - 1) C_{d-1} - d t C_d
@@ -310,7 +299,7 @@ def gegenbauer_roots(spec: GegenbauerSpec) -> RootList:
     return _symmetric_roots(_gegenbauer_ab(lam, d), derivative, -1.0, 1.0)
 
 
-def hermite_roots(spec: HermiteSpec) -> RootList:
+def hermite_roots(spec: HermiteSpec) -> tuple[float, ...]:
     """All d roots of h_d on the real line, via the Jacobi matrix of its recurrence.
 
     The Newton derivative is h_d' = d h_{d-1}.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherehc import hypercheck, norms, specfun
+from spherehc import hypercheck, norms, quadrature, specfun
 from spherehc.hypercheck import (
     ExponentPair,
     NonnegativityError,
@@ -644,6 +645,50 @@ def test_scan_parallel_matches_serial():
     for key in serial.grid:
         assert serial.grid[key] == parallel.grid[key]
     assert serial.first_failure == parallel.first_failure
+
+
+def test_scan_checks_each_cell_once_even_when_inconclusive(monkeypatch):
+    # with 8 panels at most, (1000, 6, 2, 4) stops unconverged; the scan
+    # gives it the verdict count1_check gives, with no second call
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
+    calls = []
+
+    def counted(n, d, p, q, tol):
+        calls.append((n, d))
+        return count1_check(n, d, p, q, tol)
+
+    monkeypatch.setattr(hypercheck, "count1_check", counted)
+    report = counterexample_scan(2, 4, [13, 1000], [6])
+    assert calls == [(13, 6), (1000, 6)]
+    assert report.grid[(1000, 6)].status == INCONCLUSIVE
+    assert report.grid[(13, 6)].status != INCONCLUSIVE
+
+
+@pytest.mark.parametrize("cpus,workers", [(None, None), (1, None), (2, 2), (8, 3)])
+def test_scan_starts_no_more_workers_than_cpus_or_cells(monkeypatch, cpus, workers):
+    # a fake pool records its size and maps in process, so no worker starts
+    import concurrent.futures
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    report = counterexample_scan(2, 4, [2, 3, 4], [1], jobs=10**6)
+    assert started == ([] if workers is None else [workers])
+    assert report.grid == counterexample_scan(2, 4, [2, 3, 4], [1]).grid
 
 
 # ----------------------------------------------------------------- verdicts

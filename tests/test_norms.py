@@ -212,6 +212,9 @@ def test_ratio_method_says_how_its_norms_were_made(n, d, p, q, method):
     ratio = norm_ratio_sphere(SphereParams(n), d, p, q)
     assert ratio.method == method and ratio.converged
     assert ratio.value == math.exp(ratio.log_value)
+    # the panels of both norms' integrals, and none for a closed form
+    assert ratio.panels == sum(sphere_lp_norm(SphereParams(n), d, e).panels for e in (q, p))
+    assert (ratio.panels == 0) == (method == CLOSED_FORM)
 
 
 def test_zonal_norm_of_constant():
@@ -262,7 +265,7 @@ def test_error_estimates_are_honest():
 def test_root_interval_rule_error_is_honest(n, d, p):
     res = zonal_power_integral((n - 1) / 2, d, float(p), 1e-12)
     assert res.method == GAUSS_JACOBI and res.converged
-    assert abs(res.log_value - _log_exact(n, d, p)) <= res.relative_error
+    assert abs(res.log_value - _log_exact(n, d, p)) <= res.error_estimate
 
 
 @pytest.mark.parametrize("n,d,p", [(2, 30, 1.5), (3, 30, 1.5), (3, 7, 3.0), (13, 7, 1.5), (13, 30, 3.0)])
@@ -274,11 +277,11 @@ def test_root_interval_rule_matches_adaptive_for_odd_powers(n, d, p):
     def f(t):
         return np.abs(specfun.gegenbauer_eval(spec, t)) ** p * c * (1 - t * t) ** (lam - 0.5)
 
-    ref = integrate_piecewise(f, specfun.gegenbauer_roots(spec).roots, (-1.0, 1.0), 1e-13)
+    ref = integrate_piecewise(f, specfun.gegenbauer_roots(spec), (-1.0, 1.0), 1e-13)
     res = zonal_power_integral(lam, d, p, 1e-13)
     assert ref.converged and res.method == GAUSS_JACOBI
-    diff = abs(res.log_value - ref.log_value)
-    assert diff <= res.relative_error + ref.relative_error
+    diff = abs(res.log_value - math.log(ref.value))
+    assert diff <= res.error_estimate + ref.error_estimate / ref.value
     assert diff <= 1e-12
 
 
@@ -290,7 +293,7 @@ def test_steep_weight_falls_back_to_adaptive_panels():
     assert res.method == ADAPTIVE and res.converged
     exact = _log_exact(1000, 6, 4)
     assert res.value == pytest.approx(math.exp(exact), rel=1e-14)
-    assert abs(res.log_value - exact) <= res.relative_error
+    assert abs(res.log_value - exact) <= res.error_estimate
 
 
 @pytest.mark.parametrize("n,d,method", [(13, 7, GAUSS_JACOBI), (1000, 6, ADAPTIVE)])
@@ -308,7 +311,7 @@ def test_adaptive_fallback_past_float_range(n, d, p):
     assert res.method == ADAPTIVE and res.converged
     exact = _log_exact(n, d, p)
     assert exact > 709
-    assert abs(res.log_value - exact) <= res.relative_error
+    assert abs(res.log_value - exact) <= res.error_estimate
 
 
 # the corners of the domain the CLI accepts, read from its caps, and n = 1e5,
@@ -340,18 +343,18 @@ def test_l4_norm_at_the_dimension_cap_matches_the_exact_integral(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 6, 13, 40])
 def test_large_and_non_integer_exponents_at_the_dimension_cap_match_the_mpmath_reference(d):
     lam = (cli.MAX_N - 1) / 2
-    roots = specfun.gegenbauer_roots(specfun.GegenbauerSpec(lam, d)).roots
+    roots = specfun.gegenbauer_roots(specfun.GegenbauerSpec(lam, d))
     for p in (32, 33.3, 64, 97.5, 128, 256, 1000, 1e6):
         res = zonal_power_integral(lam, d, p, 1e-12)
         assert res.converged
-        assert abs(res.log_value - zonal_power_integral_mp(cli.MAX_N, d, p, roots)) <= res.relative_error, p
+        assert abs(res.log_value - zonal_power_integral_mp(cli.MAX_N, d, p, roots)) <= res.error_estimate, p
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the end interval's bump is missed at n = 1e5")
 def test_large_exponent_past_the_dimension_cap_matches_the_exact_integral():
     # the library has no cap: the result is 248.8 below the exact log
     res = zonal_power_integral((10**5 - 1) / 2, 2, 64.0, 1e-12)
-    assert abs(res.log_value - _log_exact(10**5, 2, 64)) <= res.relative_error
+    assert abs(res.log_value - _log_exact(10**5, 2, 64)) <= res.error_estimate
 
 
 @pytest.mark.parametrize("d", [171, 200, 400])
@@ -379,7 +382,7 @@ def test_gap_below_an_ulp_of_the_log_integral_converges():
     def log_abs(t):
         return specfun._log_abs(ab, t)[1] + math.lgamma(401.0)
 
-    roots = specfun.gegenbauer_roots(spec).roots
+    roots = specfun.gegenbauer_roots(spec)
     (res,) = integrate_root_intervals(log_abs, roots, (4.0,), 0.0, 1e-12)
     assert res.method == GAUSS_JACOBI and res.converged
     assert res.log_value > 4096
@@ -390,7 +393,7 @@ def test_gap_below_an_ulp_of_the_log_integral_converges():
 
     ref = integrate_piecewise(f, roots, (-1.0, 1.0), 1e-12)
     assert ref.converged
-    assert abs(ref.log_value) <= res.relative_error + ref.relative_error
+    assert abs(math.log(ref.value)) <= res.error_estimate + ref.error_estimate / ref.value
 
 
 @pytest.mark.parametrize("p,q", [(2.0, 4.0), (1.5, 3.0), (3.0, 6.0)])
@@ -474,8 +477,8 @@ def test_zonal_fallback_panels_match_legendre_panels():
     # bare weight; it is converted to the normalized integral of |C_d|^p
     ref = 52.439212310665624 + 1.5 * (15.0 * math.log(999.0) - math.lgamma(31.0)) + math.log(specfun.c_lambda(499.5))
     res = zonal_power_integral(499.5, 30, 1.5, 1e-12)
-    assert res.converged and res.subintervals_used < 100
-    assert abs(res.log_value - ref) <= res.relative_error + 9.99877582912462e-13
+    assert res.converged and res.panels < 100
+    assert abs(res.log_value - ref) <= res.error_estimate + 9.99877582912462e-13
 
 
 @pytest.mark.parametrize("p,d", [(p, d) for p in (2, 4) for d in (2, 9, 20, 40)] + [(4, 80), (2, 180)])
@@ -491,7 +494,7 @@ def test_gaussian_even_norms_within_band_of_oracle(p, d):
 def test_fallback_even_powers_within_band_of_oracle(n, d, p):
     res = zonal_power_integral((n - 1) / 2, d, float(p), 1e-12)
     assert res.method == ADAPTIVE and res.converged
-    assert abs(res.log_value - _log_exact(n, d, p)) <= res.relative_error
+    assert abs(res.log_value - _log_exact(n, d, p)) <= res.error_estimate
 
 
 @pytest.mark.parametrize("n", [10001, 100000])
