@@ -37,7 +37,7 @@ _EQUALITY_ATOL = 1e-14
 MAX_DEGREE = 2000
 # the largest --p or --q: at 1e16 the integrator's end weight is nan, at 1e200 eigvalsh fails
 MAX_EXPONENT = 1e6
-# the largest --k-max: lemma holds a row per k in memory (112 MB at the cap)
+# the most lemma rows, --k-max per distinct --n: lemma holds every row in memory (112 MB at the cap)
 MAX_K = 100_000
 # the largest sphere dimension: from n = 35001 the bump of |C_d|^p past the
 # outermost root is missed at large p (d = 2, p = 96-256), and a zonal norm is
@@ -55,10 +55,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
 def _finite(text: str) -> float:
     x = float(text)
     if not math.isfinite(x):
@@ -66,8 +62,18 @@ def _finite(text: str) -> float:
     return x
 
 
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("need a nonempty comma-separated list")
+    return values
+
+
+def _int_list(text: str) -> list[int]:
+    return _nonempty([int(x) for x in text.split(",") if x.strip()])
+
+
 def _float_list(text: str) -> list[float]:
-    return [_finite(x) for x in text.split(",") if x.strip()]
+    return _nonempty([_finite(x) for x in text.split(",") if x.strip()])
 
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -161,13 +167,15 @@ def _json_safe(value):
     return value
 
 
-def _emit(args, columns: list[str], rows: list[dict], metadata: dict, summary: list[str]) -> None:
+def _emit(args, rows: list[dict], metadata: dict, summary: list[str]) -> None:
+    """Write the rows (every command has one at least) under the keys of the first, in order."""
+    columns = list(rows[0])
     if args.output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(row.get(c), _fmt17) for c in columns])
+            writer.writerow([_cell(row[c], _fmt17) for c in columns])
         text = buf.getvalue()
         for line in summary:
             print(line, file=sys.stderr)
@@ -183,13 +191,13 @@ def _emit(args, columns: list[str], rows: list[dict], metadata: dict, summary: l
         }
         payload = {
             "metadata": meta,
-            "rows": [{c: _json_safe(row.get(c)) for c in columns} for row in rows],
+            "rows": [{c: _json_safe(row[c]) for c in columns} for row in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         float_fmt = lambda v: f"{v:.10g}"
-        cells = [[_cell(row.get(c), float_fmt) for c in columns] for row in rows]
-        widths = [max(len(c), *(len(r[i]) for r in cells)) if cells else len(c) for i, c in enumerate(columns)]
+        cells = [[_cell(row[c], float_fmt) for c in columns] for row in rows]
+        widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
         lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
         for r in cells:
             lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
@@ -224,12 +232,9 @@ def _exit_code(statuses) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    if not args.n:
-        raise ValueError("need a nonempty --n list")
-    columns = ["n", "k", "lhs", "rhs", "margin", "numeric_error", "status", "equality", "h_k"]
     rows = []
     unexpected = False
-    for n in args.n:
+    for n in dict.fromkeys(args.n):
         for k, v in enumerate(hypercheck.lemma_table(n, args.k_max), start=1):
             equal = abs(v.margin) <= _EQUALITY_ATOL * max(1.0, abs(v.rhs))
             rows.append({
@@ -239,7 +244,7 @@ def _cmd_lemma(args) -> int:
             })
             if n <= 3 and v.status != HOLDS:
                 unexpected = True
-    _emit(args, columns, rows, {}, [])
+    _emit(args, rows, {}, [])
     return UNEXPECTED_VERDICT if unexpected else 0
 
 
@@ -250,7 +255,6 @@ def _cmd_scan(args) -> int:
         range(args.d_min, args.d_max + 1),
         tol=args.tol, jobs=args.jobs,
     )
-    columns = ["n", "d", "p", "q", "lhs_log", "rhs_log", "margin_log", "num_error_log", "status"]
     rows = [
         {
             "n": n, "d": d, "p": args.p, "q": args.q,
@@ -268,8 +272,8 @@ def _cmd_scan(args) -> int:
         "n0_estimate": report.n0_estimate,
         "note": report.note,
     }
-    _emit(args, columns, rows, meta, summary)
-    if rows and all(r["status"] == INCONCLUSIVE for r in rows):
+    _emit(args, rows, meta, summary)
+    if all(r["status"] == INCONCLUSIVE for r in rows):
         return INCONCLUSIVE_EXIT
     return 0
 
@@ -283,24 +287,20 @@ def _cmd_ratio(args) -> int:
     else:
         v = hypercheck.count1_check(args.n, args.d, args.p, args.q, args.tol)
         kind, n = "sphere", args.n
-    columns = ["kind", "n", "d", "p", "q", "ratio", "lhs", "rhs", "margin", "numeric_error", "status"]
     rows = [{
         "kind": kind, "n": n, "d": args.d, "p": args.p, "q": args.q,
         "ratio": norms._exp(v.lhs), **_verdict_columns(v),
     }]
-    _emit(args, columns, rows, {}, [])
+    _emit(args, rows, {}, [])
     return INCONCLUSIVE_EXIT if v.status == INCONCLUSIVE else 0
 
 
 def _cmd_limit(args) -> int:
-    if not args.n:
-        raise ValueError("need a nonempty --n list")
     if args.d < 1:
         raise ValueError(f"need d >= 1, got {args.d}")
     if not (args.q > args.p >= 1.0):
         raise ValueError(f"need q > p >= 1, got p={args.p}, q={args.q}")
     gaussian = norms.norm_ratio_gaussian(args.d, args.p, args.q, args.tol)
-    columns = ["n", "d", "p", "q", "lhs", "rhs", "margin", "numeric_error", "status"]
     rows = []
     prev_gap = None
     monotone = True
@@ -320,12 +320,11 @@ def _cmd_limit(args) -> int:
             "status": HOLDS if improving else FAILS,
         })
         prev_gap = gap
-    _emit(args, columns, rows, {"gaussian_ratio": gaussian.value}, [])
+    _emit(args, rows, {"gaussian_ratio": gaussian.value}, [])
     return 0 if monotone else UNEXPECTED_VERDICT
 
 
 def _cmd_logsob(args) -> int:
-    columns = ["trial", "n", "degree", "rhs_kind", "lhs", "rhs", "margin", "numeric_error", "status"]
     rows = []
     if args.random > 0:
         rng = np.random.default_rng(args.seed)
@@ -337,42 +336,33 @@ def _cmd_logsob(args) -> int:
     for i, g in enumerate(polys):
         v = hypercheck.logsob_check(g, args.rhs, tol=args.tol)
         rows.append({"trial": i, "n": g.n, "degree": g.degree, "rhs_kind": args.rhs, **_verdict_columns(v)})
-    _emit(args, columns, rows, {}, [])
+    _emit(args, rows, {}, [])
     return _exit_code(row["status"] for row in rows)
 
 
 def _cmd_subordination(args) -> int:
-    if not args.x:
-        raise ValueError("need a nonempty --x list")
-    columns = ["x", "lhs", "rhs", "margin", "numeric_error", "status"]
     rows = [{"x": x, **_verdict_columns(subordination_check(x, tol=args.tol))} for x in args.x]
-    _emit(args, columns, rows, {}, [])
+    _emit(args, rows, {}, [])
     return _exit_code(row["status"] for row in rows)
 
 
 def _cmd_necessity(args) -> int:
-    if not args.eps:
-        raise ValueError("need a nonempty --eps list")
     pair = hypercheck.ExponentPair(args.p, args.q)
     t = pair.t_star(args.n) if args.t is None else args.t
-    columns = [
-        "n", "p", "q", "t", "eps",
-        "predicted_lhs", "predicted_rhs",
-        "lhs", "rhs", "margin", "numeric_error", "status",
-    ]
     rows = []
     for eps in args.eps:
         r = hypercheck.perturbative_necessity(args.n, args.p, args.q, t, eps, args.tol)
         # lhs/rhs are the measured semigroup and plain norms; the verdict is the
-        # hypercontractivity comparison itself, within the norms' own band (at
-        # the critical time the margin shrinks like eps^4 and ends inside it)
+        # hypercontractivity comparison itself, within the norms' own band and
+        # the comparison's rounding (at the critical time the margin shrinks
+        # like eps^4 and ends inside it)
         v = Verdict.compare(r.measured_lhs, r.measured_rhs, r.band, r.converged)
         rows.append({
             "n": args.n, "p": args.p, "q": args.q, "t": t, "eps": eps,
             "predicted_lhs": r.predicted_lhs, "predicted_rhs": r.predicted_rhs,
             **_verdict_columns(v),
         })
-    _emit(args, columns, rows, {}, [])
+    _emit(args, rows, {}, [])
     return 0
 
 
@@ -445,7 +435,6 @@ def _repro_checks(args):
 
 
 def _cmd_repro(args) -> int:
-    columns = ["check", "expected", "observed", "status"]
     rows = []
     all_ok = True
     for name, expected, observed, ok in _repro_checks(args):
@@ -453,7 +442,7 @@ def _cmd_repro(args) -> int:
         all_ok = all_ok and ok
     n_pass = sum(1 for r in rows if r["status"] == "pass")
     summary = [f"repro: {n_pass}/{len(rows)} checks pass"]
-    _emit(args, columns, rows, {"passed": n_pass, "total": len(rows)}, summary)
+    _emit(args, rows, {"passed": n_pass, "total": len(rows)}, summary)
     return 0 if all_ok else UNEXPECTED_VERDICT
 
 
@@ -481,8 +470,9 @@ def _dispatch(parser: _Parser, args) -> int:
     exponent = max(getattr(args, "p", 0.0), getattr(args, "q", 0.0))
     if exponent > MAX_EXPONENT:
         parser.error(f"exponent {exponent:g} exceeds the cap of {MAX_EXPONENT:g}")
-    if getattr(args, "k_max", 0) > MAX_K:
-        parser.error(f"--k-max {args.k_max} exceeds the cap of {MAX_K}")
+    rows = len(set(args.n)) * args.k_max if args.command == "lemma" else 0
+    if rows > MAX_K:
+        parser.error(f"lemma of {rows} rows exceeds the cap of {MAX_K}")
     n = getattr(args, "n", None)
     dimension = max(*(n if isinstance(n, list) else [n or 0]), getattr(args, "n_min", 0), getattr(args, "n_max", 0))
     if dimension > MAX_N:

@@ -133,25 +133,23 @@ def _condition_rhs_log(p: float, q: float) -> float:
     return 0.5 * (math.log(p - 1.0) - math.log(q - 1.0))
 
 
-def heat_condition(n: int, p: float, q: float, t: float) -> Verdict:
-    """Closed-form boundary of heat hypercontractivity: e^{-t n} <= sqrt((p-1)/(q-1)).
-
-    Compared in log scale; boundary equality counts as holds.
-    """
+def _semigroup_condition(rate: float, p: float, q: float, t: float) -> Verdict:
+    """e^{-t rate} <= sqrt((p-1)/(q-1)), compared in log scale; boundary equality counts as holds."""
     if not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    return Verdict.exact(-t * n, _condition_rhs_log(p, q))
+    return Verdict.exact(-t * rate, _condition_rhs_log(p, q))
+
+
+def heat_condition(n: int, p: float, q: float, t: float) -> Verdict:
+    """Closed-form boundary of heat hypercontractivity: e^{-t n} <= sqrt((p-1)/(q-1))."""
+    return _semigroup_condition(n, p, q, t)
 
 
 def poisson_condition_ii(n: int, p: float, q: float, t: float) -> Verdict:
     """Necessary condition for the Poisson semigroup: e^{-t sqrt(n)} <= sqrt((p-1)/(q-1))."""
-    if not 1 <= p <= q:
-        raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return Verdict.exact(-t * math.sqrt(n), _condition_rhs_log(p, q))
+    return _semigroup_condition(math.sqrt(n), p, q, t)
 
 
 def count1_check(n: int, d: int, p: float, q: float, tol: float = 1e-12) -> Verdict:
@@ -160,8 +158,7 @@ def count1_check(n: int, d: int, p: float, q: float, tol: float = 1e-12) -> Verd
     lhs = log(||Y_d||_q / ||Y_d||_p);
     rhs = (1/2) sqrt(d (d + n - 1)/n) log((q-1)/(p-1)).
     """
-    if not (1.0 < p <= q):
-        raise ValueError(f"need 1 < p <= q, got ({p}, {q})")
+    ExponentPair(p, q)
     if d < 1 or n < 2:
         raise ValueError(f"need n >= 2 and d >= 1, got ({n}, {d})")
     if p == q:
@@ -170,7 +167,7 @@ def count1_check(n: int, d: int, p: float, q: float, tol: float = 1e-12) -> Verd
     ratio = norms.norm_ratio_sphere(SphereParams(n), d, p, q, tol)
     lhs = ratio.log_value
     rhs = 0.5 * math.sqrt(d * (d + n - 1.0) / n) * math.log((q - 1.0) / (p - 1.0))
-    return Verdict.compare(lhs, rhs, ratio.error_estimate + rounding_allowance(lhs, rhs), ratio.converged)
+    return Verdict.compare(lhs, rhs, ratio.error_estimate, ratio.converged)
 
 
 def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
@@ -193,8 +190,7 @@ def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
     lhs = res.log_value - log_c
     closed = norms.sphere_l2_norm_closed(SphereParams(n), d)
     rhs = math.sqrt(d * (d + n - 1.0) / n) * math.log(9.0) + 4.0 * closed.log_value - log_c
-    band = res.error_estimate + rounding_allowance(lhs, rhs) + 4.0 * closed.error_estimate
-    return Verdict.compare(lhs, rhs, band, res.converged)
+    return Verdict.compare(lhs, rhs, res.error_estimate + 4.0 * closed.error_estimate, res.converged)
 
 
 def lemma_check(n: int, k: int) -> Verdict:
@@ -363,7 +359,7 @@ def logsob_check(g: ZonalPolynomial, rhs_kind: str, tol: float = 1e-10) -> Verdi
     else:
         coefficients = [2.0 * math.sqrt(k * (k + g.n - 1.0) / g.n) for k in range(len(terms))]
     rhs = math.fsum(c * term for c, term in zip(coefficients, terms))
-    return Verdict.compare(lhs, rhs, err + rounding_allowance(lhs, rhs), converged)
+    return Verdict.compare(lhs, rhs, err, converged)
 
 
 class NecessityResult(NamedTuple):
@@ -394,8 +390,7 @@ def perturbative_necessity(
     3.6e-6 of the measured 1.0016631; at p = q = 1e6, eps = 1e-2 (product
     1e4) it reads 17.67 against a measured 1.0100.
     """
-    if not (1.0 < p <= q):
-        raise ValueError(f"need 1 < p <= q, got ({p}, {q})")
+    ExponentPair(p, q)
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     if n < 2:
@@ -423,8 +418,7 @@ def hermite_bound_check(d: int, p: float, q: float, tol: float = 1e-12) -> Verdi
     This is what the zonal-witness inequality becomes in the n -> inf limit;
     its eventual failure in d is the contradiction engine.
     """
-    if not (1.0 < p <= q):
-        raise ValueError(f"need 1 < p <= q, got ({p}, {q})")
+    ExponentPair(p, q)
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if p == q:
@@ -432,7 +426,7 @@ def hermite_bound_check(d: int, p: float, q: float, tol: float = 1e-12) -> Verdi
     ratio = norms.norm_ratio_gaussian(d, p, q, tol)
     lhs = ratio.log_value
     rhs = 0.5 * math.sqrt(d) * math.log((q - 1.0) / (p - 1.0))
-    return Verdict.compare(lhs, rhs, ratio.error_estimate + rounding_allowance(lhs, rhs), ratio.converged)
+    return Verdict.compare(lhs, rhs, ratio.error_estimate, ratio.converged)
 
 
 def hermite_growth_rate(d: int, p: float, q: float, tol: float = 1e-12) -> float:
@@ -457,7 +451,6 @@ class ScanReport:
     an upper bound for the true threshold (zonal witnesses only).
     """
 
-    exponents: ExponentPair
     grid: dict[tuple[int, int], Verdict]
     first_failure: tuple[int, int] | None
     n0_estimate: int | None
@@ -484,7 +477,7 @@ def counterexample_scan(
     none when that is 1.  Inconclusive cells are reported as such, never
     counted as failures.
     """
-    exponents = ExponentPair(p, q)
+    ExponentPair(p, q)
     if not q > max(2.0, p):
         raise ValueError(f"counterexample scan needs q > max(2, p), got ({p}, {q})")
     cells = sorted((int(n), int(d)) for n in n_range for d in d_range)
@@ -503,7 +496,7 @@ def counterexample_scan(
     failures = [key for key in cells if grid[key].status == FAILS]
     first_failure = failures[0] if failures else None
     n0_estimate = min(n for n, _ in failures) if failures else None
-    return ScanReport(exponents, grid, first_failure, n0_estimate)
+    return ScanReport(grid, first_failure, n0_estimate)
 
 
 def random_zonal_polynomial(n: int, max_degree: int, rng: np.random.Generator) -> ZonalPolynomial:

@@ -32,8 +32,12 @@ class Verdict:
 
     @classmethod
     def compare(cls, lhs: float, rhs: float, numeric_error: float, converged: bool = True) -> "Verdict":
-        """Strict trichotomy: the margin must clear the error band either way (unconverged: an infinite band)."""
-        numeric_error = numeric_error if converged else math.inf
+        """Strict trichotomy: the margin must clear the error band either way.
+
+        The band is ``numeric_error`` plus the comparison's own
+        ``rounding_allowance``; an unconverged computation gets an infinite band.
+        """
+        numeric_error = numeric_error + rounding_allowance(lhs, rhs) if converged else math.inf
         margin = rhs - lhs
         if margin > numeric_error:
             status = HOLDS

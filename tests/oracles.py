@@ -89,6 +89,17 @@ def hermite_fourth_moment(d: int) -> int:
     )
 
 
+def chebyshev_u_fourth_moment(d: int) -> int:
+    """E[U_d^4] = d + 1 under c_1 (1 - t^2)^(1/2) dt, the S^3 weight, at any d.
+
+    On S^3, lam = 1 and C_d^(1) is the Chebyshev U_d.  The product rule
+    U_m U_n = sum_{k=0}^{min(m, n)} U_{m+n-2k} gives U_d^2 = sum_{k<=d} U_{2k},
+    and the U_k are orthonormal under the normalized weight.  So E[U_d^2] =
+    E[U_0] = 1 and E[U_d^4] = sum_{k<=d} E[U_{2k}^2] = d + 1, exactly.
+    """
+    return d + 1
+
+
 def sphere_power_integral_exact(lam: Fraction, d: int, p_even: int) -> Fraction:
     """Exact integral of C_d^(lam)(t)^p against the normalized weight, even p.
 

@@ -170,6 +170,28 @@ def test_dimensions_and_scan_grids_past_the_cap_are_rejected_before_any_work(cap
     assert code == 64 and "exceeds the cap" in err
 
 
+def test_lemma_cap_counts_rows_over_the_distinct_dimensions(capsys, monkeypatch):
+    # two dimensions at k-max 60000 are 120,000 rows; a repeated n adds none
+    code, out, _ = run(capsys, "lemma", "--n", "2,2", "--k-max", "3", "--format", "csv")
+    assert code == 0 and len(list(csv.DictReader(io.StringIO(out)))) == 3
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    code, _, err = run(capsys, "lemma", "--n", "2,3", "--k-max", "60000")
+    assert code == 64 and "exceeds the cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lemma", "--n", ",", "--k-max", "3"),
+    ("limit", "--d", "2", "--p", "2", "--q", "4", "--n", " , "),
+    ("logsob", "--n", "2", "--coeffs", ","),
+    ("subordination", "--x", ","),
+    (*_NECESSITY, "--eps", ","),
+])
+def test_empty_lists_are_rejected_at_parse_time(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_COMMANDS", {})
+    code, _, err = run(capsys, *argv)
+    assert code == 64 and "nonempty" in err
+
+
 def test_readme_quotes_the_caps_the_cli_enforces():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     quoted = re.findall(r"`cli\.(MAX_[A-Z_]+) = ([0-9.e+]+)`", readme)
@@ -458,7 +480,8 @@ def test_necessity_rows(capsys):
 
 def test_necessity_band_comes_from_the_measured_norms(capsys):
     # at the critical time the margin shrinks like eps^4: 2.22e-10 at 1e-2 and
-    # 2.24e-14 at 1e-3, outside the norms' band of about 5e-15; at 1e-4 it is 0
+    # 2.24e-14 at 1e-3, outside the band of about 6.7e-15 (the norms' 5.5e-15
+    # and the comparison's rounding); at 1e-4 it is 0
     code, out, err = run(
         capsys, "necessity", "--n", "2", "--p", "2", "--q", "4", "--eps", "1e-2,1e-3,1e-4", "--format", "csv"
     )

@@ -39,7 +39,7 @@ from spherehc.hypercheck import (
 )
 from spherehc.norms import SphereParams, sphere_l2_norm_closed
 from spherehc.quadrature import integrate_piecewise
-from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict
+from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict, rounding_allowance
 
 from oracles import hermite_fourth_moment, log_fraction, sphere_power_integral_exact, xlogx
 
@@ -699,15 +699,23 @@ def test_verdict_trichotomy():
         lhs, rhs = rng.normal(size=2)
         err = abs(rng.normal()) * 0.5
         v = Verdict.compare(lhs, rhs, err)
-        statuses = [v.margin > err, v.margin < -err]
+        band = v.numeric_error
+        assert band == err + rounding_allowance(lhs, rhs)
+        statuses = [v.margin > band, v.margin < -band]
         assert statuses.count(True) == (0 if v.status == INCONCLUSIVE else 1)
         if v.status == HOLDS:
-            assert v.margin > err
+            assert v.margin > band
         elif v.status == FAILS:
-            assert v.margin < -err
+            assert v.margin < -band
         else:
-            assert -err <= v.margin <= err
+            assert -band <= v.margin <= band
         assert v.margin == rhs - lhs
+
+
+def test_compare_band_includes_the_comparison_rounding():
+    # a one-ulp margin is inside the rounding of the comparison itself
+    v = Verdict.compare(1.0, 1.0 + 2**-52, 0.0)
+    assert v.status == INCONCLUSIVE and v.numeric_error == rounding_allowance(1.0, 1.0 + 2**-52)
 
 
 def test_nonconverged_inputs_are_inconclusive():

@@ -25,6 +25,7 @@ from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, _jacobi_log_rule, integr
 from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE
 
 from oracles import (
+    chebyshev_u_fourth_moment,
     hermite_fourth_moment,
     log_fraction,
     simpson_composite,
@@ -355,6 +356,27 @@ def test_large_exponent_past_the_dimension_cap_matches_the_exact_integral():
     # the library has no cap: the result is 248.8 below the exact log
     res = zonal_power_integral((10**5 - 1) / 2, 2, 64.0, 1e-12)
     assert abs(res.log_value - _log_exact(10**5, 2, 64)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("d", [7, 40, 300, 1000])
+def test_s3_fourth_moment_and_ratio_lie_within_their_bands(d):
+    # on S^3, E[U_d^4] = d + 1 and E[U_d^2] = 1 exactly, so the L^4/L^2 log
+    # ratio is log(d + 1) / 4 at any degree
+    exact = math.log(chebyshev_u_fourth_moment(d))
+    res = zonal_power_integral(1.0, d, 4.0, 1e-12)
+    assert res.converged
+    assert abs(res.log_value - exact) <= res.error_estimate
+    v = hypercheck.count1_check(3, d, 2, 4)
+    assert v.status == HOLDS
+    assert abs(v.lhs - exact / 4) <= v.numeric_error
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the recurrence floor is too small near the ends")
+def test_s3_fourth_moment_at_the_degree_cap_lies_within_its_band():
+    # claims convergence with a band of 2.12e-11 but is 3.43e-11 off
+    res = zonal_power_integral(1.0, cli.MAX_DEGREE, 4.0, 1e-10)
+    assert res.converged
+    assert abs(res.log_value - math.log(chebyshev_u_fourth_moment(cli.MAX_DEGREE))) <= res.error_estimate
 
 
 @pytest.mark.parametrize("d", [171, 200, 400])
