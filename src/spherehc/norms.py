@@ -74,11 +74,15 @@ def _zonal_integrals(lam: float, d: int, coeffs, exponents, tol: float) -> list[
     for ``quadrature.integrate_root_intervals`` with the end exponent
     lam - 1/2, and log|u| comes from one pass of the plain recurrence per
     round, so ``log_value`` stays finite where u or the integral passes the
-    float range.  Where 32 nodes do not resolve an interval (at lam ~ 500,
-    say, where (1 - t^2)^(lam - 1/2) is steep) the integrator bisects in log
-    space and ``method`` is ADAPTIVE.  ``error_estimate`` is the
-    integrator's, plus a floor of 4 p (d + 1) eps for the rounding of the
-    d-step recurrence, which the 16/32 gap does not show.
+    float range.  |C_d|^p is even and its roots exactly symmetric, so for
+    Y_d only [0, 1] is integrated (``even=True``), with exponent p at t = 0
+    when d is odd and 0 there when d is even; a series has no parity and
+    takes the whole of [-1, 1].  Where 32 nodes do not resolve an interval
+    (at lam ~ 500, say, where (1 - t^2)^(lam - 1/2) is steep) the
+    integrator bisects in log space and ``method`` is ADAPTIVE.
+    ``error_estimate`` is the integrator's, plus a floor of 4 p (d + 1) eps
+    for the rounding of the d-step recurrence, which the 16/32 gap does not
+    show.
     """
     spec = specfun.GegenbauerSpec(lam, d)
     roots = specfun.gegenbauer_roots(spec) if coeffs is None else specfun._series_roots(lam, coeffs)
@@ -89,7 +93,8 @@ def _zonal_integrals(lam: float, d: int, coeffs, exponents, tol: float) -> list[
         return specfun._log_abs(ab, t, coeffs)[1]
 
     out = []
-    for p, res in zip(exponents, integrate_root_intervals(log_abs, roots, exponents, lam - 0.5, tol)):
+    integrals = integrate_root_intervals(log_abs, roots, exponents, lam - 0.5, tol, even=coeffs is None)
+    for p, res in zip(exponents, integrals):
         rel = res.error_estimate + 4.0 * p * (d + 1) * _EPS
         out.append(NormValue(res.log_value + log_c, rel, res.method, res.converged, res.panels))
     return out
@@ -108,7 +113,8 @@ def sphere_lp_norm(params: SphereParams, d: int, p: float, tol: float = 1e-12) -
     """L^p norm of the zonal harmonic Y_d(xi) = C_d^(lam)(xi . e1) on S^n.
 
     Computed as (integral of |C_d|^p against the Gegenbauer weight)^(1/p) with
-    the integrand split at the polynomial's roots.  n = 1 degenerates the
+    the integrand split at the polynomial's roots; the integrand is even, so
+    it is integrated over [0, 1] and doubled.  n = 1 degenerates the
     weight (lam = 0), and the degree-d profile there is cos(d theta), whose
     norm has the closed form (B(1/2, (p + 1)/2) / pi)^(1/p) for every d >= 1.
     """
@@ -181,6 +187,9 @@ def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
 def _gaussian_integrals(d: int, exponents, tol: float) -> list[NormValue]:
     """E|h_d|^p (d >= 1) for each p, from one roots call and one pass per round.
 
+    |h_d|^p and the density are even, so only [0, R) is integrated and
+    doubled (``even=True``), with exponent p at y = 0 when d is odd.
+
     Past y_hi = (r + sqrt(r^2 + 4 p d)) / 2, with r the largest root and p the
     largest exponent, p log|h_d| - y^2/2 is past its peak, concave and of
     curvature <= -1.  So with R = y_hi + sqrt(-2 log(tol 1e-3)) the two tails
@@ -199,7 +208,7 @@ def _gaussian_integrals(d: int, exponents, tol: float) -> list[NormValue]:
         return -0.5 * y * y - _LOG_SQRT_2PI
 
     integrals = integrate_root_intervals(
-        log_abs, roots, exponents, 0.0, tol, interval=(-radius, radius), log_weight=log_density
+        log_abs, roots, exponents, 0.0, tol, interval=(-radius, radius), log_weight=log_density, even=True
     )
     log_abs_radius = float(log_abs(np.array([radius]))[0])
     out = []

@@ -9,9 +9,11 @@ a Gauss-Jacobi rule carrying those exponents (``specfun.jacobi_rule_log``:
 Golub-Welsch nodes, Math. Comp. 23 (1969), and log weights from the same
 recurrence pass).  The caller supplies log|P|, and the nodes are summed as a
 logsumexp of p log|P| plus the log weight, so |P|^p never has to fit in a
-float.  Where the 16/32-node gap misses the tolerance, the panels whose own
-gap is too large are bisected, still in log space, in the manner of
-QUADPACK's QAWS (Piessens et al., QUADPACK, Springer 1983).
+float.  An even integrand (Y_d and h_d: P even or odd, the weight even) is
+integrated over one half and doubled, so each node and root is met once.
+Where the 16/32-node gap misses the tolerance, the panels whose own gap is
+too large are bisected, still in log space, in the manner of QUADPACK's
+QAWS (Piessens et al., QUADPACK, Springer 1983).
 
 ``integrate_piecewise`` serves the integrands that are not |P|^p: the signed
 entropy and subordination.  It splits at the given breakpoints and runs the
@@ -59,6 +61,7 @@ _COARSE = 16
 _FINE = 32
 _RULES = (slice(0, _COARSE), slice(_COARSE, _COARSE + _FINE))  # the two rules in a row of 48 nodes
 _EPS = float(np.finfo(float).eps)
+_LN2 = math.log(2.0)
 # a 16-node sum e^700 times the 32-node one is as wrong as any larger; capped
 # there, a gap stays finite (MAX_PANELS of e^700 sum below the float max)
 _LOG_GAP_CAP = 700.0
@@ -172,17 +175,19 @@ def _rule_rows(levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return x, rest
 
 
-def _bisect(f, edges: np.ndarray, end: float, inners, weigh, settle, log_weight=None) -> list:
+def _bisect(f, edges: np.ndarray, ends, end: float, inners, weigh, settle, log_weight=None, cuts=()) -> list:
     """The bisection rounds of both integrators: one result per job.
 
-    Job k integrates f(t) ((t - a)(b - t))^end w(t) over (a, b) = (edges[0],
-    edges[-1]), w = exp(log_weight) or 1, from one panel between each two
-    consecutive ``edges`` with exponent ``end`` at a and b and inners[k] at
-    the other edges; ValueError unless every exponent exceeds -1 and the
-    edges increase.  The jobs share levels = (0, end, inners...) without
-    repeats: a panel with exponent levels[l] at its left end and levels[r]
-    at its right takes row r * len(levels) + l of ``_rule_rows(levels)``, so
-    jobs differ only in their rows.
+    Job k integrates f(t) ((t - a)(b - t))^end w(t) over (edges[0],
+    edges[-1]), w = exp(log_weight) or 1, where (a, b) = ``ends`` are the
+    end weight's ends, a <= edges[0] and edges[-1] = b.  It starts from one
+    panel between each two consecutive ``edges``, with exponent ``end`` at
+    an edge at a or b, 0 at an edge in ``cuts`` and inners[k] at every other
+    edge (a root); ValueError unless every exponent exceeds -1 and the edges
+    increase.  The jobs share levels = (0, end, inners...) without repeats:
+    a panel with exponent levels[l] at its left end and levels[r] at its
+    right takes row r * len(levels) + l of ``_rule_rows(levels)``, so jobs
+    differ only in their rows.
 
     One table holds the open panels of all jobs: spans, rows, job index and
     sums.  Each round gathers the rule rows of its new panels and builds
@@ -210,12 +215,14 @@ def _bisect(f, edges: np.ndarray, end: float, inners, weigh, settle, log_weight=
         raise ValueError(f"edges must strictly increase, got {edges.tolist()}")
     levels = tuple(dict.fromkeys((0.0, end, *inners)))
     x, rest = _rule_rows(levels)
-    a, b = edges[0], edges[-1]
+    a, b = ends
     count = len(edges) - 1
     job, panel = np.divmod(np.arange(len(inners) * count), count)
     spans = edges[np.add.outer(panel, (0, 1))]
-    inner, outer = np.array([levels.index(p) for p in inners])[job], levels.index(end)
-    rows = np.where(panel == count - 1, outer, inner) * len(levels) + np.where(panel == 0, outer, inner)
+    # each edge's level per job: end's at a or b, 0 at a cut, the job's own (None here) at a root
+    kinds = [levels.index(end) if e == a or e == b else 0 if e in cuts else None for e in edges.tolist()]
+    at = [[levels.index(p) if k is None else k for k in kinds] for p in inners]
+    rows = np.array([r * len(levels) + l for row in at for l, r in zip(row, row[1:])])
     table = None
     results = {}
     while True:
@@ -288,7 +295,7 @@ def _panel_sums(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def integrate_root_intervals(
-    log_abs, roots, exponents, end_exponent: float, tol: float, *, interval=(-1.0, 1.0), log_weight=None
+    log_abs, roots, exponents, end_exponent: float, tol: float, *, interval=(-1.0, 1.0), log_weight=None, even=False
 ) -> tuple[NormValue, ...]:
     """integral over (a, b) of |P(t)|^p ((t - a)(b - t))^end_exponent exp(log_weight(t)) dt for each exponent p.
 
@@ -300,6 +307,13 @@ def integrate_root_intervals(
     exponents and ``end_exponent`` must exceed -1.  One ``NormValue`` is
     returned per exponent, its ``panels`` those of its last round.
 
+    ``even=True`` declares log|P| and ``log_weight`` even about c = (a + b)/2
+    and ``roots`` symmetric about c, exactly as floats (ValueError if not).
+    Then only [c, b] is integrated, between the edges (c, roots > c..., b),
+    and the result is doubled: ``log_value`` gains log 2, and the relative
+    ``error_estimate`` is that of the half.  The edge c carries exponent p
+    when it is a root and 0 otherwise.
+
     Every round's ``error_estimate`` is its 16/32 gap plus one rounding term,
     4 eps times the log size of the sum: the mean of the summands' log sizes
     |p log|P|| + |log w|, each weighted by its share of the 32-node sum
@@ -308,10 +322,11 @@ def integrate_root_intervals(
     of size L cannot resolve less than an ulp of L; so a round counts as
     converged when its gap is within ``tol`` plus that rounding.
 
-    First round: each interval between consecutive edges of (a, roots..., b)
-    gets the 16- and the 32-node Gauss-Jacobi rule with exponent p at a root
-    and ``end_exponent`` at a or b.  All nodes are summed as one row, the
-    value is the 32-node logsumexp and ``method`` is GAUSS_JACOBI.
+    First round: each interval between consecutive edges, of (a, roots...,
+    b) or of the half, gets the 16- and the 32-node Gauss-Jacobi rule with
+    exponent p at a root and ``end_exponent`` at a or b.  All nodes are
+    summed as one row, the value is the 32-node logsumexp and ``method`` is
+    GAUSS_JACOBI.
 
     Bisection (``method`` ADAPTIVE): where the first round misses that, each
     round bisects the panels whose own gap exceeds an equal share of ``tol``.
@@ -324,7 +339,15 @@ def integrate_root_intervals(
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     powers = np.array(exponents, dtype=float)
-    edges = np.array([interval[0], *roots, interval[1]], dtype=float)
+    a, b = float(interval[0]), float(interval[1])
+    roots = [float(r) for r in roots]
+    edges, cuts, log_scale = np.array([a, *roots, b]), (), 0.0
+    if even:
+        c = 0.5 * (a + b)
+        if roots != [2.0 * c - r for r in reversed(roots)]:
+            raise ValueError(f"an even integrand needs roots symmetric about {c}, got {roots}")
+        edges, log_scale = np.array([c, *(r for r in roots if r > c), b]), _LN2
+        cuts = () if c in roots else (c,)
 
     def weigh(job, part, first):
         log_f, log_w = part
@@ -339,7 +362,7 @@ def integrate_root_intervals(
                 rounding = 4.0 * _EPS * size
                 converged = math.isfinite(gap) and gap <= tol + rounding
                 if converged or not math.isfinite(fine):
-                    done[k] = NormValue(fine, gap + rounding, GAUSS_JACOBI, converged, len(edges) - 1)
+                    done[k] = NormValue(fine + log_scale, gap + rounding, GAUSS_JACOBI, converged, len(edges) - 1)
             if len(done) == len(powers):
                 return done, None
         return done, np.column_stack(_panel_sums(terms))
@@ -354,9 +377,9 @@ def integrate_root_intervals(
         rounding = 4.0 * _EPS * size
         converged = math.isfinite(total) and gap <= tol + rounding
         split = err > tol / len(err) if math.isfinite(gap) else None
-        return converged, split, lambda: NormValue(total, gap + rounding, ADAPTIVE, converged, len(fine))
+        return converged, split, lambda: NormValue(total + log_scale, gap + rounding, ADAPTIVE, converged, len(fine))
 
-    return tuple(_bisect(log_abs, edges, float(end_exponent), powers.tolist(), weigh, settle, log_weight))
+    return tuple(_bisect(log_abs, edges, (a, b), float(end_exponent), powers.tolist(), weigh, settle, log_weight, cuts))
 
 
 def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: float = 0.0) -> IntegralResult:
@@ -415,7 +438,7 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
         error = err_total + 4.0 * _EPS * abs_total
         return converged, np.array(err) > allowed / len(err), lambda: IntegralResult(math.fsum(fine), error, len(fine), converged)
 
-    return _bisect(f, edges, float(end_exponent), (0.0,), weigh, settle)[0]
+    return _bisect(f, edges, (a, b), float(end_exponent), (0.0,), weigh, settle)[0]
 
 
 def subordination_check(x: float, tol: float = 1e-10) -> Verdict:

@@ -20,10 +20,12 @@ log-magnitudes stay finite far beyond float overflow.
 Roots are Golub-Welsch eigenvalues (Math. Comp. 23, 1969) of the Jacobi
 matrix built from the same a_k, b_k and c_k (numpy.linalg.eigvalsh), polished
 by one guarded Newton step on that recurrence, so a family's matrix and its
-Newton step cannot disagree.  Gauss-Jacobi rules, Gauss-Legendre among them,
-take their nodes the same way and their weights, in log space, from the same
-pass (``jacobi_rule_log``), so no other library is needed.  Expanded
-coefficient forms exist only as exact-rational oracles in the test suite.
+Newton step cannot disagree.  The Gegenbauer and Hermite roots are symmetric
+about 0: only the positive ones are polished, and the rest are their exact
+mirror images.  Gauss-Jacobi rules, Gauss-Legendre among them, take their
+nodes the same way and their weights, in log space, from the same pass
+(``jacobi_rule_log``), so no other library is needed.  Expanded coefficient
+forms exist only as exact-rational oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -261,31 +263,38 @@ def _jacobi_matrix(a, b, c=None) -> np.ndarray:
     return matrix
 
 
-def _golub_welsch(a, b, c, derivative, lo: float, hi: float):
+def _golub_welsch(a, b, c, derivative, lo: float, hi: float, start: int = 0):
     """Eigenvalues of P_d's Jacobi matrix and one guarded Newton step on P_d's recurrence.
 
     ``derivative(t, P_d, P_{d-1})`` gives P_d' from the pass that evaluates
     P_d.  Steps are capped at 45% of the gap to the nearest neighbor (or
-    ``lo``/``hi``) so roots cannot cross; a vanishing derivative would mean a
-    multiple root.  Returns the eigenvalues in ascending order, the steps, and
-    P_d, P_d' and the shift at the eigenvalues.
+    ``lo``/``hi``) in the full list so roots cannot cross; a vanishing
+    derivative would mean a multiple root.  Returns the eigenvalues from
+    index ``start`` on in ascending order, their steps, and P_d, P_d' and
+    the shift at them.
     """
     nodes = np.linalg.eigvalsh(_jacobi_matrix(a, b, c), UPLO="L")
+    edges = np.concatenate(([lo], nodes, [hi]))
+    gaps = edges[1:] - edges[:-1]
+    cap = 0.45 * np.minimum(gaps[:-1], gaps[1:])[start:]
+    nodes = nodes[start:]
     value, prev, shift = _recurrence(a, b, nodes, c=c)
     slope = derivative(nodes, value, prev)
     if (slope == 0.0).any():
         raise ArithmeticError("multiple root detected; Jacobi-matrix eigenvalues are simple")
-    edges = np.concatenate(([lo], nodes, [hi]))
-    gaps = edges[1:] - edges[:-1]
-    cap = 0.45 * np.minimum(gaps[:-1], gaps[1:])
     return nodes, np.maximum(np.minimum(-value / slope, cap), -cap), value, slope, shift
 
 
 def _symmetric_roots(ab, derivative, lo: float, hi: float) -> tuple[float, ...]:
-    """All d roots, ascending, of an even or odd P_d with recurrence ``ab``, averaged with their mirror images."""
-    nodes, step, *_ = _golub_welsch(*ab, None, derivative, lo, hi)
-    roots = nodes + step
-    return tuple((0.5 * (roots - roots[::-1])).tolist())
+    """All d roots, ascending, of an even or odd P_d with recurrence ``ab``, exactly antisymmetric.
+
+    Only the positive eigenvalues get the Newton step; the negative roots
+    are their mirror images, and an odd P_d's middle root is 0.0.
+    """
+    d = len(ab[0])
+    nodes, step, *_ = _golub_welsch(*ab, None, derivative, lo, hi, (d + 1) // 2)
+    upper = (nodes + step).tolist()
+    return (*(-r for r in reversed(upper)), *[0.0] * (d % 2), *upper)
 
 
 def gegenbauer_roots(spec: GegenbauerSpec) -> tuple[float, ...]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spherehc import hypercheck, quadrature, specfun
-from spherehc.norms import gaussian_lp_norm
+from spherehc.norms import _gaussian_integrals as gaussian_integrals, gaussian_lp_norm
 from spherehc.quadrature import (
     ADAPTIVE,
     GAUSS_JACOBI,
@@ -26,7 +26,15 @@ from spherehc.quadrature import (
 )
 from spherehc.specfun import GegenbauerSpec
 
-from oracles import gaussian_even_moment, simpson_composite, xlogx
+from oracles import (
+    gaussian_even_moment,
+    hermite_fourth_moment,
+    log_fraction,
+    simpson_composite,
+    sphere_power_integral_exact,
+    xlogx,
+    zonal_power_integral_mp,
+)
 
 
 # ----------------------------------------------------------------- gauss rule
@@ -505,6 +513,98 @@ def test_log_sum_exp_weighs_sizes_by_share():
     # a row whose largest term is not finite gives that term and no size
     total, mean = _log_sum_exp(np.array([[-np.inf, -np.inf], [0.0, np.inf]]), np.ones((2, 2)))
     assert total.tolist() == [-np.inf, np.inf] and mean.tolist() == [0.0, 0.0]
+
+
+# ------------------------------------------------------------ even integrands
+
+def _full_and_half(log_abs, roots, exponents, end, **options):
+    full = integrate_root_intervals(log_abs, roots, exponents, end, 1e-12, **options)
+    half = integrate_root_intervals(log_abs, roots, exponents, end, 1e-12, even=True, **options)
+    return full, half
+
+
+@pytest.mark.parametrize("n,d,exponents", [
+    # n = 2 has end exponent 0; odd d has a root at the centre, even d a cut
+    (2, 7, (4.0, 2.0)),
+    (2, 8, (4.0, 2.0)),
+    (3, 7, (4.0, 2.0)),
+    (3, 10, (4.0, 2.0)),
+    (13, 6, (4.0, 2.0)),
+    (13, 7, (4.0, 2.0)),
+    # |C_7|^1.5 has a kink at the centre, which the half's rule must carry
+    (13, 7, (3.0, 1.5)),
+    # both halves bisect
+    (1000, 6, (4.0, 2.0)),
+    (1000, 30, (3.0, 1.5)),
+])
+def test_even_zonal_half_matches_the_full_interval_and_the_oracle(n, d, exponents):
+    lam = (n - 1) / 2
+    log_abs, roots, end, _ = _gegenbauer_case(lam, d)
+    full, half = _full_and_half(log_abs, roots, exponents, end)
+    log_c = math.log(specfun.c_lambda(lam))
+    for p, whole, res in zip(exponents, full, half):
+        assert whole.converged and res.converged and res.method == whole.method
+        assert res.panels < whole.panels
+        assert abs(res.log_value - whole.log_value) <= res.error_estimate + whole.error_estimate
+        if p == 1.5:
+            # the oracle's Gauss-Legendre pieces do not resolve the kinks
+            # |t - r|^1.5 to 1e-12; the two integrals above must agree
+            continue
+        if p % 2:
+            exact = zonal_power_integral_mp(n, d, p, roots)
+        else:
+            exact = log_fraction(sphere_power_integral_exact(Fraction(n - 1, 2), d, int(p)))
+        # the band of the norm path, with its recurrence floor
+        band = res.error_estimate + 4.0 * p * (d + 1) * quadrature._EPS
+        assert abs(res.log_value + log_c - exact) <= band
+
+
+@pytest.mark.parametrize("d", [3, 40, 180])
+def test_even_hermite_half_matches_the_full_interval_and_the_moments(d):
+    # E[h_d^2] = d! and E[h_d^4] from the product linearization
+    log_abs, roots, end, options = _hermite_case(d)
+    options["log_weight"] = lambda y: -0.5 * y * y - 0.5 * math.log(2.0 * math.pi)
+    full, half = _full_and_half(log_abs, roots, (4.0, 2.0), end, **options)
+    for whole, res in zip(full, half):
+        assert whole.converged and res.converged
+        assert abs(res.log_value - whole.log_value) <= res.error_estimate + whole.error_estimate
+    exact = (log_fraction(Fraction(hermite_fourth_moment(d))), log_fraction(Fraction(math.factorial(d))))
+    for res, value in zip(gaussian_integrals(d, (4.0, 2.0), 1e-12), exact):
+        assert res.converged
+        assert abs(res.log_value - value) <= res.error_estimate
+
+
+def test_even_integrand_needs_symmetric_roots():
+    log_abs = lambda t: np.log(np.abs(t * t - 0.25))
+    with pytest.raises(ValueError, match="symmetric"):
+        integrate_root_intervals(log_abs, (-0.5, 0.4), (2.0,), 0.0, 1e-12, even=True)
+    # symmetric about 0, but not about the centre of (-1, 2)
+    with pytest.raises(ValueError, match="symmetric"):
+        integrate_root_intervals(log_abs, (-0.5, 0.5), (2.0,), 0.0, 1e-12, interval=(-1.0, 2.0), even=True)
+    # integral of (t^2 - 1/4)^2 (1 - t^2) over [-1, 1] = 9/140, from the
+    # edges (0, 0.5, 1) with a cut at 0
+    (res,) = integrate_root_intervals(log_abs, (-0.5, 0.5), (2.0,), 1.0, 1e-12, even=True)
+    assert res.converged and res.panels == 2
+    assert res.value == pytest.approx(9 / 140, rel=1e-14)
+
+
+def test_even_first_round_evaluates_half_the_nodes():
+    # C_7 on S^12: the edges (0, three positive roots, 1) give 4 panels of
+    # 48 nodes per exponent, where the whole of [-1, 1] has 8
+    log_abs, roots, end, _ = _gegenbauer_case(6.0, 7)
+    calls = {}
+    for even in (False, True):
+        points = calls[even] = []
+
+        def counted(t, points=points):
+            points.append(t.copy())
+            return log_abs(t)
+
+        results = integrate_root_intervals(counted, roots, (4.0, 2.0), end, 1e-12, even=even)
+        assert all(r.method == GAUSS_JACOBI for r in results)
+    assert [t.size for t in calls[False]] == [768]
+    assert [t.size for t in calls[True]] == [384]
+    assert calls[True][0].min() >= 0.0 and calls[True][0].max() <= 1.0
 
 
 # ------------------------------------------------------------------- gaussian
