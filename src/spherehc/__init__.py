@@ -17,6 +17,7 @@ from .hypercheck import (
     ZonalPolynomial,
     beckner_constant,
     count1_check,
+    count1_checks,
     counterexample_scan,
     eigenvalue_sqrt_laplacian,
     entropy_functional,

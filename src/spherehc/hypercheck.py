@@ -34,6 +34,7 @@ __all__ = [
     "heat_condition",
     "poisson_condition_ii",
     "count1_check",
+    "count1_checks",
     "utol1_check",
     "lemma_check",
     "lemma_table",
@@ -158,16 +159,59 @@ def count1_check(n: int, d: int, p: float, q: float, tol: float = 1e-12) -> Verd
     lhs = log(||Y_d||_q / ||Y_d||_p);
     rhs = (1/2) sqrt(d (d + n - 1)/n) log((q-1)/(p-1)).
     """
+    return count1_checks(n, [d], p, q, tol)[0]
+
+
+# first-round nodes of one count1_checks batch, counted as 2 exponents x 48
+# nodes x (d // 2 + 1) panels a cell: several cells share each recurrence
+# step, and a batch's arrays stay as small as those of one cell at d ~ 80
+_BATCH_NODES = 4096
+
+
+def _degree_batches(degrees) -> list[list[int]]:
+    """The distinct degrees, highest first, cut into runs of at most ``_BATCH_NODES`` first-round nodes.
+
+    A degree whose cell alone has more is a run of its own.
+    """
+    batches, nodes = [], 0
+    for d in sorted(set(degrees), reverse=True):
+        size = 96 * (d // 2 + 1)
+        if not batches or nodes + size > _BATCH_NODES:
+            batches.append([])
+            nodes = 0
+        batches[-1].append(d)
+        nodes += size
+    return batches
+
+
+def count1_checks(n: int, degrees, p: float, q: float, tol: float = 1e-12) -> list[Verdict]:
+    """``count1_check(n, d, p, q, tol)`` for each d in ``degrees``, in that order.
+
+    The distinct degrees go highest first in batches of at most
+    ``_BATCH_NODES`` first-round nodes.  A batch finds the roots of all its
+    degrees in one Newton pass and integrates them together: every round
+    evaluates all their open panels in one recurrence pass, in which a
+    degree's points drop out at its degree.  Each verdict is bitwise the
+    one ``count1_check`` gives on its own wherever that pass rescales at
+    the steps of the cell's own pass, and elsewhere log|Y_d| may move by a
+    few ulps.  That holds for every n <= 5e4: a batch of several cells has
+    degrees of at most 81, and there no rescale fires below d = 87 (d = 598
+    on S^2 to S^13).
+    """
     ExponentPair(p, q)
-    if d < 1 or n < 2:
-        raise ValueError(f"need n >= 2 and d >= 1, got ({n}, {d})")
+    degrees = list(degrees)
+    for d in degrees:
+        if d < 1 or n < 2:
+            raise ValueError(f"need n >= 2 and d >= 1, got ({n}, {d})")
     if p == q:
         # both sides are exactly zero in log scale; boundary equality holds
-        return Verdict.exact(0.0, 0.0)
-    ratio = norms.norm_ratio_sphere(SphereParams(n), d, p, q, tol)
-    lhs = ratio.log_value
-    rhs = 0.5 * math.sqrt(d * (d + n - 1.0) / n) * math.log((q - 1.0) / (p - 1.0))
-    return Verdict.compare(lhs, rhs, ratio.error_estimate, ratio.converged)
+        return [Verdict.exact(0.0, 0.0) for _ in degrees]
+    verdicts = {}
+    for batch in _degree_batches(degrees):
+        for d, ratio in zip(batch, norms._sphere_ratios((n - 1) / 2, batch, p, q, tol)):
+            rhs = 0.5 * math.sqrt(d * (d + n - 1.0) / n) * math.log((q - 1.0) / (p - 1.0))
+            verdicts[d] = Verdict.compare(ratio.log_value, rhs, ratio.error_estimate, ratio.converged)
+    return [verdicts[d] for d in degrees]
 
 
 def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
@@ -446,6 +490,10 @@ def hermite_growth_rate(d: int, p: float, q: float, tol: float = 1e-12) -> float
 class ScanReport:
     """Grid of count1_check verdicts over (n, d) at fixed exponents.
 
+    Each verdict is bitwise the one ``count1_check(n, d, p, q, tol)`` gives,
+    though the scan computes the cells of one n in ``count1_checks``
+    batches of at most about 4,096 first-round nodes (``_BATCH_NODES``).
+
     ``first_failure`` is the lexicographically smallest failing cell;
     ``n0_estimate`` is the smallest scanned n with any failing d and is only
     an upper bound for the true threshold (zonal witnesses only).
@@ -457,9 +505,9 @@ class ScanReport:
     note: str = _ZONAL_SCAN_NOTE
 
 
-def _scan_cell(args: tuple[int, int, float, float, float]) -> tuple[tuple[int, int], Verdict]:
-    n, d, p, q, tol = args
-    return (n, d), count1_check(n, d, p, q, tol)
+def _scan_batch(args: tuple[int, list[int], float, float, float]) -> list[tuple[tuple[int, int], Verdict]]:
+    n, degrees, p, q, tol = args
+    return [((n, d), v) for d, v in zip(degrees, count1_checks(n, degrees, p, q, tol))]
 
 
 def counterexample_scan(
@@ -472,26 +520,31 @@ def counterexample_scan(
 ) -> ScanReport:
     """Evaluate count1_check over the (n, d) grid and locate the failure frontier.
 
-    Cells are merged by key so the report is deterministic regardless of the
-    worker count.  At most min(jobs, cells, CPU count) workers start, and
-    none when that is 1.  Inconclusive cells are reported as such, never
-    counted as failures.
+    A task is one ``count1_checks`` batch: cells of one n, highest degree
+    first, with at most ``_BATCH_NODES`` first-round nodes (about 4,096; one
+    degree above that is a batch alone).  On n <= 13, d <= 40 that is 12
+    batches per n, from (40, 39) to (11, ..., 1).  Cells are merged by key
+    so the report is deterministic regardless of the worker count.  At most
+    min(jobs, batches, CPU count) workers start, and none when that is 1.
+    Inconclusive cells are reported as such, never counted as failures.
     """
     ExponentPair(p, q)
     if not q > max(2.0, p):
         raise ValueError(f"counterexample scan needs q > max(2, p), got ({p}, {q})")
     cells = sorted((int(n), int(d)) for n in n_range for d in d_range)
-    tasks = [(n, d, p, q, tol) for n, d in cells]
-    # with fork the pool starts all its workers at once: none past the CPUs or cells
+    degrees = _degree_batches(d for _, d in cells)
+    tasks = [(n, batch, p, q, tol) for n in sorted({n for n, _ in cells}) for batch in degrees]
+    # with fork the pool starts all its workers at once: none past the CPUs or tasks
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: multiprocessing costs every import of the package 12-24 ms
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_scan_cell, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            batches = pool.map(_scan_batch, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+            results = dict(itertools.chain.from_iterable(batches))
     else:
-        results = dict(map(_scan_cell, tasks))
+        results = dict(itertools.chain.from_iterable(map(_scan_batch, tasks)))
     grid = {key: results[key] for key in cells}
     failures = [key for key in cells if grid[key].status == FAILS]
     first_failure = failures[0] if failures else None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .quadrature import ADAPTIVE, NormValue, _exp, integrate_root_intervals
+from .quadrature import ADAPTIVE, NormValue, _exp, _integrate_root_lists, integrate_root_intervals
 
 __all__ = [
     "CLOSED_FORM",
@@ -62,14 +62,15 @@ def zonal_power_integral(lam: float, d: int, p: float, tol: float) -> NormValue:
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    return _zonal_integrals(lam, d, None, (p,), tol)[0]
+    return _zonal_integrals(lam, [d], None, (p,), tol)[0][0]
 
 
-def _zonal_integrals(lam: float, d: int, coeffs, exponents, tol: float) -> list[NormValue]:
-    """integral over [-1, 1] of |u(t)|^p c_lam (1 - t^2)^(lam - 1/2) dt for each exponent p.
+def _zonal_integrals(lam: float, degrees, coeffs, exponents, tol: float) -> list[list[NormValue]]:
+    """integral over [-1, 1] of |u(t)|^p c_lam (1 - t^2)^(lam - 1/2) dt for each degree d and exponent p.
 
-    u is C_d^(lam) when ``coeffs`` is None, else the degree-d series
-    sum_k coeffs[k] C_k^(lam).  Its real roots in (-1, 1), from
+    u is C_d^(lam) for each d in ``degrees`` (descending) when ``coeffs`` is
+    None, else the series sum_k coeffs[k] C_k^(lam) of the one degree
+    d = len(coeffs) - 1.  Its real roots in (-1, 1), from
     ``specfun.gegenbauer_roots`` or from its comrade matrix, split [-1, 1]
     for ``quadrature.integrate_root_intervals`` with the end exponent
     lam - 1/2, and log|u| comes from one pass of the plain recurrence per
@@ -83,20 +84,36 @@ def _zonal_integrals(lam: float, d: int, coeffs, exponents, tol: float) -> list[
     ``error_estimate`` is the integrator's, plus a floor of 4 p (d + 1) eps
     for the rounding of the d-step recurrence, which the 16/32 gap does not
     show.
-    """
-    spec = specfun.GegenbauerSpec(lam, d)
-    roots = specfun.gegenbauer_roots(spec) if coeffs is None else specfun._series_roots(lam, coeffs)
-    ab = specfun._gegenbauer_ab(lam, d)
-    log_c = math.log(specfun.c_lambda(lam))
 
-    def log_abs(t: np.ndarray) -> np.ndarray:
-        return specfun._log_abs(ab, t, coeffs)[1]
+    Several degrees share one Newton pass for their roots and one
+    integrator whose rounds evaluate every degree in one blocked recurrence
+    pass (``specfun._recurrence``), so a degree's results are bitwise its
+    own call's wherever that pass rescales at the same steps.
+    """
+    ab = specfun._gegenbauer_ab(lam, degrees[0])
+    log_c = math.log(specfun.c_lambda(lam))
+    for d in degrees:
+        specfun.GegenbauerSpec(lam, d)
+    if coeffs is None:
+        root_lists = specfun._gegenbauer_roots(lam, degrees)
+
+        def log_abs(t: np.ndarray, counts) -> np.ndarray:
+            return specfun._log_abs(ab, t, blocks=list(zip(degrees, counts)))[1]
+
+    else:
+        root_lists = [specfun._series_roots(lam, coeffs)]
+
+        def log_abs(t: np.ndarray, counts) -> np.ndarray:
+            return specfun._log_abs(ab, t, coeffs)[1]
 
     out = []
-    integrals = integrate_root_intervals(log_abs, roots, exponents, lam - 0.5, tol, even=coeffs is None)
-    for p, res in zip(exponents, integrals):
-        rel = res.error_estimate + 4.0 * p * (d + 1) * _EPS
-        out.append(NormValue(res.log_value + log_c, rel, res.method, res.converged, res.panels))
+    batch = _integrate_root_lists(log_abs, root_lists, exponents, lam - 0.5, tol, (-1.0, 1.0), None, coeffs is None)
+    for d, integrals in zip(degrees, batch):
+        row = []
+        for p, res in zip(exponents, integrals):
+            rel = res.error_estimate + 4.0 * p * (d + 1) * _EPS
+            row.append(NormValue(res.log_value + log_c, rel, res.method, res.converged, res.panels))
+        out.append(row)
     return out
 
 
@@ -126,7 +143,7 @@ def sphere_lp_norm(params: SphereParams, d: int, p: float, tol: float = 1e-12) -
         return _ONE
     if params.n == 1:
         return _circle_lp_norm(p)
-    return _norm_from_integral(_zonal_integrals(params.lam, d, None, (p,), tol)[0], p)
+    return _norm_from_integral(_zonal_integrals(params.lam, [d], None, (p,), tol)[0][0], p)
 
 
 def _circle_lp_norm(p: float) -> NormValue:
@@ -241,7 +258,13 @@ def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: flo
         return _ONE
     if params.n == 1:
         return _ratio(_circle_lp_norm(q), _circle_lp_norm(p))
-    return _ratio(*map(_norm_from_integral, _zonal_integrals(params.lam, d, None, (q, p), tol), (q, p)))
+    return _sphere_ratios(params.lam, [d], p, q, tol)[0]
+
+
+def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> list[NormValue]:
+    """||Y_d||_q / ||Y_d||_p (p < q) for each d in ``degrees`` (descending, each >= 1), in one batch."""
+    integrals = _zonal_integrals(lam, degrees, None, (q, p), tol)
+    return [_ratio(*map(_norm_from_integral, pair, (q, p))) for pair in integrals]
 
 
 def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:
@@ -260,4 +283,4 @@ def zonal_lp_norm(params: SphereParams, coeffs, p: float, tol: float = 1e-12) ->
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     coeffs = np.asarray(coeffs, dtype=float).tolist()
-    return _norm_from_integral(_zonal_integrals(params.lam, len(coeffs) - 1, coeffs, (p,), tol)[0], p)
+    return _norm_from_integral(_zonal_integrals(params.lam, [len(coeffs) - 1], coeffs, (p,), tol)[0][0], p)

@@ -11,6 +11,9 @@ recurrence pass).  The caller supplies log|P|, and the nodes are summed as a
 logsumexp of p log|P| plus the log weight, so |P|^p never has to fit in a
 float.  An even integrand (Y_d and h_d: P even or odd, the weight even) is
 integrated over one half and doubled, so each node and root is met once.
+Several polynomials can share a call (``_integrate_root_lists``, for the
+zonal Y_d of several degrees): a job is a (polynomial, exponent) pair with
+its polynomial's edges, and log|P| is evaluated for all of them at once.
 Where the 16/32-node gap misses the tolerance, the panels whose own gap is
 too large are bisected, still in log space, in the manner of QUADPACK's
 QAWS (Piessens et al., QUADPACK, Springer 1983).
@@ -22,10 +25,10 @@ space.  ``_bisect`` checks both integrators' exponents and edges and builds
 every panel's log weights in one place: the Gauss-Jacobi rule's weights with
 its own weight function divided out, the panel's half-width, the end weight
 ((t - a)(b - t))^end_exponent and the caller's smooth log weight (the
-Gaussian density).  The exponents of one call share their edges and weights,
-so each round holds the panels of all of them in one table and builds their
-nodes and weights in one broadcast; in the first round each exponent's nodes
-are one row of a stacked logsumexp.
+Gaussian density).  Each round holds the panels of all jobs of a call in
+one table and builds their nodes and weights in one broadcast; in the first
+round each job's nodes are one row of a stacked logsumexp, one stack per
+run of jobs with the same panel count.
 
 Non-convergence, including a non-finite sum, is reported through
 ``converged=False``, never as a silently wrong value.
@@ -175,19 +178,20 @@ def _rule_rows(levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return x, rest
 
 
-def _bisect(f, edges: np.ndarray, ends, end: float, inners, weigh, settle, log_weight=None, cuts=()) -> list:
+def _bisect(f, groups, ends, end: float, inners, weigh, settle, log_weight=None) -> list:
     """The bisection rounds of both integrators: one result per job.
 
-    Job k integrates f(t) ((t - a)(b - t))^end w(t) over (edges[0],
-    edges[-1]), w = exp(log_weight) or 1, where (a, b) = ``ends`` are the
-    end weight's ends, a <= edges[0] and edges[-1] = b.  It starts from one
-    panel between each two consecutive ``edges``, with exponent ``end`` at
-    an edge at a or b, 0 at an edge in ``cuts`` and inners[k] at every other
-    edge (a root); ValueError unless every exponent exceeds -1 and the edges
-    increase.  The jobs share levels = (0, end, inners...) without repeats:
-    a panel with exponent levels[l] at its left end and levels[r] at its
-    right takes row r * len(levels) + l of ``_rule_rows(levels)``, so jobs
-    differ only in their rows.
+    Each group is a pair (edges, cuts), and job g len(inners) + k, of group
+    g and inner exponent k, integrates f(t) ((t - a)(b - t))^end w(t) over
+    (edges[0], edges[-1]), w = exp(log_weight) or 1, where (a, b) =
+    ``ends`` are the end weight's ends, a <= edges[0] and edges[-1] = b.  It
+    starts from one panel between each two consecutive edges, with exponent
+    ``end`` at an edge at a or b, 0 at an edge in ``cuts`` and inners[k] at
+    every other edge (a root); ValueError unless every exponent exceeds -1
+    and the edges increase.  The jobs share levels = (0, end, inners...)
+    without repeats: a panel with exponent levels[l] at its left end and
+    levels[r] at its right takes row r * len(levels) + l of
+    ``_rule_rows(levels)``, so jobs differ only in their rows.
 
     One table holds the open panels of all jobs: spans, rows, job index and
     sums.  Each round gathers the rule rows of its new panels and builds
@@ -195,34 +199,41 @@ def _bisect(f, edges: np.ndarray, ends, end: float, inners, weigh, settle, log_w
     log weights, plus the log of the half-width, plus end log((t - a)(b - t))
     when end is not 0, plus log_weight(t), so that the sum of exp(log weight)
     f(t) over either rule is the panel's integral of f(t) ((t - a)(b - t))^end
-    w(t).  It calls ``f`` once, on the 16 and the 32 nodes of every new panel.
-    ``weigh(job, (values, log_w), first)`` gets the new panels' job indices
-    and, one row of 16 + 32 per panel, the values of ``f`` and the log
-    weights.  It returns (done, sums): one row of sums per new panel (coarse,
-    fine, ...), and in the first round the jobs it finished, mapped to their
-    results, with sums None when that is every job.  ``settle(k,
-    sums)`` gives (converged, split, result) for all panels of job k, in the
-    order they were made.  The job ends with ``result()`` when it converged,
-    when nothing is to be split (split None or all False) or when the split
-    would pass ``MAX_PANELS``.  Otherwise the panels where split holds are
+    w(t).  It calls ``f(t, counts)`` once, on the 16 and the 32 nodes of
+    every new panel.  The new panels are in job order, and each job's in
+    the order they were made (stable), so the nodes of group g come before
+    those of group g + 1, counts[g] of them, and every job sees the panels
+    it would see alone.  ``weigh(job, (values, log_w), first)`` gets the new
+    panels' job indices and, one row of 16 + 32 per panel, the values of
+    ``f`` and the log weights.  It returns (done, sums): one row of sums per
+    new panel (coarse, fine, ...), and in the first round the jobs it
+    finished, mapped to their results, with sums None when that is every
+    job.  ``settle(k, sums)`` gives (converged, split, result) for all
+    panels of job k, in the order they were made.  The job ends with
+    ``result()`` when it converged, when nothing is to be split (split None
+    or all False) or when the split would pass ``MAX_PANELS``.  Otherwise the panels where split holds are
     bisected: a child keeps its parent's exponent on the side it still
     touches and gets levels[0] = 0 on the new side, so the left child takes
     row l and the right child row r * len(levels).
     """
     if not all(e > -1.0 for e in (end, *inners)):
         raise ValueError(f"exponents must exceed -1, got {tuple(inners)} and end exponent {end}")
-    if not np.all(np.diff(edges) > 0):
-        raise ValueError(f"edges must strictly increase, got {edges.tolist()}")
     levels = tuple(dict.fromkeys((0.0, end, *inners)))
     x, rest = _rule_rows(levels)
     a, b = ends
-    count = len(edges) - 1
-    job, panel = np.divmod(np.arange(len(inners) * count), count)
-    spans = edges[np.add.outer(panel, (0, 1))]
-    # each edge's level per job: end's at a or b, 0 at a cut, the job's own (None here) at a root
-    kinds = [levels.index(end) if e == a or e == b else 0 if e in cuts else None for e in edges.tolist()]
-    at = [[levels.index(p) if k is None else k for k in kinds] for p in inners]
-    rows = np.array([r * len(levels) + l for row in at for l, r in zip(row, row[1:])])
+    jobs = len(groups) * len(inners)
+    spans, rows, job = [], [], []
+    for g, (edges, cuts) in enumerate(groups):
+        if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
+            raise ValueError(f"edges must strictly increase, got {edges}")
+        # each edge's level per job: end's at a or b, 0 at a cut, the job's own (None here) at a root
+        kinds = [levels.index(end) if e == a or e == b else 0 if e in cuts else None for e in edges]
+        for k, p in enumerate(inners):
+            at = [levels.index(p) if kind is None else kind for kind in kinds]
+            rows += [r * len(levels) + l for l, r in zip(at, at[1:])]
+            job += [g * len(inners) + k] * (len(edges) - 1)
+            spans += [e for pair in zip(edges, edges[1:]) for e in pair]
+    spans, rows, job = np.array(spans).reshape(-1, 2), np.array(rows), np.array(job)
     table = None
     results = {}
     while True:
@@ -244,7 +255,8 @@ def _bisect(f, edges: np.ndarray, ends, end: float, inners, weigh, settle, log_w
             log_w += end * np.where(s2 < 0.25, centre, ends)
         if log_weight is not None:
             log_w += log_weight(t.ravel()).reshape(t.shape)
-        values = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
+        counts = (np.bincount(job // len(inners), minlength=len(groups)) * t.shape[1]).tolist()
+        values = np.asarray(f(t.ravel(), counts), dtype=float).reshape(t.shape)
         done, sums = weigh(job, (values, log_w), table is None)
         results.update(done)
         if sums is None:
@@ -254,7 +266,7 @@ def _bisect(f, edges: np.ndarray, ends, end: float, inners, weigh, settle, log_w
         table = new if table is None else [np.concatenate(pair) for pair in zip(table, new)]
         spans, rows, job, sums = table
         split = np.zeros(len(job), dtype=bool)
-        for k in range(len(inners)):
+        for k in range(jobs):
             if k in results:
                 continue
             mine = job == k
@@ -264,9 +276,9 @@ def _bisect(f, edges: np.ndarray, ends, end: float, inners, weigh, settle, log_w
                 results[k] = result()
             else:
                 split[mine] = part
-        if len(results) == len(inners):
+        if len(results) == jobs:
             break
-        keep = ~split & np.array([k not in results for k in range(len(inners))])[job]
+        keep = ~split & np.array([k not in results for k in range(jobs)])[job]
         table = [column[keep] for column in table]
         spans, rows, job = spans[split], rows[split], job[split]
         mid = 0.5 * (spans[:, 0] + spans[:, 1])
@@ -276,7 +288,9 @@ def _bisect(f, edges: np.ndarray, ends, end: float, inners, weigh, settle, log_w
         spans[:grow, 1] = spans[grow:, 0] = mid
         left = rows % len(levels)
         rows, job = np.concatenate([left, rows - left]), np.concatenate([job, job])
-    return [results[k] for k in range(len(inners))]
+        order = np.argsort(job, kind="stable")
+        spans, rows, job = spans[order], rows[order], job[order]
+    return [results[k] for k in range(jobs)]
 
 
 def _panel_sums(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -336,34 +350,67 @@ def integrate_root_intervals(
     bisection cannot mend, or more than ``MAX_PANELS`` panels end the loop
     with ``converged=False``.
     """
+    args = (exponents, end_exponent, tol, interval, log_weight, even)
+    return _integrate_root_lists(lambda t, counts: log_abs(t), [roots], *args)[0]
+
+
+def _integrate_root_lists(
+    log_abs, root_lists, exponents, end_exponent: float, tol: float, interval, log_weight, even
+) -> list[tuple[NormValue, ...]]:
+    """``integrate_root_intervals`` for several polynomials P_i at once, one root list each.
+
+    Returns one tuple of ``NormValue``s per polynomial.  ``log_abs(t,
+    counts)`` gets the nodes of P_0 first, then those of P_1 and so on,
+    counts[i] of P_i.  A job is a (polynomial, exponent) pair with the edges
+    of its polynomial, and ``_bisect`` hands each job the panels it would
+    have alone, so where log|P_i| is bitwise that of a one-polynomial call,
+    so is every result.
+    """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    powers = np.array(exponents, dtype=float)
+    powers = [float(p) for p in exponents]
     a, b = float(interval[0]), float(interval[1])
-    roots = [float(r) for r in roots]
-    edges, cuts, log_scale = np.array([a, *roots, b]), (), 0.0
-    if even:
-        c = 0.5 * (a + b)
-        if roots != [2.0 * c - r for r in reversed(roots)]:
+    c = 0.5 * (a + b)
+    groups = []
+    for roots in root_lists:
+        roots = [float(r) for r in roots]
+        if not even:
+            groups.append(([a, *roots, b], ()))
+        elif roots != [2.0 * c - r for r in reversed(roots)]:
             raise ValueError(f"an even integrand needs roots symmetric about {c}, got {roots}")
-        edges, log_scale = np.array([c, *(r for r in roots if r > c), b]), _LN2
-        cuts = () if c in roots else (c,)
+        else:
+            groups.append(([c, *(r for r in roots if r > c), b], () if c in roots else (c,)))
+    log_scale = _LN2 if even else 0.0
+    job_powers = np.array(powers * len(groups))
+    # the first round's jobs in runs of one panel count: [panels, jobs]
+    runs = []
+    for edges, _ in groups:
+        if runs and runs[-1][0] == len(edges) - 1:
+            runs[-1][1] += len(powers)
+        else:
+            runs.append([len(edges) - 1, len(powers)])
 
     def weigh(job, part, first):
         log_f, log_w = part
-        log_f = powers[job, None] * log_f
+        log_f = job_powers[job, None] * log_f
         terms = [(log_f[:, rule], log_w[:, rule]) for rule in _RULES]
         done = {}
         if first:
-            # all nodes of each job as one row
-            whole = _panel_sums([(f.reshape(len(powers), -1), w.reshape(len(powers), -1)) for f, w in terms])
-            for k, (coarse, fine, size) in enumerate(zip(*(row.tolist() for row in whole))):
-                gap = abs(math.expm1(min(coarse - fine, _LOG_GAP_CAP))) if math.isfinite(fine) else math.inf
-                rounding = 4.0 * _EPS * size
-                converged = math.isfinite(gap) and gap <= tol + rounding
-                if converged or not math.isfinite(fine):
-                    done[k] = NormValue(fine + log_scale, gap + rounding, GAUSS_JACOBI, converged, len(edges) - 1)
-            if len(done) == len(powers):
+            # all nodes of each job as one row: the jobs are in order, and a
+            # run of jobs with one panel count makes one table of rows
+            start, k = 0, 0
+            for count, rows in runs:
+                block = slice(start, start + rows * count)
+                whole = _panel_sums([(f[block].reshape(rows, -1), w[block].reshape(rows, -1)) for f, w in terms])
+                for coarse, fine, size in zip(*(row.tolist() for row in whole)):
+                    gap = abs(math.expm1(min(coarse - fine, _LOG_GAP_CAP))) if math.isfinite(fine) else math.inf
+                    rounding = 4.0 * _EPS * size
+                    converged = math.isfinite(gap) and gap <= tol + rounding
+                    if converged or not math.isfinite(fine):
+                        done[k] = NormValue(fine + log_scale, gap + rounding, GAUSS_JACOBI, converged, count)
+                    k += 1
+                start = block.stop
+            if len(done) == k:
                 return done, None
         return done, np.column_stack(_panel_sums(terms))
 
@@ -379,7 +426,8 @@ def integrate_root_intervals(
         split = err > tol / len(err) if math.isfinite(gap) else None
         return converged, split, lambda: NormValue(total + log_scale, gap + rounding, ADAPTIVE, converged, len(fine))
 
-    return tuple(_bisect(log_abs, edges, (a, b), float(end_exponent), powers.tolist(), weigh, settle, log_weight, cuts))
+    results = _bisect(log_abs, groups, (a, b), float(end_exponent), powers, weigh, settle, log_weight)
+    return [tuple(results[i : i + len(powers)]) for i in range(0, len(results), len(powers))]
 
 
 def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: float = 0.0) -> IntegralResult:
@@ -414,7 +462,7 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     a, b = float(interval[0]), float(interval[1])
-    edges = np.array([a, *sorted({float(p) for p in breakpoints if a < p < b}), b])
+    edges = [a, *sorted({float(p) for p in breakpoints if a < p < b}), b]
 
     def weigh(job, part, first):
         values, log_w = part
@@ -438,7 +486,7 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
         error = err_total + 4.0 * _EPS * abs_total
         return converged, np.array(err) > allowed / len(err), lambda: IntegralResult(math.fsum(fine), error, len(fine), converged)
 
-    return _bisect(f, edges, (a, b), float(end_exponent), (0.0,), weigh, settle)[0]
+    return _bisect(lambda t, counts: f(t), [(edges, ())], (a, b), float(end_exponent), (0.0,), weigh, settle)[0]
 
 
 def subordination_check(x: float, tol: float = 1e-10) -> Verdict:

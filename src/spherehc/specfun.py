@@ -7,7 +7,9 @@ polynomials with alpha != beta.  One pass can also sum a series
 sum_k s_k P_k, and it returns P_{d-1} beside P_d for the root finders'
 Newton step.  The loop writes every step into preallocated arrays, with
 the operations of the plain expression in its order, so it is bitwise the
-plain loop.
+plain loop.  One pass can also serve several degrees: with the points
+grouped by degree, highest first, each step updates the prefix still below
+its degree, so a point gets the values of a pass of its own degree.
 
 Rescale rule: |P_k| <= (|a_k| max|x| + |c_k| + |b_k|) max(|P_{k-1}|, |P_{k-2}|) bounds
 each value before it is computed.  While the running product of these
@@ -79,7 +81,7 @@ class HermiteSpec:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
 
 
-def _recurrence(a, b, x, coeffs=None, c=None):
+def _recurrence(a, b, x, coeffs=None, c=None, blocks=None):
     """(P_d or sum_k coeffs[k] P_k, P_{d-1}, shift) for a_k = a[k-1], b_k = b[k-1].
 
     ``c`` holds the diagonal terms c_k = c[k-1] of P_k = (a_k x + c_k) P_{k-1}
@@ -88,8 +90,29 @@ def _recurrence(a, b, x, coeffs=None, c=None):
     int 0 unless a rescale fired.  A series sum is at most
     2 max(1, sum|coeffs|) times the bound on the P_k, so its threshold is
     lowered by that factor.
+
+    ``blocks`` (not with ``coeffs``), a list of (degree, count) pairs with
+    the degrees descending and at least 1, says that the 1-d ``x`` holds
+    count points of each degree in that order, and each point gets the
+    values of its own degree; a_k, b_k and c_k must reach the first nonempty
+    block's degree.  The points still below their degree are a prefix of
+    ``x``, so each step updates a slice of it, and a block's values and
+    shift are copied out at its degree.  With one block this is the plain
+    pass.  The rescale bound is that of all points, so a rescale may fire at
+    another step than in a pass of one block alone: log|P| then differs by
+    a few ulps.
     """
     x = np.asarray(x, dtype=float)
+    if blocks is not None:
+        blocks = [(d, count) for d, count in blocks if count]
+        if not blocks:
+            return x.copy(), x.copy(), 0
+        depth = blocks[0][0]
+        a, b, c = a[:depth], b[:depth], None if c is None else c[:depth]
+        # the plain pass, no copies out: single cells (the sufficiency
+        # workload) measured 9% slower through the blocked one
+        if len(blocks) == 1:
+            blocks = None
     prev = np.ones_like(x)
     if not a:
         return (prev if coeffs is None else coeffs[0] * prev), np.zeros_like(x), 0
@@ -108,7 +131,20 @@ def _recurrence(a, b, x, coeffs=None, c=None):
     top = float(np.abs(x).max(initial=0.0))
     bound = max(1.0, abs(a[0]) * top + abs(c[0]))
     shift = 0
+    # (degree, first point of that degree), the lowest degree last
+    stops, out = [], None
+    if blocks is not None:
+        starts = np.cumsum([count for _, count in blocks]).tolist()
+        stops = [(d, start) for (d, _), start in zip(blocks[1:], starts)]
+        out = [np.empty_like(x), np.empty_like(x), None]
     for k in range(1, len(a)):
+        while stops and stops[-1][0] == k:
+            # cur holds P_k: the points from ``start`` on are done
+            start = stops.pop()[1]
+            _retire(out, start, cur, prev, shift)
+            x, cur, prev, buf = x[:start], cur[:start], prev[:start], buf[:start]
+            if not isinstance(shift, int):
+                shift = shift[:start]
         ak, bk, ck = a[k], b[k], c[k]
         factor = max(1.0, abs(ak) * top + abs(ck) + abs(bk))
         bound *= factor
@@ -132,7 +168,23 @@ def _recurrence(a, b, x, coeffs=None, c=None):
         prev, cur, buf = cur, buf, prev
         if acc is not None:
             acc = acc + coeffs[k + 1] * cur
-    return (cur if acc is None else acc), prev, shift
+    if out is None:
+        return (cur if acc is None else acc), prev, shift
+    _retire(out, 0, cur, prev, shift)
+    value, last, shifts = out
+    return value, last, (shift if isinstance(shift, int) else shifts)
+
+
+def _retire(out, start, cur, prev, shift) -> None:
+    """Copy the points from ``start`` on of a blocked ``_recurrence`` pass into ``out``,
+    [value, P_{d-1}, shift or None while no rescale has fired]."""
+    value, last, shifts = out
+    value[start : len(cur)] = cur[start:]
+    last[start : len(cur)] = prev[start:]
+    if not isinstance(shift, int):
+        if shifts is None:
+            out[2] = shifts = np.zeros(len(value), dtype=shift.dtype)
+        shifts[start : len(cur)] = shift[start:]
 
 
 def _gegenbauer_ab(lam: float, d: int) -> tuple[list[float], list[float]]:
@@ -152,11 +204,11 @@ def _scaled_ab(lam: float, d: int) -> tuple[list[float], list[float]]:
     return a, b
 
 
-def _log_abs(ab, x, coeffs=None) -> tuple[np.ndarray, np.ndarray]:
+def _log_abs(ab, x, coeffs=None, blocks=None) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log|P_d(x)| (or of the series sum_k coeffs[k] P_k) of a ``_recurrence``
-    pass, with its shift added in log space."""
+    pass, with its shift added in log space; ``blocks`` as there."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    value, _, shift = _recurrence(*ab, x, coeffs)
+    value, _, shift = _recurrence(*ab, x, coeffs, blocks=blocks)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(value))
     if not isinstance(shift, int):
@@ -263,38 +315,59 @@ def _jacobi_matrix(a, b, c=None) -> np.ndarray:
     return matrix
 
 
-def _golub_welsch(a, b, c, derivative, lo: float, hi: float, start: int = 0):
-    """Eigenvalues of P_d's Jacobi matrix and one guarded Newton step on P_d's recurrence.
+def _golub_welsch(a, b, c, lo: float, hi: float, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of P_d's Jacobi matrix from index ``start`` on, ascending, and the cap of each one's Newton step.
 
-    ``derivative(t, P_d, P_{d-1})`` gives P_d' from the pass that evaluates
-    P_d.  Steps are capped at 45% of the gap to the nearest neighbor (or
-    ``lo``/``hi``) in the full list so roots cannot cross; a vanishing
-    derivative would mean a multiple root.  Returns the eigenvalues from
-    index ``start`` on in ascending order, their steps, and P_d, P_d' and
-    the shift at them.
+    A step is capped at 45% of the gap to the nearest neighbor (or
+    ``lo``/``hi``) in the full list, so roots cannot cross.
     """
     nodes = np.linalg.eigvalsh(_jacobi_matrix(a, b, c), UPLO="L")
     edges = np.concatenate(([lo], nodes, [hi]))
     gaps = edges[1:] - edges[:-1]
-    cap = 0.45 * np.minimum(gaps[:-1], gaps[1:])[start:]
-    nodes = nodes[start:]
-    value, prev, shift = _recurrence(a, b, nodes, c=c)
-    slope = derivative(nodes, value, prev)
+    return nodes[start:], 0.45 * np.minimum(gaps[:-1], gaps[1:])[start:]
+
+
+def _newton_step(value, slope, cap) -> np.ndarray:
+    """The guarded Newton step -P_d / P_d' within +-cap; a vanishing derivative would mean a multiple root."""
     if (slope == 0.0).any():
         raise ArithmeticError("multiple root detected; Jacobi-matrix eigenvalues are simple")
-    return nodes, np.maximum(np.minimum(-value / slope, cap), -cap), value, slope, shift
+    return np.maximum(np.minimum(-value / slope, cap), -cap)
 
 
-def _symmetric_roots(ab, derivative, lo: float, hi: float) -> tuple[float, ...]:
-    """All d roots, ascending, of an even or odd P_d with recurrence ``ab``, exactly antisymmetric.
+def _symmetric_roots(ab, degrees, derivative, lo: float, hi: float) -> list[tuple[float, ...]]:
+    """All d roots, ascending, of each even or odd P_d, d in ``degrees`` (descending), exactly antisymmetric.
 
-    Only the positive eigenvalues get the Newton step; the negative roots
-    are their mirror images, and an odd P_d's middle root is 0.0.
+    ``ab`` is the recurrence to the first degree, and each P_d's Jacobi
+    matrix its leading block, with one eigvalsh each.  Only the positive
+    eigenvalues get the Newton step, those of all degrees in one blocked
+    ``_recurrence`` pass: ``derivative(t, P_d, P_{d-1}, d)`` gives P_d' with
+    d per point.  The negative roots are their mirror images, and an odd
+    P_d's middle root is 0.0.
     """
-    d = len(ab[0])
-    nodes, step, *_ = _golub_welsch(*ab, None, derivative, lo, hi, (d + 1) // 2)
-    upper = (nodes + step).tolist()
-    return (*(-r for r in reversed(upper)), *[0.0] * (d % 2), *upper)
+    a, b = ab
+    parts = [_golub_welsch(a[:d], b[:d], None, lo, hi, (d + 1) // 2) for d in degrees]
+    counts = [len(nodes) for nodes, _ in parts]
+    if len(parts) == 1:
+        # a scalar d, no concatenation: single cells (the sufficiency
+        # workload) measured 4% slower through the general path
+        (nodes, cap), d = parts[0], degrees[0]
+    else:
+        (nodes, cap), d = map(np.concatenate, zip(*parts)), np.repeat(degrees, counts)
+    value, prev, _ = _recurrence(a, b, nodes, blocks=list(zip(degrees, counts)))
+    slope = derivative(nodes, value, prev, d)
+    upper = (nodes + _newton_step(value, slope, cap)).tolist()
+    out, end = [], 0
+    for d, count in zip(degrees, counts):
+        half = upper[end : end + count]
+        end += count
+        out.append((*(-r for r in reversed(half)), *[0.0] * (d % 2), *half))
+    return out
+
+
+def _gegenbauer_roots(lam: float, degrees) -> list[tuple[float, ...]]:
+    """``gegenbauer_roots`` for each degree in ``degrees`` (descending, each >= 1), in one Newton pass."""
+    derivative = lambda t, c, c1, d: ((d + 2.0 * lam - 1.0) * c1 - d * t * c) / (1.0 - t * t)
+    return _symmetric_roots(_gegenbauer_ab(lam, degrees[0]), degrees, derivative, -1.0, 1.0)
 
 
 def gegenbauer_roots(spec: GegenbauerSpec) -> tuple[float, ...]:
@@ -303,9 +376,7 @@ def gegenbauer_roots(spec: GegenbauerSpec) -> tuple[float, ...]:
     The Newton derivative is (1 - t^2) C_d' = (d + 2 lam - 1) C_{d-1} - d t C_d
     (DLMF 18.9).
     """
-    lam, d = spec.lam, spec.degree
-    derivative = lambda t, c, c1: ((d + 2.0 * lam - 1.0) * c1 - d * t * c) / (1.0 - t * t)
-    return _symmetric_roots(_gegenbauer_ab(lam, d), derivative, -1.0, 1.0)
+    return _gegenbauer_roots(spec.lam, [spec.degree])[0]
 
 
 def hermite_roots(spec: HermiteSpec) -> tuple[float, ...]:
@@ -314,7 +385,7 @@ def hermite_roots(spec: HermiteSpec) -> tuple[float, ...]:
     The Newton derivative is h_d' = d h_{d-1}.
     """
     d = spec.degree
-    return _symmetric_roots(_hermite_ab(d), lambda t, h, h1: d * h1, -math.inf, math.inf)
+    return _symmetric_roots(_hermite_ab(d), [d], lambda t, h, h1, d: d * h1, -math.inf, math.inf)[0]
 
 
 def jacobi_rule_log(count: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -353,11 +424,11 @@ def jacobi_rule_log(count: int, alpha: float, beta: float) -> tuple[np.ndarray, 
     c[1:] = (0.5 * diff * s) * (t - 1.0) / v
     b = (j + (alpha - 1.0)) * (j + (beta - 1.0)) * t / v
     tilt, last = m / (2.0 * m + s), 2.0 * (m + alpha) * (m + beta) / (2.0 * m + s)
-
-    def derivative(x, p, p1):
-        return ((diff * tilt - m * x) * p + last * p1) / ((1.0 - x) * (1.0 + x))
-
-    x, step, value, slope, shift = _golub_welsch(a.tolist(), [0.0, *b.tolist()], c.tolist(), derivative, -1.0, 1.0)
+    a, b, c = a.tolist(), [0.0, *b.tolist()], c.tolist()
+    x, cap = _golub_welsch(a, b, c, -1.0, 1.0)
+    value, prev, shift = _recurrence(a, b, x, c=c)
+    slope = ((diff * tilt - m * x) * value + last * prev) / ((1.0 - x) * (1.0 + x))
+    step = _newton_step(value, slope, cap)
     # P_m' at x + step; (1 - x^2) P_m'' = (alpha - beta + (s + 2) x) P_m' - m (m + s + 1) P_m
     curvature = ((diff + (s + 2.0) * x) * slope - m * (m + s + 1.0) * value) / ((1.0 - x) * (1.0 + x))
     nodes = x + step

@@ -559,19 +559,19 @@ def test_repro_suite_passes(capsys):
 
 
 def test_repro_computes_each_verdict_once(capsys, monkeypatch):
-    # 120 scan cells and the 40 shadow cells with d > 10; the lemma rows read
-    # the all-k certificate, not a table
+    # 120 scan cells and the 40 shadow cells with d > 10, every one through
+    # count1_checks; the lemma rows read the all-k certificate, not a table
     calls = []
-    check = hypercheck.count1_check
+    checks = hypercheck.count1_checks
 
-    def counted(*args):
-        calls.append(args[:2])
-        return check(*args)
+    def counted(n, degrees, *args):
+        calls.extend((n, d) for d in degrees)
+        return checks(n, degrees, *args)
 
     def no_table(*args):
         raise AssertionError("repro built a lemma table")
 
-    monkeypatch.setattr(hypercheck, "count1_check", counted)
+    monkeypatch.setattr(hypercheck, "count1_checks", counted)
     monkeypatch.setattr(hypercheck, "lemma_table", no_table)
     code, out, _ = run(capsys, "repro")
     assert code == 0 and "repro: 14/14 checks pass" in out

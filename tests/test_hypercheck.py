@@ -20,6 +20,7 @@ from spherehc.hypercheck import (
     ZonalPolynomial,
     beckner_constant,
     count1_check,
+    count1_checks,
     counterexample_scan,
     eigenvalue_sqrt_laplacian,
     entropy_functional,
@@ -38,7 +39,7 @@ from spherehc.hypercheck import (
     utol1_check,
 )
 from spherehc.norms import SphereParams, sphere_l2_norm_closed
-from spherehc.quadrature import integrate_piecewise
+from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, integrate_piecewise
 from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict, rounding_allowance
 
 from oracles import hermite_fourth_moment, log_fraction, sphere_power_integral_exact, xlogx
@@ -569,19 +570,66 @@ def test_hermite_growth_rate_trend():
 
 def test_count1_finds_the_roots_once(monkeypatch):
     # both norms of the ratio share one root split, on the rule and on the
-    # per-exponent adaptive fallback (n = 1000)
+    # per-exponent adaptive fallback (n = 1000); a batch of degrees finds
+    # all its roots in one call
     calls = []
-    roots = specfun.gegenbauer_roots
+    roots = specfun._gegenbauer_roots
 
-    def counting(spec):
-        calls.append(spec)
-        return roots(spec)
+    def counting(lam, degrees):
+        calls.append(list(degrees))
+        return roots(lam, degrees)
 
-    monkeypatch.setattr(specfun, "gegenbauer_roots", counting)
+    monkeypatch.setattr(specfun, "_gegenbauer_roots", counting)
     for n, d in ((13, 7), (1000, 6)):
         calls.clear()
         assert count1_check(n, d, 2.0, 4.0).status in ("holds", "fails")
-        assert len(calls) == 1
+        assert calls == [[d]]
+    calls.clear()
+    assert len(count1_checks(13, [5, 7, 6], 2.0, 4.0)) == 3
+    assert calls == [[7, 6, 5]]
+
+
+def _bits(value):
+    """A verdict's or integral's fields, each float as its hex string."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in vars(value).values())
+
+
+@pytest.mark.parametrize("n,degrees,p,q", [
+    (2, [40, 9, 8, 2, 1], 2.0, 4.0),
+    (3, [30, 17, 11, 6, 1], 1.5, 3.0),
+    (13, [39, 7, 6, 3], 2.0, 4.0),
+    # d = 6 bisects both norms and d = 30 one of them, while d = 40 and 60
+    # converge in the first round
+    (1000, [60, 40, 30, 6, 1], 1.5, 1.6),
+    (1000, [30, 6, 2], 2.0, 4.0),
+])
+@pytest.mark.parametrize("max_panels", [None, 5])
+def test_batched_count1_is_bitwise_each_cell_alone(monkeypatch, n, degrees, p, q, max_panels):
+    # with 5 panels at most, the n = 1000 jobs that bisect end unconverged
+    # while the others in their batch finish
+    if max_panels is not None:
+        monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
+    batch = count1_checks(n, degrees, p, q)
+    assert [_bits(v) for v in batch] == [_bits(count1_check(n, d, p, q)) for d in degrees]
+    lam = (n - 1) / 2
+    together = norms._zonal_integrals(lam, degrees, None, (q, p), 1e-12)
+    alone = [norms._zonal_integrals(lam, [d], None, (q, p), 1e-12)[0] for d in degrees]
+    assert [[_bits(r) for r in row] for row in together] == [[_bits(r) for r in row] for row in alone]
+    if n == 1000:
+        first_round = {r.method for row in together for r in row}
+        assert first_round == ({ADAPTIVE} if q == 4.0 else {ADAPTIVE, GAUSS_JACOBI})
+        converged = {r.converged for row in together for r in row}
+        assert converged == ({True} if max_panels is None else {True, False})
+
+
+def test_count1_checks_keeps_the_order_and_repeats_of_its_degrees():
+    got = count1_checks(5, [3, 9, 3, 1], 2.0, 4.0)
+    assert [_bits(v) for v in got] == [_bits(count1_check(5, d, 2.0, 4.0)) for d in (3, 9, 3, 1)]
+    assert count1_checks(5, [], 2.0, 4.0) == []
+    assert [v.status for v in count1_checks(5, [4, 2], 3.0, 3.0)] == [HOLDS, HOLDS]
+    for n, degrees in ((1, [2]), (5, [3, 0])):
+        with pytest.raises(ValueError):
+            count1_checks(n, degrees, 2.0, 4.0)
 
 
 def test_monotone_time_boundary_consistent_with_count1():
@@ -650,18 +698,21 @@ def test_scan_parallel_matches_serial():
 
 def test_scan_checks_each_cell_once_even_when_inconclusive(monkeypatch):
     # with 4 panels at most, (1000, 6, 2, 4) stops unconverged (its half
-    # interval converges in 7); the scan gives it the verdict count1_check
-    # gives, with no second call
+    # interval converges in 7); the scan computes each cell once, through
+    # count1_checks, and gives it the verdict count1_check gives
     monkeypatch.setattr(quadrature, "MAX_PANELS", 4)
     calls = []
+    checks = hypercheck.count1_checks
 
-    def counted(n, d, p, q, tol):
-        calls.append((n, d))
-        return count1_check(n, d, p, q, tol)
+    def counted(n, degrees, p, q, tol):
+        calls.extend((n, d) for d in degrees)
+        return checks(n, degrees, p, q, tol)
 
-    monkeypatch.setattr(hypercheck, "count1_check", counted)
+    monkeypatch.setattr(hypercheck, "count1_checks", counted)
     report = counterexample_scan(2, 4, [13, 1000], [6])
     assert calls == [(13, 6), (1000, 6)]
+    monkeypatch.setattr(hypercheck, "count1_checks", checks)
+    assert report.grid[(1000, 6)] == count1_check(1000, 6, 2, 4)
     assert report.grid[(1000, 6)].status == INCONCLUSIVE
     assert report.grid[(13, 6)].status != INCONCLUSIVE
 

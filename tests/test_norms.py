@@ -351,6 +351,17 @@ def test_large_and_non_integer_exponents_at_the_dimension_cap_match_the_mpmath_r
         assert abs(res.log_value - zonal_power_integral_mp(cli.MAX_N, d, p, roots)) <= res.error_estimate, p
 
 
+def test_non_integer_exponent_at_n_1000_matches_the_mpmath_reference():
+    # |C_30|^1.5 has a kink at each of the 15 positive roots, which the
+    # oracle's tanh-sinh pieces resolve (Gauss-Legendre pieces were 5.7e-12
+    # off); the half interval converges in its first round
+    lam = 499.5
+    roots = specfun.gegenbauer_roots(specfun.GegenbauerSpec(lam, 30))
+    res = zonal_power_integral(lam, 30, 1.5, 1e-12)
+    assert res.converged and res.method == GAUSS_JACOBI
+    assert abs(res.log_value - zonal_power_integral_mp(1000, 30, 1.5, roots)) <= res.error_estimate
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the end interval's bump is missed at n = 1e5")
 def test_large_exponent_past_the_dimension_cap_matches_the_exact_integral():
     # the library has no cap: the result is 248.8 below the exact log

@@ -203,6 +203,79 @@ def test_recurrence_leaves_x_alone_and_returns_arrays_of_its_own(d, x, rescaled)
         assert not np.shares_memory(first, second)
 
 
+def _blocked_and_separate(ab, degrees, rng, spread):
+    """One blocked pass over random points of each degree (``spread[i]`` their
+    largest |x|) and one plain pass per degree on the same points."""
+    xs = [rng.uniform(-top, top, 37) for top in spread]
+    blocks = [(d, len(x)) for d, x in zip(degrees, xs)]
+    together = specfun._recurrence(*ab, np.concatenate(xs), blocks=blocks)
+    alone = [specfun._recurrence(ab[0][:d], ab[1][:d], x) for d, x in zip(degrees, xs)]
+    return xs, blocks, together, alone
+
+
+@pytest.mark.parametrize("lam,degrees", [(1.0, (40, 17, 17, 1)), (6.0, (30, 29, 2)), (0.5, (96, 3))])
+def test_blocked_recurrence_is_bitwise_the_separate_passes(lam, degrees):
+    # no rescale fires on these degrees, so every point's P_d and P_{d-1} are
+    # those of a pass of its own degree
+    ab = specfun._gegenbauer_ab(lam, degrees[0])
+    xs, _, (value, prev, shift), alone = _blocked_and_separate(ab, degrees, np.random.default_rng(3), [1.0] * len(degrees))
+    assert shift == 0
+    assert np.array_equal(value, np.concatenate([v for v, _, _ in alone]))
+    assert np.array_equal(prev, np.concatenate([p for _, p, _ in alone]))
+    # a single block, beside empty ones, is the plain pass
+    x, top = xs[0], degrees[0]
+    plain = specfun._recurrence(*ab, x)
+    longer = specfun._gegenbauer_ab(lam, top + 5)
+    for ab_, blocks in ((ab, [(top, len(x))]), (ab, [(top, len(x)), (1, 0)]), (longer, [(top + 5, 0), (top, len(x))])):
+        value, prev, shift = specfun._recurrence(*ab_, x, blocks=blocks)
+        assert np.array_equal(value, plain[0]) and np.array_equal(prev, plain[1]) and shift == 0
+
+
+@pytest.mark.parametrize("ab,degrees,spread", [
+    # the rescale fires near step 630 in the blocked pass and later alone, as
+    # the d = 700 block's own largest |x| is smaller than the d = 3 block's
+    (specfun._gegenbauer_ab(6.0, 700), (700, 400, 3), (0.9, 1.0, 1.0)),
+    (specfun._hermite_ab(200), (200, 50), (20.0, 30.0)),
+])
+def test_blocked_recurrence_across_a_rescale_is_within_4_ulps_in_log(ab, degrees, spread):
+    xs, blocks, _, alone = _blocked_and_separate(ab, degrees, np.random.default_rng(4), spread)
+    _, together = specfun._log_abs(ab, np.concatenate(xs), blocks=blocks)
+    start = 0
+    for d, x in zip(degrees, xs):
+        got = together[start : start + len(x)]
+        start += len(x)
+        _, want = specfun._log_abs((ab[0][:d], ab[1][:d]), x)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), d
+
+
+def test_blocked_gegenbauer_roots_are_bitwise_each_degree_alone():
+    degrees = [41, 40, 7, 2, 1]
+    for lam, got in zip([0.5, 6.0], [specfun._gegenbauer_roots(lam, degrees) for lam in (0.5, 6.0)]):
+        assert got == [specfun.gegenbauer_roots(GegenbauerSpec(lam, d)) for d in degrees]
+
+
+def test_scan_never_hands_the_recurrence_more_than_the_point_budget(monkeypatch):
+    # the scan's batches keep every pass within the budget (a degree whose
+    # cell alone needs more, d >= 84, would be a batch of its own), so the
+    # peak memory does not grow with the batch
+    from spherehc import hypercheck
+
+    sizes = []
+    plain = specfun._recurrence
+
+    def recording(a, b, x, *args, **kwargs):
+        blocks = kwargs.get("blocks") or [(len(a), np.size(x))]
+        sizes.append((np.size(x), sum(1 for _, count in blocks if count)))
+        return plain(a, b, x, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_recurrence", recording)
+    report = hypercheck.counterexample_scan(2, 4, range(2, 14), range(1, 41))
+    assert len(report.grid) == 480 and report.first_failure == (13, 7)
+    assert max(size for size, _ in sizes) <= hypercheck._BATCH_NODES
+    assert any(degrees > 1 for _, degrees in sizes)
+    assert hypercheck._degree_batches([90, 84, 83, 1]) == [[90], [84], [83], [1]]
+
+
 def test_hermite_log_abs_across_rescale_matches_oracle():
     # h_400 passes the float range at every one of these points
     ys = [3.25, -37.5, 90.0]
@@ -336,8 +409,8 @@ def test_jacobi_matrix_of_the_recurrence_has_the_closed_form_entries(lam):
 def test_gegenbauer_roots_match_a_50_digit_recurrence(lam):
     # one 50-digit Newton step on C_d from a float root lands within ~1e-32 of
     # the true root.  The root nearest 0 carries the rounding of the float
-    # recurrence: at most 5.4 ulps over d <= 400 (lam = 0.5, d = 254); the
-    # others stay within about 1
+    # recurrence: at most 6.4 ulps over d <= 400 (lam = 0.5, d = 254); the
+    # others stay within about 1.8
     from mpmath import mp
 
     with mp.workdps(50):
