@@ -382,9 +382,9 @@ def _repro_checks(args):
 
     v = hypercheck.utol1_check(13, 7, args.tol)
     yield ("explicit counterexample inequality fails at (n=13, d=7)", FAILS, v.status, v.status == FAILS)
-    # in process: the 120 cells are 12 count1_checks batches, one per n (all
-    # of d <= 10 fits one batch's point budget), 14-18 ms against 36-68 ms on
-    # a 2-worker pool (2-CPU VM); the (13, 7) row and the shadow's cells with
+    # in process: the 120 cells are 12 count1_checks calls, one per n, each
+    # one root run and one integration batch, 17-25 ms against 31-55 ms on a
+    # 2-worker pool (2-CPU VM); the (13, 7) row and the shadow's cells with
     # d <= 10 read its grid
     report = hypercheck.counterexample_scan(2, 4, range(2, 14), range(1, 11), tol=args.tol)
     v = report.grid[(13, 7)]
@@ -393,7 +393,7 @@ def _repro_checks(args):
     ok = report.first_failure is not None and report.first_failure <= (13, 7)
     yield ("scan n<=13, d<=10 first failure at most (13,7)", "(13, 7)", str(report.first_failure), ok)
 
-    # the shadow's 20 cells with d > 10 on each sphere: one count1_checks call, 7 batches
+    # the shadow's 20 cells with d > 10 on each sphere: one count1_checks call, one root run, 7 batches
     ok = all(report.grid[(n, d)].status == HOLDS for n in (2, 3) for d in range(1, 11)) and all(
         v.status == HOLDS for n in (2, 3) for v in hypercheck.count1_checks(n, range(11, 31), 2, 4, args.tol)
     )

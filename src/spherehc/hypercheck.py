@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -162,55 +163,68 @@ def count1_check(n: int, d: int, p: float, q: float, tol: float = 1e-12) -> Verd
     return count1_checks(n, [d], p, q, tol)[0]
 
 
-# first-round nodes of one count1_checks batch, counted as 2 exponents x 48
-# nodes x (d // 2 + 1) panels a cell: several cells share each recurrence
-# step, and a batch's arrays stay as small as those of one cell at d ~ 80
+# the most points of one count1_checks recurrence pass: a root run's Newton
+# points (d // 2 a cell) or a batch's first-round nodes (2 exponents x 48
+# nodes x (d // 2 + 1) panels a cell), so that its arrays stay small
 _BATCH_NODES = 4096
 
 
-def _degree_batches(degrees) -> list[list[int]]:
-    """The distinct degrees, highest first, cut into runs of at most ``_BATCH_NODES`` first-round nodes.
+def _degree_batches(degrees, size=lambda d: 96 * (d // 2 + 1)) -> list[list[int]]:
+    """The distinct degrees, highest first, cut into runs whose ``size(d)`` sum to at most ``_BATCH_NODES``.
 
-    A degree whose cell alone has more is a run of its own.
+    A degree whose size alone is more is a run of its own.
     """
-    batches, nodes = [], 0
+    batches, total = [], 0
     for d in sorted(set(degrees), reverse=True):
-        size = 96 * (d // 2 + 1)
-        if not batches or nodes + size > _BATCH_NODES:
+        if not batches or total + size(d) > _BATCH_NODES:
             batches.append([])
-            nodes = 0
+            total = 0
         batches[-1].append(d)
-        nodes += size
+        total += size(d)
     return batches
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int (a numpy integer too); ValueError unless it is an integer of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
 
 
 def count1_checks(n: int, degrees, p: float, q: float, tol: float = 1e-12) -> list[Verdict]:
     """``count1_check(n, d, p, q, tol)`` for each d in ``degrees``, in that order.
 
-    The distinct degrees go highest first in batches of at most
-    ``_BATCH_NODES`` first-round nodes.  A batch finds the roots of all its
-    degrees in one Newton pass and integrates them together: every round
-    evaluates all their open panels in one recurrence pass, in which a
-    degree's points drop out at its degree.  Each verdict is bitwise the
-    one ``count1_check`` gives on its own wherever that pass rescales at
-    the steps of the cell's own pass, and elsewhere log|Y_d| may move by a
-    few ulps.  That holds for every n <= 5e4: a batch of several cells has
-    degrees of at most 81, and there no rescale fires below d = 87 (d = 598
-    on S^2 to S^13).
+    Roots per run, integrals per batch: the distinct degrees go highest
+    first in runs of at most ``_BATCH_NODES`` Newton points (d // 2 a
+    degree, so d <= 128 is one run), each polished in one Newton pass whose
+    roots are bitwise each degree's own (a rescale divides by a power of
+    two, and a Newton step is a ratio of values scaled alike).  A run is
+    integrated in batches of at most ``_BATCH_NODES`` first-round nodes,
+    each round's open panels in one recurrence pass where a degree's points
+    drop out at its degree.  Only there may log|Y_d| move, by a few ulps, if
+    that pass rescales at other steps than the cell's own; it does not for
+    n <= 5e4, as a batch of several cells has degrees of at most 81, and
+    there no rescale fires below d = 87 (d = 598 on S^2 to S^13).
     """
     ExponentPair(p, q)
-    degrees = list(degrees)
-    for d in degrees:
-        if d < 1 or n < 2:
-            raise ValueError(f"need n >= 2 and d >= 1, got ({n}, {d})")
+    n = _integer("n", n, 2)
+    degrees = [_integer("d", d, 1) for d in degrees]
     if p == q:
         # both sides are exactly zero in log scale; boundary equality holds
         return [Verdict.exact(0.0, 0.0) for _ in degrees]
+    lam = (n - 1) / 2
     verdicts = {}
-    for batch in _degree_batches(degrees):
-        for d, ratio in zip(batch, norms._sphere_ratios((n - 1) / 2, batch, p, q, tol)):
-            rhs = 0.5 * math.sqrt(d * (d + n - 1.0) / n) * math.log((q - 1.0) / (p - 1.0))
-            verdicts[d] = Verdict.compare(ratio.log_value, rhs, ratio.error_estimate, ratio.converged)
+    for run in _degree_batches(degrees, lambda d: d // 2):
+        roots = dict(zip(run, specfun._gegenbauer_roots(lam, run)))
+        for batch in _degree_batches(run):
+            ratios = norms._sphere_ratios(lam, batch, [roots[d] for d in batch], p, q, tol)
+            for d, ratio in zip(batch, ratios):
+                rhs = 0.5 * math.sqrt(d * (d + n - 1.0) / n) * math.log((q - 1.0) / (p - 1.0))
+                verdicts[d] = Verdict.compare(ratio.log_value, rhs, ratio.error_estimate, ratio.converged)
     return [verdicts[d] for d in degrees]
 
 
@@ -491,8 +505,8 @@ class ScanReport:
     """Grid of count1_check verdicts over (n, d) at fixed exponents.
 
     Each verdict is bitwise the one ``count1_check(n, d, p, q, tol)`` gives,
-    though the scan computes the cells of one n in ``count1_checks``
-    batches of at most about 4,096 first-round nodes (``_BATCH_NODES``).
+    though the scan computes the cells of one n in ``count1_checks`` root
+    runs, integrated in batches (``_BATCH_NODES``).
 
     ``first_failure`` is the lexicographically smallest failing cell;
     ``n0_estimate`` is the smallest scanned n with any failing d and is only
@@ -505,7 +519,7 @@ class ScanReport:
     note: str = _ZONAL_SCAN_NOTE
 
 
-def _scan_batch(args: tuple[int, list[int], float, float, float]) -> list[tuple[tuple[int, int], Verdict]]:
+def _scan_run(args: tuple[int, list[int], float, float, float]) -> list[tuple[tuple[int, int], Verdict]]:
     n, degrees, p, q, tol = args
     return [((n, d), v) for d, v in zip(degrees, count1_checks(n, degrees, p, q, tol))]
 
@@ -520,20 +534,21 @@ def counterexample_scan(
 ) -> ScanReport:
     """Evaluate count1_check over the (n, d) grid and locate the failure frontier.
 
-    A task is one ``count1_checks`` batch: cells of one n, highest degree
-    first, with at most ``_BATCH_NODES`` first-round nodes (about 4,096; one
-    degree above that is a batch alone).  On n <= 13, d <= 40 that is 12
-    batches per n, from (40, 39) to (11, ..., 1).  Cells are merged by key
-    so the report is deterministic regardless of the worker count.  At most
-    min(jobs, batches, CPU count) workers start, and none when that is 1.
+    A task is one ``count1_checks`` root run: cells of one n, highest degree
+    first, with at most ``_BATCH_NODES`` Newton points (d // 2 a cell), so
+    the whole sphere when d <= 128.  It finds its roots in one pass and
+    integrates in batches of at most ``_BATCH_NODES`` first-round nodes.
+    On n <= 13, d <= 40 that is 12 tasks, one per n.  Cells are merged by
+    key so the report is deterministic regardless of the worker count.  At
+    most min(jobs, tasks, CPU count) workers start, and none when that is 1.
     Inconclusive cells are reported as such, never counted as failures.
     """
     ExponentPair(p, q)
     if not q > max(2.0, p):
         raise ValueError(f"counterexample scan needs q > max(2, p), got ({p}, {q})")
-    cells = sorted((int(n), int(d)) for n in n_range for d in d_range)
-    degrees = _degree_batches(d for _, d in cells)
-    tasks = [(n, batch, p, q, tol) for n in sorted({n for n, _ in cells}) for batch in degrees]
+    cells = sorted((_integer("n", n, 2), _integer("d", d, 1)) for n in n_range for d in d_range)
+    runs = _degree_batches((d for _, d in cells), lambda d: d // 2)
+    tasks = [(n, run, p, q, tol) for n in sorted({n for n, _ in cells}) for run in runs]
     # with fork the pool starts all its workers at once: none past the CPUs or tasks
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -541,10 +556,10 @@ def counterexample_scan(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = pool.map(_scan_batch, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-            results = dict(itertools.chain.from_iterable(batches))
+            verdicts = pool.map(_scan_run, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+            results = dict(itertools.chain.from_iterable(verdicts))
     else:
-        results = dict(itertools.chain.from_iterable(map(_scan_batch, tasks)))
+        results = dict(itertools.chain.from_iterable(map(_scan_run, tasks)))
     grid = {key: results[key] for key in cells}
     failures = [key for key in cells if grid[key].status == FAILS]
     first_failure = failures[0] if failures else None

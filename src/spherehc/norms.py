@@ -62,16 +62,21 @@ def zonal_power_integral(lam: float, d: int, p: float, tol: float) -> NormValue:
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    return _zonal_integrals(lam, [d], None, (p,), tol)[0][0]
+    return _zonal_integrals(lam, [d], None, [_roots(lam, d)], (p,), tol)[0][0]
 
 
-def _zonal_integrals(lam: float, degrees, coeffs, exponents, tol: float) -> list[list[NormValue]]:
+def _roots(lam: float, d: int) -> tuple[float, ...]:
+    return specfun.gegenbauer_roots(specfun.GegenbauerSpec(lam, d))
+
+
+def _zonal_integrals(lam: float, degrees, coeffs, root_lists, exponents, tol: float) -> list[list[NormValue]]:
     """integral over [-1, 1] of |u(t)|^p c_lam (1 - t^2)^(lam - 1/2) dt for each degree d and exponent p.
 
     u is C_d^(lam) for each d in ``degrees`` (descending) when ``coeffs`` is
     None, else the series sum_k coeffs[k] C_k^(lam) of the one degree
-    d = len(coeffs) - 1.  Its real roots in (-1, 1), from
-    ``specfun.gegenbauer_roots`` or from its comrade matrix, split [-1, 1]
+    d = len(coeffs) - 1.  Its real roots in (-1, 1), one list in
+    ``root_lists`` per degree (from ``specfun._gegenbauer_roots``, or
+    ``specfun._series_roots`` for a series), split [-1, 1]
     for ``quadrature.integrate_root_intervals`` with the end exponent
     lam - 1/2, and log|u| comes from one pass of the plain recurrence per
     round, so ``log_value`` stays finite where u or the integral passes the
@@ -85,24 +90,20 @@ def _zonal_integrals(lam: float, degrees, coeffs, exponents, tol: float) -> list
     for the rounding of the d-step recurrence, which the 16/32 gap does not
     show.
 
-    Several degrees share one Newton pass for their roots and one
-    integrator whose rounds evaluate every degree in one blocked recurrence
-    pass (``specfun._recurrence``), so a degree's results are bitwise its
-    own call's wherever that pass rescales at the same steps.
+    Several degrees share one integrator whose rounds evaluate every degree
+    in one blocked recurrence pass (``specfun._recurrence``), so a degree's
+    results are bitwise its own call's wherever that pass rescales at the
+    same steps.
     """
     ab = specfun._gegenbauer_ab(lam, degrees[0])
     log_c = math.log(specfun.c_lambda(lam))
     for d in degrees:
         specfun.GegenbauerSpec(lam, d)
     if coeffs is None:
-        root_lists = specfun._gegenbauer_roots(lam, degrees)
-
         def log_abs(t: np.ndarray, counts) -> np.ndarray:
             return specfun._log_abs(ab, t, blocks=list(zip(degrees, counts)))[1]
 
     else:
-        root_lists = [specfun._series_roots(lam, coeffs)]
-
         def log_abs(t: np.ndarray, counts) -> np.ndarray:
             return specfun._log_abs(ab, t, coeffs)[1]
 
@@ -143,7 +144,7 @@ def sphere_lp_norm(params: SphereParams, d: int, p: float, tol: float = 1e-12) -
         return _ONE
     if params.n == 1:
         return _circle_lp_norm(p)
-    return _norm_from_integral(_zonal_integrals(params.lam, [d], None, (p,), tol)[0][0], p)
+    return _norm_from_integral(_zonal_integrals(params.lam, [d], None, [_roots(params.lam, d)], (p,), tol)[0][0], p)
 
 
 def _circle_lp_norm(p: float) -> NormValue:
@@ -258,12 +259,12 @@ def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: flo
         return _ONE
     if params.n == 1:
         return _ratio(_circle_lp_norm(q), _circle_lp_norm(p))
-    return _sphere_ratios(params.lam, [d], p, q, tol)[0]
+    return _sphere_ratios(params.lam, [d], [_roots(params.lam, d)], p, q, tol)[0]
 
 
-def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> list[NormValue]:
-    """||Y_d||_q / ||Y_d||_p (p < q) for each d in ``degrees`` (descending, each >= 1), in one batch."""
-    integrals = _zonal_integrals(lam, degrees, None, (q, p), tol)
+def _sphere_ratios(lam: float, degrees, root_lists, p: float, q: float, tol: float) -> list[NormValue]:
+    """||Y_d||_q / ||Y_d||_p (p < q) for each d in ``degrees`` (descending, each >= 1), in one batch, roots given."""
+    integrals = _zonal_integrals(lam, degrees, None, root_lists, (q, p), tol)
     return [_ratio(*map(_norm_from_integral, pair, (q, p))) for pair in integrals]
 
 
@@ -283,4 +284,5 @@ def zonal_lp_norm(params: SphereParams, coeffs, p: float, tol: float = 1e-12) ->
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     coeffs = np.asarray(coeffs, dtype=float).tolist()
-    return _norm_from_integral(_zonal_integrals(params.lam, [len(coeffs) - 1], coeffs, (p,), tol)[0][0], p)
+    roots = specfun._series_roots(params.lam, coeffs)
+    return _norm_from_integral(_zonal_integrals(params.lam, [len(coeffs) - 1], coeffs, [roots], (p,), tol)[0][0], p)

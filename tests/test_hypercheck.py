@@ -570,13 +570,14 @@ def test_hermite_growth_rate_trend():
 
 def test_count1_finds_the_roots_once(monkeypatch):
     # both norms of the ratio share one root split, on the rule and on the
-    # per-exponent adaptive fallback (n = 1000); a batch of degrees finds
-    # all its roots in one call
-    calls = []
+    # per-exponent adaptive fallback (n = 1000); a root run of degrees finds
+    # all its roots in one call, and all of d <= 128 on one sphere is one run
+    calls, lams = [], []
     roots = specfun._gegenbauer_roots
 
     def counting(lam, degrees):
         calls.append(list(degrees))
+        lams.append(lam)
         return roots(lam, degrees)
 
     monkeypatch.setattr(specfun, "_gegenbauer_roots", counting)
@@ -587,6 +588,20 @@ def test_count1_finds_the_roots_once(monkeypatch):
     calls.clear()
     assert len(count1_checks(13, [5, 7, 6], 2.0, 4.0)) == 3
     assert calls == [[7, 6, 5]]
+    calls.clear()
+    count1_checks(13, range(1, 41), 2.0, 4.0)
+    assert calls == [list(range(40, 0, -1))]
+    calls.clear()
+    lams.clear()
+    counterexample_scan(2, 4, range(2, 14), range(1, 41))
+    assert calls == [list(range(40, 0, -1))] * 12
+    assert lams == [(n - 1) / 2 for n in range(2, 14)]
+    # past d = 128 a sphere takes several runs, each within the point budget
+    calls.clear()
+    count1_checks(13, range(1, 140), 2.0, 4.0)
+    assert len(calls) >= 2
+    assert all(sum(d // 2 for d in run) <= hypercheck._BATCH_NODES for run in calls)
+    assert sorted(d for run in calls for d in run) == list(range(1, 140))
 
 
 def _bits(value):
@@ -612,8 +627,11 @@ def test_batched_count1_is_bitwise_each_cell_alone(monkeypatch, n, degrees, p, q
     batch = count1_checks(n, degrees, p, q)
     assert [_bits(v) for v in batch] == [_bits(count1_check(n, d, p, q)) for d in degrees]
     lam = (n - 1) / 2
-    together = norms._zonal_integrals(lam, degrees, None, (q, p), 1e-12)
-    alone = [norms._zonal_integrals(lam, [d], None, (q, p), 1e-12)[0] for d in degrees]
+    together = norms._zonal_integrals(lam, degrees, None, specfun._gegenbauer_roots(lam, degrees), (q, p), 1e-12)
+    alone = [
+        norms._zonal_integrals(lam, [d], None, specfun._gegenbauer_roots(lam, [d]), (q, p), 1e-12)[0]
+        for d in degrees
+    ]
     assert [[_bits(r) for r in row] for row in together] == [[_bits(r) for r in row] for row in alone]
     if n == 1000:
         first_round = {r.method for row in together for r in row}
@@ -717,9 +735,9 @@ def test_scan_checks_each_cell_once_even_when_inconclusive(monkeypatch):
     assert report.grid[(13, 6)].status != INCONCLUSIVE
 
 
-@pytest.mark.parametrize("cpus,workers", [(None, None), (1, None), (2, 2), (8, 3)])
-def test_scan_starts_no_more_workers_than_cpus_or_cells(monkeypatch, cpus, workers):
-    # a fake pool records its size and maps in process, so no worker starts
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A pool that maps in process, so no worker starts; returns the list of the sizes it was asked for."""
     import concurrent.futures
 
     started = []
@@ -738,10 +756,45 @@ def test_scan_starts_no_more_workers_than_cpus_or_cells(monkeypatch, cpus, worke
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return started
+
+
+@pytest.mark.parametrize("cpus,workers", [(None, None), (1, None), (2, 2), (8, 3)])
+def test_scan_starts_no_more_workers_than_cpus_or_cells(monkeypatch, fake_pool, cpus, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     report = counterexample_scan(2, 4, [2, 3, 4], [1], jobs=10**6)
-    assert started == ([] if workers is None else [workers])
+    assert fake_pool == ([] if workers is None else [workers])
     assert report.grid == counterexample_scan(2, 4, [2, 3, 4], [1]).grid
+
+
+def test_one_sphere_scan_is_one_task_and_starts_no_pool(monkeypatch, fake_pool):
+    # d <= 40 on one sphere is one root run, so one task: no worker to share it with
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = counterexample_scan(2, 4, [13], range(1, 41), jobs=2)
+    assert fake_pool == []
+    assert list(report.grid) == [(13, d) for d in range(1, 41)]
+    assert [_bits(v) for v in report.grid.values()] == [_bits(count1_check(13, d, 2, 4)) for d in range(1, 41)]
+
+
+def test_count1_and_the_scan_take_integer_dimensions_and_degrees():
+    # numpy integers are integers; a float is refused even when integral,
+    # and n is checked before an empty list of degrees
+    bad = [
+        lambda: count1_check(3, 2.5, 2, 4),
+        lambda: count1_checks(3.0, [2], 2, 4),
+        lambda: count1_checks(1, [], 2, 4),
+        lambda: count1_checks(3, [2, 4.0], 2, 4),
+        lambda: counterexample_scan(2, 4, [2.5], [3]),
+        lambda: counterexample_scan(2, 4, [3], [3.0]),
+    ]
+    for call in bad:
+        with pytest.raises(ValueError):
+            call()
+    got = count1_checks(np.int64(5), np.array([3, 1], dtype=np.int32), 2, 4)
+    assert [_bits(v) for v in got] == [_bits(count1_check(5, d, 2, 4)) for d in (3, 1)]
+    report = counterexample_scan(2, 4, np.arange(2, 4), np.arange(1, 3))
+    assert list(report.grid) == [(2, 1), (2, 2), (3, 1), (3, 2)]
+    assert all(type(n) is int and type(d) is int for n, d in report.grid)
 
 
 # ----------------------------------------------------------------- verdicts

@@ -249,9 +249,21 @@ def test_blocked_recurrence_across_a_rescale_is_within_4_ulps_in_log(ab, degrees
 
 
 def test_blocked_gegenbauer_roots_are_bitwise_each_degree_alone():
-    degrees = [41, 40, 7, 2, 1]
-    for lam, got in zip([0.5, 6.0], [specfun._gegenbauer_roots(lam, degrees) for lam in (0.5, 6.0)]):
-        assert got == [specfun.gegenbauer_roots(GegenbauerSpec(lam, d)) for d in degrees]
+    # the blocked Newton pass rescales in the last four, and in the last two
+    # the d = 240 and d = 150 points rescale at other steps than alone: a
+    # rescale divides by a power of two, and the step is a ratio of two
+    # values scaled alike
+    cases = [
+        (0.5, [41, 40, 7, 2, 1]),
+        (6.0, [41, 40, 7, 2, 1]),
+        (0.5, [700, 400, 3]),
+        (499.5, [320, 120, 3]),
+        (499.5, [320, 240, 3]),
+        (5000.0, [200, 150, 7]),
+    ]
+    for lam, degrees in cases:
+        got = specfun._gegenbauer_roots(lam, degrees)
+        assert got == [specfun.gegenbauer_roots(GegenbauerSpec(lam, d)) for d in degrees], (lam, degrees)
 
 
 def test_scan_never_hands_the_recurrence_more_than_the_point_budget(monkeypatch):
