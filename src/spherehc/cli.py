@@ -32,8 +32,9 @@ INCONCLUSIVE_EXIT = 3
 _EQUALITY_ATOL = 1e-14
 
 # the largest degree any option may ask for: root finders build a dense d x d
-# Jacobi matrix (32 MB at the cap); at d = 2000, count1_check takes 1.4-1.8 s
-# on S^13 but 8-11 s on S^3, where it comes back inconclusive (ROADMAP item 3)
+# Jacobi matrix (32 MB at the cap); at d = 2000, count1_check(n, d, 2, 4)
+# takes 0.8-2.0 s on S^13 and 4.1-4.3 s on S^3, and holds on both (2-CPU VM);
+# on S^4 and S^5 its p = 4 integral bisects to the panel budget (ROADMAP item 6)
 MAX_DEGREE = 2000
 # the largest --p or --q: at 1e16 the integrator's end weight is nan, at 1e200 eigvalsh fails
 MAX_EXPONENT = 1e6
@@ -383,9 +384,9 @@ def _repro_checks(args):
     v = hypercheck.utol1_check(13, 7, args.tol)
     yield ("explicit counterexample inequality fails at (n=13, d=7)", FAILS, v.status, v.status == FAILS)
     # in process: the 120 cells are 12 count1_checks calls, one per n, each
-    # one root run and one integration batch, 17-25 ms against 31-55 ms on a
-    # 2-worker pool (2-CPU VM); the (13, 7) row and the shadow's cells with
-    # d <= 10 read its grid
+    # one exact rule pass, 7.2-11.8 ms against 17-26 ms on a 2-worker pool
+    # (2-CPU VM); the (13, 7) row and the shadow's cells with d <= 10 read
+    # its grid
     report = hypercheck.counterexample_scan(2, 4, range(2, 14), range(1, 11), tol=args.tol)
     v = report.grid[(13, 7)]
     yield ("norm-ratio bound fails at (n=13, d=7), p=2, q=4", FAILS, v.status, v.status == FAILS)
@@ -393,7 +394,7 @@ def _repro_checks(args):
     ok = report.first_failure is not None and report.first_failure <= (13, 7)
     yield ("scan n<=13, d<=10 first failure at most (13,7)", "(13, 7)", str(report.first_failure), ok)
 
-    # the shadow's 20 cells with d > 10 on each sphere: one count1_checks call, one root run, 7 batches
+    # the shadow's 20 cells with d > 10 on each sphere: one count1_checks call, one exact rule pass
     ok = all(report.grid[(n, d)].status == HOLDS for n in (2, 3) for d in range(1, 11)) and all(
         v.status == HOLDS for n in (2, 3) for v in hypercheck.count1_checks(n, range(11, 31), 2, 4, args.tol)
     )

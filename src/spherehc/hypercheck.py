@@ -163,27 +163,6 @@ def count1_check(n: int, d: int, p: float, q: float, tol: float = 1e-12) -> Verd
     return count1_checks(n, [d], p, q, tol)[0]
 
 
-# the most points of one count1_checks recurrence pass: a root run's Newton
-# points (d // 2 a cell) or a batch's first-round nodes (2 exponents x 48
-# nodes x (d // 2 + 1) panels a cell), so that its arrays stay small
-_BATCH_NODES = 4096
-
-
-def _degree_batches(degrees, size=lambda d: 96 * (d // 2 + 1)) -> list[list[int]]:
-    """The distinct degrees, highest first, cut into runs whose ``size(d)`` sum to at most ``_BATCH_NODES``.
-
-    A degree whose size alone is more is a run of its own.
-    """
-    batches, total = [], 0
-    for d in sorted(set(degrees), reverse=True):
-        if not batches or total + size(d) > _BATCH_NODES:
-            batches.append([])
-            total = 0
-        batches[-1].append(d)
-        total += size(d)
-    return batches
-
-
 def _integer(name: str, value, least: int) -> int:
     """``value`` as an int (a numpy integer too); ValueError unless it is an integer of at least ``least``."""
     try:
@@ -198,17 +177,11 @@ def _integer(name: str, value, least: int) -> int:
 def count1_checks(n: int, degrees, p: float, q: float, tol: float = 1e-12) -> list[Verdict]:
     """``count1_check(n, d, p, q, tol)`` for each d in ``degrees``, in that order.
 
-    Roots per run, integrals per batch: the distinct degrees go highest
-    first in runs of at most ``_BATCH_NODES`` Newton points (d // 2 a
-    degree, so d <= 128 is one run), each polished in one Newton pass whose
-    roots are bitwise each degree's own (a rescale divides by a power of
-    two, and a Newton step is a ratio of values scaled alike).  A run is
-    integrated in batches of at most ``_BATCH_NODES`` first-round nodes,
-    each round's open panels in one recurrence pass where a degree's points
-    drop out at its degree.  Only there may log|Y_d| move, by a few ulps, if
-    that pass rescales at other steps than the cell's own; it does not for
-    n <= 5e4, as a batch of several cells has degrees of at most 81, and
-    there no rescale fires below d = 87 (d = 598 on S^2 to S^13).
+    The distinct degrees share one ``norms._sphere_ratios`` call: one exact
+    Gauss-Gegenbauer rule pass for those an even pair allows, and root runs
+    integrated in batches for the rest.  Every verdict is bitwise the
+    degree's own call's wherever the shared recurrence passes rescale at the
+    same steps, which they do for n <= 5e4.
     """
     ExponentPair(p, q)
     n = _integer("n", n, 2)
@@ -216,15 +189,10 @@ def count1_checks(n: int, degrees, p: float, q: float, tol: float = 1e-12) -> li
     if p == q:
         # both sides are exactly zero in log scale; boundary equality holds
         return [Verdict.exact(0.0, 0.0) for _ in degrees]
-    lam = (n - 1) / 2
     verdicts = {}
-    for run in _degree_batches(degrees, lambda d: d // 2):
-        roots = dict(zip(run, specfun._gegenbauer_roots(lam, run)))
-        for batch in _degree_batches(run):
-            ratios = norms._sphere_ratios(lam, batch, [roots[d] for d in batch], p, q, tol)
-            for d, ratio in zip(batch, ratios):
-                rhs = 0.5 * math.sqrt(d * (d + n - 1.0) / n) * math.log((q - 1.0) / (p - 1.0))
-                verdicts[d] = Verdict.compare(ratio.log_value, rhs, ratio.error_estimate, ratio.converged)
+    for d, ratio in norms._sphere_ratios((n - 1) / 2, degrees, p, q, tol).items():
+        rhs = 0.5 * math.sqrt(d * (d + n - 1.0) / n) * math.log((q - 1.0) / (p - 1.0))
+        verdicts[d] = Verdict.compare(ratio.log_value, rhs, ratio.error_estimate, ratio.converged)
     return [verdicts[d] for d in degrees]
 
 
@@ -234,11 +202,13 @@ def utol1_check(n: int, d: int, tol: float = 1e-12) -> Verdict:
     lhs = log integral |C_d^((n-1)/2)(t)|^4 (1 - t^2)^((n-2)/2) dt;
     rhs = log of 9^sqrt(d(d+n-1)/n) (n-1)^2 B(1/2, n/2) / (d^2 (2d+n-1)^2 B(n-1,d)^2).
 
-    Independent of count1_check on the right side (the closed-form L^2 norm
-    instead of a quadrature one); the two must agree in status on every grid
-    cell.  The Beta functions are taken as (n - 1)^2 / (d^2 (2d + n - 1)^2
-    B(n-1, d)^2) = ||Y_d||_2^4 and B(1/2, n/2) = 1 / c_lam, both without
-    lgamma cancellation, and the band adds 4 times the closed form's.  The
+    Independent of count1_check: the right side takes the closed-form L^2
+    norm, and the lhs the root-split quadrature, where count1_check takes an
+    exact Gauss-Gegenbauer rule for both norms up to d = 40; the two must
+    agree in status on every grid cell.  The Beta functions are taken as
+    (n - 1)^2 / (d^2 (2d + n - 1)^2 B(n-1, d)^2) = ||Y_d||_2^4 and
+    B(1/2, n/2) = 1 / c_lam, both without lgamma cancellation, and the band
+    adds 4 times the closed form's.  The
     lhs is ``norms.zonal_power_integral``'s log ||Y_d||_4^4 minus log c_lam.
     """
     if n < 2 or d < 1:
@@ -505,8 +475,8 @@ class ScanReport:
     """Grid of count1_check verdicts over (n, d) at fixed exponents.
 
     Each verdict is bitwise the one ``count1_check(n, d, p, q, tol)`` gives,
-    though the scan computes the cells of one n in ``count1_checks`` root
-    runs, integrated in batches (``_BATCH_NODES``).
+    though the scan computes the cells of one n in ``count1_checks`` calls
+    (``norms._sphere_ratios``).
 
     ``first_failure`` is the lexicographically smallest failing cell;
     ``n0_estimate`` is the smallest scanned n with any failing d and is only
@@ -534,20 +504,21 @@ def counterexample_scan(
 ) -> ScanReport:
     """Evaluate count1_check over the (n, d) grid and locate the failure frontier.
 
-    A task is one ``count1_checks`` root run: cells of one n, highest degree
-    first, with at most ``_BATCH_NODES`` Newton points (d // 2 a cell), so
-    the whole sphere when d <= 128.  It finds its roots in one pass and
-    integrates in batches of at most ``_BATCH_NODES`` first-round nodes.
-    On n <= 13, d <= 40 that is 12 tasks, one per n.  Cells are merged by
-    key so the report is deterministic regardless of the worker count.  At
-    most min(jobs, tasks, CPU count) workers start, and none when that is 1.
-    Inconclusive cells are reported as such, never counted as failures.
+    A task is one ``count1_checks`` call on a root run: cells of one n,
+    highest degree first, with at most ``norms._BATCH_NODES`` Newton points
+    (d // 2 a cell), so the whole sphere when d <= 128.  On n <= 13,
+    d <= 40 that is 12 tasks, one per n; at p = 2, q = 4 each is one exact
+    rule pass, and at other pairs one root pass integrated in batches.
+    Cells are merged by key so the report is deterministic regardless of the
+    worker count.  At most min(jobs, tasks, CPU count) workers start, and
+    none when that is 1.  Inconclusive cells are reported as such, never
+    counted as failures.
     """
     ExponentPair(p, q)
     if not q > max(2.0, p):
         raise ValueError(f"counterexample scan needs q > max(2, p), got ({p}, {q})")
     cells = sorted((_integer("n", n, 2), _integer("d", d, 1)) for n in n_range for d in d_range)
-    runs = _degree_batches((d for _, d in cells), lambda d: d // 2)
+    runs = norms._degree_batches((d for _, d in cells), lambda d: d // 2)
     tasks = [(n, run, p, q, tol) for n in sorted({n for n, _ in cells}) for run in runs]
     # with fork the pool starts all its workers at once: none past the CPUs or tasks
     workers = min(jobs, len(tasks), os.cpu_count() or 1)

@@ -4,7 +4,11 @@ All norms carry a log-scale accessor so ratios of astronomically large values
 (right-hand sides reach 9^sqrt(d(d+n-1)/n)) never leave log space.  Every
 zonal |u|^p integral, of Y_d or of a series, takes one path
 (``_zonal_integrals``): log|u| from the plain Gegenbauer recurrence, whose
-rescale shift keeps it finite past the float range, split at u's roots.
+rescale shift keeps it finite past the float range, split at u's roots.  A
+sphere ratio ||Y_d||_q / ||Y_d||_p with both exponents even takes an exact
+Gauss-Gegenbauer rule instead (``_rule_ratios``), up to ``_RULE_NODES``
+positive nodes: |C_d|^q is then a polynomial, so it needs no roots, no
+16/32 gap and no bisection.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .quadrature import ADAPTIVE, NormValue, _exp, _integrate_root_lists, integr
 
 __all__ = [
     "CLOSED_FORM",
+    "GAUSS_GEGENBAUER",
     "SphereParams",
     "NormValue",
     "sphere_lp_norm",
@@ -31,6 +36,24 @@ __all__ = [
 ]
 
 CLOSED_FORM = "closed-form"
+GAUSS_GEGENBAUER = "gauss-gegenbauer"
+
+# the most positive nodes of an exact rule (``_rule_ratios``): d <= 40 at
+# q = 4, 27 at q = 6 and 20 at q = 8.  A k x k Jacobi matrix stays well
+# below the size (about 64) from which eigvalsh runs OpenBLAS threads that
+# oversubscribe a scan's worker processes.
+_RULE_NODES = 41
+# the rounding of a rule's mean beyond the summands' 4 eps log size, in
+# units of e (d + 1) eps: against tests/oracles.sphere_power_integral_exact,
+# at most 2.0 at q = 4 (n in 2..13, 50, 1e3, 2e4, 1e5 and 1e7, d <= 40) and
+# 3.9 over every even q <= 160 at each degree its rule serves (n = 2,
+# d = 25, e = 6), for e = 2 and e = q at those n and for every even e <= q
+# at n in {2, 3, 4, 5, 7, 9, 13, 1000}
+_RULE_FLOOR = 8.0
+# the most points of one count1_checks run or batch: a root run's Newton
+# points (d // 2 a degree) or a batch's first-round nodes, so that its
+# arrays stay small
+_BATCH_NODES = 4096
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EPS = float(np.finfo(float).eps)
@@ -251,7 +274,9 @@ def _ratio(nq: NormValue, np_: NormValue) -> NormValue:
 def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:
     """||Y_d||_q / ||Y_d||_p on S^n, computed as exp of the log-norm difference.
 
-    For n >= 2 both norms come from one root split and one recurrence pass.
+    For n >= 2 both norms come from one exact Gauss-Gegenbauer rule when p
+    and q are even, else from one root split and one recurrence pass; see
+    ``_sphere_ratios``.
     """
     if not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
@@ -259,13 +284,92 @@ def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: flo
         return _ONE
     if params.n == 1:
         return _ratio(_circle_lp_norm(q), _circle_lp_norm(p))
-    return _sphere_ratios(params.lam, [d], [_roots(params.lam, d)], p, q, tol)[0]
+    return _sphere_ratios(params.lam, [d], p, q, tol)[d]
 
 
-def _sphere_ratios(lam: float, degrees, root_lists, p: float, q: float, tol: float) -> list[NormValue]:
-    """||Y_d||_q / ||Y_d||_p (p < q) for each d in ``degrees`` (descending, each >= 1), in one batch, roots given."""
-    integrals = _zonal_integrals(lam, degrees, None, root_lists, (q, p), tol)
-    return [_ratio(*map(_norm_from_integral, pair, (q, p))) for pair in integrals]
+def _rule_size(p: float, q: float, d: int) -> int | None:
+    """k, the positive nodes of the exact rule for ||Y_d||_q / ||Y_d||_p (p < q), or None.
+
+    When p and q are even, |C_d|^q is a polynomial of degree q d, and the
+    2k-point Gauss-Gegenbauer rule with k = ceil((q d / 2 + 1) / 2) is exact
+    to degree 4k - 1 >= q d.  None when an exponent is not even or k would
+    pass ``_RULE_NODES``.
+    """
+    if p % 2 or q % 2:
+        return None
+    k = (int(q) // 2 * d + 2) // 2
+    return k if k <= _RULE_NODES else None
+
+
+def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> dict[int, NormValue]:
+    """||Y_d||_q / ||Y_d||_p (p < q) for each distinct d in ``degrees`` (each >= 1), by degree.
+
+    Where ``_rule_size`` gives a rule, the degrees share one ``_rule_ratios``
+    pass.  The others go highest first in root runs of at most
+    ``_BATCH_NODES`` Newton points (d // 2 a degree, so d <= 128 is one
+    run), each polished in one ``specfun._gegenbauer_roots`` pass whose roots
+    are bitwise each degree's own (a rescale divides by a power of two, and a
+    Newton step is a ratio of values scaled alike).  A run is integrated in
+    batches of at most ``_BATCH_NODES`` first-round nodes by
+    ``_zonal_integrals``, each round's open panels in one recurrence pass
+    where a degree's points drop out at its degree.  Only there may log|Y_d|
+    move, by a few ulps, if that pass rescales at other steps than the
+    degree's own; it does not for n <= 5e4, as a batch of several degrees
+    has degrees of at most 81, and there no rescale fires below d = 87
+    (d = 598 on S^2 to S^13).
+    """
+    sizes = {d: _rule_size(p, q, d) for d in sorted(set(degrees), reverse=True)}
+    exact = [d for d, k in sizes.items() if k is not None]
+    ratios = dict(zip(exact, _rule_ratios(lam, exact, [sizes[d] for d in exact], p, q))) if exact else {}
+    for run in _degree_batches([d for d, k in sizes.items() if k is None], lambda d: d // 2):
+        roots = dict(zip(run, specfun._gegenbauer_roots(lam, run)))
+        for batch in _degree_batches(run):
+            integrals = _zonal_integrals(lam, batch, None, [roots[d] for d in batch], (q, p), tol)
+            ratios.update((d, _ratio(*map(_norm_from_integral, pair, (q, p)))) for d, pair in zip(batch, integrals))
+    return ratios
+
+
+def _degree_batches(degrees, size=lambda d: 96 * (d // 2 + 1)) -> list[list[int]]:
+    """The distinct degrees, highest first, cut into runs whose ``size(d)`` sum to at most ``_BATCH_NODES``.
+
+    A degree whose size alone is more is a run of its own.  The default size
+    is a degree's first-round nodes: 2 exponents x 48 nodes x (d // 2 + 1)
+    panels.
+    """
+    batches, total = [], 0
+    for d in sorted(set(degrees), reverse=True):
+        if not batches or total + size(d) > _BATCH_NODES:
+            batches.append([])
+            total = 0
+        batches[-1].append(d)
+        total += size(d)
+    return batches
+
+
+def _rule_ratios(lam: float, degrees, sizes, p: float, q: float) -> list[NormValue]:
+    """||Y_d||_q / ||Y_d||_p for each d in ``degrees`` (descending), each by its exact rule of sizes[i] positive nodes.
+
+    The rules of all degrees come from one ``specfun._gegenbauer_rules``
+    pass and log|C_d| at their nodes from one blocked recurrence pass, so a
+    degree's ratio is bitwise its own call's wherever those passes rescale
+    at the same steps.  |C_d|^e is even, so the k positive nodes, with
+    weights summing to 1, give its mean exactly up to rounding: the log-sum
+    of e log|C_d| + log w.  The relative ``error_estimate`` of each mean is
+    4 eps times the summands' log size, |e log|C_d|| + |log w| weighted by
+    each summand's share, plus ``_RULE_FLOOR`` e (d + 1) eps for the
+    recurrences of the rule and of C_d.  ``method`` is GAUSS_GEGENBAUER and
+    ``panels`` 1 a norm.
+    """
+    nodes, log_w = specfun._gegenbauer_rules(lam, sizes)
+    log_abs = specfun._log_abs(specfun._gegenbauer_ab(lam, degrees[0]), nodes, blocks=list(zip(degrees, sizes)))[1]
+    by_exponent = []
+    for e in (q, p):
+        terms = e * log_abs
+        log_mean, size = specfun._block_log_sum_exp(terms + log_w, sizes, np.abs(terms) + np.abs(log_w))
+        rel = 4.0 * _EPS * size + _RULE_FLOOR * e * (np.array(degrees) + 1.0) * _EPS
+        means = (NormValue(*pair, GAUSS_GEGENBAUER, True, 1) for pair in zip(log_mean.tolist(), rel.tolist()))
+        by_exponent.append([_norm_from_integral(mean, e) for mean in means])
+    return [_ratio(nq, np_) for nq, np_ in zip(*by_exponent)]
 
 
 def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:

@@ -116,11 +116,12 @@ class NormValue:
     ``log_value`` is finite unless ``converged`` is False; ``value`` is
     exp(log_value) and may overflow to inf.  ``error_estimate`` is relative
     to value, so a band on log_value (zero for closed forms up to rounding).
-    ``method`` is ``norms.CLOSED_FORM`` or the integral's own: GAUSS_JACOBI
-    when the first round of root intervals converged, ADAPTIVE when it
-    bisected; a ratio's is its norms' method when they share one, else
-    ADAPTIVE.  ``panels`` counts the integral's panels in its last round; a
-    ratio's is the sum of its norms', a closed form's 0.  A ratio is not
+    ``method`` is ``norms.CLOSED_FORM``, ``norms.GAUSS_GEGENBAUER`` (an
+    exact rule, one panel) or the integral's own: GAUSS_JACOBI when the
+    first round of root intervals converged, ADAPTIVE when it bisected; a
+    ratio's is its norms' method when they share one, else ADAPTIVE.
+    ``panels`` counts the integral's panels in its last round; a ratio's is
+    the sum of its norms', a closed form's 0.  A ratio is not
     ``converged`` when a norm is not, or when it is below 1 past its band.
     """
 

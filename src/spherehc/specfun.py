@@ -26,8 +26,10 @@ Newton step cannot disagree.  The Gegenbauer and Hermite roots are symmetric
 about 0: only the positive ones are polished, and the rest are their exact
 mirror images.  Gauss-Jacobi rules, Gauss-Legendre among them, take their
 nodes the same way and their weights, in log space, from the same pass
-(``jacobi_rule_log``), so no other library is needed.  Expanded coefficient
-forms exist only as exact-rational oracles in the test suite.
+(``jacobi_rule_log``), so no other library is needed; the positive half of a
+Gauss-Gegenbauer rule comes from a half-size matrix (``_gegenbauer_rules``).
+Expanded coefficient forms exist only as exact-rational oracles in the test
+suite.
 """
 
 from __future__ import annotations
@@ -322,9 +324,14 @@ def _golub_welsch(a, b, c, lo: float, hi: float, start: int = 0) -> tuple[np.nda
     ``lo``/``hi``) in the full list, so roots cannot cross.
     """
     nodes = np.linalg.eigvalsh(_jacobi_matrix(a, b, c), UPLO="L")
+    return nodes[start:], _newton_caps(nodes, lo, hi)[start:]
+
+
+def _newton_caps(nodes, lo: float, hi: float) -> np.ndarray:
+    """45% of each ascending node's gap to its nearest neighbor, ``lo`` and ``hi`` beyond the ends."""
     edges = np.concatenate(([lo], nodes, [hi]))
     gaps = edges[1:] - edges[:-1]
-    return nodes[start:], 0.45 * np.minimum(gaps[:-1], gaps[1:])[start:]
+    return 0.45 * np.minimum(gaps[:-1], gaps[1:])
 
 
 def _newton_step(value, slope, cap) -> np.ndarray:
@@ -370,6 +377,69 @@ def _gegenbauer_roots(lam: float, degrees) -> list[tuple[float, ...]]:
     return _symmetric_roots(_gegenbauer_ab(lam, degrees[0]), degrees, derivative, -1.0, 1.0)
 
 
+def _gegenbauer_rules(lam: float, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The k positive nodes, ascending, and log weights of the 2k-point Gauss-Gegenbauer rule
+    for each k in ``sizes`` (descending, each >= 1), concatenated in that order.
+
+    Each rule's weights are normalised to sum to 1 over its k nodes, so it
+    integrates an even polynomial of degree at most 4k - 1 exactly against
+    the probability measure c_lam (1 - t^2)^(lam - 1/2) dt.  Since
+    C_2k^(lam)(t) is a multiple of P_k^(lam - 1/2, -1/2)(2 t^2 - 1) (DLMF
+    18.7.15), the nodes start from t = sqrt((1 + y) / 2) for the eigenvalues
+    y of that k x k Jacobi matrix, one eigvalsh a size.  1 + y loses
+    relative accuracy where y is near -1, as every node is at large lam, so
+    each t gets one guarded Newton step on the recurrence of C_m^(lam),
+    m = 2k, all sizes in one blocked ``_recurrence`` pass; the nearest
+    neighbor of the first node is its mirror image -t.  The weights are
+    Christoffel's, w ~ 1 / ((1 - t^2) C_m'(t)^2) as in ``jacobi_rule_log``,
+    with (1 - t^2) C_m' = (m + 2 lam - 1) C_{m-1} - m t C_m carried to the
+    polished node by one Taylor term from (1 - t^2) C_m'' =
+    (2 lam + 1) t C_m' - m (m + 2 lam) C_m (DLMF 18.9, 18.8.1).  1 - t^2 is
+    taken at the polished node before it is rounded: next to t = 1 the
+    rounding of the node put 580 eps into the last weight (n = 2, m = 76).
+    They are formed in log space, with C_m' counted in powers of two of the
+    least of its rule (the recurrence's shift included), so that the log
+    weights of the heaviest nodes are small and keep a few eps: at lam = 1e4
+    log|C_m'| is near 700, whose ulp is 1e-13.  A rule is bitwise the one
+    built alone wherever the blocked pass rescales at the same steps.
+    """
+    a, b, c = _jacobi_abc(sizes[0], lam - 0.5, -0.5)
+    parts = []
+    for k in sizes:
+        y = np.linalg.eigvalsh(_jacobi_matrix(a[:k], b[:k], c[:k]), UPLO="L")
+        t = np.sqrt(0.5 * (1.0 + y))
+        parts.append((t, _newton_caps(t, -t[0], 1.0)))
+    (t, cap), m = map(np.concatenate, zip(*parts)), 2.0 * np.repeat(sizes, sizes)
+    value, prev, shift = _recurrence(*_gegenbauer_ab(lam, 2 * sizes[0]), t, blocks=[(2 * k, k) for k in sizes])
+    span = (1.0 - t) * (1.0 + t)
+    slope = ((m + 2.0 * lam - 1.0) * prev - m * t * value) / span
+    step = _newton_step(value, slope, cap)
+    curvature = ((2.0 * lam + 1.0) * t * slope - m * (m + 2.0 * lam) * value) / span
+    nodes = t + step
+    fraction, exponent = np.frexp(slope + curvature * step)
+    exponent = exponent + shift
+    exponent -= np.repeat(np.minimum.reduceat(exponent, np.cumsum([0, *sizes[:-1]])), sizes)
+    log_w = -np.log(span - step * (2.0 * t + step)) - 2.0 * (np.log(np.abs(fraction)) + _LN2 * exponent)
+    return nodes, log_w - np.repeat(_block_log_sum_exp(log_w, sizes)[0], sizes)
+
+
+def _block_log_sum_exp(terms: np.ndarray, sizes, size=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per block of ``sizes`` consecutive entries of ``terms``: log sum exp(terms), and the mean
+    of ``size`` weighted by each term's share of that sum (None without ``size``).
+
+    Each block is reduced alone (``reduceat``), so its sums are bitwise
+    those of the block by itself.  A term of -inf has no share, and its size
+    counts as 0.
+    """
+    starts = np.cumsum([0, *sizes[:-1]])
+    top = np.maximum.reduceat(terms, starts)
+    scaled = np.exp(terms - np.repeat(top, sizes))
+    mass = np.add.reduceat(scaled, starts)
+    if size is not None:
+        size = np.add.reduceat(scaled * np.where(np.isfinite(size), size, 0.0), starts) / mass
+    return top + np.log(mass), size
+
+
 def gegenbauer_roots(spec: GegenbauerSpec) -> tuple[float, ...]:
     """All d roots of C_d^(lam) in (-1, 1), via the Jacobi matrix of its recurrence.
 
@@ -386,6 +456,25 @@ def hermite_roots(spec: HermiteSpec) -> tuple[float, ...]:
     """
     d = spec.degree
     return _symmetric_roots(_hermite_ab(d), [d], lambda t, h, h1, d: d * h1, -math.inf, math.inf)[0]
+
+
+def _jacobi_abc(m: int, alpha: float, beta: float) -> tuple[list[float], list[float], list[float]]:
+    """a_j, b_j and c_j, j = 1..m, of P_j^(alpha, beta) = (a_j x + c_j) P_{j-1} - b_j P_{j-2} (DLMF 18.9.2).
+
+    a_1 = (s + 2)/2 and c_1 = (alpha - beta)/2 with s = alpha + beta, and
+    for j >= 2 they follow from t = 2j + s and u = j (j + s).
+    """
+    s, diff = alpha + beta, alpha - beta
+    j = np.arange(2.0, m + 1)
+    t = 2.0 * j + s
+    u = j * (j + s)
+    v = u * (t - 2.0)
+    a, c = np.empty(m), np.empty(m)
+    a[0], c[0] = 0.5 * (s + 2.0), 0.5 * diff
+    a[1:] = (t - 1.0) * t / (2.0 * u)
+    c[1:] = (0.5 * diff * s) * (t - 1.0) / v
+    b = (j + (alpha - 1.0)) * (j + (beta - 1.0)) * t / v
+    return a.tolist(), [0.0, *b.tolist()], c.tolist()
 
 
 def jacobi_rule_log(count: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -412,19 +501,8 @@ def jacobi_rule_log(count: int, alpha: float, beta: float) -> tuple[np.ndarray, 
     if not (alpha > -1.0 and beta > -1.0):
         raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
     m, s, diff = count, alpha + beta, alpha - beta
-    # P_j = (a_j x + c_j) P_{j-1} - b_j P_{j-2}: a_1 = (s + 2)/2, c_1 = (alpha - beta)/2,
-    # and for j >= 2 with t = 2j + s, u = j (j + s) (DLMF 18.9.2)
-    j = np.arange(2.0, m + 1)
-    t = 2.0 * j + s
-    u = j * (j + s)
-    v = u * (t - 2.0)
-    a, c = np.empty(m), np.empty(m)
-    a[0], c[0] = 0.5 * (s + 2.0), 0.5 * diff
-    a[1:] = (t - 1.0) * t / (2.0 * u)
-    c[1:] = (0.5 * diff * s) * (t - 1.0) / v
-    b = (j + (alpha - 1.0)) * (j + (beta - 1.0)) * t / v
     tilt, last = m / (2.0 * m + s), 2.0 * (m + alpha) * (m + beta) / (2.0 * m + s)
-    a, b, c = a.tolist(), [0.0, *b.tolist()], c.tolist()
+    a, b, c = _jacobi_abc(m, alpha, beta)
     x, cap = _golub_welsch(a, b, c, -1.0, 1.0)
     value, prev, shift = _recurrence(a, b, x, c=c)
     slope = ((diff * tilt - m * x) * value + last * prev) / ((1.0 - x) * (1.0 + x))

@@ -38,7 +38,7 @@ from spherehc.hypercheck import (
     random_zonal_polynomial,
     utol1_check,
 )
-from spherehc.norms import SphereParams, sphere_l2_norm_closed
+from spherehc.norms import SphereParams, sphere_l2_norm_closed, sphere_lp_norm
 from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, integrate_piecewise
 from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE, Verdict, rounding_allowance
 
@@ -422,11 +422,26 @@ def test_necessity_rejects_large_perturbations():
 # -------------------------------------------------- counterexample machinery
 
 def test_count1_ratio_below_one_is_inconclusive():
-    # Lyapunov: ||f||_40 >= ||f||_2 on a probability space.  At n = 1e5 the
-    # missed end bump (ROADMAP item 1) gives log ratio -0.402, and a holds
-    # where the exact lhs 3.031 exceeds the rhs 2.591
-    v = count1_check(100000, 2, 2, 40)
+    # Lyapunov: ||f||_41 >= ||f||_2 on a probability space.  At n = 1e5 the
+    # missed end bump (ROADMAP item 5) gives log ratio -0.401, and a holds
+    # where the true lhs exceeds the rhs 2.608
+    v = count1_check(100000, 2, 2, 41)
     assert v.lhs < 0 and v.status == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("n,d,q", [(100000, 2, 40), (10**7, 6, 4)])
+def test_count1_even_pair_past_the_dimension_cap_fails_within_band_of_the_exact_value(n, d, q):
+    # the exact rule sees the end bump that the root split misses at these n:
+    # at (1e5, 2, 2, 40) the true lhs is 3.031, above the rhs 2.591, and at
+    # (1e7, 6, 2, 4) it is 2.616978, next to the Gaussian limit 2.616980
+    v = count1_check(n, d, 2, q)
+    lam = Fraction(n - 1, 2)
+    exact = (
+        log_fraction(sphere_power_integral_exact(lam, d, q)) / q
+        - log_fraction(sphere_power_integral_exact(lam, d, 2)) / 2
+    )
+    assert v.status == FAILS
+    assert abs(v.lhs - exact) <= v.numeric_error
 
 
 def test_count1_degree_one_holds():
@@ -442,18 +457,23 @@ def test_count1_fails_at_paper_cell():
 
 
 def test_count1_band_at_paper_cell_weighs_summands_by_share():
-    # the band takes each summand's log rounding weighted by its share of the
-    # sum, and no fixed floor per norm: the largest summand size over all
-    # nodes and a 5e-15 floor per norm gave 6.56e-14 for the same lhs
+    # on the root split, the band takes each summand's log rounding weighted
+    # by its share of the sum, and no fixed floor per norm: the largest
+    # summand size over all nodes and a 5e-15 floor per norm gave 6.56e-14
+    # for the same lhs.  count1_check took this path for (2, 4) before the
+    # exact rule, and sphere_lp_norm still does
+    nq, np_ = (sphere_lp_norm(SphereParams(13), 7, e) for e in (4.0, 2.0))
     v = count1_check(13, 7, 2, 4)
-    # the exact value is 1.768190630122495
-    assert v.lhs == 1.7681906301224934
-    assert v.numeric_error < 0.7 * 6.56e-14
+    split = Verdict.compare(nq.log_value - np_.log_value, v.rhs, nq.error_estimate + np_.error_estimate)
+    # the exact value is 1.768190630122495; the rule gives the same float
+    assert split.lhs == v.lhs == 1.7681906301224934
+    assert split.numeric_error < 0.7 * 6.56e-14
     lam = Fraction(6)
     exact = (
         log_fraction(sphere_power_integral_exact(lam, 7, 4)) / 4
         - log_fraction(sphere_power_integral_exact(lam, 7, 2)) / 2
     )
+    assert abs(split.lhs - exact) <= split.numeric_error
     assert abs(v.lhs - exact) <= v.numeric_error
 
 
@@ -571,7 +591,8 @@ def test_hermite_growth_rate_trend():
 def test_count1_finds_the_roots_once(monkeypatch):
     # both norms of the ratio share one root split, on the rule and on the
     # per-exponent adaptive fallback (n = 1000); a root run of degrees finds
-    # all its roots in one call, and all of d <= 128 on one sphere is one run
+    # all its roots in one call, and all of d <= 128 on one sphere is one run.
+    # An even pair up to its rule's limit finds no roots at all
     calls, lams = [], []
     roots = specfun._gegenbauer_roots
 
@@ -583,25 +604,59 @@ def test_count1_finds_the_roots_once(monkeypatch):
     monkeypatch.setattr(specfun, "_gegenbauer_roots", counting)
     for n, d in ((13, 7), (1000, 6)):
         calls.clear()
-        assert count1_check(n, d, 2.0, 4.0).status in ("holds", "fails")
+        assert count1_check(n, d, 1.5, 3.0).status in ("holds", "fails")
         assert calls == [[d]]
     calls.clear()
-    assert len(count1_checks(13, [5, 7, 6], 2.0, 4.0)) == 3
+    assert len(count1_checks(13, [5, 7, 6], 1.5, 3.0)) == 3
     assert calls == [[7, 6, 5]]
     calls.clear()
-    count1_checks(13, range(1, 41), 2.0, 4.0)
+    count1_checks(13, range(1, 41), 1.5, 3.0)
     assert calls == [list(range(40, 0, -1))]
     calls.clear()
     lams.clear()
-    counterexample_scan(2, 4, range(2, 14), range(1, 41))
+    counterexample_scan(1.5, 3, range(2, 14), range(1, 41))
     assert calls == [list(range(40, 0, -1))] * 12
     assert lams == [(n - 1) / 2 for n in range(2, 14)]
     # past d = 128 a sphere takes several runs, each within the point budget
     calls.clear()
-    count1_checks(13, range(1, 140), 2.0, 4.0)
+    count1_checks(13, range(1, 140), 1.5, 3.0)
     assert len(calls) >= 2
-    assert all(sum(d // 2 for d in run) <= hypercheck._BATCH_NODES for run in calls)
+    assert all(sum(d // 2 for d in run) <= norms._BATCH_NODES for run in calls)
     assert sorted(d for run in calls for d in run) == list(range(1, 140))
+    # (2, 4) takes the rule to d = 40 and roots past it, (2, 6) to d = 27
+    calls.clear()
+    counterexample_scan(2, 4, range(2, 14), range(1, 41))
+    count1_checks(13, [40, 7, 1], 2.0, 4.0)
+    count1_checks(1000, [27, 6], 2.0, 6.0)
+    assert calls == []
+    count1_checks(13, [41, 40, 28], 2.0, 6.0)
+    assert calls == [[41, 40, 28]]
+
+
+def test_even_pair_takes_no_roots_no_bisection_and_small_matrices(monkeypatch):
+    # at or below the rule's limit an even pair calls neither the root finder
+    # nor the bisecting integrator, and every eigvalsh is at most K x K
+    sizes, bisections = [], []
+    eigvalsh, bisect = np.linalg.eigvalsh, quadrature._bisect
+
+    def recording_eigvalsh(matrix, *args, **kwargs):
+        sizes.append(len(matrix))
+        return eigvalsh(matrix, *args, **kwargs)
+
+    def recording_bisect(*args, **kwargs):
+        bisections.append(1)
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(quadrature, "_bisect", recording_bisect)
+    monkeypatch.setattr(specfun, "_gegenbauer_roots", None)
+    report = counterexample_scan(2, 4, range(2, 14), range(1, 41))
+    assert report.first_failure == (13, 7)
+    for n, d, p, q in ((20000, 40, 2.0, 4.0), (1000, 20, 4.0, 8.0), (100000, 2, 2.0, 40.0)):
+        count1_check(n, d, p, q)
+        norms.norm_ratio_sphere(SphereParams(n), d, p, q)
+    assert bisections == []
+    assert 0 < max(sizes) <= norms._RULE_NODES
 
 
 def _bits(value):
@@ -638,6 +693,15 @@ def test_batched_count1_is_bitwise_each_cell_alone(monkeypatch, n, degrees, p, q
         assert first_round == ({ADAPTIVE} if q == 4.0 else {ADAPTIVE, GAUSS_JACOBI})
         converged = {r.converged for row in together for r in row}
         assert converged == ({True} if max_panels is None else {True, False})
+
+
+@pytest.mark.parametrize("n", [2, 13, 1000, 20000])
+@pytest.mark.parametrize("q,degrees", [(4.0, [40, 21, 7, 6, 1]), (6.0, [41, 28, 27, 5, 2])])
+def test_batched_even_count1_is_bitwise_each_cell_alone(n, q, degrees):
+    # the rules of all degrees come from one pass, and at q = 6 the degrees
+    # past d = 27 take the root split beside them
+    batch = count1_checks(n, degrees, 2.0, q)
+    assert [_bits(v) for v in batch] == [_bits(count1_check(n, d, 2.0, q)) for d in degrees]
 
 
 def test_count1_checks_keeps_the_order_and_repeats_of_its_degrees():
@@ -715,7 +779,7 @@ def test_scan_parallel_matches_serial():
 
 
 def test_scan_checks_each_cell_once_even_when_inconclusive(monkeypatch):
-    # with 4 panels at most, (1000, 6, 2, 4) stops unconverged (its half
+    # with 4 panels at most, (1000, 6, 2, 5) stops unconverged (its half
     # interval converges in 7); the scan computes each cell once, through
     # count1_checks, and gives it the verdict count1_check gives
     monkeypatch.setattr(quadrature, "MAX_PANELS", 4)
@@ -727,10 +791,10 @@ def test_scan_checks_each_cell_once_even_when_inconclusive(monkeypatch):
         return checks(n, degrees, p, q, tol)
 
     monkeypatch.setattr(hypercheck, "count1_checks", counted)
-    report = counterexample_scan(2, 4, [13, 1000], [6])
+    report = counterexample_scan(2, 5, [13, 1000], [6])
     assert calls == [(13, 6), (1000, 6)]
     monkeypatch.setattr(hypercheck, "count1_checks", checks)
-    assert report.grid[(1000, 6)] == count1_check(1000, 6, 2, 4)
+    assert report.grid[(1000, 6)] == count1_check(1000, 6, 2, 5)
     assert report.grid[(1000, 6)].status == INCONCLUSIVE
     assert report.grid[(13, 6)].status != INCONCLUSIVE
 

@@ -9,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spherehc import cli, hypercheck, specfun
+from spherehc import cli, hypercheck, norms, specfun
 from spherehc.norms import (
     CLOSED_FORM,
+    GAUSS_GEGENBAUER,
     SphereParams,
     gaussian_lp_norm,
     norm_ratio_gaussian,
@@ -202,8 +203,8 @@ def test_circle_ratio():
 
 
 @pytest.mark.parametrize("n,d,p,q,method", [
-    (1000, 6, 2.0, 4.0, ADAPTIVE),
-    (13, 7, 2.0, 4.0, GAUSS_JACOBI),
+    (1000, 6, 2.0, 5.0, ADAPTIVE),
+    (13, 7, 2.0, 5.0, GAUSS_JACOBI),
     # p keeps the rule while q bisects: a mixed pair reads adaptive
     (1000, 30, 1.5, 3.0, ADAPTIVE),
     (1, 3, 2.0, 4.0, CLOSED_FORM),
@@ -216,6 +217,44 @@ def test_ratio_method_says_how_its_norms_were_made(n, d, p, q, method):
     # the panels of both norms' integrals, and none for a closed form
     assert ratio.panels == sum(sphere_lp_norm(SphereParams(n), d, e).panels for e in (q, p))
     assert (ratio.panels == 0) == (method == CLOSED_FORM)
+
+
+@pytest.mark.parametrize("n,d,p,q", [
+    (1000, 6, 2.0, 4.0),
+    (13, 7, 2.0, 4.0),
+    (2, 20, 4.0, 8.0),
+    (100000, 2, 2.0, 64.0),
+])
+def test_even_ratio_takes_one_exact_rule(n, d, p, q):
+    # both norms from one Gauss-Gegenbauer rule, a panel each, whatever the
+    # root split would do: at (1e5, 2, 64) it misses the end bump
+    ratio = norm_ratio_sphere(SphereParams(n), d, p, q)
+    assert ratio.method == GAUSS_GEGENBAUER and ratio.converged
+    assert ratio.panels == 2
+    exact = _log_exact(n, d, int(q)) / q - _log_exact(n, d, int(p)) / p
+    assert abs(ratio.log_value - exact) <= ratio.error_estimate
+
+
+@pytest.mark.parametrize("q,d", [(4, 40), (6, 27), (8, 20)])
+@pytest.mark.parametrize("n", [2, 3, 13, 1000])
+def test_even_ratio_at_the_rule_limit_is_within_band_of_the_exact_value(n, q, d):
+    # d is the highest degree whose rule has at most _RULE_NODES positive
+    # nodes; one degree more takes the root split
+    assert norms._rule_size(2.0, q, d) == norms._RULE_NODES and norms._rule_size(2.0, q, d + 1) is None
+    ratio = norm_ratio_sphere(SphereParams(n), d, 2.0, float(q))
+    assert ratio.method == GAUSS_GEGENBAUER
+    assert norm_ratio_sphere(SphereParams(n), d + 1, 2.0, float(q)).method != GAUSS_GEGENBAUER
+    exact = _log_exact(n, d, q) / q - _log_exact(n, d, 2) / 2
+    assert abs(ratio.log_value - exact) <= ratio.error_estimate
+
+
+def test_s3_fourth_moment_ratio_by_the_rule_is_within_band_at_every_degree():
+    # on S^3, E[U_d^4] = d + 1 and E[U_d^2] = 1, so the rule's log ratio is
+    # log(d + 1) / 4 for every degree it serves
+    for d in range(1, 41):
+        ratio = norm_ratio_sphere(SphereParams(3), d, 2.0, 4.0)
+        assert ratio.method == GAUSS_GEGENBAUER
+        assert abs(ratio.log_value - math.log(chebyshev_u_fourth_moment(d)) / 4) <= ratio.error_estimate
 
 
 def test_zonal_norm_of_constant():
@@ -340,7 +379,7 @@ def test_l4_norm_at_the_dimension_cap_matches_the_exact_integral(d):
 
 # past the outermost root (1 - t^2)^(lam - 1/2) |C_d|^p is a bump that large
 # p pushes away from the end rule's nodes; at n = 1e5 it is missed for d = 2
-# and p 32-1000 (ROADMAP item 1), and the cap keeps the CLI below that
+# and p 32-1000 (ROADMAP item 5), and the cap keeps the CLI below that
 @pytest.mark.parametrize("d", [1, 2, 3, 6, 13, 40])
 def test_large_and_non_integer_exponents_at_the_dimension_cap_match_the_mpmath_reference(d):
     lam = (cli.MAX_N - 1) / 2
@@ -362,7 +401,7 @@ def test_non_integer_exponent_at_n_1000_matches_the_mpmath_reference():
     assert abs(res.log_value - zonal_power_integral_mp(1000, 30, 1.5, roots)) <= res.error_estimate
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the end interval's bump is missed at n = 1e5")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the end interval's bump is missed at n = 1e5")
 def test_large_exponent_past_the_dimension_cap_matches_the_exact_integral():
     # the library has no cap: the result is 248.8 below the exact log
     res = zonal_power_integral((10**5 - 1) / 2, 2, 64.0, 1e-12)
@@ -382,7 +421,7 @@ def test_s3_fourth_moment_and_ratio_lie_within_their_bands(d):
     assert abs(v.lhs - exact / 4) <= v.numeric_error
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the recurrence floor is too small near the ends")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the recurrence floor is too small near the ends")
 def test_s3_fourth_moment_at_the_degree_cap_lies_within_its_band():
     # claims convergence with a band of 2.12e-11 but is 3.43e-11 off
     res = zonal_power_integral(1.0, cli.MAX_DEGREE, 4.0, 1e-10)
@@ -429,12 +468,13 @@ def test_gap_below_an_ulp_of_the_log_integral_converges():
     assert abs(math.log(ref.value)) <= res.error_estimate + ref.error_estimate / ref.value
 
 
-@pytest.mark.parametrize("p,q", [(2.0, 4.0), (1.5, 3.0), (3.0, 6.0)])
+@pytest.mark.parametrize("p,q", [(2.0, 4.0), (2.0, 5.0), (1.5, 3.0), (3.0, 6.0)])
 @pytest.mark.parametrize("d", [1, 7, 30])
 @pytest.mark.parametrize("n", [2, 3, 13, 1000])
 def test_one_pass_ratio_matches_two_norms(n, d, p, q):
     # at n = 1000 the exponents fall back to adaptive panels one by one: at
-    # d = 30, p = 1.5 keeps the rule while q = 3 falls back
+    # d = 30, p = 1.5 keeps the rule while q = 3 falls back.  (2, 4) takes
+    # the exact rule, so there the two root-split norms check it
     ratio = norm_ratio_sphere(SphereParams(n), d, p, q)
     nq, np_ = (sphere_lp_norm(SphereParams(n), d, e) for e in (q, p))
     assert ratio.converged

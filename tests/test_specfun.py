@@ -269,8 +269,9 @@ def test_blocked_gegenbauer_roots_are_bitwise_each_degree_alone():
 def test_scan_never_hands_the_recurrence_more_than_the_point_budget(monkeypatch):
     # the scan's batches keep every pass within the budget (a degree whose
     # cell alone needs more, d >= 84, would be a batch of its own), so the
-    # peak memory does not grow with the batch
-    from spherehc import hypercheck
+    # peak memory does not grow with the batch; (2, 4) takes the exact
+    # rules, at most 861 points a sphere, and (2, 5) the root-split batches
+    from spherehc import hypercheck, norms
 
     sizes = []
     plain = specfun._recurrence
@@ -281,11 +282,37 @@ def test_scan_never_hands_the_recurrence_more_than_the_point_budget(monkeypatch)
         return plain(a, b, x, *args, **kwargs)
 
     monkeypatch.setattr(specfun, "_recurrence", recording)
-    report = hypercheck.counterexample_scan(2, 4, range(2, 14), range(1, 41))
-    assert len(report.grid) == 480 and report.first_failure == (13, 7)
-    assert max(size for size, _ in sizes) <= hypercheck._BATCH_NODES
-    assert any(degrees > 1 for _, degrees in sizes)
-    assert hypercheck._degree_batches([90, 84, 83, 1]) == [[90], [84], [83], [1]]
+    for q, first_failure in ((4, (13, 7)), (5, (13, 6))):
+        sizes.clear()
+        report = hypercheck.counterexample_scan(2, q, range(2, 14), range(1, 41))
+        assert len(report.grid) == 480 and report.first_failure == first_failure
+        assert max(size for size, _ in sizes) <= norms._BATCH_NODES
+        assert any(degrees > 1 for _, degrees in sizes)
+    assert norms._degree_batches([90, 84, 83, 1]) == [[90], [84], [83], [1]]
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 6.0, 499.5, 9999.5])
+def test_gegenbauer_rules_built_together_are_bitwise_each_built_alone(lam):
+    sizes = [41, 33, 17, 8, 2, 1]
+    nodes, log_w = specfun._gegenbauer_rules(lam, sizes)
+    alone = [specfun._gegenbauer_rules(lam, [k]) for k in sizes]
+    assert nodes.tobytes() == np.concatenate([x for x, _ in alone]).tobytes()
+    assert log_w.tobytes() == np.concatenate([w for _, w in alone]).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.5, 6.0, 9999.5])
+@pytest.mark.parametrize("k", [2, 41])
+def test_gegenbauer_rule_is_the_positive_half_of_the_mpmath_rule(lam, k):
+    # the 2k-point Gauss-Jacobi rule of alpha = beta = lam - 1/2 in 40
+    # digits, its weights doubled and divided by mu0: nodes within 2 ulps and
+    # log weights within 4 m eps, m = 2k, the rounding of C_m's recurrence
+    nodes, log_w = specfun._gegenbauer_rules(lam, [k])
+    exact, log_v, log_mu0 = gauss_jacobi_mp(2 * k, lam - 0.5, lam - 0.5, nodes)
+    exact = np.array([float(x) for x in exact])
+    log_v = np.array([float(v - log_mu0) for v in log_v]) + math.log(2.0)
+    assert np.all(np.abs(nodes - exact) <= 2 * np.spacing(exact))
+    assert np.all(np.abs(log_w - log_v) <= 8 * k * np.finfo(float).eps)
+    assert abs(math.fsum(np.exp(log_w)) - 1.0) <= 4 * np.finfo(float).eps
 
 
 def test_hermite_log_abs_across_rescale_matches_oracle():
