@@ -508,7 +508,8 @@ def counterexample_scan(
     highest degree first, with at most ``norms._BATCH_NODES`` Newton points
     (d // 2 a cell), so the whole sphere when d <= 128.  On n <= 13,
     d <= 40 that is 12 tasks, one per n; at p = 2, q = 4 each is one exact
-    rule pass, and at other pairs one root pass integrated in batches.
+    rule pass whose 40 degrees share 6 rules (``norms._rule_size``), and at
+    other pairs one root pass integrated in batches.
     Cells are merged by key so the report is deterministic regardless of the
     worker count.  At most min(jobs, tasks, CPU count) workers start, and
     none when that is 1.  Inconclusive cells are reported as such, never

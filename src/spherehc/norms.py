@@ -6,9 +6,11 @@ zonal |u|^p integral, of Y_d or of a series, takes one path
 (``_zonal_integrals``): log|u| from the plain Gegenbauer recurrence, whose
 rescale shift keeps it finite past the float range, split at u's roots.  A
 sphere ratio ||Y_d||_q / ||Y_d||_p with both exponents even takes an exact
-Gauss-Gegenbauer rule instead (``_rule_ratios``), up to ``_RULE_NODES``
+Gauss-Gegenbauer rule instead (``_rule_means``), up to ``_RULE_NODES``
 positive nodes: |C_d|^q is then a polynomial, so it needs no roots, no
-16/32 gap and no bisection.
+16/32 gap and no bisection.  Rule sizes are rounded up to a ladder of
+multiples of ``_RULE_STEP`` (``_rule_size``), so the degrees of a sphere
+share a few rules: d = 1..40 at q = 4 take 6.
 """
 
 from __future__ import annotations
@@ -38,17 +40,20 @@ __all__ = [
 CLOSED_FORM = "closed-form"
 GAUSS_GEGENBAUER = "gauss-gegenbauer"
 
-# the most positive nodes of an exact rule (``_rule_ratios``): d <= 40 at
+# the most positive nodes of an exact rule (``_rule_means``): d <= 40 at
 # q = 4, 27 at q = 6 and 20 at q = 8.  A k x k Jacobi matrix stays well
 # below the size (about 64) from which eigvalsh runs OpenBLAS threads that
 # oversubscribe a scan's worker processes.
 _RULE_NODES = 41
+# the rung of the ladder a rule's size is rounded up to (``_rule_size``)
+_RULE_STEP = 8
 # the rounding of a rule's mean beyond the summands' 4 eps log size, in
 # units of e (d + 1) eps: against tests/oracles.sphere_power_integral_exact,
-# at most 2.0 at q = 4 (n in 2..13, 50, 1e3, 2e4, 1e5 and 1e7, d <= 40) and
-# 3.9 over every even q <= 160 at each degree its rule serves (n = 2,
-# d = 25, e = 6), for e = 2 and e = q at those n and for every even e <= q
-# at n in {2, 3, 4, 5, 7, 9, 13, 1000}
+# on the ladder's rules at most 2.0 (n = 3, d = 31, e = 4, 32 nodes) over
+# every even q <= 160 at each degree its rule serves, for e = 2 and e = q at
+# n in 2..13, 50, 100, 1e3, 2e4, 1e5 and 1e7 and for every even e <= q at
+# n in {2, 3, 4, 5, 7, 9, 13, 1000}; at q = 4 for e in {2, 4} up to
+# n = 1e7
 _RULE_FLOOR = 8.0
 # the most points of one count1_checks run or batch: a root run's Newton
 # points (d // 2 a degree) or a batch's first-round nodes, so that its
@@ -288,23 +293,27 @@ def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: flo
 
 
 def _rule_size(p: float, q: float, d: int) -> int | None:
-    """k, the positive nodes of the exact rule for ||Y_d||_q / ||Y_d||_p (p < q), or None.
+    """K, the positive nodes of the exact rule for ||Y_d||_q / ||Y_d||_p (p < q), or None.
 
     When p and q are even, |C_d|^q is a polynomial of degree q d, and the
-    2k-point Gauss-Gegenbauer rule with k = ceil((q d / 2 + 1) / 2) is exact
-    to degree 4k - 1 >= q d.  None when an exponent is not even or k would
-    pass ``_RULE_NODES``.
+    2K-point Gauss-Gegenbauer rule is exact to degree 4K - 1 >= q d for
+    every K >= k = ceil((q d / 2 + 1) / 2).  K is k rounded up to a multiple
+    of ``_RULE_STEP``, at most ``_RULE_NODES``, so the degrees of a sphere
+    share a few rules (d = 1..40 at q = 4 share 8, 16, 24, 32, 40 and 41).
+    K depends only on (d, p, q), so a degree takes the same rule in any
+    batch.  None when an exponent is not even or k would pass
+    ``_RULE_NODES``.
     """
     if p % 2 or q % 2:
         return None
     k = (int(q) // 2 * d + 2) // 2
-    return k if k <= _RULE_NODES else None
+    return min(-(-k // _RULE_STEP) * _RULE_STEP, _RULE_NODES) if k <= _RULE_NODES else None
 
 
 def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> dict[int, NormValue]:
     """||Y_d||_q / ||Y_d||_p (p < q) for each distinct d in ``degrees`` (each >= 1), by degree.
 
-    Where ``_rule_size`` gives a rule, the degrees share one ``_rule_ratios``
+    Where ``_rule_size`` gives a rule, the degrees share one ``_rule_means``
     pass.  The others go highest first in root runs of at most
     ``_BATCH_NODES`` Newton points (d // 2 a degree, so d <= 128 is one
     run), each polished in one ``specfun._gegenbauer_roots`` pass whose roots
@@ -320,13 +329,12 @@ def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> dict[
     """
     sizes = {d: _rule_size(p, q, d) for d in sorted(set(degrees), reverse=True)}
     exact = [d for d, k in sizes.items() if k is not None]
-    ratios = dict(zip(exact, _rule_ratios(lam, exact, [sizes[d] for d in exact], p, q))) if exact else {}
+    integrals = dict(zip(exact, _rule_means(lam, exact, [sizes[d] for d in exact], (q, p)))) if exact else {}
     for run in _degree_batches([d for d, k in sizes.items() if k is None], lambda d: d // 2):
         roots = dict(zip(run, specfun._gegenbauer_roots(lam, run)))
         for batch in _degree_batches(run):
-            integrals = _zonal_integrals(lam, batch, None, [roots[d] for d in batch], (q, p), tol)
-            ratios.update((d, _ratio(*map(_norm_from_integral, pair, (q, p)))) for d, pair in zip(batch, integrals))
-    return ratios
+            integrals.update(zip(batch, _zonal_integrals(lam, batch, None, [roots[d] for d in batch], (q, p), tol)))
+    return {d: _ratio(*map(_norm_from_integral, pair, (q, p))) for d, pair in integrals.items()}
 
 
 def _degree_batches(degrees, size=lambda d: 96 * (d // 2 + 1)) -> list[list[int]]:
@@ -346,30 +354,35 @@ def _degree_batches(degrees, size=lambda d: 96 * (d // 2 + 1)) -> list[list[int]
     return batches
 
 
-def _rule_ratios(lam: float, degrees, sizes, p: float, q: float) -> list[NormValue]:
-    """||Y_d||_q / ||Y_d||_p for each d in ``degrees`` (descending), each by its exact rule of sizes[i] positive nodes.
+def _rule_means(lam: float, degrees, sizes, exponents) -> list[list[NormValue]]:
+    """The mean of |C_d|^e against c_lam (1 - t^2)^(lam - 1/2) dt for each d in ``degrees`` (descending)
+    and e in ``exponents`` (even), each d by its exact rule of sizes[i] positive nodes.
 
-    The rules of all degrees come from one ``specfun._gegenbauer_rules``
-    pass and log|C_d| at their nodes from one blocked recurrence pass, so a
-    degree's ratio is bitwise its own call's wherever those passes rescale
+    The distinct sizes' rules come from one ``specfun._gegenbauer_rules``
+    pass, each degree takes its size's nodes and log weights out of it, and
+    log|C_d| at those nodes comes from one blocked recurrence pass, so a
+    degree's means are bitwise its own call's wherever those passes rescale
     at the same steps.  |C_d|^e is even, so the k positive nodes, with
     weights summing to 1, give its mean exactly up to rounding: the log-sum
     of e log|C_d| + log w.  The relative ``error_estimate`` of each mean is
     4 eps times the summands' log size, |e log|C_d|| + |log w| weighted by
     each summand's share, plus ``_RULE_FLOOR`` e (d + 1) eps for the
     recurrences of the rule and of C_d.  ``method`` is GAUSS_GEGENBAUER and
-    ``panels`` 1 a norm.
+    ``panels`` 1 a mean.
     """
-    nodes, log_w = specfun._gegenbauer_rules(lam, sizes)
+    rules = sorted(set(sizes), reverse=True)
+    starts = dict(zip(rules, np.cumsum([0, *rules[:-1]]).tolist()))
+    take = np.concatenate([np.arange(starts[k], starts[k] + k) for k in sizes])
+    nodes, log_w = (x[take] for x in specfun._gegenbauer_rules(lam, rules))
     log_abs = specfun._log_abs(specfun._gegenbauer_ab(lam, degrees[0]), nodes, blocks=list(zip(degrees, sizes)))[1]
     by_exponent = []
-    for e in (q, p):
+    for e in exponents:
         terms = e * log_abs
         log_mean, size = specfun._block_log_sum_exp(terms + log_w, sizes, np.abs(terms) + np.abs(log_w))
         rel = 4.0 * _EPS * size + _RULE_FLOOR * e * (np.array(degrees) + 1.0) * _EPS
-        means = (NormValue(*pair, GAUSS_GEGENBAUER, True, 1) for pair in zip(log_mean.tolist(), rel.tolist()))
-        by_exponent.append([_norm_from_integral(mean, e) for mean in means])
-    return [_ratio(nq, np_) for nq, np_ in zip(*by_exponent)]
+        pairs = zip(log_mean.tolist(), rel.tolist())
+        by_exponent.append([NormValue(*pair, GAUSS_GEGENBAUER, True, 1) for pair in pairs])
+    return [list(row) for row in zip(*by_exponent)]
 
 
 def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:

@@ -381,6 +381,10 @@ def _gegenbauer_rules(lam: float, sizes) -> tuple[np.ndarray, np.ndarray]:
     """The k positive nodes, ascending, and log weights of the 2k-point Gauss-Gegenbauer rule
     for each k in ``sizes`` (descending, each >= 1), concatenated in that order.
 
+    ``norms._rule_means`` passes each distinct size of its ladder once, one
+    eigvalsh and one block of the recurrence each, and the degrees of a size
+    share its rule.
+
     Each rule's weights are normalised to sum to 1 over its k nodes, so it
     integrates an even polynomial of degree at most 4k - 1 exactly against
     the probability measure c_lam (1 - t^2)^(lam - 1/2) dt.  Since

@@ -635,7 +635,8 @@ def test_count1_finds_the_roots_once(monkeypatch):
 
 def test_even_pair_takes_no_roots_no_bisection_and_small_matrices(monkeypatch):
     # at or below the rule's limit an even pair calls neither the root finder
-    # nor the bisecting integrator, and every eigvalsh is at most K x K
+    # nor the bisecting integrator.  One sphere's (2, 4) degrees 1..40 share
+    # 6 rules, one eigvalsh each, and no matrix passes _RULE_NODES
     sizes, bisections = [], []
     eigvalsh, bisect = np.linalg.eigvalsh, quadrature._bisect
 
@@ -650,8 +651,14 @@ def test_even_pair_takes_no_roots_no_bisection_and_small_matrices(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
     monkeypatch.setattr(quadrature, "_bisect", recording_bisect)
     monkeypatch.setattr(specfun, "_gegenbauer_roots", None)
+    for n in (2, 13, 1000):
+        sizes.clear()
+        count1_checks(n, range(1, 41), 2.0, 4.0)
+        assert sorted(sizes) == [8, 16, 24, 32, 40, norms._RULE_NODES]
+    sizes.clear()
     report = counterexample_scan(2, 4, range(2, 14), range(1, 41))
     assert report.first_failure == (13, 7)
+    assert len(sizes) <= 6 * 12
     for n, d, p, q in ((20000, 40, 2.0, 4.0), (1000, 20, 4.0, 8.0), (100000, 2, 2.0, 40.0)):
         count1_check(n, d, p, q)
         norms.norm_ratio_sphere(SphereParams(n), d, p, q)
@@ -695,11 +702,19 @@ def test_batched_count1_is_bitwise_each_cell_alone(monkeypatch, n, degrees, p, q
         assert converged == ({True} if max_panels is None else {True, False})
 
 
-@pytest.mark.parametrize("n", [2, 13, 1000, 20000])
-@pytest.mark.parametrize("q,degrees", [(4.0, [40, 21, 7, 6, 1]), (6.0, [41, 28, 27, 5, 2])])
+@pytest.mark.parametrize("n", [2, 13, 1000, 20000, 50000])
+@pytest.mark.parametrize("q,degrees", [
+    (4.0, [40, 21, 7, 6, 1]),
+    (6.0, [41, 28, 27, 5, 2]),
+    # each side of the ladder's rung edges: rules of 41, 40, 32, 24, 16 and
+    # 8 positive nodes
+    (4.0, [40, 39, 32, 31, 16, 15, 8, 7]),
+    (8.0, [21, 20, 16, 12, 4, 1]),
+])
 def test_batched_even_count1_is_bitwise_each_cell_alone(n, q, degrees):
-    # the rules of all degrees come from one pass, and at q = 6 the degrees
-    # past d = 27 take the root split beside them
+    # the rules of all sizes come from one pass, shared by the degrees of a
+    # size, and at q = 6 and 8 the degrees past the rule's limit take the
+    # root split beside them
     batch = count1_checks(n, degrees, 2.0, q)
     assert [_bits(v) for v in batch] == [_bits(count1_check(n, d, 2.0, q)) for d in degrees]
 

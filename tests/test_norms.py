@@ -248,6 +248,25 @@ def test_even_ratio_at_the_rule_limit_is_within_band_of_the_exact_value(n, q, d)
     assert abs(ratio.log_value - exact) <= ratio.error_estimate
 
 
+@pytest.mark.parametrize("q,d", [(4, 8), (4, 16), (8, 4)])
+@pytest.mark.parametrize("n", [2, 3, 13, 1000, 10**7])
+def test_padded_rule_is_within_band_of_the_exact_value(n, q, d):
+    # 9 (or 17) positive nodes are exact here, and the ladder pads the rule
+    # by 7 nodes, the most any degree is padded.  A larger Gauss rule stays
+    # exact, so the padded and the unpadded rule both hold every mean within
+    # its band, and so does the ratio
+    needed = (q // 2 * d + 2) // 2
+    size = norms._rule_size(2.0, q, d)
+    assert size == needed + 7
+    exact = {e: _log_exact(n, d, e) for e in (q, 2)}
+    for k in (size, needed):
+        means = norms._rule_means((n - 1) / 2, [d], [k], (float(q), 2.0))[0]
+        for e, mean in zip((q, 2), means):
+            assert abs(mean.log_value - exact[e]) <= mean.error_estimate
+    ratio = norm_ratio_sphere(SphereParams(n), d, 2.0, float(q))
+    assert abs(ratio.log_value - (exact[q] / q - exact[2] / 2)) <= ratio.error_estimate
+
+
 def test_s3_fourth_moment_ratio_by_the_rule_is_within_band_at_every_degree():
     # on S^3, E[U_d^4] = d + 1 and E[U_d^2] = 1, so the rule's log ratio is
     # log(d + 1) / 4 for every degree it serves
@@ -472,14 +491,24 @@ def test_gap_below_an_ulp_of_the_log_integral_converges():
 @pytest.mark.parametrize("d", [1, 7, 30])
 @pytest.mark.parametrize("n", [2, 3, 13, 1000])
 def test_one_pass_ratio_matches_two_norms(n, d, p, q):
-    # at n = 1000 the exponents fall back to adaptive panels one by one: at
-    # d = 30, p = 1.5 keeps the rule while q = 3 falls back.  (2, 4) takes
-    # the exact rule, so there the two root-split norms check it
+    # a root-split ratio is exactly its two norms, each from sphere_lp_norm:
+    # at n = 1000 the exponents fall back to adaptive panels one by one (at
+    # d = 30, p = 1.5 keeps the rule while q = 3 falls back).  (2, 4) takes
+    # the exact rule, so there the ratio is exactly the rule's own two norms,
+    # and the two root-split norms check it within both bands
     ratio = norm_ratio_sphere(SphereParams(n), d, p, q)
-    nq, np_ = (sphere_lp_norm(SphereParams(n), d, e) for e in (q, p))
+    split_q, split_p = (sphere_lp_norm(SphereParams(n), d, e) for e in (q, p))
+    size = norms._rule_size(p, q, d)
+    if size is None:
+        nq, np_ = split_q, split_p
+    else:
+        means = norms._rule_means((n - 1) / 2, [d], [size], (q, p))[0]
+        nq, np_ = map(norms._norm_from_integral, means, (q, p))
+        split_band = split_q.error_estimate + split_p.error_estimate
+        assert abs(ratio.log_value - (split_q.log_value - split_p.log_value)) <= ratio.error_estimate + split_band
     assert ratio.converged
-    assert abs(ratio.log_value - (nq.log_value - np_.log_value)) <= nq.error_estimate + np_.error_estimate
-    assert ratio.error_estimate == pytest.approx(nq.error_estimate + np_.error_estimate)
+    assert ratio.log_value == nq.log_value - np_.log_value
+    assert ratio.error_estimate == nq.error_estimate + np_.error_estimate
 
 
 def test_jacobi_rule_cache_is_bounded():
