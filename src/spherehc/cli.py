@@ -384,9 +384,10 @@ def _repro_checks(args):
     v = hypercheck.utol1_check(13, 7, args.tol)
     yield ("explicit counterexample inequality fails at (n=13, d=7)", FAILS, v.status, v.status == FAILS)
     # in process: the 120 cells are 12 count1_checks calls, one per n, each
-    # one exact rule pass, 7.2-11.8 ms against 17-26 ms on a 2-worker pool
-    # (2-CPU VM); the (13, 7) row and the shadow's cells with d <= 10 read
-    # its grid
+    # one exact rule pass whose rules a process builds once
+    # (norms._exact_rules): 5.8-9.3 ms cold and 2.8-4.3 ms warm, against
+    # 14-18 ms on a 2-worker pool (medians of 30 calls, 2-CPU VM); the
+    # (13, 7) row and the shadow's cells with d <= 10 read its grid
     report = hypercheck.counterexample_scan(2, 4, range(2, 14), range(1, 11), tol=args.tol)
     v = report.grid[(13, 7)]
     yield ("norm-ratio bound fails at (n=13, d=7), p=2, q=4", FAILS, v.status, v.status == FAILS)
@@ -394,7 +395,8 @@ def _repro_checks(args):
     ok = report.first_failure is not None and report.first_failure <= (13, 7)
     yield ("scan n<=13, d<=10 first failure at most (13,7)", "(13, 7)", str(report.first_failure), ok)
 
-    # the shadow's 20 cells with d > 10 on each sphere: one count1_checks call, one exact rule pass
+    # the shadow's 20 cells with d > 10 on each sphere: one count1_checks call, one exact rule pass,
+    # 1.6 ms for both spheres cold and 0.8 ms warm
     ok = all(report.grid[(n, d)].status == HOLDS for n in (2, 3) for d in range(1, 11)) and all(
         v.status == HOLDS for n in (2, 3) for v in hypercheck.count1_checks(n, range(11, 31), 2, 4, args.tol)
     )

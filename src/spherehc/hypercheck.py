@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import norms, specfun
-from .norms import SphereParams
+from .norms import SphereParams, _integer
 from .quadrature import integrate_piecewise
 from .verdict import FAILS, HOLDS, Verdict, rounding_allowance
 
@@ -163,25 +162,16 @@ def count1_check(n: int, d: int, p: float, q: float, tol: float = 1e-12) -> Verd
     return count1_checks(n, [d], p, q, tol)[0]
 
 
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int (a numpy integer too); ValueError unless it is an integer of at least ``least``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"need {name} >= {least}, got {value}")
-    return value
-
-
 def count1_checks(n: int, degrees, p: float, q: float, tol: float = 1e-12) -> list[Verdict]:
     """``count1_check(n, d, p, q, tol)`` for each d in ``degrees``, in that order.
 
     The distinct degrees share one ``norms._sphere_ratios`` call: one exact
     Gauss-Gegenbauer rule pass for those an even pair allows, and root runs
-    integrated in batches for the rest.  Every verdict is bitwise the
-    degree's own call's wherever the shared recurrence passes rescale at the
-    same steps, which they do for n <= 5e4.
+    integrated in batches for the rest.  That pass's rules come from a
+    per-process cache keyed by the sphere and the rule sizes, so repeating a
+    call builds no rule, and no verdict depends on which calls ran before.
+    Every verdict is bitwise the degree's own call's wherever the shared
+    recurrence passes rescale at the same steps, which they do for n <= 5e4.
     """
     ExponentPair(p, q)
     n = _integer("n", n, 2)

@@ -10,13 +10,17 @@ Gauss-Gegenbauer rule instead (``_rule_means``), up to ``_RULE_NODES``
 positive nodes: |C_d|^q is then a polynomial, so it needs no roots, no
 16/32 gap and no bisection.  Rule sizes are rounded up to a ladder of
 multiples of ``_RULE_STEP`` (``_rule_size``), so the degrees of a sphere
-share a few rules: d = 1..40 at q = 4 take 6.
+share a few rules: d = 1..40 at q = 4 take 6.  The rules come from a
+per-process cache keyed by the sphere and the sizes (``_exact_rules``), so
+a call that repeats a sphere and sizes builds no rule.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,13 +170,23 @@ def sphere_lp_norm(params: SphereParams, d: int, p: float, tol: float = 1e-12) -
     """
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
+    d = _integer("degree", d, 0)
     if d == 0:
         return _ONE
     if params.n == 1:
         return _circle_lp_norm(p)
     return _norm_from_integral(_zonal_integrals(params.lam, [d], None, [_roots(params.lam, d)], (p,), tol)[0][0], p)
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int (a numpy integer too); ValueError unless it is an integer of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
 
 
 def _circle_lp_norm(p: float) -> NormValue:
@@ -281,10 +295,12 @@ def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: flo
 
     For n >= 2 both norms come from one exact Gauss-Gegenbauer rule when p
     and q are even, else from one root split and one recurrence pass; see
-    ``_sphere_ratios``.
+    ``_sphere_ratios``.  ``d`` is checked first, as in ``sphere_lp_norm``,
+    on every n and pair.
     """
     if not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
+    d = _integer("degree", d, 0)
     if d == 0 or p == q:
         return _ONE
     if params.n == 1:
@@ -359,21 +375,22 @@ def _rule_means(lam: float, degrees, sizes, exponents) -> list[list[NormValue]]:
     and e in ``exponents`` (even), each d by its exact rule of sizes[i] positive nodes.
 
     The distinct sizes' rules come from one ``specfun._gegenbauer_rules``
-    pass, each degree takes its size's nodes and log weights out of it, and
-    log|C_d| at those nodes comes from one blocked recurrence pass, so a
-    degree's means are bitwise its own call's wherever those passes rescale
-    at the same steps.  |C_d|^e is even, so the k positive nodes, with
-    weights summing to 1, give its mean exactly up to rounding: the log-sum
-    of e log|C_d| + log w.  The relative ``error_estimate`` of each mean is
-    4 eps times the summands' log size, |e log|C_d|| + |log w| weighted by
-    each summand's share, plus ``_RULE_FLOOR`` e (d + 1) eps for the
-    recurrences of the rule and of C_d.  ``method`` is GAUSS_GEGENBAUER and
-    ``panels`` 1 a mean.
+    pass, cached per process by the sphere and those sizes
+    (``_exact_rules``), each degree takes its size's nodes and log weights
+    out of it, and log|C_d| at those nodes comes from one blocked recurrence
+    pass, so a degree's means are bitwise its own call's wherever those
+    passes rescale at the same steps.  |C_d|^e is even, so the k positive
+    nodes, with weights summing to 1, give its mean exactly up to rounding:
+    the log-sum of e log|C_d| + log w.  The relative ``error_estimate`` of
+    each mean is 4 eps times the summands' log size, |e log|C_d|| + |log w|
+    weighted by each summand's share, plus ``_RULE_FLOOR`` e (d + 1) eps for
+    the recurrences of the rule and of C_d.  ``method`` is GAUSS_GEGENBAUER
+    and ``panels`` 1 a mean.
     """
     rules = sorted(set(sizes), reverse=True)
     starts = dict(zip(rules, np.cumsum([0, *rules[:-1]]).tolist()))
     take = np.concatenate([np.arange(starts[k], starts[k] + k) for k in sizes])
-    nodes, log_w = (x[take] for x in specfun._gegenbauer_rules(lam, rules))
+    nodes, log_w = (x[take] for x in _exact_rules(lam, tuple(rules)))
     log_abs = specfun._log_abs(specfun._gegenbauer_ab(lam, degrees[0]), nodes, blocks=list(zip(degrees, sizes)))[1]
     by_exponent = []
     for e in exponents:
@@ -383,6 +400,22 @@ def _rule_means(lam: float, degrees, sizes, exponents) -> list[list[NormValue]]:
         pairs = zip(log_mean.tolist(), rel.tolist())
         by_exponent.append([NormValue(*pair, GAUSS_GEGENBAUER, True, 1) for pair in pairs])
     return [list(row) for row in zip(*by_exponent)]
+
+
+@lru_cache(maxsize=256)
+def _exact_rules(lam: float, rules: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``specfun._gegenbauer_rules(lam, rules)``, built once per process, with read-only arrays.
+
+    The key is the sphere and the distinct sizes, descending, so a cached
+    rule is the very call an uncached one makes and its floats do not depend
+    on which calls ran before.  The cache holds at most 256 keys; a key of
+    the ladder has at most 161 nodes (41 + 40 + 32 + 24 + 16 + 8) of 16 B,
+    a node and a log weight, so the cache stays below 660 kB.
+    """
+    nodes, log_w = specfun._gegenbauer_rules(lam, rules)
+    nodes.flags.writeable = False
+    log_w.flags.writeable = False
+    return nodes, log_w
 
 
 def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:

@@ -636,7 +636,8 @@ def test_count1_finds_the_roots_once(monkeypatch):
 def test_even_pair_takes_no_roots_no_bisection_and_small_matrices(monkeypatch):
     # at or below the rule's limit an even pair calls neither the root finder
     # nor the bisecting integrator.  One sphere's (2, 4) degrees 1..40 share
-    # 6 rules, one eigvalsh each, and no matrix passes _RULE_NODES
+    # 6 rules, one eigvalsh each when the rule cache is cold and none when it
+    # is warm, and no matrix passes _RULE_NODES
     sizes, bisections = [], []
     eigvalsh, bisect = np.linalg.eigvalsh, quadrature._bisect
 
@@ -652,10 +653,14 @@ def test_even_pair_takes_no_roots_no_bisection_and_small_matrices(monkeypatch):
     monkeypatch.setattr(quadrature, "_bisect", recording_bisect)
     monkeypatch.setattr(specfun, "_gegenbauer_roots", None)
     for n in (2, 13, 1000):
+        norms._exact_rules.cache_clear()
         sizes.clear()
         count1_checks(n, range(1, 41), 2.0, 4.0)
         assert sorted(sizes) == [8, 16, 24, 32, 40, norms._RULE_NODES]
-    sizes.clear()
+        sizes.clear()
+        count1_checks(n, range(1, 41), 2.0, 4.0)
+        assert sizes == []
+    norms._exact_rules.cache_clear()
     report = counterexample_scan(2, 4, range(2, 14), range(1, 41))
     assert report.first_failure == (13, 7)
     assert len(sizes) <= 6 * 12
@@ -717,6 +722,45 @@ def test_batched_even_count1_is_bitwise_each_cell_alone(n, q, degrees):
     # root split beside them
     batch = count1_checks(n, degrees, 2.0, q)
     assert [_bits(v) for v in batch] == [_bits(count1_check(n, d, 2.0, q)) for d in degrees]
+
+
+@pytest.mark.parametrize("n", [2, 3, 13, 1000, 50000, 10**7])
+@pytest.mark.parametrize("q", [4.0, 8.0])
+def test_verdicts_are_bitwise_the_same_on_a_warm_and_a_cold_rule_cache_in_either_order(n, q):
+    # a cached rule is the call an uncached one makes, so neither what ran
+    # before nor its order moves a float: scan first or single cells first
+    degrees = range(1, 31)
+
+    def cells():
+        return [_bits(count1_check(n, d, 2.0, q)) for d in degrees]
+
+    def scan():
+        return [_bits(v) for v in count1_checks(n, degrees, 2.0, q)]
+
+    norms._exact_rules.cache_clear()
+    scan_first = (scan(), scan(), cells())
+    norms._exact_rules.cache_clear()
+    cells_first = (cells(), cells(), scan())
+    assert scan_first[0] == scan_first[1] == cells_first[2]
+    assert cells_first[0] == cells_first[1] == scan_first[2]
+
+
+def test_sufficiency_cells_build_each_exact_rule_once(monkeypatch):
+    # the 60 (2, 4) cells of S^2 and S^3 at d <= 30, one count1_check each,
+    # need the rules of 8, 16, 24 and 32 positive nodes on each sphere
+    calls = []
+    build = specfun._gegenbauer_rules
+
+    def recording_build(lam, sizes):
+        calls.append((lam, tuple(sizes)))
+        return build(lam, sizes)
+
+    monkeypatch.setattr(specfun, "_gegenbauer_rules", recording_build)
+    norms._exact_rules.cache_clear()
+    for n in (2, 3):
+        for d in range(1, 31):
+            count1_check(n, d, 2.0, 4.0)
+    assert calls == [(lam, (k,)) for lam in (0.5, 1.0) for k in (8, 16, 24, 32)]
 
 
 def test_count1_checks_keeps_the_order_and_repeats_of_its_degrees():

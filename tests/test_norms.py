@@ -519,6 +519,34 @@ def test_jacobi_rule_cache_is_bounded():
     assert _jacobi_log_rule.cache_info().currsize <= limit
 
 
+def test_exact_rule_cache_is_bounded():
+    limit = norms._exact_rules.cache_info().maxsize
+    assert limit == 256
+    for n in range(2, limit + 10):
+        norm_ratio_sphere(SphereParams(n), 1, 2.0, 4.0)
+    assert norms._exact_rules.cache_info().currsize <= limit
+
+
+def test_cached_exact_rules_reject_writes():
+    for array in norms._exact_rules(1.0, (16, 8)):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("d", [-1, -2, 2.5, 2.0, np.float64(3.0)])
+@pytest.mark.parametrize("p,q", [(2.0, 4.0), (1.5, 3.0), (3.0, 3.0)])
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_a_bad_degree_is_refused_on_every_sphere_and_pair_and_builds_no_rule(n, p, q, d):
+    # a float degree is refused even when it is integral, as by count1_check
+    norms._exact_rules.cache_clear()
+    with pytest.raises(ValueError, match="degree"):
+        norm_ratio_sphere(SphereParams(n), d, p, q)
+    with pytest.raises(ValueError, match="degree"):
+        sphere_lp_norm(SphereParams(n), d, p)
+    assert norms._exact_rules.cache_info().currsize == 0
+    assert norm_ratio_sphere(SphereParams(n), np.int64(2), p, q) == norm_ratio_sphere(SphereParams(n), 2, p, q)
+
+
 @pytest.mark.parametrize("n,d", [(2, 58), (13, 74), (13, 100), (2, 100)])
 def test_quartic_norm_past_float_overflow(n, d):
     # |G_d|^4 overflows a float here; the log-space sum must not
