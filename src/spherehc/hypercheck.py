@@ -56,6 +56,12 @@ RHS_SQRT_EIGENVALUE = "sqrt-eigenvalue"
 _ZONAL_SCAN_NOTE = (
     "upper bound for n0 restricted to zonal Gegenbauer witnesses Y_d"
 )
+# the least work, in nodes (``counterexample_scan``), for which a scan starts
+# worker processes; below it the scan runs in process, which is faster there.
+# At (1.5, 3) on n 2..13 one process and 2 workers were level at 138,240
+# nodes (d <= 20), and 2 workers won from 208,512 (d <= 25) on a 2-CPU VM
+# (README "Even exponents")
+_POOL_MIN_NODES = 150_000
 
 
 class NonnegativityError(ValueError):
@@ -501,18 +507,25 @@ def counterexample_scan(
     rule pass whose 40 degrees share 6 rules (``norms._rule_size``), and at
     other pairs one root pass integrated in batches.
     Cells are merged by key so the report is deterministic regardless of the
-    worker count.  At most min(jobs, tasks, CPU count) workers start, and
-    none when that is 1.  Inconclusive cells are reported as such, never
-    counted as failures.
+    worker count.  Workers start only when the grid's work reaches
+    ``_POOL_MIN_NODES`` nodes: a cell counts its exact rule's K positive
+    nodes, or on the root split its first-round nodes, 96 (d // 2 + 1).
+    Then min(jobs, tasks, CPU count) of them start, and none when that is 1;
+    below it the scan runs in process (the (2, 4) grid above counts 11,916
+    nodes, the (1.5, 3) one 506,880).  Inconclusive cells are reported as
+    such, never counted as failures.
     """
     ExponentPair(p, q)
     if not q > max(2.0, p):
         raise ValueError(f"counterexample scan needs q > max(2, p), got ({p}, {q})")
-    cells = sorted((_integer("n", n, 2), _integer("d", d, 1)) for n in n_range for d in d_range)
-    runs = norms._degree_batches((d for _, d in cells), lambda d: d // 2)
-    tasks = [(n, run, p, q, tol) for n in sorted({n for n, _ in cells}) for run in runs]
+    ns = sorted({_integer("n", n, 2) for n in n_range})
+    ds = sorted({_integer("d", d, 1) for d in d_range})
+    cells = list(itertools.product(ns, ds))
+    runs = norms._degree_batches(ds, lambda d: d // 2)
+    tasks = [(n, run, p, q, tol) for n in ns for run in runs]
+    nodes = len(ns) * sum(norms._rule_size(p, q, d) or norms._first_round_nodes(d) for d in ds)
     # with fork the pool starts all its workers at once: none past the CPUs or tasks
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1) if nodes >= _POOL_MIN_NODES else 1
     if workers > 1:
         # imported here: multiprocessing costs every import of the package 12-24 ms
         from concurrent.futures import ProcessPoolExecutor

@@ -6,7 +6,7 @@ zonal |u|^p integral, of Y_d or of a series, takes one path
 (``_zonal_integrals``): log|u| from the plain Gegenbauer recurrence, whose
 rescale shift keeps it finite past the float range, split at u's roots.  A
 sphere ratio ||Y_d||_q / ||Y_d||_p with both exponents even takes an exact
-Gauss-Gegenbauer rule instead (``_rule_means``), up to ``_RULE_NODES``
+Gauss-Gegenbauer rule instead (``_rule_log_means``), up to ``_RULE_NODES``
 positive nodes: |C_d|^q is then a polynomial, so it needs no roots, no
 16/32 gap and no bisection.  Rule sizes are rounded up to a ladder of
 multiples of ``_RULE_STEP`` (``_rule_size``), so the degrees of a sphere
@@ -44,7 +44,7 @@ __all__ = [
 CLOSED_FORM = "closed-form"
 GAUSS_GEGENBAUER = "gauss-gegenbauer"
 
-# the most positive nodes of an exact rule (``_rule_means``): d <= 40 at
+# the most positive nodes of an exact rule (``_rule_log_means``): d <= 40 at
 # q = 4, 27 at q = 6 and 20 at q = 8.  A k x k Jacobi matrix stays well
 # below the size (about 64) from which eigvalsh runs OpenBLAS threads that
 # oversubscribe a scan's worker processes.
@@ -70,13 +70,15 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SphereParams:
-    """The n-sphere S^n in R^(n+1); zonal profiles live on [-1, 1] with lam = (n-1)/2."""
+    """The n-sphere S^n in R^(n+1); zonal profiles live on [-1, 1] with lam = (n-1)/2.
+
+    ``n`` must be an integer of at least 1 (a numpy integer too), stored as an int.
+    """
 
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"sphere dimension must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _integer("sphere dimension n", self.n, 1))
 
     @property
     def lam(self) -> float:
@@ -152,11 +154,23 @@ def _zonal_integrals(lam: float, degrees, coeffs, root_lists, exponents, tol: fl
 
 def _norm_from_integral(res: NormValue, p: float) -> NormValue:
     if not math.isfinite(res.log_value):
-        raise ArithmeticError(f"norm integral has log {res.log_value}, not a finite number")
-    log_norm = res.log_value / p
+        raise _non_finite(res.log_value)
+    return NormValue(*_log_norm(res.log_value, res.error_estimate, p), res.method, res.converged, res.panels)
+
+
+def _non_finite(log_integral: float) -> ArithmeticError:
+    return ArithmeticError(f"norm integral has log {log_integral}, not a finite number")
+
+
+def _log_norm(log_integral, rel, p: float):
+    """log ||f||_p and its band from the log of the integral of |f|^p (finite) and its band.
+
+    Floats or arrays alike, elementwise, so a norm reads the same float on
+    either.
+    """
+    log_norm = log_integral / p
     # the integral's error, and the rounding of the division by p
-    rel = res.error_estimate / p + _EPS * abs(log_norm)
-    return NormValue(log_norm, rel, res.method, res.converged, res.panels)
+    return log_norm, rel / p + _EPS * abs(log_norm)
 
 
 def sphere_lp_norm(params: SphereParams, d: int, p: float, tol: float = 1e-12) -> NormValue:
@@ -203,7 +217,7 @@ def sphere_l2_norm_closed(params: SphereParams, d: int) -> NormValue:
 
     Note the returned value is the norm itself; square it to compare with the
     familiar identity.  d = 0 is rejected (the formula has d in a denominator;
-    the degree-0 norm is 1 by convention).
+    the degree-0 norm is 1 by convention), and so is a non-integer d.
 
     For integer n, 1 / (d B(n-1, d)) = prod_{j=1}^{n-2} (1 + d/j) = prod_{i=1}^{d}
     (1 + (n-2)/i), so the log norm is a sum of min(n - 2, d) log1p terms; a
@@ -215,8 +229,7 @@ def sphere_l2_norm_closed(params: SphereParams, d: int) -> NormValue:
     n = params.n
     if n < 2:
         raise ValueError(f"closed form needs n >= 2, got {n}")
-    if d < 1:
-        raise ValueError("closed form needs d >= 1 (degree-0 norm is 1 by convention)")
+    d = _integer("degree", d, 1)
     short, long = sorted((n - 2, d))
     ratios = [long / j for j in range(1, short + 1)]
     terms = [math.log(n - 1.0), -math.log(2.0 * d + n - 1.0), *map(math.log1p, ratios)]
@@ -237,8 +250,7 @@ def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
     """
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
+    d = _integer("degree", d, 0)
     if d == 0:
         return _ONE
     return _norm_from_integral(_gaussian_integrals(d, (p,), tol)[0], p)
@@ -281,13 +293,21 @@ def _gaussian_integrals(d: int, exponents, tol: float) -> list[NormValue]:
 
 
 def _ratio(nq: NormValue, np_: NormValue) -> NormValue:
-    log_ratio = nq.log_value - np_.log_value
-    band = nq.error_estimate + np_.error_estimate
+    log_ratio, band, lyapunov = _log_ratio(nq.log_value, nq.error_estimate, np_.log_value, np_.error_estimate)
     method = nq.method if nq.method == np_.method else ADAPTIVE
-    # under a probability measure q >= p gives ||f||_q >= ||f||_p (Lyapunov),
-    # so a ratio below 1 past its band comes from a wrong norm
-    converged = nq.converged and np_.converged and log_ratio >= -band
+    converged = nq.converged and np_.converged and lyapunov
     return NormValue(log_ratio, band, method, converged, nq.panels + np_.panels)
+
+
+def _log_ratio(log_q, rel_q, log_p, rel_p):
+    """log(||f||_q / ||f||_p) (q >= p), its band, and whether it is at least -band; floats or arrays alike.
+
+    Under a probability measure q >= p gives ||f||_q >= ||f||_p (Lyapunov),
+    so a ratio below 1 past its band comes from a wrong norm.
+    """
+    log_ratio = log_q - log_p
+    band = rel_q + rel_p
+    return log_ratio, band, log_ratio >= -band
 
 
 def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:
@@ -329,7 +349,7 @@ def _rule_size(p: float, q: float, d: int) -> int | None:
 def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> dict[int, NormValue]:
     """||Y_d||_q / ||Y_d||_p (p < q) for each distinct d in ``degrees`` (each >= 1), by degree.
 
-    Where ``_rule_size`` gives a rule, the degrees share one ``_rule_means``
+    Where ``_rule_size`` gives a rule, the degrees share one ``_rule_ratios``
     pass.  The others go highest first in root runs of at most
     ``_BATCH_NODES`` Newton points (d // 2 a degree, so d <= 128 is one
     run), each polished in one ``specfun._gegenbauer_roots`` pass whose roots
@@ -345,20 +365,43 @@ def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> dict[
     """
     sizes = {d: _rule_size(p, q, d) for d in sorted(set(degrees), reverse=True)}
     exact = [d for d, k in sizes.items() if k is not None]
-    integrals = dict(zip(exact, _rule_means(lam, exact, [sizes[d] for d in exact], (q, p)))) if exact else {}
+    ratios = _rule_ratios(lam, exact, [sizes[d] for d in exact], p, q) if exact else {}
     for run in _degree_batches([d for d, k in sizes.items() if k is None], lambda d: d // 2):
         roots = dict(zip(run, specfun._gegenbauer_roots(lam, run)))
         for batch in _degree_batches(run):
-            integrals.update(zip(batch, _zonal_integrals(lam, batch, None, [roots[d] for d in batch], (q, p), tol)))
-    return {d: _ratio(*map(_norm_from_integral, pair, (q, p))) for d, pair in integrals.items()}
+            for d, pair in zip(batch, _zonal_integrals(lam, batch, None, [roots[d] for d in batch], (q, p), tol)):
+                ratios[d] = _ratio(*map(_norm_from_integral, pair, (q, p)))
+    return ratios
 
 
-def _degree_batches(degrees, size=lambda d: 96 * (d // 2 + 1)) -> list[list[int]]:
+def _rule_ratios(lam: float, degrees, sizes, p: float, q: float) -> dict[int, NormValue]:
+    """``_ratio`` of the ``_norm_from_integral``s of each degree's ``_rule_means``, by degree, on whole arrays.
+
+    The same elementwise float operations (``_log_norm``, ``_log_ratio``)
+    and the same ArithmeticError for a mean that is not finite, so every
+    ratio is bitwise the one those scalar steps give; only the last step
+    makes NormValues.  Both norms are GAUSS_GEGENBAUER and converged, one
+    panel each.
+    """
+    (log_q, rel_q), (log_p, rel_p) = _rule_log_means(lam, degrees, sizes, (q, p))
+    for log_mean in (log_q, log_p):
+        if not np.isfinite(log_mean).all():
+            raise _non_finite(log_mean[~np.isfinite(log_mean)][0])
+    log_ratio, band, lyapunov = _log_ratio(*_log_norm(log_q, rel_q, q), *_log_norm(log_p, rel_p, p))
+    rows = zip(degrees, log_ratio.tolist(), band.tolist(), lyapunov.tolist())
+    return {d: NormValue(r, b, GAUSS_GEGENBAUER, ok, 2) for d, r, b, ok in rows}
+
+
+def _first_round_nodes(d: int) -> int:
+    """The first-round nodes of a root-split ratio of degree d: 2 exponents x 48 nodes x (d // 2 + 1) panels."""
+    return 96 * (d // 2 + 1)
+
+
+def _degree_batches(degrees, size=_first_round_nodes) -> list[list[int]]:
     """The distinct degrees, highest first, cut into runs whose ``size(d)`` sum to at most ``_BATCH_NODES``.
 
     A degree whose size alone is more is a run of its own.  The default size
-    is a degree's first-round nodes: 2 exponents x 48 nodes x (d // 2 + 1)
-    panels.
+    is a degree's first-round nodes (``_first_round_nodes``).
     """
     batches, total = [], 0
     for d in sorted(set(degrees), reverse=True):
@@ -371,8 +414,21 @@ def _degree_batches(degrees, size=lambda d: 96 * (d // 2 + 1)) -> list[list[int]
 
 
 def _rule_means(lam: float, degrees, sizes, exponents) -> list[list[NormValue]]:
-    """The mean of |C_d|^e against c_lam (1 - t^2)^(lam - 1/2) dt for each d in ``degrees`` (descending)
-    and e in ``exponents`` (even), each d by its exact rule of sizes[i] positive nodes.
+    """``_rule_log_means`` as one NormValue per degree and exponent, in the root split's form.
+
+    ``method`` is GAUSS_GEGENBAUER and ``panels`` 1 a mean.
+    """
+    by_exponent = []
+    for log_mean, rel in _rule_log_means(lam, degrees, sizes, exponents):
+        pairs = zip(log_mean.tolist(), rel.tolist())
+        by_exponent.append([NormValue(*pair, GAUSS_GEGENBAUER, True, 1) for pair in pairs])
+    return [list(row) for row in zip(*by_exponent)]
+
+
+def _rule_log_means(lam: float, degrees, sizes, exponents) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The log mean of |C_d|^e against c_lam (1 - t^2)^(lam - 1/2) dt, and its band, for each e in
+    ``exponents`` (even): arrays over the d in ``degrees`` (descending), each d by its exact rule of
+    sizes[i] positive nodes.
 
     The distinct sizes' rules come from one ``specfun._gegenbauer_rules``
     pass, cached per process by the sphere and those sizes
@@ -381,25 +437,22 @@ def _rule_means(lam: float, degrees, sizes, exponents) -> list[list[NormValue]]:
     pass, so a degree's means are bitwise its own call's wherever those
     passes rescale at the same steps.  |C_d|^e is even, so the k positive
     nodes, with weights summing to 1, give its mean exactly up to rounding:
-    the log-sum of e log|C_d| + log w.  The relative ``error_estimate`` of
-    each mean is 4 eps times the summands' log size, |e log|C_d|| + |log w|
-    weighted by each summand's share, plus ``_RULE_FLOOR`` e (d + 1) eps for
-    the recurrences of the rule and of C_d.  ``method`` is GAUSS_GEGENBAUER
-    and ``panels`` 1 a mean.
+    the log-sum of e log|C_d| + log w.  The relative band of each mean is
+    4 eps times the summands' log size, |e log|C_d|| + |log w| weighted by
+    each summand's share, plus ``_RULE_FLOOR`` e (d + 1) eps for the
+    recurrences of the rule and of C_d.
     """
     rules = sorted(set(sizes), reverse=True)
     starts = dict(zip(rules, np.cumsum([0, *rules[:-1]]).tolist()))
     take = np.concatenate([np.arange(starts[k], starts[k] + k) for k in sizes])
     nodes, log_w = (x[take] for x in _exact_rules(lam, tuple(rules)))
     log_abs = specfun._log_abs(specfun._gegenbauer_ab(lam, degrees[0]), nodes, blocks=list(zip(degrees, sizes)))[1]
-    by_exponent = []
+    out = []
     for e in exponents:
         terms = e * log_abs
         log_mean, size = specfun._block_log_sum_exp(terms + log_w, sizes, np.abs(terms) + np.abs(log_w))
-        rel = 4.0 * _EPS * size + _RULE_FLOOR * e * (np.array(degrees) + 1.0) * _EPS
-        pairs = zip(log_mean.tolist(), rel.tolist())
-        by_exponent.append([NormValue(*pair, GAUSS_GEGENBAUER, True, 1) for pair in pairs])
-    return [list(row) for row in zip(*by_exponent)]
+        out.append((log_mean, 4.0 * _EPS * size + _RULE_FLOOR * e * (np.array(degrees) + 1.0) * _EPS))
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -419,9 +472,10 @@ def _exact_rules(lam: float, rules: tuple[int, ...]) -> tuple[np.ndarray, np.nda
 
 
 def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:
-    """||h_d||_q / ||h_d||_p under the standard Gaussian measure."""
+    """||h_d||_q / ||h_d||_p under the standard Gaussian measure; ``d`` is checked first, on every pair."""
     if not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
+    d = _integer("degree", d, 0)
     if d == 0 or p == q:
         return _ONE
     return _ratio(*map(_norm_from_integral, _gaussian_integrals(d, (q, p), tol), (q, p)))

@@ -381,7 +381,7 @@ def _gegenbauer_rules(lam: float, sizes) -> tuple[np.ndarray, np.ndarray]:
     """The k positive nodes, ascending, and log weights of the 2k-point Gauss-Gegenbauer rule
     for each k in ``sizes`` (descending, each >= 1), concatenated in that order.
 
-    ``norms._rule_means`` passes the distinct sizes of its call once, one
+    ``norms._rule_log_means`` passes the distinct sizes of its call once, one
     eigvalsh and one block of the recurrence each, and the degrees of a size
     share its rule.  It calls through a per-process cache keyed by the
     sphere and those sizes (``norms._exact_rules``), so a repeated key

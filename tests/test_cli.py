@@ -512,7 +512,9 @@ def test_out_writes_file(tmp_path, capsys):
 
 # --------------------------------------------------------------- determinism
 
-def test_scan_csv_is_deterministic_across_jobs(tmp_path, capsys):
+def test_scan_csv_is_deterministic_across_jobs(tmp_path, capsys, monkeypatch):
+    # a real pool at --jobs 2, started on any work
+    monkeypatch.setattr(hypercheck, "_POOL_MIN_NODES", 0)
     paths = []
     for i, jobs in enumerate((1, 2)):
         path = tmp_path / f"scan{i}.csv"

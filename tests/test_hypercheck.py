@@ -828,7 +828,9 @@ def test_scan_requires_supercritical_q():
         counterexample_scan(1.5, 1.8, (4,), (1,))
 
 
-def test_scan_parallel_matches_serial():
+def test_scan_parallel_matches_serial(monkeypatch):
+    # a real pool, started on any work
+    monkeypatch.setattr(hypercheck, "_POOL_MIN_NODES", 0)
     serial = counterexample_scan(2, 4, range(10, 14), range(5, 9), jobs=1)
     parallel = counterexample_scan(2, 4, range(10, 14), range(5, 9), jobs=2)
     assert list(serial.grid) == list(parallel.grid)
@@ -884,6 +886,8 @@ def fake_pool(monkeypatch):
 
 @pytest.mark.parametrize("cpus,workers", [(None, None), (1, None), (2, 2), (8, 3)])
 def test_scan_starts_no_more_workers_than_cpus_or_cells(monkeypatch, fake_pool, cpus, workers):
+    # a pool started on any work
+    monkeypatch.setattr(hypercheck, "_POOL_MIN_NODES", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     report = counterexample_scan(2, 4, [2, 3, 4], [1], jobs=10**6)
     assert fake_pool == ([] if workers is None else [workers])
@@ -897,6 +901,37 @@ def test_one_sphere_scan_is_one_task_and_starts_no_pool(monkeypatch, fake_pool):
     assert fake_pool == []
     assert list(report.grid) == [(13, d) for d in range(1, 41)]
     assert [_bits(v) for v in report.grid.values()] == [_bits(count1_check(13, d, 2, 4)) for d in range(1, 41)]
+
+
+def test_the_paper_scan_runs_in_process_below_the_pool_threshold(monkeypatch, fake_pool):
+    # the (2, 4) grid n <= 13, d <= 40 is 12 tasks but only 11,916 rule nodes
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = counterexample_scan(2, 4, range(2, 14), range(1, 41), jobs=2)
+    assert fake_pool == []
+    assert report.first_failure == (13, 7)
+    assert len(report.grid) == 480
+
+
+@pytest.mark.parametrize("q,nodes", [(4, 3 * 8), (3, 3 * 96)])
+def test_a_scan_at_the_pool_threshold_starts_the_pool(monkeypatch, fake_pool, q, nodes):
+    # 3 cells of 8 rule nodes (d = 1 at q = 4) or of 96 first-round nodes (q = 3):
+    # a threshold of exactly that work starts min(jobs, tasks, CPUs) = 2
+    # workers, and one node more starts none
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for threshold, started in ((nodes, [2]), (nodes + 1, [])):
+        fake_pool.clear()
+        monkeypatch.setattr(hypercheck, "_POOL_MIN_NODES", threshold)
+        report = counterexample_scan(2, q, [2, 3, 4], [1], jobs=2)
+        assert fake_pool == started
+        assert report.grid == counterexample_scan(2, q, [2, 3, 4], [1]).grid
+
+
+def test_a_root_split_scan_of_the_paper_grid_starts_the_pool(monkeypatch, fake_pool):
+    # (1.5, 3) on n <= 13, d <= 40 counts 506,880 first-round nodes, where 2
+    # workers beat one process
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    counterexample_scan(1.5, 3, range(2, 14), range(1, 41), jobs=2)
+    assert fake_pool == [2]
 
 
 def test_count1_and_the_scan_take_integer_dimensions_and_degrees():

@@ -547,6 +547,88 @@ def test_a_bad_degree_is_refused_on_every_sphere_and_pair_and_builds_no_rule(n, 
     assert norm_ratio_sphere(SphereParams(n), np.int64(2), p, q) == norm_ratio_sphere(SphereParams(n), 2, p, q)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0), "3", 0, -2])
+def test_a_bad_sphere_dimension_is_refused_and_builds_no_rule(n):
+    # the dimension of S^n is an integer, as count1_check requires
+    norms._exact_rules.cache_clear()
+    with pytest.raises(ValueError, match="dimension"):
+        norm_ratio_sphere(SphereParams(n), 3, 2, 4)
+    assert norms._exact_rules.cache_info().currsize == 0
+
+
+def test_a_numpy_integer_sphere_dimension_is_stored_as_an_int():
+    params = SphereParams(np.int64(5))
+    assert type(params.n) is int and params == SphereParams(5)
+    assert norm_ratio_sphere(params, 3, 2, 4) == norm_ratio_sphere(SphereParams(5), 3, 2, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gaussian_lp_norm(2.5, 2),
+    lambda: gaussian_lp_norm(-1, 2),
+    lambda: gaussian_lp_norm(2.0, 2),
+    lambda: norm_ratio_gaussian(2.5, 2, 4),
+    lambda: norm_ratio_gaussian(-1, 2, 2),
+    lambda: norm_ratio_gaussian(-1, 2, 4),
+    lambda: sphere_l2_norm_closed(SphereParams(3), 2.5),
+    lambda: sphere_l2_norm_closed(SphereParams(3), 0),
+    lambda: sphere_l2_norm_closed(SphereParams(3), -1),
+])
+def test_gaussian_and_closed_form_norms_refuse_a_bad_degree(call):
+    with pytest.raises(ValueError, match="degree"):
+        call()
+
+
+def test_gaussian_and_closed_form_norms_take_numpy_integer_degrees():
+    assert gaussian_lp_norm(np.int32(3), 4.0) == gaussian_lp_norm(3, 4.0)
+    assert norm_ratio_gaussian(np.int64(3), 2, 4) == norm_ratio_gaussian(3, 2, 4)
+    assert sphere_l2_norm_closed(SphereParams(3), np.int64(2)) == sphere_l2_norm_closed(SphereParams(3), 2)
+
+
+def _bits(value):
+    """A NormValue's fields, each float as its hex string."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in vars(value).values())
+
+
+@pytest.mark.parametrize("q", [4.0, 8.0])
+@pytest.mark.parametrize("n", [2, 3, 13, 1000, 5 * 10**4, 10**7])
+def test_rule_ratios_on_arrays_are_bitwise_the_scalar_steps(n, q):
+    # the array assembly of _sphere_ratios against _ratio and
+    # _norm_from_integral on _rule_means, degree by degree, every field
+    degrees = [d for d in range(60, 0, -1) if norms._rule_size(2.0, q, d) is not None]
+    assert degrees == list(range(40 if q == 4 else 20, 0, -1))
+    lam = (n - 1) / 2
+    ratios = norms._sphere_ratios(lam, degrees, 2.0, q, 1e-12)
+    means = norms._rule_means(lam, degrees, [norms._rule_size(2.0, q, d) for d in degrees], (q, 2.0))
+    for d, pair in zip(degrees, means):
+        scalar = norms._ratio(*map(norms._norm_from_integral, pair, (q, 2.0)))
+        assert _bits(ratios[d]) == _bits(scalar)
+        assert ratios[d].method == GAUSS_GEGENBAUER and ratios[d].panels == 2
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_rule_mean_raises_on_arrays_as_on_scalars(monkeypatch, bad):
+    log_means = norms._rule_log_means
+
+    def spoiled(*args):
+        out = log_means(*args)
+        out[1][0][3] = bad
+        return out
+
+    monkeypatch.setattr(norms, "_rule_log_means", spoiled)
+    with pytest.raises(ArithmeticError, match="not a finite number"):
+        norms._sphere_ratios(1.0, range(1, 11), 2.0, 4.0, 1e-12)
+    with pytest.raises(ArithmeticError, match="not a finite number"):
+        norms._norm_from_integral(norms.NormValue(bad, 0.0, GAUSS_GEGENBAUER), 2.0)
+
+
+def test_lyapunov_flag_is_the_same_on_arrays_and_scalars():
+    # a ratio below 1 past its band is not converged, one just inside it is
+    log_q, log_p, rel = np.array([-1e-3, -1e-13, 0.0]), np.zeros(3), np.full(3, 1e-13)
+    flags = norms._log_ratio(log_q, rel, log_p, rel)[2].tolist()
+    assert flags == [norms._log_ratio(*map(float, row))[2] for row in zip(log_q, rel, log_p, rel)]
+    assert flags == [False, True, True]
+
+
 @pytest.mark.parametrize("n,d", [(2, 58), (13, 74), (13, 100), (2, 100)])
 def test_quartic_norm_past_float_overflow(n, d):
     # |G_d|^4 overflows a float here; the log-space sum must not
