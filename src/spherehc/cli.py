@@ -385,13 +385,13 @@ def _repro_checks(args):
 
     v = hypercheck.utol1_check(13, 7, args.tol)
     yield ("explicit counterexample inequality fails at (n=13, d=7)", FAILS, v.status, v.status == FAILS)
-    # in process: its 120 cells count 1,248 rule nodes, far below
-    # hypercheck._POOL_MIN_NODES, so even a pooled call would start no pool;
-    # 12 count1_checks calls, one per n, each one exact rule pass whose rules
-    # a process builds once (norms._exact_rules), 5.8-9.3 ms cold and
-    # 2.8-4.3 ms warm, against 14-18 ms on a 2-worker pool (medians of 30
-    # calls, 2-CPU VM); the (13, 7) row and the shadow's cells with d <= 10
-    # read its grid
+    # in process: its 120 cells count 1,248 rule nodes, 4,992 nodes of work,
+    # far below hypercheck._POOL_MIN_NODES, so even a pooled call would
+    # start no pool; 12 count1_checks calls, one per n, each one exact rule
+    # pass whose rules a process builds once (norms._exact_rules), 5.8-9.3 ms
+    # cold and 2.8-4.3 ms warm, against 14-18 ms on a 2-worker pool (medians
+    # of 30 calls, 2-CPU VM); the (13, 7) row and the shadow's cells with
+    # d <= 10 read its grid
     report = hypercheck.counterexample_scan(2, 4, range(2, 14), range(1, 11), tol=args.tol)
     v = report.grid[(13, 7)]
     yield ("norm-ratio bound fails at (n=13, d=7), p=2, q=4", FAILS, v.status, v.status == FAILS)

@@ -56,12 +56,18 @@ RHS_SQRT_EIGENVALUE = "sqrt-eigenvalue"
 _ZONAL_SCAN_NOTE = (
     "upper bound for n0 restricted to zonal Gegenbauer witnesses Y_d"
 )
-# the least work, in nodes (``counterexample_scan``), for which a scan starts
-# worker processes; below it the scan runs in process, which is faster there.
-# At (1.5, 3) on n 2..13 one process and 2 workers were level at 138,240
-# nodes (d <= 20), and 2 workers won from 208,512 (d <= 25) on a 2-CPU VM
-# (README "Even exponents")
+# the least work, in first-round nodes (``counterexample_scan``), for which a
+# scan starts worker processes; below it the scan runs in process, which is
+# faster there.  At (1.5, 3) on n 2..13 one process and 2 workers were level
+# at 138,240 nodes (d <= 20), and 2 workers won from 208,512 (d <= 25) on a
+# 2-CPU VM (README "Even exponents")
 _POOL_MIN_NODES = 150_000
+# what one positive node of an exact rule counts in that work: in process a
+# rule node costs about 5 first-round nodes, and 2 workers speed a rule grid
+# up less.  At (2, 4) on d 1..40 one process and 2 workers were level at
+# 28,797 rule nodes (n 2..30) and 2 workers won from 38,727 (n 2..40), so
+# the pool starts from 37,500 rule nodes
+_RULE_NODE_WEIGHT = 4
 
 
 class NonnegativityError(ValueError):
@@ -508,12 +514,12 @@ def counterexample_scan(
     other pairs one root pass integrated in batches.
     Cells are merged by key so the report is deterministic regardless of the
     worker count.  Workers start only when the grid's work reaches
-    ``_POOL_MIN_NODES`` nodes: a cell counts its exact rule's K positive
-    nodes, or on the root split its first-round nodes, 96 (d // 2 + 1).
-    Then min(jobs, tasks, CPU count) of them start, and none when that is 1;
-    below it the scan runs in process (the (2, 4) grid above counts 11,916
-    nodes, the (1.5, 3) one 506,880).  Inconclusive cells are reported as
-    such, never counted as failures.
+    ``_POOL_MIN_NODES`` nodes: a cell counts ``_RULE_NODE_WEIGHT`` times its
+    exact rule's K positive nodes, or on the root split its first-round
+    nodes, 96 (d // 2 + 1).  Then min(jobs, tasks, CPU count) of them start,
+    and none when that is 1; below it the scan runs in process (the (2, 4)
+    grid above counts 4 x 11,916 = 47,664 nodes, the (1.5, 3) one 506,880).
+    Inconclusive cells are reported as such, never counted as failures.
     """
     ExponentPair(p, q)
     if not q > max(2.0, p):
@@ -523,7 +529,8 @@ def counterexample_scan(
     cells = list(itertools.product(ns, ds))
     runs = norms._degree_batches(ds, lambda d: d // 2)
     tasks = [(n, run, p, q, tol) for n in ns for run in runs]
-    nodes = len(ns) * sum(norms._rule_size(p, q, d) or norms._first_round_nodes(d) for d in ds)
+    sizes = [norms._rule_size(p, q, d) for d in ds]
+    nodes = len(ns) * sum(_RULE_NODE_WEIGHT * k if k else norms._first_round_nodes(d) for d, k in zip(ds, sizes))
     # with fork the pool starts all its workers at once: none past the CPUs or tasks
     workers = min(jobs, len(tasks), os.cpu_count() or 1) if nodes >= _POOL_MIN_NODES else 1
     if workers > 1:

@@ -375,13 +375,13 @@ def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> dict[
 
 
 def _rule_ratios(lam: float, degrees, sizes, p: float, q: float) -> dict[int, NormValue]:
-    """``_ratio`` of the ``_norm_from_integral``s of each degree's ``_rule_means``, by degree, on whole arrays.
+    """``_ratio`` of the ``_norm_from_integral``s of each degree's ``_rule_log_means``, by degree, on whole arrays.
 
     The same elementwise float operations (``_log_norm``, ``_log_ratio``)
     and the same ArithmeticError for a mean that is not finite, so every
-    ratio is bitwise the one those scalar steps give; only the last step
-    makes NormValues.  Both norms are GAUSS_GEGENBAUER and converged, one
-    panel each.
+    ratio is bitwise the one those scalar steps give on each mean as a
+    NormValue of one panel; only the last step makes NormValues.  Both norms
+    are GAUSS_GEGENBAUER and converged, one panel each.
     """
     (log_q, rel_q), (log_p, rel_p) = _rule_log_means(lam, degrees, sizes, (q, p))
     for log_mean in (log_q, log_p):
@@ -411,18 +411,6 @@ def _degree_batches(degrees, size=_first_round_nodes) -> list[list[int]]:
         batches[-1].append(d)
         total += size(d)
     return batches
-
-
-def _rule_means(lam: float, degrees, sizes, exponents) -> list[list[NormValue]]:
-    """``_rule_log_means`` as one NormValue per degree and exponent, in the root split's form.
-
-    ``method`` is GAUSS_GEGENBAUER and ``panels`` 1 a mean.
-    """
-    by_exponent = []
-    for log_mean, rel in _rule_log_means(lam, degrees, sizes, exponents):
-        pairs = zip(log_mean.tolist(), rel.tolist())
-        by_exponent.append([NormValue(*pair, GAUSS_GEGENBAUER, True, 1) for pair in pairs])
-    return [list(row) for row in zip(*by_exponent)]
 
 
 def _rule_log_means(lam: float, degrees, sizes, exponents) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -904,7 +904,8 @@ def test_one_sphere_scan_is_one_task_and_starts_no_pool(monkeypatch, fake_pool):
 
 
 def test_the_paper_scan_runs_in_process_below_the_pool_threshold(monkeypatch, fake_pool):
-    # the (2, 4) grid n <= 13, d <= 40 is 12 tasks but only 11,916 rule nodes
+    # the (2, 4) grid n <= 13, d <= 40 is 12 tasks but only 11,916 rule
+    # nodes, 47,664 nodes of work
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     report = counterexample_scan(2, 4, range(2, 14), range(1, 41), jobs=2)
     assert fake_pool == []
@@ -912,11 +913,11 @@ def test_the_paper_scan_runs_in_process_below_the_pool_threshold(monkeypatch, fa
     assert len(report.grid) == 480
 
 
-@pytest.mark.parametrize("q,nodes", [(4, 3 * 8), (3, 3 * 96)])
+@pytest.mark.parametrize("q,nodes", [(4, 3 * 8 * hypercheck._RULE_NODE_WEIGHT), (3, 3 * 96)])
 def test_a_scan_at_the_pool_threshold_starts_the_pool(monkeypatch, fake_pool, q, nodes):
-    # 3 cells of 8 rule nodes (d = 1 at q = 4) or of 96 first-round nodes (q = 3):
-    # a threshold of exactly that work starts min(jobs, tasks, CPUs) = 2
-    # workers, and one node more starts none
+    # 3 cells of 8 weighted rule nodes (d = 1 at q = 4) or of 96 first-round
+    # nodes (q = 3): a threshold of exactly that work starts
+    # min(jobs, tasks, CPUs) = 2 workers, and one node more starts none
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     for threshold, started in ((nodes, [2]), (nodes + 1, [])):
         fake_pool.clear()
@@ -926,12 +927,15 @@ def test_a_scan_at_the_pool_threshold_starts_the_pool(monkeypatch, fake_pool, q,
         assert report.grid == counterexample_scan(2, q, [2, 3, 4], [1]).grid
 
 
-def test_a_root_split_scan_of_the_paper_grid_starts_the_pool(monkeypatch, fake_pool):
-    # (1.5, 3) on n <= 13, d <= 40 counts 506,880 first-round nodes, where 2
-    # workers beat one process
+@pytest.mark.parametrize("p,q,n_max,started", [(1.5, 3, 13, [2]), (2, 4, 30, []), (2, 4, 60, [2])])
+def test_a_scan_starts_the_pool_from_its_measured_break_even(monkeypatch, fake_pool, p, q, n_max, started):
+    # on d <= 40: (1.5, 3) on n <= 13 counts 506,880 first-round nodes, where
+    # 2 workers beat one process; at (2, 4) n 2..30 (28,797 rule nodes) is
+    # level in process and on 2 workers, so it stays in process, and n 2..60
+    # (58,587), where 2 workers win, starts them
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    counterexample_scan(1.5, 3, range(2, 14), range(1, 41), jobs=2)
-    assert fake_pool == [2]
+    counterexample_scan(p, q, range(2, n_max + 1), range(1, 41), jobs=2)
+    assert fake_pool == started
 
 
 def test_count1_and_the_scan_take_integer_dimensions_and_degrees():

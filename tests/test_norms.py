@@ -13,6 +13,7 @@ from spherehc import cli, hypercheck, norms, specfun
 from spherehc.norms import (
     CLOSED_FORM,
     GAUSS_GEGENBAUER,
+    NormValue,
     SphereParams,
     gaussian_lp_norm,
     norm_ratio_gaussian,
@@ -38,6 +39,15 @@ from oracles import (
 def _log_exact(n: int, d: int, p: int) -> float:
     """log of the exact zonal_power_integral value, the normalized integral of |C_d|^p."""
     return log_fraction(sphere_power_integral_exact(Fraction(n - 1, 2), d, p))
+
+
+def _rule_means(lam, degrees, sizes, exponents):
+    """``norms._rule_log_means`` as one NormValue per degree and exponent, in the root split's form."""
+    by_exponent = [
+        [NormValue(*pair, GAUSS_GEGENBAUER, True, 1) for pair in zip(log_mean.tolist(), rel.tolist())]
+        for log_mean, rel in norms._rule_log_means(lam, degrees, sizes, exponents)
+    ]
+    return [list(row) for row in zip(*by_exponent)]
 
 
 def test_degree_zero_norm_is_one():
@@ -260,7 +270,7 @@ def test_padded_rule_is_within_band_of_the_exact_value(n, q, d):
     assert size == needed + 7
     exact = {e: _log_exact(n, d, e) for e in (q, 2)}
     for k in (size, needed):
-        means = norms._rule_means((n - 1) / 2, [d], [k], (float(q), 2.0))[0]
+        means = _rule_means((n - 1) / 2, [d], [k], (float(q), 2.0))[0]
         for e, mean in zip((q, 2), means):
             assert abs(mean.log_value - exact[e]) <= mean.error_estimate
     ratio = norm_ratio_sphere(SphereParams(n), d, 2.0, float(q))
@@ -502,7 +512,7 @@ def test_one_pass_ratio_matches_two_norms(n, d, p, q):
     if size is None:
         nq, np_ = split_q, split_p
     else:
-        means = norms._rule_means((n - 1) / 2, [d], [size], (q, p))[0]
+        means = _rule_means((n - 1) / 2, [d], [size], (q, p))[0]
         nq, np_ = map(norms._norm_from_integral, means, (q, p))
         split_band = split_q.error_estimate + split_p.error_estimate
         assert abs(ratio.log_value - (split_q.log_value - split_p.log_value)) <= split_band
@@ -598,7 +608,7 @@ def test_rule_ratios_on_arrays_are_bitwise_the_scalar_steps(n, q):
     assert degrees == list(range(40 if q == 4 else 20, 0, -1))
     lam = (n - 1) / 2
     ratios = norms._sphere_ratios(lam, degrees, 2.0, q, 1e-12)
-    means = norms._rule_means(lam, degrees, [norms._rule_size(2.0, q, d) for d in degrees], (q, 2.0))
+    means = _rule_means(lam, degrees, [norms._rule_size(2.0, q, d) for d in degrees], (q, 2.0))
     for d, pair in zip(degrees, means):
         scalar = norms._ratio(*map(norms._norm_from_integral, pair, (q, 2.0)))
         assert _bits(ratios[d]) == _bits(scalar)
