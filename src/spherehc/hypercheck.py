@@ -17,8 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import norms, specfun
-from .norms import SphereParams, _integer
+from .norms import SphereParams
 from .quadrature import integrate_piecewise
+from .specfun import _integer
 from .verdict import FAILS, HOLDS, Verdict, rounding_allowance
 
 __all__ = [
@@ -519,11 +520,12 @@ def counterexample_scan(
     nodes, 96 (d // 2 + 1).  Then min(jobs, tasks, CPU count) of them start,
     and none when that is 1; below it the scan runs in process (the (2, 4)
     grid above counts 4 x 11,916 = 47,664 nodes, the (1.5, 3) one 506,880).
-    Inconclusive cells are reported as such, never counted as failures.
+    ``jobs`` must be an integer of at least 1 on every grid.  Inconclusive cells are reported as such, never counted as failures.
     """
     ExponentPair(p, q)
     if not q > max(2.0, p):
         raise ValueError(f"counterexample scan needs q > max(2, p), got ({p}, {q})")
+    jobs = _integer("jobs", jobs, 1)
     ns = sorted({_integer("n", n, 2) for n in n_range})
     ds = sorted({_integer("d", d, 1) for d in d_range})
     cells = list(itertools.product(ns, ds))

@@ -18,7 +18,6 @@ a call that repeats a sphere and sizes builds no rule.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from . import specfun
 from .quadrature import ADAPTIVE, NormValue, _exp, _integrate_root_lists, integrate_root_intervals
+from .specfun import _integer
 
 __all__ = [
     "CLOSED_FORM",
@@ -190,17 +190,6 @@ def sphere_lp_norm(params: SphereParams, d: int, p: float, tol: float = 1e-12) -
     if params.n == 1:
         return _circle_lp_norm(p)
     return _norm_from_integral(_zonal_integrals(params.lam, [d], None, [_roots(params.lam, d)], (p,), tol)[0][0], p)
-
-
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int (a numpy integer too); ValueError unless it is an integer of at least ``least``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"need {name} >= {least}, got {value}")
-    return value
 
 
 def _circle_lp_norm(p: float) -> NormValue:
@@ -418,7 +407,7 @@ def _rule_log_means(lam: float, degrees, sizes, exponents) -> list[tuple[np.ndar
     ``exponents`` (even): arrays over the d in ``degrees`` (descending), each d by its exact rule of
     sizes[i] positive nodes.
 
-    The distinct sizes' rules come from one ``specfun._gegenbauer_rules``
+    The distinct sizes' rules come from one ``specfun._jacobi_rules``
     pass, cached per process by the sphere and those sizes
     (``_exact_rules``), each degree takes its size's nodes and log weights
     out of it, and log|C_d| at those nodes comes from one blocked recurrence
@@ -445,15 +434,23 @@ def _rule_log_means(lam: float, degrees, sizes, exponents) -> list[tuple[np.ndar
 
 @lru_cache(maxsize=256)
 def _exact_rules(lam: float, rules: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """``specfun._gegenbauer_rules(lam, rules)``, built once per process, with read-only arrays.
+    """The k positive nodes, ascending, and log weights of the 2k-point Gauss-Gegenbauer rule
+    for each k in ``rules`` (descending), concatenated in that order, built once per process.
 
-    The key is the sphere and the distinct sizes, descending, so a cached
+    They are the positive halves of ``specfun._jacobi_rules([2k, ...],
+    lam - 1/2, lam - 1/2)``, renormalised to sum to 1: each rule sums to
+    mu0, so each half to mu0 / 2, one constant for every size.  A half
+    integrates an even polynomial of degree at most 4k - 1 exactly against
+    the probability measure c_lam (1 - t^2)^(lam - 1/2) dt.  The arrays are
+    read-only.  The key is the sphere and the distinct sizes, so a cached
     rule is the very call an uncached one makes and its floats do not depend
     on which calls ran before.  The cache holds at most 256 keys; a key of
     the ladder has at most 161 nodes (41 + 40 + 32 + 24 + 16 + 8) of 16 B,
     a node and a log weight, so the cache stays below 660 kB.
     """
-    nodes, log_w = specfun._gegenbauer_rules(lam, rules)
+    full = specfun._jacobi_rules([2 * k for k in rules], lam - 0.5, lam - 0.5)
+    nodes, log_w = (np.concatenate([rule[i][k:] for rule, k in zip(full, rules)]) for i in (0, 1))
+    log_w -= specfun._log_jacobi_mass(lam - 0.5, lam - 0.5) - math.log(2.0)
     nodes.flags.writeable = False
     log_w.flags.writeable = False
     return nodes, log_w

@@ -5,7 +5,7 @@ intervals in log space and adaptive panels in linear space.
 weight: the zonal |C_d|^p, general zonal series and the Gaussian side.  Between
 consecutive edges of (a, roots of P..., b), |P|^p behaves like a known power
 of the distance to each edge times an analytic factor, so each interval gets
-a Gauss-Jacobi rule carrying those exponents (``specfun.jacobi_rule_log``:
+a Gauss-Jacobi rule carrying those exponents (``specfun._jacobi_rules``:
 Golub-Welsch nodes, Math. Comp. 23 (1969), and log weights from the same
 recurrence pass).  The caller supplies log|P|, and the nodes are summed as a
 logsumexp of p log|P| plus the log weight, so |P|^p never has to fit in a
@@ -71,24 +71,26 @@ _LOG_GAP_CAP = 700.0
 
 
 @lru_cache(maxsize=256)
-def _jacobi_log_rule(count: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _panel_rules(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes, log weights and rule-only log weights log w - alpha log(1 - x) - beta log(1 + x)
-    of the Gauss-Jacobi rule on [-1, 1] for the weight (1 - x)^alpha (1 + x)^beta.
+    of the 16- and then the 32-node Gauss-Jacobi rule on [-1, 1] for the weight
+    (1 - x)^alpha (1 + x)^beta, one row of 48 (``_RULES``).
 
     The rule-only weights divide the rule's own weight function out, so the
     rule applies to an integrand that still carries those powers.  The powers
     are taken with log1p: log(1 - x) of a rounded 1 - x is off by eps/2, which
     alpha multiplies; at alpha = beta = 2499 that put a zonal L^2 norm about
-    4e-14 off, outside its band.  Nodes and log weights come from
-    ``specfun.jacobi_rule_log``; with alpha < beta the rule is the (beta,
-    alpha) rule mirrored, so the two share one build.  The cache holds at
-    most 256 rules.
+    4e-14 off, outside its band.  Both rules come from one
+    ``specfun._jacobi_rules`` call; with alpha < beta they are the (beta,
+    alpha) rules mirrored, so the two share one build.  The cache holds at
+    most 256 pairs.
     """
     if alpha < beta:
-        x, log_w, _ = _jacobi_log_rule(count, beta, alpha)
-        x, log_w = -x[::-1], log_w[::-1]
+        x, log_w, _ = _panel_rules(beta, alpha)
+        x, log_w = (np.concatenate([row[rule][::-1] for rule in _RULES]) for row in (-x, log_w))
     else:
-        x, log_w = specfun.jacobi_rule_log(count, float(alpha), float(beta))
+        fine, coarse = specfun._jacobi_rules((_FINE, _COARSE), float(alpha), float(beta))
+        x, log_w = (np.concatenate(pair) for pair in zip(coarse, fine))
     rest = log_w - alpha * np.log1p(-x) - beta * np.log1p(x)
     for array in (x, log_w, rest):
         array.flags.writeable = False
@@ -172,8 +174,8 @@ def _rule_rows(levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     Row i * len(levels) + j has alpha = levels[i], the exponent at the right
     edge (x = 1) of a panel, and beta = levels[j], the exponent at its left.
     """
-    rules = [[_jacobi_log_rule(count, alpha, beta) for count in (_COARSE, _FINE)] for alpha in levels for beta in levels]
-    x, rest = (np.array([np.concatenate([coarse[i], fine[i]]) for coarse, fine in rules]) for i in (0, 2))
+    rules = [_panel_rules(alpha, beta) for alpha in levels for beta in levels]
+    x, rest = (np.array([rule[i] for rule in rules]) for i in (0, 2))
     x.flags.writeable = False
     rest.flags.writeable = False
     return x, rest

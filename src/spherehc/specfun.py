@@ -24,10 +24,11 @@ matrix built from the same a_k, b_k and c_k (numpy.linalg.eigvalsh), polished
 by one guarded Newton step on that recurrence, so a family's matrix and its
 Newton step cannot disagree.  The Gegenbauer and Hermite roots are symmetric
 about 0: only the positive ones are polished, and the rest are their exact
-mirror images.  Gauss-Jacobi rules, Gauss-Legendre among them, take their
-nodes the same way and their weights, in log space, from the same pass
-(``jacobi_rule_log``), so no other library is needed; the positive half of a
-Gauss-Gegenbauer rule comes from a half-size matrix (``_gegenbauer_rules``).
+mirror images.  Every Gauss rule, Gauss-Legendre and the exact
+Gauss-Gegenbauer rules among them, comes from one builder (``_jacobi_rules``,
+with ``jacobi_rule_log`` its one-rule case): nodes the same way, a symmetric
+rule's positive half from a half-size matrix, and log weights from the same
+pass, so no other library is needed.
 Expanded coefficient forms exist only as exact-rational oracles in the test
 suite.
 """
@@ -35,6 +36,7 @@ suite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +70,7 @@ class GegenbauerSpec:
     def __post_init__(self) -> None:
         if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        object.__setattr__(self, "degree", _integer("degree", self.degree, 0))
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,18 @@ class HermiteSpec:
     degree: int
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        object.__setattr__(self, "degree", _integer("degree", self.degree, 0))
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int (a numpy integer too); ValueError unless it is an integer of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
 
 
 def _recurrence(a, b, x, coeffs=None, c=None, blocks=None):
@@ -309,11 +320,11 @@ def _jacobi_matrix(a, b, c=None) -> np.ndarray:
     ``c`` is None) and off-diagonal sqrt(b_{k+1} / (a_k a_{k+1})).  Its
     eigenvalues are the roots of P_d (Golub and Welsch, Math. Comp. 23, 1969).
     """
-    count, a = len(a), np.array(a)
+    count, a = len(a), np.asarray(a)
     matrix = np.zeros((count, count))
     if c is not None:
-        matrix.flat[:: count + 1] = -np.array(c) / a
-    matrix.flat[count :: count + 1] = np.sqrt(np.array(b[1:]) / (a[:-1] * a[1:]))
+        matrix.flat[:: count + 1] = -np.asarray(c) / a
+    matrix.flat[count :: count + 1] = np.sqrt(np.asarray(b[1:]) / (a[:-1] * a[1:]))
     return matrix
 
 
@@ -377,58 +388,6 @@ def _gegenbauer_roots(lam: float, degrees) -> list[tuple[float, ...]]:
     return _symmetric_roots(_gegenbauer_ab(lam, degrees[0]), degrees, derivative, -1.0, 1.0)
 
 
-def _gegenbauer_rules(lam: float, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """The k positive nodes, ascending, and log weights of the 2k-point Gauss-Gegenbauer rule
-    for each k in ``sizes`` (descending, each >= 1), concatenated in that order.
-
-    ``norms._rule_log_means`` passes the distinct sizes of its call once, one
-    eigvalsh and one block of the recurrence each, and the degrees of a size
-    share its rule.  It calls through a per-process cache keyed by the
-    sphere and those sizes (``norms._exact_rules``), so a repeated key
-    builds nothing.
-
-    Each rule's weights are normalised to sum to 1 over its k nodes, so it
-    integrates an even polynomial of degree at most 4k - 1 exactly against
-    the probability measure c_lam (1 - t^2)^(lam - 1/2) dt.  Since
-    C_2k^(lam)(t) is a multiple of P_k^(lam - 1/2, -1/2)(2 t^2 - 1) (DLMF
-    18.7.15), the nodes start from t = sqrt((1 + y) / 2) for the eigenvalues
-    y of that k x k Jacobi matrix, one eigvalsh a size.  1 + y loses
-    relative accuracy where y is near -1, as every node is at large lam, so
-    each t gets one guarded Newton step on the recurrence of C_m^(lam),
-    m = 2k, all sizes in one blocked ``_recurrence`` pass; the nearest
-    neighbor of the first node is its mirror image -t.  The weights are
-    Christoffel's, w ~ 1 / ((1 - t^2) C_m'(t)^2) as in ``jacobi_rule_log``,
-    with (1 - t^2) C_m' = (m + 2 lam - 1) C_{m-1} - m t C_m carried to the
-    polished node by one Taylor term from (1 - t^2) C_m'' =
-    (2 lam + 1) t C_m' - m (m + 2 lam) C_m (DLMF 18.9, 18.8.1).  1 - t^2 is
-    taken at the polished node before it is rounded: next to t = 1 the
-    rounding of the node put 580 eps into the last weight (n = 2, m = 76).
-    They are formed in log space, with C_m' counted in powers of two of the
-    least of its rule (the recurrence's shift included), so that the log
-    weights of the heaviest nodes are small and keep a few eps: at lam = 1e4
-    log|C_m'| is near 700, whose ulp is 1e-13.  A rule is bitwise the one
-    built alone wherever the blocked pass rescales at the same steps.
-    """
-    a, b, c = _jacobi_abc(sizes[0], lam - 0.5, -0.5)
-    parts = []
-    for k in sizes:
-        y = np.linalg.eigvalsh(_jacobi_matrix(a[:k], b[:k], c[:k]), UPLO="L")
-        t = np.sqrt(0.5 * (1.0 + y))
-        parts.append((t, _newton_caps(t, -t[0], 1.0)))
-    (t, cap), m = map(np.concatenate, zip(*parts)), 2.0 * np.repeat(sizes, sizes)
-    value, prev, shift = _recurrence(*_gegenbauer_ab(lam, 2 * sizes[0]), t, blocks=[(2 * k, k) for k in sizes])
-    span = (1.0 - t) * (1.0 + t)
-    slope = ((m + 2.0 * lam - 1.0) * prev - m * t * value) / span
-    step = _newton_step(value, slope, cap)
-    curvature = ((2.0 * lam + 1.0) * t * slope - m * (m + 2.0 * lam) * value) / span
-    nodes = t + step
-    fraction, exponent = np.frexp(slope + curvature * step)
-    exponent = exponent + shift
-    exponent -= np.repeat(np.minimum.reduceat(exponent, np.cumsum([0, *sizes[:-1]])), sizes)
-    log_w = -np.log(span - step * (2.0 * t + step)) - 2.0 * (np.log(np.abs(fraction)) + _LN2 * exponent)
-    return nodes, log_w - np.repeat(_block_log_sum_exp(log_w, sizes)[0], sizes)
-
-
 def _block_log_sum_exp(terms: np.ndarray, sizes, size=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Per block of ``sizes`` consecutive entries of ``terms``: log sum exp(terms), and the mean
     of ``size`` weighted by each term's share of that sum (None without ``size``).
@@ -464,8 +423,8 @@ def hermite_roots(spec: HermiteSpec) -> tuple[float, ...]:
     return _symmetric_roots(_hermite_ab(d), [d], lambda t, h, h1, d: d * h1, -math.inf, math.inf)[0]
 
 
-def _jacobi_abc(m: int, alpha: float, beta: float) -> tuple[list[float], list[float], list[float]]:
-    """a_j, b_j and c_j, j = 1..m, of P_j^(alpha, beta) = (a_j x + c_j) P_{j-1} - b_j P_{j-2} (DLMF 18.9.2).
+def _jacobi_abc(m: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a_j, b_j and c_j, j = 1..m, of P_j^(alpha, beta) = (a_j x + c_j) P_{j-1} - b_j P_{j-2} (DLMF 18.9.2), as arrays.
 
     a_1 = (s + 2)/2 and c_1 = (alpha - beta)/2 with s = alpha + beta, and
     for j >= 2 they follow from t = 2j + s and u = j (j + s).
@@ -475,55 +434,89 @@ def _jacobi_abc(m: int, alpha: float, beta: float) -> tuple[list[float], list[fl
     t = 2.0 * j + s
     u = j * (j + s)
     v = u * (t - 2.0)
-    a, c = np.empty(m), np.empty(m)
+    a, b, c = np.empty(m), np.zeros(m), np.empty(m)
     a[0], c[0] = 0.5 * (s + 2.0), 0.5 * diff
     a[1:] = (t - 1.0) * t / (2.0 * u)
+    b[1:] = (j + (alpha - 1.0)) * (j + (beta - 1.0)) * t / v
     c[1:] = (0.5 * diff * s) * (t - 1.0) / v
-    b = (j + (alpha - 1.0)) * (j + (beta - 1.0)) * t / v
-    return a.tolist(), [0.0, *b.tolist()], c.tolist()
+    return a, b, c
 
 
 def jacobi_rule_log(count: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and log weights of the count-point Gauss-Jacobi rule on [-1, 1].
+    """Nodes and log weights of the count-point Gauss-Jacobi rule on [-1, 1]
+    for the weight (1 - x)^alpha (1 + x)^beta, alpha, beta > -1; see ``_jacobi_rules``."""
+    return _jacobi_rules([count], alpha, beta)[0]
 
-    The weight is (1 - x)^alpha (1 + x)^beta with alpha, beta > -1.  Nodes
-    are the eigenvalues of the Jacobi matrix, polished by one Newton step on
-    the recurrence of P_m = P_m^(alpha, beta) (DLMF 18.9.2, which has a
-    diagonal term when alpha != beta), with s = alpha + beta and
+
+def _jacobi_rules(counts, alpha: float, beta: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Nodes, ascending, and log weights of the m-point Gauss-Jacobi rule for each m in ``counts``
+    (descending, each >= 1), for the weight (1 - x)^alpha (1 + x)^beta with finite alpha, beta > -1.
+
+    One eigvalsh a rule and one blocked ``_recurrence`` pass of P_m =
+    P_m^(alpha, beta) for all (DLMF 18.9.2).  With alpha == beta, P_m(x) is
+    x^(m % 2) times a multiple of P_k^(alpha, m % 2 - 1/2)(2 x^2 - 1), k =
+    m // 2 (DLMF 18.7.15-16), so the nonnegative nodes start from x =
+    sqrt((1 + y) / 2) for the eigenvalues y of that k x k Jacobi matrix (and
+    0 when m is odd), and the rest are their exact mirror images; otherwise
+    from P_m's own matrix, a leading block of the largest.  1 + y loses
+    relative accuracy where y is near -1, as every y is at large alpha, so
+    each start gets one guarded Newton step on P_m, with s = alpha + beta and
 
         (2m + s)(1 - x^2) P_m' = m (alpha - beta - (2m + s) x) P_m + 2 (m + alpha)(m + beta) P_{m-1}
 
-    (DLMF 18.9.16) from the same pass.  The weights are
-    w_j ~ 1 / ((1 - x_j^2) P_m'(x_j)^2) (Hale and Townsend, SIAM J. Sci.
-    Comput. 35, 2013), with P_m' carried to the polished node by one Taylor
-    term whose P_m'' comes from the Jacobi equation (DLMF 18.8.1).  They are
-    formed in log space, the recurrence's shift included, and normalised to
-    mu0 = 2^(s + 1) B(alpha + 1, beta + 1), so they stay finite where mu0
-    or a weight passes the float range.  With alpha == beta, nodes and
-    weights are made exactly symmetric.
+    (DLMF 18.9.16).  The weights are Christoffel's, w ~ 1 / ((1 - x^2) P_m'^2)
+    (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013), with P_m' carried to
+    the polished node by one Taylor term (P_m'' from DLMF 18.8.1) and 1 - x^2
+    taken there before the node is rounded: the rounded node put 580 eps into
+    the last weight next to x = 1 (alpha = beta = 0, m = 76).  They are formed
+    in log space with P_m' counted in powers of two of the least of its rule,
+    the recurrence's shift included, so the heaviest log weights are small and
+    keep a few eps (at alpha = 1e4 log|P_m'| is near 700, whose ulp is 1e-13),
+    and each rule is normalised to mu0 = 2^(s + 1) B(alpha + 1, beta + 1).  A
+    rescale scales a point's values by a power of two, and steps and weights
+    are ratios of values scaled alike, so a rule is bitwise the one built alone.
     """
-    if count < 1:
-        raise ValueError(f"rule size must be >= 1, got {count}")
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
-    m, s, diff = count, alpha + beta, alpha - beta
+    counts = [_integer("rule size", m, 1) for m in counts]
+    if counts != sorted(counts, reverse=True) or not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+        raise ValueError(f"need descending rule sizes and finite exponents > -1, got {counts}, ({alpha}, {beta})")
+    symmetric, abc = alpha == beta, _jacobi_abc(counts[0], alpha, beta)
+    # each parity's largest half-size matrix, whose leading blocks are the others
+    tops = {m % 2: m // 2 for m in counts[::-1]} if symmetric else {}
+    halves = {odd: _jacobi_abc(max(k, 1), alpha, odd - 0.5) for odd, k in tops.items()}
+    parts = []
+    for m in counts:
+        if not symmetric:
+            parts.append(_golub_welsch(*(v[:m] for v in abc), -1.0, 1.0))
+            continue
+        (k, odd), (ha, hb, hc) = divmod(m, 2), halves[m % 2]
+        x = np.sqrt(0.5 * (1.0 + np.linalg.eigvalsh(_jacobi_matrix(ha[:k], hb[:k], hc[:k]), UPLO="L")))
+        x = np.concatenate(([0.0], x)) if odd else x
+        parts.append((x, _newton_caps(x, -x[odd] if k else -1.0, 1.0)))
+    sizes = [len(x) for x, _ in parts]
+    (x, cap), m = map(np.concatenate, zip(*parts)), np.repeat(np.array(counts, dtype=float), sizes)
+    a, b, c = (v.tolist() for v in abc)
+    value, prev, shift = _recurrence(a, b, x, c=c, blocks=list(zip(counts, sizes)))
+    s, diff = alpha + beta, alpha - beta
+    span = (1.0 - x) * (1.0 + x)
     tilt, last = m / (2.0 * m + s), 2.0 * (m + alpha) * (m + beta) / (2.0 * m + s)
-    a, b, c = _jacobi_abc(m, alpha, beta)
-    x, cap = _golub_welsch(a, b, c, -1.0, 1.0)
-    value, prev, shift = _recurrence(a, b, x, c=c)
-    slope = ((diff * tilt - m * x) * value + last * prev) / ((1.0 - x) * (1.0 + x))
+    slope = ((diff * tilt - m * x) * value + last * prev) / span
     step = _newton_step(value, slope, cap)
-    # P_m' at x + step; (1 - x^2) P_m'' = (alpha - beta + (s + 2) x) P_m' - m (m + s + 1) P_m
-    curvature = ((diff + (s + 2.0) * x) * slope - m * (m + s + 1.0) * value) / ((1.0 - x) * (1.0 + x))
+    # (1 - x^2) P_m'' = (alpha - beta + (s + 2) x) P_m' - m (m + s + 1) P_m
+    curvature = ((diff + (s + 2.0) * x) * slope - m * (m + s + 1.0) * value) / span
     nodes = x + step
-    log_w = -np.log1p(-nodes) - np.log1p(nodes) - 2.0 * np.log(np.abs(slope + curvature * step))
-    if not isinstance(shift, int):
-        log_w -= 2.0 * _LN2 * shift
-    if alpha == beta:
-        nodes = 0.5 * (nodes - nodes[::-1])
-        log_w = 0.5 * (log_w + log_w[::-1])
-    top = float(log_w.max())
-    return nodes, log_w + (_log_jacobi_mass(alpha, beta) - top - math.log(float(np.exp(log_w - top).sum())))
+    fraction, exponent = np.frexp(slope + curvature * step)
+    exponent = exponent + shift
+    starts = np.cumsum([0, *sizes]).tolist()
+    exponent -= np.repeat(np.minimum.reduceat(exponent, starts[:-1]), sizes)
+    log_w = -np.log(span - step * (2.0 * x + step)) - 2.0 * (np.log(np.abs(fraction)) + _LN2 * exponent)
+    rules = [(nodes[i:j], log_w[i:j]) for i, j in zip(starts, starts[1:])]
+    if symmetric:
+        rules = [
+            (np.concatenate((-x[m % 2 :][::-1], x)), np.concatenate((w[m % 2 :][::-1], w)))
+            for (x, w), m in zip(rules, counts)
+        ]
+    shifts = _log_jacobi_mass(alpha, beta) - _block_log_sum_exp(np.concatenate([w for _, w in rules]), counts)[0]
+    return [(x, w + shift) for (x, w), shift in zip(rules, shifts.tolist())]
 
 
 def _log_jacobi_mass(alpha: float, beta: float) -> float:

@@ -465,8 +465,9 @@ def test_count1_band_at_paper_cell_weighs_summands_by_share():
     nq, np_ = (sphere_lp_norm(SphereParams(13), 7, e) for e in (4.0, 2.0))
     v = count1_check(13, 7, 2, 4)
     split = Verdict.compare(nq.log_value - np_.log_value, v.rhs, nq.error_estimate + np_.error_estimate)
-    # the exact value is 1.768190630122495; the rule gives the same float
-    assert split.lhs == v.lhs == 1.7681906301224934
+    # the exact value is 1.768190630122495; the rule lands 3 ulps nearer it
+    assert split.lhs == 1.7681906301224934
+    assert v.lhs == 1.7681906301224943
     assert split.numeric_error < 0.7 * 6.56e-14
     lam = Fraction(6)
     exact = (
@@ -749,18 +750,18 @@ def test_sufficiency_cells_build_each_exact_rule_once(monkeypatch):
     # the 60 (2, 4) cells of S^2 and S^3 at d <= 30, one count1_check each,
     # need the rules of 8, 16, 24 and 32 positive nodes on each sphere
     calls = []
-    build = specfun._gegenbauer_rules
+    build = specfun._jacobi_rules
 
-    def recording_build(lam, sizes):
-        calls.append((lam, tuple(sizes)))
-        return build(lam, sizes)
+    def recording_build(counts, alpha, beta):
+        calls.append((tuple(counts), alpha, beta))
+        return build(counts, alpha, beta)
 
-    monkeypatch.setattr(specfun, "_gegenbauer_rules", recording_build)
+    monkeypatch.setattr(specfun, "_jacobi_rules", recording_build)
     norms._exact_rules.cache_clear()
     for n in (2, 3):
         for d in range(1, 31):
             count1_check(n, d, 2.0, 4.0)
-    assert calls == [(lam, (k,)) for lam in (0.5, 1.0) for k in (8, 16, 24, 32)]
+    assert calls == [((2 * k,), lam - 0.5, lam - 0.5) for lam in (0.5, 1.0) for k in (8, 16, 24, 32)]
 
 
 def test_count1_checks_keeps_the_order_and_repeats_of_its_degrees():
@@ -957,6 +958,25 @@ def test_count1_and_the_scan_take_integer_dimensions_and_degrees():
     report = counterexample_scan(2, 4, np.arange(2, 4), np.arange(1, 3))
     assert list(report.grid) == [(2, 1), (2, 2), (3, 1), (3, 2)]
     assert all(type(n) is int and type(d) is int for n, d in report.grid)
+
+
+@pytest.mark.parametrize("jobs", [None, 0, -3, 1.5, 2.0])
+def test_scan_checks_jobs_before_any_work(monkeypatch, fake_pool, jobs):
+    # a small grid runs in process and never reads jobs; it is still checked,
+    # before any cell, so a bad value cannot pass until a grid reaches the
+    # pool threshold
+    monkeypatch.setattr(hypercheck, "count1_checks", lambda *args: pytest.fail("a cell ran"))
+    with pytest.raises(ValueError, match="jobs"):
+        counterexample_scan(2, 4, [2, 3], [1], jobs=jobs)
+    assert fake_pool == []
+
+
+def test_scan_takes_a_numpy_integer_jobs(monkeypatch, fake_pool):
+    monkeypatch.setattr(hypercheck, "_POOL_MIN_NODES", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = counterexample_scan(2, 4, [2, 3], [1], jobs=np.int64(2))
+    assert fake_pool == [2]
+    assert report.grid == counterexample_scan(2, 4, [2, 3], [1]).grid
 
 
 # ----------------------------------------------------------------- verdicts

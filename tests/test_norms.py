@@ -23,7 +23,7 @@ from spherehc.norms import (
     zonal_lp_norm,
     zonal_power_integral,
 )
-from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, _jacobi_log_rule, integrate_piecewise, integrate_root_intervals
+from spherehc.quadrature import ADAPTIVE, GAUSS_JACOBI, _panel_rules, integrate_piecewise, integrate_root_intervals
 from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE
 
 from oracles import (
@@ -522,11 +522,11 @@ def test_one_pass_ratio_matches_two_norms(n, d, p, q):
 
 
 def test_jacobi_rule_cache_is_bounded():
-    limit = _jacobi_log_rule.cache_info().maxsize
+    limit = _panel_rules.cache_info().maxsize
     assert limit is not None
     for k in range(limit + 8):
-        _jacobi_log_rule(4, 0.5 + k, 2.0)
-    assert _jacobi_log_rule.cache_info().currsize <= limit
+        _panel_rules(0.5 + k, 2.0)
+    assert _panel_rules.cache_info().currsize <= limit
 
 
 def test_exact_rule_cache_is_bounded():

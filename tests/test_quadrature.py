@@ -17,8 +17,8 @@ from spherehc.norms import _gaussian_integrals as gaussian_integrals, gaussian_l
 from spherehc.quadrature import (
     ADAPTIVE,
     GAUSS_JACOBI,
-    _jacobi_log_rule,
     _log_sum_exp,
+    _panel_rules,
     _rule_rows,
     integrate_piecewise,
     integrate_root_intervals,
@@ -396,7 +396,7 @@ def test_root_intervals_bisect_past_an_overflowing_gap():
     # nodes of the 32-node one, so the 16-node sum is e^(p delta^2) times the
     # 32-node sum, far past the float range; the gap must stay finite, so
     # that bisection goes on rather than stopping or overflowing
-    x0 = float(quadrature._jacobi_log_rule(16, 0.0, 0.0)[0][8])
+    x0 = float(quadrature._panel_rules(0.0, 0.0)[0][8])
     p = 1e7
     (res,) = integrate_root_intervals(lambda t: -((t - x0) ** 2), (), (p,), 0.0, 1e-12)
     assert res.method == ADAPTIVE and res.converged
@@ -430,10 +430,20 @@ def test_exponent_at_or_below_minus_one_is_rejected(exponents):
 
 
 def test_jacobi_rule_with_swapped_exponents_is_the_mirror_image():
-    nodes, log_w, _ = _jacobi_log_rule(16, 0.5, 3.0)
-    mirror_nodes, mirror_log_w, _ = _jacobi_log_rule(16, 3.0, 0.5)
-    assert np.array_equal(nodes, -mirror_nodes[::-1])
-    assert np.array_equal(log_w, mirror_log_w[::-1])
+    nodes, log_w, _ = _panel_rules(0.5, 3.0)
+    mirror_nodes, mirror_log_w, _ = _panel_rules(3.0, 0.5)
+    for rule in quadrature._RULES:
+        assert np.array_equal(nodes[rule], -mirror_nodes[rule][::-1])
+        assert np.array_equal(log_w[rule], mirror_log_w[rule][::-1])
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (3.0, 0.5), (1500.0, 1.0), (0.5, 0.5)])
+def test_panel_rules_are_the_16_and_32_node_jacobi_rules(alpha, beta):
+    nodes, log_w, _ = _panel_rules(alpha, beta)
+    for rule, count in zip(quadrature._RULES, (16, 32)):
+        alone_nodes, alone_log_w = specfun.jacobi_rule_log(count, alpha, beta)
+        assert nodes[rule].tobytes() == alone_nodes.tobytes()
+        assert log_w[rule].tobytes() == alone_log_w.tobytes()
 
 
 def test_jacobi_panels_past_mu0_overflow():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spherehc import specfun
+from spherehc import norms, specfun
 from spherehc.specfun import GegenbauerSpec, HermiteSpec
 
 from oracles import (
@@ -291,13 +291,38 @@ def test_scan_never_hands_the_recurrence_more_than_the_point_budget(monkeypatch)
     assert norms._degree_batches([90, 84, 83, 1]) == [[90], [84], [83], [1]]
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0, 6.0, 499.5, 9999.5])
-def test_gegenbauer_rules_built_together_are_bitwise_each_built_alone(lam):
-    sizes = [41, 33, 17, 8, 2, 1]
-    nodes, log_w = specfun._gegenbauer_rules(lam, sizes)
-    alone = [specfun._gegenbauer_rules(lam, [k]) for k in sizes]
-    assert nodes.tobytes() == np.concatenate([x for x, _ in alone]).tobytes()
-    assert log_w.tobytes() == np.concatenate([w for _, w in alone]).tobytes()
+@pytest.mark.parametrize(
+    "counts,alpha,beta",
+    [
+        ((82, 66, 34, 16, 4, 2), 0.0, 0.0),
+        ((82, 66, 34, 16, 4, 2), 499.0, 499.0),
+        ((82, 66, 34, 16, 4, 2), 9999.0, 9999.0),
+        ((41, 33, 32, 17, 16, 3, 1), 0.5, 0.5),
+        ((41, 33, 32, 17, 16, 3, 1), 749.5, 749.5),
+        ((32, 16), 1.5, 499.5),
+        ((32, 16, 5, 1), 4.0, 0.5),
+        ((32, 16), 2.0, 998.0),
+    ],
+)
+def test_jacobi_rules_built_together_are_bitwise_each_built_alone(counts, alpha, beta):
+    together = specfun._jacobi_rules(counts, alpha, beta)
+    assert len(together) == len(counts)
+    for m, (nodes, log_w) in zip(counts, together):
+        alone_nodes, alone_log_w = specfun.jacobi_rule_log(m, alpha, beta)
+        assert len(nodes) == m
+        assert nodes.tobytes() == alone_nodes.tobytes()
+        assert log_w.tobytes() == alone_log_w.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 6.0, 499.0, 9999.0])
+@pytest.mark.parametrize("m", [1, 2, 7, 16, 33, 82])
+def test_symmetric_jacobi_rule_is_exactly_mirrored(m, alpha):
+    nodes, log_w = specfun.jacobi_rule_log(m, alpha, alpha)
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(log_w, log_w[::-1])
+    assert np.all(np.diff(nodes) > 0)
+    if m % 2:
+        assert nodes[m // 2] == 0.0
 
 
 @pytest.mark.parametrize("lam", [0.5, 6.0, 9999.5])
@@ -305,8 +330,8 @@ def test_gegenbauer_rules_built_together_are_bitwise_each_built_alone(lam):
 def test_gegenbauer_rule_is_the_positive_half_of_the_mpmath_rule(lam, k):
     # the 2k-point Gauss-Jacobi rule of alpha = beta = lam - 1/2 in 40
     # digits, its weights doubled and divided by mu0: nodes within 2 ulps and
-    # log weights within 4 m eps, m = 2k, the rounding of C_m's recurrence
-    nodes, log_w = specfun._gegenbauer_rules(lam, [k])
+    # log weights within 4 m eps, m = 2k, the rounding of P_m's recurrence
+    nodes, log_w = norms._exact_rules(lam, (k,))
     exact, log_v, log_mu0 = gauss_jacobi_mp(2 * k, lam - 0.5, lam - 0.5, nodes)
     exact = np.array([float(x) for x in exact])
     log_v = np.array([float(v - log_mu0) for v in log_v]) + math.log(2.0)
@@ -529,8 +554,11 @@ _JACOBI_EXPONENTS = [
 ]
 
 
-@pytest.mark.parametrize("alpha,beta", _JACOBI_EXPONENTS)
-@pytest.mark.parametrize("m", [1, 2, 5, 16, 32])
+@pytest.mark.parametrize(
+    "m,alpha,beta",
+    [(m, alpha, beta) for m in (1, 2, 5, 16, 32) for alpha, beta in _JACOBI_EXPONENTS]
+    + [(m, alpha, alpha) for m in (16, 32, 82) for alpha in (499.5, 9999.5)],
+)
 def test_jacobi_rule_matches_mpmath(m, alpha, beta):
     # log weights of size L cannot resolve less than an ulp of L, so the
     # weights are held to 2 eps |log mu0| plus a floor; scipy's rules summed
@@ -566,6 +594,16 @@ def test_jacobi_rule_validation():
         specfun.jacobi_rule_log(0, 0.0, 0.0)
     with pytest.raises(ValueError):
         specfun.jacobi_rule_log(4, -1.0, 0.0)
+    # a non-integer size and an infinite or NaN exponent are refused up
+    # front, not by numpy or LAPACK after RuntimeWarnings
+    bad = [(2.5, 0.0, 0.0), ("3", 0.0, 0.0), (3, 0.0, math.inf), (3, math.inf, 0.0), (3, math.nan, 0.0)]
+    for count, alpha, beta in bad:
+        with pytest.raises(ValueError):
+            specfun.jacobi_rule_log(count, alpha, beta)
+    nodes, _ = specfun.jacobi_rule_log(np.int64(3), 0.0, 0.0)
+    assert len(nodes) == 3
+    with pytest.raises(ValueError):
+        specfun._jacobi_rules((16, 32), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------- validation
@@ -577,3 +615,14 @@ def test_spec_validation():
         GegenbauerSpec(1.0, -1)
     with pytest.raises(ValueError):
         HermiteSpec(-2)
+    # a non-integer degree is refused at the spec, not deep in a recurrence
+    with pytest.raises(ValueError):
+        specfun.gegenbauer_roots(GegenbauerSpec(1.0, 2.5))
+    with pytest.raises(ValueError):
+        specfun.hermite_roots(HermiteSpec(2.5))
+    with pytest.raises(ValueError):
+        GegenbauerSpec(1.0, None)
+    # numpy integers are accepted and stored as ints
+    for spec in (GegenbauerSpec(1.0, np.int64(3)), HermiteSpec(np.int32(3))):
+        assert type(spec.degree) is int and spec.degree == 3
+    assert specfun.hermite_roots(HermiteSpec(np.int64(3))) == specfun.hermite_roots(HermiteSpec(3))
