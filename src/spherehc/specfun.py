@@ -19,16 +19,15 @@ and the exponent is kept as a shift.  Division by a power of two is exact,
 so a value that fits in a float is bitwise the bare loop's, and
 log-magnitudes stay finite far beyond float overflow.
 
-Roots are Golub-Welsch eigenvalues (Math. Comp. 23, 1969) of the Jacobi
-matrix built from the same a_k, b_k and c_k (numpy.linalg.eigvalsh), polished
-by one guarded Newton step on that recurrence, so a family's matrix and its
-Newton step cannot disagree.  The Gegenbauer and Hermite roots are symmetric
-about 0: only the positive ones are polished, and the rest are their exact
-mirror images.  Every Gauss rule, Gauss-Legendre and the exact
-Gauss-Gegenbauer rules among them, comes from one builder (``_jacobi_rules``,
-with ``jacobi_rule_log`` its one-rule case): nodes the same way, a symmetric
-rule's positive half from a half-size matrix, and log weights from the same
-pass, so no other library is needed.
+The Gegenbauer roots and every Gauss rule share one node builder
+(``_jacobi_nodes``).  The roots of C_d^(lam) are the nodes of the d-point
+Gauss-Jacobi rule of alpha = beta = lam - 1/2: Golub-Welsch eigenvalues
+(Math. Comp. 23, 1969; numpy.linalg.eigvalsh) of a floor(d/2)-row Jacobi
+matrix (DLMF 18.7.15-16) give the nonnegative half, which takes one guarded
+Newton step on the full recurrence and is mirrored.  The Hermite roots come
+the same way from h_d's own matrix.  A Jacobi matrix is built from its
+recurrence's own a_k, b_k and c_k, and a rule's log weights come from the
+pass that polished its nodes, so no other library is needed.
 Expanded coefficient forms exist only as exact-rational oracles in the test
 suite.
 """
@@ -314,25 +313,26 @@ def _series_roots(lam: float, coeffs) -> tuple[float, ...]:
 
 
 def _jacobi_matrix(a, b, c=None) -> np.ndarray:
-    """The recurrence P_k = (a_k x + c_k) P_{k-1} - b_k P_{k-2} as its Jacobi matrix.
+    """The recurrence P_k = (a_k x + c_k) P_{k-1} - b_k P_{k-2} (lists of floats) as its Jacobi matrix.
 
     Symmetric tridiagonal, lower half filled: diagonal -c_k / a_k (zero when
     ``c`` is None) and off-diagonal sqrt(b_{k+1} / (a_k a_{k+1})).  Its
     eigenvalues are the roots of P_d (Golub and Welsch, Math. Comp. 23, 1969).
     """
-    count, a = len(a), np.asarray(a)
+    count = len(a)
     matrix = np.zeros((count, count))
     if c is not None:
-        matrix.flat[:: count + 1] = -np.asarray(c) / a
-    matrix.flat[count :: count + 1] = np.sqrt(np.asarray(b[1:]) / (a[:-1] * a[1:]))
+        matrix.flat[:: count + 1] = [-ck / ak for ak, ck in zip(a, c)]
+    matrix.flat[count :: count + 1] = [math.sqrt(bk / (ak * an)) for ak, an, bk in zip(a, a[1:], b[1:])]
     return matrix
 
 
 def _golub_welsch(a, b, c, lo: float, hi: float, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of P_d's Jacobi matrix from index ``start`` on, ascending, and the cap of each one's Newton step.
+    """Eigenvalues of P_d's full d x d Jacobi matrix from index ``start`` on, ascending, and the cap of each one's Newton step.
 
     A step is capped at 45% of the gap to the nearest neighbor (or
-    ``lo``/``hi``) in the full list, so roots cannot cross.
+    ``lo``/``hi``) in the full list, so roots cannot cross.  Symmetric rules,
+    the Gegenbauer roots among them, start from a half-size matrix instead.
     """
     nodes = np.linalg.eigvalsh(_jacobi_matrix(a, b, c), UPLO="L")
     return nodes[start:], _newton_caps(nodes, lo, hi)[start:]
@@ -347,45 +347,21 @@ def _newton_caps(nodes, lo: float, hi: float) -> np.ndarray:
 
 def _newton_step(value, slope, cap) -> np.ndarray:
     """The guarded Newton step -P_d / P_d' within +-cap; a vanishing derivative would mean a multiple root."""
-    if (slope == 0.0).any():
+    if not slope.all():
         raise ArithmeticError("multiple root detected; Jacobi-matrix eigenvalues are simple")
     return np.maximum(np.minimum(-value / slope, cap), -cap)
 
 
-def _symmetric_roots(ab, degrees, derivative, lo: float, hi: float) -> list[tuple[float, ...]]:
-    """All d roots, ascending, of each even or odd P_d, d in ``degrees`` (descending), exactly antisymmetric.
-
-    ``ab`` is the recurrence to the first degree, and each P_d's Jacobi
-    matrix its leading block, with one eigvalsh each.  Only the positive
-    eigenvalues get the Newton step, those of all degrees in one blocked
-    ``_recurrence`` pass: ``derivative(t, P_d, P_{d-1}, d)`` gives P_d' with
-    d per point.  The negative roots are their mirror images, and an odd
-    P_d's middle root is 0.0.
-    """
-    a, b = ab
-    parts = [_golub_welsch(a[:d], b[:d], None, lo, hi, (d + 1) // 2) for d in degrees]
-    counts = [len(nodes) for nodes, _ in parts]
-    if len(parts) == 1:
-        # a scalar d, no concatenation: single cells (the sufficiency
-        # workload) measured 4% slower through the general path
-        (nodes, cap), d = parts[0], degrees[0]
-    else:
-        (nodes, cap), d = map(np.concatenate, zip(*parts)), np.repeat(degrees, counts)
-    value, prev, _ = _recurrence(a, b, nodes, blocks=list(zip(degrees, counts)))
-    slope = derivative(nodes, value, prev, d)
-    upper = (nodes + _newton_step(value, slope, cap)).tolist()
+def _gegenbauer_roots(lam: float, degrees) -> list[tuple[float, ...]]:
+    """``gegenbauer_roots`` for each degree in ``degrees`` (descending, each >= 1), in one ``_jacobi_nodes`` pass."""
+    x, step, sizes, _ = _jacobi_nodes(degrees, lam - 0.5, lam - 0.5)
+    upper = (x + step).tolist()
     out, end = [], 0
-    for d, count in zip(degrees, counts):
+    for d, count in zip(degrees, sizes):
         half = upper[end : end + count]
         end += count
-        out.append((*(-r for r in reversed(half)), *[0.0] * (d % 2), *half))
+        out.append((*(-r for r in reversed(half[d % 2 :])), *half))
     return out
-
-
-def _gegenbauer_roots(lam: float, degrees) -> list[tuple[float, ...]]:
-    """``gegenbauer_roots`` for each degree in ``degrees`` (descending, each >= 1), in one Newton pass."""
-    derivative = lambda t, c, c1, d: ((d + 2.0 * lam - 1.0) * c1 - d * t * c) / (1.0 - t * t)
-    return _symmetric_roots(_gegenbauer_ab(lam, degrees[0]), degrees, derivative, -1.0, 1.0)
 
 
 def _block_log_sum_exp(terms: np.ndarray, sizes, size=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -406,39 +382,44 @@ def _block_log_sum_exp(terms: np.ndarray, sizes, size=None) -> tuple[np.ndarray,
 
 
 def gegenbauer_roots(spec: GegenbauerSpec) -> tuple[float, ...]:
-    """All d roots of C_d^(lam) in (-1, 1), via the Jacobi matrix of its recurrence.
-
-    The Newton derivative is (1 - t^2) C_d' = (d + 2 lam - 1) C_{d-1} - d t C_d
-    (DLMF 18.9).
-    """
-    return _gegenbauer_roots(spec.lam, [spec.degree])[0]
+    """All d roots of C_d^(lam) in (-1, 1), ascending and exactly antisymmetric: bitwise the
+    nodes of the symmetric d-point Gauss-Jacobi rule of alpha = beta = lam - 1/2, whose
+    nonnegative half starts from a floor(d/2)-row Jacobi matrix (``_jacobi_nodes``)."""
+    return _gegenbauer_roots(spec.lam, [spec.degree])[0] if spec.degree else ()
 
 
 def hermite_roots(spec: HermiteSpec) -> tuple[float, ...]:
-    """All d roots of h_d on the real line, via the Jacobi matrix of its recurrence.
+    """All d roots of h_d on the real line, ascending and exactly antisymmetric.
 
-    The Newton derivative is h_d' = d h_{d-1}.
+    The positive eigenvalues of h_d's full d x d Jacobi matrix, each with one
+    guarded Newton step (h_d' = d h_{d-1}), and their mirror images.  A
+    half-size start like the Gegenbauer roots' waits for a Gauss-Hermite rule.
     """
     d = spec.degree
-    return _symmetric_roots(_hermite_ab(d), [d], lambda t, h, h1, d: d * h1, -math.inf, math.inf)[0]
+    a, b = _hermite_ab(d)
+    nodes, cap = _golub_welsch(a, b, None, -math.inf, math.inf, (d + 1) // 2)
+    value, prev, _ = _recurrence(a, b, nodes)
+    upper = (nodes + _newton_step(value, d * prev, cap)).tolist()
+    return (*(-r for r in reversed(upper)), *[0.0] * (d % 2), *upper)
 
 
-def _jacobi_abc(m: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a_j, b_j and c_j, j = 1..m, of P_j^(alpha, beta) = (a_j x + c_j) P_{j-1} - b_j P_{j-2} (DLMF 18.9.2), as arrays.
+def _jacobi_abc(m: int, alpha: float, beta: float) -> tuple[list[float], list[float], list[float]]:
+    """a_j, b_j and c_j, j = 1..m, of P_j^(alpha, beta) = (a_j x + c_j) P_{j-1} - b_j P_{j-2} (DLMF 18.9.2).
 
     a_1 = (s + 2)/2 and c_1 = (alpha - beta)/2 with s = alpha + beta, and
-    for j >= 2 they follow from t = 2j + s and u = j (j + s).
+    for j >= 2 they follow from t = 2j + s and u = j (j + s).  As lists: at
+    the sizes of roots and rules a loop is cheaper than a dozen numpy calls,
+    and a float j keeps its arithmetic float-only (the values are the same).
     """
     s, diff = alpha + beta, alpha - beta
-    j = np.arange(2.0, m + 1)
-    t = 2.0 * j + s
-    u = j * (j + s)
-    v = u * (t - 2.0)
-    a, b, c = np.empty(m), np.zeros(m), np.empty(m)
-    a[0], c[0] = 0.5 * (s + 2.0), 0.5 * diff
-    a[1:] = (t - 1.0) * t / (2.0 * u)
-    b[1:] = (j + (alpha - 1.0)) * (j + (beta - 1.0)) * t / v
-    c[1:] = (0.5 * diff * s) * (t - 1.0) / v
+    a, b, c = [0.5 * (s + 2.0)], [0.0], [0.5 * diff]
+    alpha1, beta1, tilt = alpha - 1.0, beta - 1.0, 0.5 * diff * s
+    for j in map(float, range(2, m + 1)):
+        t, u = 2.0 * j + s, j * (j + s)
+        v = u * (t - 2.0)
+        a.append((t - 1.0) * t / (2.0 * u))
+        b.append((j + alpha1) * (j + beta1) * t / v)
+        c.append(tilt * (t - 1.0) / v)
     return a, b, c
 
 
@@ -452,55 +433,21 @@ def _jacobi_rules(counts, alpha: float, beta: float) -> list[tuple[np.ndarray, n
     """Nodes, ascending, and log weights of the m-point Gauss-Jacobi rule for each m in ``counts``
     (descending, each >= 1), for the weight (1 - x)^alpha (1 + x)^beta with finite alpha, beta > -1.
 
-    One eigvalsh a rule and one blocked ``_recurrence`` pass of P_m =
-    P_m^(alpha, beta) for all (DLMF 18.9.2).  With alpha == beta, P_m(x) is
-    x^(m % 2) times a multiple of P_k^(alpha, m % 2 - 1/2)(2 x^2 - 1), k =
-    m // 2 (DLMF 18.7.15-16), so the nonnegative nodes start from x =
-    sqrt((1 + y) / 2) for the eigenvalues y of that k x k Jacobi matrix (and
-    0 when m is odd), and the rest are their exact mirror images; otherwise
-    from P_m's own matrix, a leading block of the largest.  1 + y loses
-    relative accuracy where y is near -1, as every y is at large alpha, so
-    each start gets one guarded Newton step on P_m, with s = alpha + beta and
-
-        (2m + s)(1 - x^2) P_m' = m (alpha - beta - (2m + s) x) P_m + 2 (m + alpha)(m + beta) P_{m-1}
-
-    (DLMF 18.9.16).  The weights are Christoffel's, w ~ 1 / ((1 - x^2) P_m'^2)
-    (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013), with P_m' carried to
-    the polished node by one Taylor term (P_m'' from DLMF 18.8.1) and 1 - x^2
-    taken there before the node is rounded: the rounded node put 580 eps into
-    the last weight next to x = 1 (alpha = beta = 0, m = 76).  They are formed
-    in log space with P_m' counted in powers of two of the least of its rule,
-    the recurrence's shift included, so the heaviest log weights are small and
-    keep a few eps (at alpha = 1e4 log|P_m'| is near 700, whose ulp is 1e-13),
-    and each rule is normalised to mu0 = 2^(s + 1) B(alpha + 1, beta + 1).  A
-    rescale scales a point's values by a power of two, and steps and weights
-    are ratios of values scaled alike, so a rule is bitwise the one built alone.
+    The nodes come from ``_jacobi_nodes``.  The weights are Christoffel's,
+    w ~ 1 / ((1 - x^2) P_m'^2) (Hale and Townsend, SIAM J. Sci. Comput. 35,
+    2013), with P_m' carried to the polished node by one Taylor term (P_m''
+    from DLMF 18.8.1) and 1 - x^2 taken there before the node is rounded:
+    the rounded node put 580 eps into the last weight next to x = 1 (alpha =
+    beta = 0, m = 76).  They are formed in log space with P_m' counted in
+    powers of two of the least of its rule, the recurrence's shift included,
+    so the heaviest log weights are small and keep a few eps (at alpha = 1e4
+    log|P_m'| is near 700, whose ulp is 1e-13), and each rule is normalised
+    to mu0 = 2^(s + 1) B(alpha + 1, beta + 1).  A rescale scales a point's
+    values by a power of two, and steps and weights are ratios of values
+    scaled alike, so a rule is bitwise the one built alone.
     """
-    counts = [_integer("rule size", m, 1) for m in counts]
-    if counts != sorted(counts, reverse=True) or not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
-        raise ValueError(f"need descending rule sizes and finite exponents > -1, got {counts}, ({alpha}, {beta})")
-    symmetric, abc = alpha == beta, _jacobi_abc(counts[0], alpha, beta)
-    # each parity's largest half-size matrix, whose leading blocks are the others
-    tops = {m % 2: m // 2 for m in counts[::-1]} if symmetric else {}
-    halves = {odd: _jacobi_abc(max(k, 1), alpha, odd - 0.5) for odd, k in tops.items()}
-    parts = []
-    for m in counts:
-        if not symmetric:
-            parts.append(_golub_welsch(*(v[:m] for v in abc), -1.0, 1.0))
-            continue
-        (k, odd), (ha, hb, hc) = divmod(m, 2), halves[m % 2]
-        x = np.sqrt(0.5 * (1.0 + np.linalg.eigvalsh(_jacobi_matrix(ha[:k], hb[:k], hc[:k]), UPLO="L")))
-        x = np.concatenate(([0.0], x)) if odd else x
-        parts.append((x, _newton_caps(x, -x[odd] if k else -1.0, 1.0)))
-    sizes = [len(x) for x, _ in parts]
-    (x, cap), m = map(np.concatenate, zip(*parts)), np.repeat(np.array(counts, dtype=float), sizes)
-    a, b, c = (v.tolist() for v in abc)
-    value, prev, shift = _recurrence(a, b, x, c=c, blocks=list(zip(counts, sizes)))
+    x, step, sizes, (value, slope, shift, span, m) = _jacobi_nodes(counts, alpha, beta)
     s, diff = alpha + beta, alpha - beta
-    span = (1.0 - x) * (1.0 + x)
-    tilt, last = m / (2.0 * m + s), 2.0 * (m + alpha) * (m + beta) / (2.0 * m + s)
-    slope = ((diff * tilt - m * x) * value + last * prev) / span
-    step = _newton_step(value, slope, cap)
     # (1 - x^2) P_m'' = (alpha - beta + (s + 2) x) P_m' - m (m + s + 1) P_m
     curvature = ((diff + (s + 2.0) * x) * slope - m * (m + s + 1.0) * value) / span
     nodes = x + step
@@ -510,13 +457,64 @@ def _jacobi_rules(counts, alpha: float, beta: float) -> list[tuple[np.ndarray, n
     exponent -= np.repeat(np.minimum.reduceat(exponent, starts[:-1]), sizes)
     log_w = -np.log(span - step * (2.0 * x + step)) - 2.0 * (np.log(np.abs(fraction)) + _LN2 * exponent)
     rules = [(nodes[i:j], log_w[i:j]) for i, j in zip(starts, starts[1:])]
-    if symmetric:
+    if alpha == beta:
         rules = [
             (np.concatenate((-x[m % 2 :][::-1], x)), np.concatenate((w[m % 2 :][::-1], w)))
             for (x, w), m in zip(rules, counts)
         ]
     shifts = _log_jacobi_mass(alpha, beta) - _block_log_sum_exp(np.concatenate([w for _, w in rules]), counts)[0]
     return [(x, w + shift) for (x, w), shift in zip(rules, shifts.tolist())]
+
+
+def _jacobi_nodes(counts, alpha: float, beta: float):
+    """The node stage of ``_jacobi_rules``: (x, step, sizes, (P_m, P_m', shift, 1 - x^2, m)).
+
+    x holds the starts of each m-point rule's nodes, ascending, one rule
+    after another as ``counts`` (descending, each >= 1) lists them, and
+    ``sizes`` counts them; x + step are the nodes.  The rest come from one
+    blocked ``_recurrence`` pass of P_m^(alpha, beta) (DLMF 18.9.2) at x,
+    with m per start (a float for one rule).  With alpha == beta, P_m(x) is
+    x^(m % 2) times a multiple of P_k^(alpha, m % 2 - 1/2)(2 x^2 - 1), k =
+    m // 2 (DLMF 18.7.15-16), so the starts are the nonnegative nodes alone:
+    0 when m is odd, then sqrt((1 + y) / 2) for the eigenvalues y of that
+    k x k Jacobi matrix.  Otherwise they come from P_m's own matrix, a
+    leading block of the largest.  1 + y loses relative accuracy where y is
+    near -1, as every y is at large alpha, so each start gets one guarded
+    Newton step on P_m, with s = alpha + beta and
+
+        (2m + s)(1 - x^2) P_m' = m (alpha - beta - (2m + s) x) P_m + 2 (m + alpha)(m + beta) P_{m-1}
+
+    (DLMF 18.9.16).
+    """
+    counts = [_integer("rule size", m, 1) for m in counts]
+    if counts != sorted(counts, reverse=True) or not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+        raise ValueError(f"need descending rule sizes and finite exponents > -1, got {counts}, ({alpha}, {beta})")
+    a, b, c = _jacobi_abc(counts[0], alpha, beta)
+    parts, halves = [], {}
+    for m in counts:
+        if alpha != beta:
+            parts.append(_golub_welsch(a[:m], b[:m], c[:m], -1.0, 1.0))
+            continue
+        k, odd = divmod(m, 2)
+        if odd not in halves:
+            # this parity's largest half-size recurrence: the other matrices are its leading blocks
+            halves[odd] = _jacobi_abc(max(k, 1), alpha, odd - 0.5)
+        ha, hb, hc = halves[odd]
+        x = np.sqrt(0.5 * (1.0 + np.linalg.eigvalsh(_jacobi_matrix(ha[:k], hb[:k], hc[:k]), UPLO="L"))) if k else []
+        x = np.concatenate(([0.0], x)) if odd else x
+        parts.append((x, _newton_caps(x, -x[odd] if k else -1.0, 1.0)))
+    sizes = [len(x) for x, _ in parts]
+    if len(parts) == 1:  # no concatenation: single cells' roots (the sufficiency workload)
+        (x, cap), m, blocks = parts[0], float(counts[0]), None
+    else:
+        (x, cap), m = map(np.concatenate, zip(*parts)), np.repeat(np.array(counts, dtype=float), sizes)
+        blocks = list(zip(counts, sizes))
+    value, prev, shift = _recurrence(a, b, x, c=c, blocks=blocks)
+    s, diff = alpha + beta, alpha - beta
+    span = (1.0 - x) * (1.0 + x)
+    tilt, last = m / (2.0 * m + s), 2.0 * (m + alpha) * (m + beta) / (2.0 * m + s)
+    slope = ((diff * tilt - m * x) * value + last * prev) / span
+    return x, _newton_step(value, slope, cap), sizes, (value, slope, shift, span, m)
 
 
 def _log_jacobi_mass(alpha: float, beta: float) -> float:

@@ -634,23 +634,31 @@ def test_count1_finds_the_roots_once(monkeypatch):
     assert calls == [[41, 40, 28]]
 
 
-def test_even_pair_takes_no_roots_no_bisection_and_small_matrices(monkeypatch):
-    # at or below the rule's limit an even pair calls neither the root finder
-    # nor the bisecting integrator.  One sphere's (2, 4) degrees 1..40 share
-    # 6 rules, one eigvalsh each when the rule cache is cold and none when it
-    # is warm, and no matrix passes _RULE_NODES
-    sizes, bisections = [], []
-    eigvalsh, bisect = np.linalg.eigvalsh, quadrature._bisect
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """The row count of each matrix passed to numpy.linalg.eigvalsh during the test, in call order."""
+    sizes, eigvalsh = [], np.linalg.eigvalsh
 
     def recording_eigvalsh(matrix, *args, **kwargs):
         sizes.append(len(matrix))
         return eigvalsh(matrix, *args, **kwargs)
 
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    return sizes
+
+
+def test_even_pair_takes_no_roots_no_bisection_and_small_matrices(monkeypatch, eigvalsh_sizes):
+    # at or below the rule's limit an even pair calls neither the root finder
+    # nor the bisecting integrator.  One sphere's (2, 4) degrees 1..40 share
+    # 6 rules, one eigvalsh each when the rule cache is cold and none when it
+    # is warm, and no matrix passes _RULE_NODES
+    sizes, bisections = eigvalsh_sizes, []
+    bisect = quadrature._bisect
+
     def recording_bisect(*args, **kwargs):
         bisections.append(1)
         return bisect(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
     monkeypatch.setattr(quadrature, "_bisect", recording_bisect)
     monkeypatch.setattr(specfun, "_gegenbauer_roots", None)
     for n in (2, 13, 1000):
@@ -670,6 +678,17 @@ def test_even_pair_takes_no_roots_no_bisection_and_small_matrices(monkeypatch):
         norms.norm_ratio_sphere(SphereParams(n), d, p, q)
     assert bisections == []
     assert 0 < max(sizes) <= norms._RULE_NODES
+
+
+def test_root_runs_pass_eigvalsh_at_most_half_their_degree(eigvalsh_sizes):
+    # the roots are symmetric rule nodes from a floor(d/2)-row matrix, so a
+    # root run of d <= 128 passes at most 64 rows, about the size from which
+    # eigvalsh runs OpenBLAS threads that oversubscribe a scan's workers
+    degrees = [128, 127, 40, 1]
+    for lam in (0.5, 6.0, 499.5):
+        eigvalsh_sizes.clear()
+        assert [len(roots) for roots in specfun._gegenbauer_roots(lam, degrees)] == degrees
+        assert eigvalsh_sizes == [d // 2 for d in degrees if d > 1]
 
 
 def _bits(value):

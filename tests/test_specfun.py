@@ -314,6 +314,22 @@ def test_jacobi_rules_built_together_are_bitwise_each_built_alone(counts, alpha,
         assert log_w.tobytes() == alone_log_w.tobytes()
 
 
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (1.5, 499.5), (-0.9, 3.3), (5e8, 5e8)])
+def test_jacobi_coefficients_are_bitwise_their_array_form(alpha, beta):
+    # the coefficient loop runs the operations of this array form in its
+    # order, signed zeros of c included (eigvalsh can see them)
+    m = 300
+    s, diff = alpha + beta, alpha - beta
+    j = np.arange(2.0, m + 1)
+    t, u = 2.0 * j + s, j * (j + s)
+    v = u * (t - 2.0)
+    a = np.concatenate(([0.5 * (s + 2.0)], (t - 1.0) * t / (2.0 * u)))
+    b = np.concatenate(([0.0], (j + (alpha - 1.0)) * (j + (beta - 1.0)) * t / v))
+    c = np.concatenate(([0.5 * diff], (0.5 * diff * s) * (t - 1.0) / v))
+    for want, got in zip((a, b, c), specfun._jacobi_abc(m, alpha, beta)):
+        assert np.array(got).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 6.0, 499.0, 9999.0])
 @pytest.mark.parametrize("m", [1, 2, 7, 16, 33, 82])
 def test_symmetric_jacobi_rule_is_exactly_mirrored(m, alpha):
@@ -451,7 +467,30 @@ def test_series_roots_are_the_real_roots_inside_the_interval():
     assert specfun._series_roots(0.5, [3.0]) == specfun._series_roots(0.5, [0.0, 0.0]) == ()
 
 
-_ROOT_LAMBDAS = [0.5, 1.0, 6.0, 499.5, 2499.5]
+# 9999.5 is S^(2e4), the CLI's largest sphere (cli.MAX_N)
+_ROOT_LAMBDAS = [0.5, 1.0, 6.0, 499.5, 2499.5, 9999.5]
+
+
+@pytest.mark.parametrize("lam", _ROOT_LAMBDAS)
+def test_gegenbauer_roots_are_the_symmetric_jacobi_rule_nodes(lam):
+    # the roots of C_d^lam are the nodes of the d-point Gauss-Jacobi rule of
+    # alpha = beta = lam - 1/2 (DLMF 18.7.1), bitwise: one node builder makes both
+    for d in (1, 2, 7, 40, 401):
+        nodes, _ = specfun.jacobi_rule_log(d, lam - 0.5, lam - 0.5)
+        roots = specfun.gegenbauer_roots(GegenbauerSpec(lam, d))
+        assert [r.hex() for r in roots] == [x.hex() for x in nodes.tolist()], d
+    assert specfun.gegenbauer_roots(GegenbauerSpec(lam, 0)) == ()
+
+
+@pytest.mark.parametrize("d", [7, 40, 401, 2000])
+def test_chebyshev_second_kind_roots_at_high_degree(d):
+    # on S^3, C_d^1 = U_d, whose roots are cos(j pi / (d + 1)), j = d..1
+    from mpmath import mp
+
+    roots = specfun.gegenbauer_roots(GegenbauerSpec(1.0, d))
+    with mp.workdps(30):
+        error = max(abs(mp.mpf(r) - mp.cos(j * mp.pi / (d + 1))) for r, j in zip(roots, range(d, 0, -1)))
+    assert len(roots) == d and error <= np.finfo(float).eps
 
 
 @pytest.mark.parametrize("lam", _ROOT_LAMBDAS)
