@@ -31,10 +31,10 @@ INCONCLUSIVE_EXIT = 3
 
 _EQUALITY_ATOL = 1e-14
 
-# the largest degree any option may ask for: root finders build a dense d x d
-# Jacobi matrix (32 MB at the cap); at d = 2000, count1_check(n, d, 2, 4)
-# takes 0.8-2.0 s on S^13 and 4.1-4.3 s on S^3, and holds on both (2-CPU VM);
-# on S^4 and S^5 its p = 4 integral bisects to the panel budget (ROADMAP item 6)
+# the largest degree any option may ask for.  The one d x d matrix left is _series_roots' comrade
+# matrix (32 MB at the cap; logsob --random 1 --degree 2000 takes 6.5-7.1 s).  At d = 2000,
+# count1_check(n, d, 2, 4) takes 0.4-0.5 s on S^13 and 4.0-4.5 s on S^3 and holds on both, ratio
+# --gaussian 0.5 s (warm, 2-CPU VM); on S^4 and S^5 its p = 4 integral bisects to the panel budget
 MAX_DEGREE = 2000
 # the largest --p or --q: at 1e16 the integrator's end weight is nan, at 1e200 eigvalsh fails
 MAX_EXPONENT = 1e6
@@ -215,13 +215,7 @@ def _emit(args, rows: list[dict], metadata: dict, summary: list[str]) -> None:
 
 
 def _verdict_columns(v) -> dict:
-    return {
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-        "margin": v.margin,
-        "numeric_error": v.numeric_error,
-        "status": v.status,
-    }
+    return {key: getattr(v, key) for key in ("lhs", "rhs", "margin", "numeric_error", "status")}
 
 
 def _exit_code(statuses) -> int:
@@ -443,15 +437,13 @@ def _repro_checks(args):
 
 
 def _cmd_repro(args) -> int:
-    rows = []
-    all_ok = True
-    for name, expected, observed, ok in _repro_checks(args):
-        rows.append({"check": name, "expected": expected, "observed": observed, "status": "pass" if ok else "fail"})
-        all_ok = all_ok and ok
-    n_pass = sum(1 for r in rows if r["status"] == "pass")
-    summary = [f"repro: {n_pass}/{len(rows)} checks pass"]
-    _emit(args, rows, {"passed": n_pass, "total": len(rows)}, summary)
-    return 0 if all_ok else UNEXPECTED_VERDICT
+    rows = [
+        {"check": name, "expected": expected, "observed": observed, "status": "pass" if ok else "fail"}
+        for name, expected, observed, ok in _repro_checks(args)
+    ]
+    n_pass = sum(r["status"] == "pass" for r in rows)
+    _emit(args, rows, {"passed": n_pass, "total": len(rows)}, [f"repro: {n_pass}/{len(rows)} checks pass"])
+    return 0 if n_pass == len(rows) else UNEXPECTED_VERDICT
 
 
 _COMMANDS = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -330,6 +331,20 @@ def _require_nonnegative(g: ZonalPolynomial) -> tuple[float, ...]:
     return critical
 
 
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _mass_term(a: float, log_norm: float | None) -> float:
+    """a^2 ||Y_k||_2^2 for log_norm = log||Y_k||_2 (None for k = 0: ||Y_0||_2 = 1; else ||Y_k||_2^2 >= 1/(2k + 1)).
+    While a^2 and ||Y_k||_2^2 are normal floats it is bitwise a ** 2 (k = 0) or a * a * exp(2 log_norm); else it
+    comes from the logs, so it is found when a factor is out of range, and is inf past the range."""
+    square, log_square = a * a, 2.0 * (log_norm or 0.0)
+    if sys.float_info.min <= square < math.inf and log_square <= _LOG_MAX:
+        return a**2 if log_norm is None else square * math.exp(log_square)
+    log_term = 2.0 * math.log(abs(a)) + log_square if a else -math.inf
+    return math.inf if log_term > _LOG_MAX else math.exp(log_term)
+
+
 def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, bool, list[float]]:
     """Entropy of g, its error, convergence, and a_k^2 ||Y_k||_2^2 for each degree k.
 
@@ -340,7 +355,7 @@ def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, b
     critical = _require_nonnegative(g)
     params = SphereParams(g.n)
     closed = [norms.sphere_l2_norm_closed(params, k) for k in range(1, len(g.coeffs))]
-    terms = [g.coeffs[0] ** 2, *(a * a * math.exp(2.0 * v.log_value) for a, v in zip(g.coeffs[1:], closed))]
+    terms = [_mass_term(g.coeffs[0], None), *(_mass_term(a, v.log_value) for a, v in zip(g.coeffs[1:], closed))]
     rel = max((2.0 * v.error_estimate for v in closed), default=0.0)
     mass = math.fsum(terms)
     if not 0.0 < mass < math.inf:

@@ -24,10 +24,10 @@ The Gegenbauer roots and every Gauss rule share one node builder
 Gauss-Jacobi rule of alpha = beta = lam - 1/2: Golub-Welsch eigenvalues
 (Math. Comp. 23, 1969; numpy.linalg.eigvalsh) of a floor(d/2)-row Jacobi
 matrix (DLMF 18.7.15-16) give the nonnegative half, which takes one guarded
-Newton step on the full recurrence and is mirrored.  The Hermite roots come
-the same way from h_d's own matrix.  A Jacobi matrix is built from its
-recurrence's own a_k, b_k and c_k, and a rule's log weights come from the
-pass that polished its nodes, so no other library is needed.
+Newton step on the full recurrence and is mirrored; the Hermite roots start
+from half-size Laguerre matrices (DLMF 18.7.19-20).  A Jacobi matrix is built
+from its recurrence's own a_k, b_k and c_k, and a rule's log weights come
+from the pass that polished its nodes, so no other library is needed.
 Expanded coefficient forms exist only as exact-rational oracles in the test
 suite.
 """
@@ -327,19 +327,8 @@ def _jacobi_matrix(a, b, c=None) -> np.ndarray:
     return matrix
 
 
-def _golub_welsch(a, b, c, lo: float, hi: float, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of P_d's full d x d Jacobi matrix from index ``start`` on, ascending, and the cap of each one's Newton step.
-
-    A step is capped at 45% of the gap to the nearest neighbor (or
-    ``lo``/``hi``) in the full list, so roots cannot cross.  Symmetric rules,
-    the Gegenbauer roots among them, start from a half-size matrix instead.
-    """
-    nodes = np.linalg.eigvalsh(_jacobi_matrix(a, b, c), UPLO="L")
-    return nodes[start:], _newton_caps(nodes, lo, hi)[start:]
-
-
 def _newton_caps(nodes, lo: float, hi: float) -> np.ndarray:
-    """45% of each ascending node's gap to its nearest neighbor, ``lo`` and ``hi`` beyond the ends."""
+    """45% of each ascending node's gap to its nearest neighbor, ``lo`` and ``hi`` beyond the ends, so steps cannot cross."""
     edges = np.concatenate(([lo], nodes, [hi]))
     gaps = edges[1:] - edges[:-1]
     return 0.45 * np.minimum(gaps[:-1], gaps[1:])
@@ -389,18 +378,20 @@ def gegenbauer_roots(spec: GegenbauerSpec) -> tuple[float, ...]:
 
 
 def hermite_roots(spec: HermiteSpec) -> tuple[float, ...]:
-    """All d roots of h_d on the real line, ascending and exactly antisymmetric.
+    """All d roots of h_d on the real line, ascending and exactly antisymmetric, started as in ``_jacobi_nodes``.
 
-    The positive eigenvalues of h_d's full d x d Jacobi matrix, each with one
-    guarded Newton step (h_d' = d h_{d-1}), and their mirror images.  A
-    half-size start like the Gegenbauer roots' waits for a Gauss-Hermite rule.
-    """
+    h_d(x) is x^(d % 2) times a multiple of L_k^(alpha)(x^2 / 2), k = d // 2, alpha = d % 2 - 1/2 (DLMF
+    18.7.19-20): the nonnegative roots start from 0 for odd d and from sqrt(2 y), y the eigenvalues of the
+    k x k Jacobi matrix of j L_j = (2j - 1 + alpha - x) L_{j-1} - (j - 1 + alpha) L_{j-2} (DLMF 18.9.13),
+    take one guarded Newton step on h_d (h_d' = d h_{d-1}) and are mirrored."""
     d = spec.degree
-    a, b = _hermite_ab(d)
-    nodes, cap = _golub_welsch(a, b, None, -math.inf, math.inf, (d + 1) // 2)
-    value, prev, _ = _recurrence(a, b, nodes)
-    upper = (nodes + _newton_step(value, d * prev, cap)).tolist()
-    return (*(-r for r in reversed(upper)), *[0.0] * (d % 2), *upper)
+    k, odd = divmod(d, 2)
+    js, alpha = [float(j) for j in range(1, k + 1)], odd - 0.5
+    laguerre = [-1.0 / j for j in js], [(j - 1.0 + alpha) / j for j in js], [(2.0 * j - 1.0 + alpha) / j for j in js]
+    x = np.concatenate(([0.0] * odd, np.sqrt(2.0 * np.linalg.eigvalsh(_jacobi_matrix(*laguerre), UPLO="L")) if k else []))
+    value, prev, _ = _recurrence(*_hermite_ab(d), x)
+    upper = (x + _newton_step(value, d * prev, _newton_caps(x, -x[odd] if k else -math.inf, math.inf))).tolist()
+    return (*(-r for r in reversed(upper[odd:])), *upper)
 
 
 def _jacobi_abc(m: int, alpha: float, beta: float) -> tuple[list[float], list[float], list[float]]:
@@ -493,7 +484,8 @@ def _jacobi_nodes(counts, alpha: float, beta: float):
     parts, halves = [], {}
     for m in counts:
         if alpha != beta:
-            parts.append(_golub_welsch(a[:m], b[:m], c[:m], -1.0, 1.0))
+            x = np.linalg.eigvalsh(_jacobi_matrix(a[:m], b[:m], c[:m]), UPLO="L")
+            parts.append((x, _newton_caps(x, -1.0, 1.0)))
             continue
         k, odd = divmod(m, 2)
         if odd not in halves:

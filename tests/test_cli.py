@@ -458,6 +458,26 @@ def test_logsob_mass_past_the_float_range_exits_inconclusive(capsys, coeffs):
     assert "Traceback" not in err
 
 
+def test_logsob_mass_term_past_the_float_range_is_inf(capsys):
+    # a_0^2 = 1e400 is inf, not an OverflowError, so the mass check names it
+    code, _, err = run(capsys, "logsob", "--n", "2", "--coeffs", "1e200,1e200")
+    assert code == 3, err
+    assert "mass integral is inf, not a positive finite float" in err
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_logsob_mass_term_with_a_factor_past_the_float_range_reaches_a_verdict(capsys, n):
+    # 1 + 1e-300 Y_200: a_200^2 = 1e-600 underflows and, on S^20000,
+    # ||Y_200||_2^2 = e^1118 overflows, but their product e^-263 (e^-715, a
+    # subnormal, on S^2000) is taken from the logs
+    coeffs = ",".join(["1"] + ["0"] * 199 + ["1e-300"])
+    code, out, err = run(capsys, "logsob", "--n", str(n), "--coeffs", coeffs, "--format", "csv")
+    assert code == 3, err
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["status"] == "inconclusive"
+    assert 0.0 < float(row["rhs"]) < 1e-100
+
+
 def test_logsob_rejects_a_dip_between_grid_points(capsys):
     # (t - 2^-12)^2 - 5e-8 on S^2 dips below zero only between the points of
     # a 4,097-point grid; the entropy checks need g >= 0

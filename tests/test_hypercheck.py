@@ -689,6 +689,11 @@ def test_root_runs_pass_eigvalsh_at_most_half_their_degree(eigvalsh_sizes):
         eigvalsh_sizes.clear()
         assert [len(roots) for roots in specfun._gegenbauer_roots(lam, degrees)] == degrees
         assert eigvalsh_sizes == [d // 2 for d in degrees if d > 1]
+    # the Hermite roots start from a half-size Laguerre matrix, none for d <= 1
+    for d in (0, 1, 2, 7, 128, 129, 2000):
+        eigvalsh_sizes.clear()
+        assert len(specfun.hermite_roots(specfun.HermiteSpec(d))) == d
+        assert eigvalsh_sizes == ([d // 2] if d > 1 else [])
 
 
 def _bits(value):

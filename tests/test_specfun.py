@@ -533,6 +533,31 @@ def test_gegenbauer_roots_match_a_50_digit_recurrence(lam):
                 assert abs(float(exact - t)) <= 8 * ulp, (d, i)
 
 
+@pytest.mark.parametrize("d", [1, 2, 7, 40, 180, 400, 2000])
+def test_hermite_roots_match_a_50_digit_recurrence(d):
+    # one 50-digit Newton step on h_d (h_d' = d h_{d-1}) from a float root
+    # lands within ~1e-32 of the true root.  The half-size Laguerre start put
+    # the worst root 5.0 ulps off at d = 2000 (the root nearest 0), and every
+    # root within 1.7 ulps at the other degrees here
+    from mpmath import mp
+
+    roots = specfun.hermite_roots(HermiteSpec(d))
+    assert len(roots) == d and list(roots) == sorted(roots)
+    assert all(roots[i] == -roots[d - 1 - i] for i in range(d))
+    if d % 2:
+        assert roots[d // 2].hex() == "0x0.0p+0"
+    with mp.workdps(50):
+        # the roots are symmetric; every 5th from the middle out past d = 40, every 50th at 2000
+        for i in range(d // 2, d, 1 if d <= 40 else 5 if d <= 400 else 50):
+            t = mp.mpf(roots[i])
+            prev, cur = mp.mpf(1), t
+            for k in range(1, d):
+                prev, cur = cur, t * cur - k * prev
+            exact = t - cur / (d * prev)
+            ulp = np.spacing(max(abs(float(exact)), np.finfo(float).tiny))
+            assert abs(float(exact - t)) <= 8 * ulp, i
+
+
 # ------------------------------------------------------------- gamma helpers
 
 def test_log_gamma_and_beta():
