@@ -357,7 +357,10 @@ def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, b
     closed = [norms.sphere_l2_norm_closed(params, k) for k in range(1, len(g.coeffs))]
     terms = [_mass_term(g.coeffs[0], None), *(_mass_term(a, v.log_value) for a, v in zip(g.coeffs[1:], closed))]
     rel = max((2.0 * v.error_estimate for v in closed), default=0.0)
-    mass = math.fsum(terms)
+    try:
+        mass = math.fsum(terms)
+    except OverflowError:  # finite terms whose sum passes the float range
+        mass = math.inf
     if not 0.0 < mass < math.inf:
         raise ArithmeticError(f"mass integral is {mass}, not a positive finite float")
     lam = params.lam
@@ -365,14 +368,17 @@ def _entropy_with_error(g: ZonalPolynomial, tol: float) -> tuple[float, float, b
 
     def entropy_integrand(t: np.ndarray) -> np.ndarray:
         u = np.asarray(specfun.gegenbauer_series(lam, coeffs, t), dtype=float)
-        usq = u * u
-        # u^2 log u^2, with 0 log 0 = 0
-        return usq * np.log(np.where(usq > 0.0, usq, 1.0))
+        # u^2 log u^2, with 0 log 0 = 0; inf past the float range, which the entropy check below names
+        with np.errstate(over="ignore"):
+            usq = u * u
+            return usq * np.log(np.where(usq > 0.0, usq, 1.0))
 
     # the integrator carries the weight (1 - t^2)^(lam - 1/2); c_lam normalizes it
     ent = integrate_piecewise(entropy_integrand, critical, (-1.0, 1.0), tol, end_exponent=lam - 0.5)
     c = specfun.c_lambda(lam)
     value = c * ent.value - mass * math.log(mass)
+    if not math.isfinite(value):
+        raise ArithmeticError(f"entropy is {value}, not a finite float")
     err = c * ent.error_estimate + rel * mass * (abs(math.log(mass)) + 1.0)
     return value, err, ent.converged, terms
 
@@ -522,9 +528,10 @@ def counterexample_scan(
 ) -> ScanReport:
     """Evaluate count1_check over the (n, d) grid and locate the failure frontier.
 
-    A task is one ``count1_checks`` call on a root run: cells of one n,
-    highest degree first, with at most ``norms._BATCH_NODES`` Newton points
-    (d // 2 a cell), so the whole sphere when d <= 128.  On n <= 13,
+    A task is one ``count1_checks`` call on a root run (``norms._root_runs``):
+    cells of one n, highest degree first, with at most ``norms._BATCH_NODES``
+    Newton points (d // 2 a cell), so the whole sphere when d <= 128, as in
+    ``norms._sphere_ratios``.  On n <= 13,
     d <= 40 that is 12 tasks, one per n; at p = 2, q = 4 each is one exact
     rule pass whose 40 degrees share 6 rules (``norms._rule_size``), and at
     other pairs one root pass integrated in batches.
@@ -544,7 +551,7 @@ def counterexample_scan(
     ns = sorted({_integer("n", n, 2) for n in n_range})
     ds = sorted({_integer("d", d, 1) for d in d_range})
     cells = list(itertools.product(ns, ds))
-    runs = norms._degree_batches(ds, lambda d: d // 2)
+    runs = norms._root_runs(ds)
     tasks = [(n, run, p, q, tol) for n in ns for run in runs]
     sizes = [norms._rule_size(p, q, d) for d in ds]
     nodes = len(ns) * sum(_RULE_NODE_WEIGHT * k if k else norms._first_round_nodes(d) for d, k in zip(ds, sizes))

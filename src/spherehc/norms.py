@@ -339,8 +339,8 @@ def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> dict[
     """||Y_d||_q / ||Y_d||_p (p < q) for each distinct d in ``degrees`` (each >= 1), by degree.
 
     Where ``_rule_size`` gives a rule, the degrees share one ``_rule_ratios``
-    pass.  The others go highest first in root runs of at most
-    ``_BATCH_NODES`` Newton points (d // 2 a degree, so d <= 128 is one
+    pass.  The others go highest first in root runs (``_root_runs``) of at
+    most ``_BATCH_NODES`` Newton points (d // 2 a degree, so d <= 128 is one
     run), each polished in one ``specfun._gegenbauer_roots`` pass whose roots
     are bitwise each degree's own (a rescale divides by a power of two, and a
     Newton step is a ratio of values scaled alike).  A run is integrated in
@@ -355,7 +355,7 @@ def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> dict[
     sizes = {d: _rule_size(p, q, d) for d in sorted(set(degrees), reverse=True)}
     exact = [d for d, k in sizes.items() if k is not None]
     ratios = _rule_ratios(lam, exact, [sizes[d] for d in exact], p, q) if exact else {}
-    for run in _degree_batches([d for d, k in sizes.items() if k is None], lambda d: d // 2):
+    for run in _root_runs([d for d, k in sizes.items() if k is None]):
         roots = dict(zip(run, specfun._gegenbauer_roots(lam, run)))
         for batch in _degree_batches(run):
             for d, pair in zip(batch, _zonal_integrals(lam, batch, None, [roots[d] for d in batch], (q, p), tol)):
@@ -402,6 +402,11 @@ def _degree_batches(degrees, size=_first_round_nodes) -> list[list[int]]:
     return batches
 
 
+def _root_runs(degrees) -> list[list[int]]:
+    """``_degree_batches`` of Newton points, d // 2 a degree: the runs whose roots one ``specfun._gegenbauer_roots`` pass polishes."""
+    return _degree_batches(degrees, lambda d: d // 2)
+
+
 def _rule_log_means(lam: float, degrees, sizes, exponents) -> list[tuple[np.ndarray, np.ndarray]]:
     """The log mean of |C_d|^e against c_lam (1 - t^2)^(lam - 1/2) dt, and its band, for each e in
     ``exponents`` (even): arrays over the d in ``degrees`` (descending), each d by its exact rule of
@@ -409,8 +414,8 @@ def _rule_log_means(lam: float, degrees, sizes, exponents) -> list[tuple[np.ndar
 
     The distinct sizes' rules come from one ``specfun._jacobi_rules``
     pass, cached per process by the sphere and those sizes
-    (``_exact_rules``), each degree takes its size's nodes and log weights
-    out of it, and log|C_d| at those nodes comes from one blocked recurrence
+    (``_exact_rules``), each degree's nodes and log weights are its size's
+    rule, and log|C_d| at those nodes comes from one blocked recurrence
     pass, so a degree's means are bitwise its own call's wherever those
     passes rescale at the same steps.  |C_d|^e is even, so the k positive
     nodes, with weights summing to 1, give its mean exactly up to rounding:
@@ -420,9 +425,8 @@ def _rule_log_means(lam: float, degrees, sizes, exponents) -> list[tuple[np.ndar
     recurrences of the rule and of C_d.
     """
     rules = sorted(set(sizes), reverse=True)
-    starts = dict(zip(rules, np.cumsum([0, *rules[:-1]]).tolist()))
-    take = np.concatenate([np.arange(starts[k], starts[k] + k) for k in sizes])
-    nodes, log_w = (x[take] for x in _exact_rules(lam, tuple(rules)))
+    by_size = dict(zip(rules, _exact_rules(lam, tuple(rules))))
+    nodes, log_w = (np.concatenate([by_size[k][i] for k in sizes]) for i in (0, 1))
     log_abs = specfun._log_abs(specfun._gegenbauer_ab(lam, degrees[0]), nodes, blocks=list(zip(degrees, sizes)))[1]
     out = []
     for e in exponents:
@@ -433,9 +437,9 @@ def _rule_log_means(lam: float, degrees, sizes, exponents) -> list[tuple[np.ndar
 
 
 @lru_cache(maxsize=256)
-def _exact_rules(lam: float, rules: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _exact_rules(lam: float, rules: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The k positive nodes, ascending, and log weights of the 2k-point Gauss-Gegenbauer rule
-    for each k in ``rules`` (descending), concatenated in that order, built once per process.
+    for each k in ``rules`` (descending), one pair per size in that order, built once per process.
 
     They are the positive halves of ``specfun._jacobi_rules([2k, ...],
     lam - 1/2, lam - 1/2)``, renormalised to sum to 1: each rule sums to
@@ -449,11 +453,12 @@ def _exact_rules(lam: float, rules: tuple[int, ...]) -> tuple[np.ndarray, np.nda
     a node and a log weight, so the cache stays below 660 kB.
     """
     full = specfun._jacobi_rules([2 * k for k in rules], lam - 0.5, lam - 0.5)
-    nodes, log_w = (np.concatenate([rule[i][k:] for rule, k in zip(full, rules)]) for i in (0, 1))
-    log_w -= specfun._log_jacobi_mass(lam - 0.5, lam - 0.5) - math.log(2.0)
-    nodes.flags.writeable = False
-    log_w.flags.writeable = False
-    return nodes, log_w
+    log_half = specfun._log_jacobi_mass(lam - 0.5, lam - 0.5) - math.log(2.0)
+    # the nodes are copied, so the cache does not keep each whole 2k-node rule alive
+    out = tuple((nodes[k:].copy(), log_w[k:] - log_half) for (nodes, log_w), k in zip(full, rules))
+    for nodes, log_w in out:
+        nodes.flags.writeable = log_w.flags.writeable = False
+    return out
 
 
 def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:

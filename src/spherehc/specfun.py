@@ -9,7 +9,9 @@ Newton step.  The loop writes every step into preallocated arrays, with
 the operations of the plain expression in its order, so it is bitwise the
 plain loop.  One pass can also serve several degrees: with the points
 grouped by degree, highest first, each step updates the prefix still below
-its degree, so a point gets the values of a pass of its own degree.
+its degree, so a point gets the values of a pass of its own degree.  P_k
+lives in the array of k's parity, so a finished block is left where it was
+computed, not copied out.
 
 Rescale rule: |P_k| <= (|a_k| max|x| + |c_k| + |b_k|) max(|P_{k-1}|, |P_{k-2}|) bounds
 each value before it is computed.  While the running product of these
@@ -34,6 +36,7 @@ suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -99,7 +102,7 @@ def _recurrence(a, b, x, coeffs=None, c=None, blocks=None):
     ``c`` holds the diagonal terms c_k = c[k-1] of P_k = (a_k x + c_k) P_{k-1}
     - b_k P_{k-2}; without it they are 0 and the pass is the plain one.  The
     true values are the returned ones times 2**shift; ``shift`` is the Python
-    int 0 unless a rescale fired.  A series sum is at most
+    int 0 until a rescale fires, then an integer array like ``x``.  A series sum is at most
     2 max(1, sum|coeffs|) times the bound on the P_k, so its threshold is
     lowered by that factor.
 
@@ -108,30 +111,31 @@ def _recurrence(a, b, x, coeffs=None, c=None, blocks=None):
     count points of each degree in that order, and each point gets the
     values of its own degree; a_k, b_k and c_k must reach the first nonempty
     block's degree.  The points still below their degree are a prefix of
-    ``x``, so each step updates a slice of it, and a block's values and
-    shift are copied out at its degree.  With one block this is the plain
-    pass.  The rescale bound is that of all points, so a rescale may fire at
-    another step than in a pass of one block alone: log|P| then differs by
-    a few ulps.
+    ``x``, so each step updates a slice of it.  P_k always lives in the
+    buffer of k's parity, so a finished block's P_d and P_{d-1} stay where
+    they were computed, and one ``np.where`` per output picks them at the
+    end; with one block the buffers are returned as they are.  The rescale
+    bound is that of all points, so a rescale may fire at another step than
+    in a pass of one block alone: log|P| then differs by a few ulps.
     """
     x = np.asarray(x, dtype=float)
+    stops = []
     if blocks is not None:
         blocks = [(d, count) for d, count in blocks if count]
         if not blocks:
             return x.copy(), x.copy(), 0
         depth = blocks[0][0]
         a, b, c = a[:depth], b[:depth], None if c is None else c[:depth]
-        # the plain pass, no copies out: single cells (the sufficiency
-        # workload) measured 9% slower through the blocked one
-        if len(blocks) == 1:
-            blocks = None
+        # (degree, first point of that degree), the lowest degree last
+        stops = list(zip([d for d, _ in blocks[1:]], itertools.accumulate(count for _, count in blocks)))
     prev = np.ones_like(x)
     if not a:
         return (prev if coeffs is None else coeffs[0] * prev), np.zeros_like(x), 0
     if c is None:
         c = [0.0] * len(a)
-    # every step writes into these arrays; without ``out``, a 0-d x would give scalars
-    cur, buf = np.multiply(x, a[0], out=np.empty_like(x)), np.empty_like(x)
+    # P_k lives in pair[k % 2]; without ``out``, a 0-d x would give scalars
+    pair = prev, np.multiply(x, a[0], out=np.empty_like(x))
+    cur, tmp = pair[1], np.empty_like(x)
     if c[0]:
         cur += c[0]
     acc = None
@@ -143,20 +147,11 @@ def _recurrence(a, b, x, coeffs=None, c=None, blocks=None):
     top = float(np.abs(x).max(initial=0.0))
     bound = max(1.0, abs(a[0]) * top + abs(c[0]))
     shift = 0
-    # (degree, first point of that degree), the lowest degree last
-    stops, out = [], None
-    if blocks is not None:
-        starts = np.cumsum([count for _, count in blocks]).tolist()
-        stops = [(d, start) for (d, _), start in zip(blocks[1:], starts)]
-        out = [np.empty_like(x), np.empty_like(x), None]
     for k in range(1, len(a)):
         while stops and stops[-1][0] == k:
             # cur holds P_k: the points from ``start`` on are done
             start = stops.pop()[1]
-            _retire(out, start, cur, prev, shift)
-            x, cur, prev, buf = x[:start], cur[:start], prev[:start], buf[:start]
-            if not isinstance(shift, int):
-                shift = shift[:start]
+            x, cur, prev, tmp = x[:start], cur[:start], prev[:start], tmp[:start]
         ak, bk, ck = a[k], b[k], c[k]
         factor = max(1.0, abs(ak) * top + abs(ck) + abs(bk))
         bound *= factor
@@ -169,34 +164,24 @@ def _recurrence(a, b, x, coeffs=None, c=None, blocks=None):
             np.ldexp(prev, -exponent, out=prev)
             if acc is not None:
                 acc = np.ldexp(acc, -exponent)
-            shift = shift + exponent
+            if isinstance(shift, int):
+                shift = np.zeros_like(pair[0], dtype=exponent.dtype)
+            live = shift[: len(x)] if x.ndim else shift
+            live += exponent
             bound = factor
-        np.multiply(x, ak, out=buf)
+        np.multiply(x, ak, tmp)
         if ck:
-            buf += ck
-        buf *= cur
+            tmp += ck
+        tmp *= cur
         prev *= bk
-        buf -= prev
-        prev, cur, buf = cur, buf, prev
+        np.subtract(tmp, prev, prev)
+        prev, cur = cur, prev
         if acc is not None:
             acc = acc + coeffs[k + 1] * cur
-    if out is None:
-        return (cur if acc is None else acc), prev, shift
-    _retire(out, 0, cur, prev, shift)
-    value, last, shifts = out
-    return value, last, (shift if isinstance(shift, int) else shifts)
-
-
-def _retire(out, start, cur, prev, shift) -> None:
-    """Copy the points from ``start`` on of a blocked ``_recurrence`` pass into ``out``,
-    [value, P_{d-1}, shift or None while no rescale has fired]."""
-    value, last, shifts = out
-    value[start : len(cur)] = cur[start:]
-    last[start : len(cur)] = prev[start:]
-    if not isinstance(shift, int):
-        if shifts is None:
-            out[2] = shifts = np.zeros(len(value), dtype=shift.dtype)
-        shifts[start : len(cur)] = shift[start:]
+    if blocks is not None and len(blocks) > 1:
+        odd = np.repeat([d % 2 == 1 for d, _ in blocks], [count for _, count in blocks])
+        cur, prev = np.where(odd, pair[1], pair[0]), np.where(odd, pair[0], pair[1])
+    return (cur if acc is None else acc), prev, shift
 
 
 def _gegenbauer_ab(lam: float, d: int) -> tuple[list[float], list[float]]:

@@ -465,6 +465,21 @@ def test_logsob_mass_term_past_the_float_range_is_inf(capsys):
     assert "mass integral is inf, not a positive finite float" in err
 
 
+def test_logsob_mass_sum_past_the_float_range_is_inf(capsys):
+    # both terms are finite, about 1.7e308, but their sum is not: fsum's
+    # OverflowError becomes a mass of inf, which the mass check names
+    code, out, err = run(capsys, "logsob", "--n", "3", "--coeffs", "1.3e154,0,1.3e154")
+    assert code == 3 and out == ""
+    assert err == "spherehc: inconclusive: mass integral is inf, not a positive finite float\n"
+
+
+def test_logsob_entropy_past_the_float_range_exits_inconclusive(capsys):
+    # the mass is finite, but u^2 log u^2 passes the float range: one line, no warning
+    code, out, err = run(capsys, "logsob", "--n", "3", "--coeffs", "1.3e154,1e153")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("spherehc: inconclusive: entropy is ")
+
+
 @pytest.mark.parametrize("n", [2000, 20000])
 def test_logsob_mass_term_with_a_factor_past_the_float_range_reaches_a_verdict(capsys, n):
     # 1 + 1e-300 Y_200: a_200^2 = 1e-600 underflows and, on S^20000,

@@ -278,6 +278,15 @@ def test_entropy_whose_mass_underflows_raises_arithmetic_error():
         entropy_functional(ZonalPolynomial(3, (1e-200, 1e-201)))
 
 
+def test_entropy_past_the_float_range_raises_arithmetic_error():
+    # the mass is finite, but u^2 log u^2 overflows near t = 1
+    g = ZonalPolynomial(3, (1.3e154, 1e153))
+    with pytest.raises(ArithmeticError, match="entropy is "):
+        entropy_functional(g)
+    with pytest.raises(ArithmeticError, match="entropy is "):
+        logsob_check(g, RHS_BECKNER)
+
+
 def test_entropy_rejects_negative_polynomials():
     with pytest.raises(NonnegativityError):
         entropy_functional(ZonalPolynomial(2, (0.0, 1.0)))

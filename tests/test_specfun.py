@@ -185,22 +185,30 @@ def test_recurrence_with_diagonal_terms_is_bitwise_the_plain_loop():
     assert shift == 0 and np.array_equal(value, cur) and np.array_equal(last, prev)
 
 
-@pytest.mark.parametrize("d,x,rescaled", [
-    (30, np.linspace(-1.0, 1.0, 9), False),
-    (300, np.linspace(-30.0, 30.0, 9), True),
-    (30, 0.3, False),
-    (300, 30.0, True),
+@pytest.mark.parametrize("d,x,rescaled,blocks", [
+    (30, np.linspace(-1.0, 1.0, 9), False, None),
+    (300, np.linspace(-30.0, 30.0, 9), True, None),
+    (30, 0.3, False, None),
+    (300, 30.0, True, None),
+    # blocked passes: top degrees of both parities, a block finished before
+    # the rescale fires (near step 150), and one block beside empty ones
+    (30, np.linspace(-1.0, 1.0, 9), False, [(30, 5), (7, 4)]),
+    (31, np.linspace(-1.0, 1.0, 9), False, [(31, 5), (8, 4)]),
+    (300, np.linspace(-30.0, 30.0, 9), True, [(300, 5), (20, 4)]),
+    (305, np.linspace(-30.0, 30.0, 9), True, [(305, 0), (301, 9), (2, 0)]),
 ])
-def test_recurrence_leaves_x_alone_and_returns_arrays_of_its_own(d, x, rescaled):
-    # the loop writes into three arrays of its own, also for a 0-d x
+def test_recurrence_leaves_x_alone_and_returns_arrays_of_its_own(d, x, rescaled, blocks):
+    # the loop writes into arrays of its own, also for a 0-d x and for blocks left where they were computed
     x = np.asarray(x, dtype=float)
     saved = x.copy()
-    value, prev, shift = specfun._recurrence(*specfun._hermite_ab(d), x)
+    value, prev, shift = specfun._recurrence(*specfun._hermite_ab(d), x, blocks=blocks)
     assert isinstance(shift, int) != rescaled
     assert np.array_equal(x, saved)
     assert np.shape(value) == np.shape(prev) == x.shape
-    for first, second in ((value, prev), (value, x), (prev, x)):
-        assert not np.shares_memory(first, second)
+    arrays = [value, prev, x] + ([] if isinstance(shift, int) else [shift])
+    for i, first in enumerate(arrays):
+        for second in arrays[i + 1 :]:
+            assert not np.shares_memory(first, second)
 
 
 def _blocked_and_separate(ab, degrees, rng, spread):
@@ -347,7 +355,7 @@ def test_gegenbauer_rule_is_the_positive_half_of_the_mpmath_rule(lam, k):
     # the 2k-point Gauss-Jacobi rule of alpha = beta = lam - 1/2 in 40
     # digits, its weights doubled and divided by mu0: nodes within 2 ulps and
     # log weights within 4 m eps, m = 2k, the rounding of P_m's recurrence
-    nodes, log_w = norms._exact_rules(lam, (k,))
+    ((nodes, log_w),) = norms._exact_rules(lam, (k,))
     exact, log_v, log_mu0 = gauss_jacobi_mp(2 * k, lam - 0.5, lam - 0.5, nodes)
     exact = np.array([float(x) for x in exact])
     log_v = np.array([float(v - log_mu0) for v in log_v]) + math.log(2.0)
