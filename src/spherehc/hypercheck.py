@@ -19,7 +19,7 @@ import numpy as np
 
 from . import norms, specfun
 from .norms import SphereParams
-from .quadrature import integrate_piecewise
+from .quadrature import _check_tol, integrate_piecewise
 from .specfun import _integer
 from .verdict import FAILS, HOLDS, Verdict, rounding_allowance
 
@@ -188,6 +188,7 @@ def count1_checks(n: int, degrees, p: float, q: float, tol: float = 1e-12) -> li
     recurrence passes rescale at the same steps, which they do for n <= 5e4.
     """
     ExponentPair(p, q)
+    _check_tol(tol)
     n = _integer("n", n, 2)
     degrees = [_integer("d", d, 1) for d in degrees]
     if p == q:

@@ -12,7 +12,12 @@ positive nodes: |C_d|^q is then a polynomial, so it needs no roots, no
 multiples of ``_RULE_STEP`` (``_rule_size``), so the degrees of a sphere
 share a few rules: d = 1..40 at q = 4 take 6.  The rules come from a
 per-process cache keyed by the sphere and the sizes (``_exact_rules``), so
-a call that repeats a sphere and sizes builds no rule.
+a call that repeats a sphere and sizes builds no rule.  The Gaussian side
+decides the same way: a Gaussian norm or ratio with even exponents takes the
+positive half of the exact Gauss-Hermite rule of the same size
+(``_hermite_log_means``, cached per size by ``_hermite_rules``), and both
+sides sum and band a rule's means in one place (``_log_means``).  Every
+other Gaussian norm takes the root split (``_gaussian_integrals``).
 """
 
 from __future__ import annotations
@@ -24,12 +29,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .quadrature import ADAPTIVE, NormValue, _exp, _integrate_root_lists, integrate_root_intervals
+from .quadrature import ADAPTIVE, NormValue, _check_tol, _exp, _integrate_root_lists, integrate_root_intervals
 from .specfun import _integer
 
 __all__ = [
     "CLOSED_FORM",
     "GAUSS_GEGENBAUER",
+    "GAUSS_HERMITE",
     "SphereParams",
     "NormValue",
     "sphere_lp_norm",
@@ -43,6 +49,7 @@ __all__ = [
 
 CLOSED_FORM = "closed-form"
 GAUSS_GEGENBAUER = "gauss-gegenbauer"
+GAUSS_HERMITE = "gauss-hermite"
 
 # the most positive nodes of an exact rule (``_rule_log_means``): d <= 40 at
 # q = 4, 27 at q = 6 and 20 at q = 8.  A k x k Jacobi matrix stays well
@@ -57,7 +64,10 @@ _RULE_STEP = 8
 # every even q <= 160 at each degree its rule serves, for e = 2 and e = q at
 # n in 2..13, 50, 100, 1e3, 2e4, 1e5 and 1e7 and for every even e <= q at
 # n in {2, 3, 4, 5, 7, 9, 13, 1000}; at q = 4 for e in {2, 4} up to
-# n = 1e7
+# n = 1e7.  On the Gauss-Hermite rules, against the exact integers of
+# tests/oracles.hermite_power_moment at every even e <= q of every (d, q)
+# the ladder serves, the error stayed within the log-size term, at most
+# 0.14 of the band
 _RULE_FLOOR = 8.0
 # the most points of one count1_checks run or batch: a root run's Newton
 # points (d // 2 a degree) or a batch's first-round nodes, so that its
@@ -94,6 +104,7 @@ def zonal_power_integral(lam: float, d: int, p: float, tol: float) -> NormValue:
 
     With lam = (n - 1) / 2 this is ||Y_d||_p^p on S^n; see ``_zonal_integrals``.
     """
+    _check_tol(tol)
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     return _zonal_integrals(lam, [d], None, [_roots(lam, d)], (p,), tol)[0][0]
@@ -182,6 +193,7 @@ def sphere_lp_norm(params: SphereParams, d: int, p: float, tol: float = 1e-12) -
     weight (lam = 0), and the degree-d profile there is cos(d theta), whose
     norm has the closed form (B(1/2, (p + 1)/2) / pi)^(1/p) for every d >= 1.
     """
+    _check_tol(tol)
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     d = _integer("degree", d, 0)
@@ -229,19 +241,28 @@ def sphere_l2_norm_closed(params: SphereParams, d: int) -> NormValue:
 
 
 def gaussian_lp_norm(d: int, p: float, tol: float = 1e-12) -> NormValue:
-    """||h_d||_{L^p(R, dgamma)} by the root-interval integrator on (-R, R).
+    """||h_d||_{L^p(R, dgamma)}, from an exact Gauss-Hermite rule for even p, else by the
+    root-interval integrator on (-R, R).
 
-    log|h_d| comes from the rescaled Hermite recurrence and the density is
-    the log weight -y^2/2 - log sqrt(2 pi), so no degree overflows.  R lies
-    a fixed distance past a bound on the peak of |h_d|^p exp(-y^2/2), see
-    ``_gaussian_integrals``.  The error adds the tails and 4 p (d + 1) eps for
-    the recurrence.
+    Where ``_rule_size(p, p, d)`` gives a rule, the mean of |h_d|^p is the
+    positive half of the exact 2K-point rule's sum (``_hermite_log_means``),
+    one panel, and the method is GAUSS_HERMITE.  Otherwise log|h_d| comes
+    from the rescaled Hermite recurrence and the density is the log weight
+    -y^2/2 - log sqrt(2 pi), so no degree overflows.  R lies a fixed
+    distance past a bound on the peak of |h_d|^p exp(-y^2/2), see
+    ``_gaussian_integrals``.  The error adds the tails and 4 p (d + 1) eps
+    for the recurrence.
     """
+    _check_tol(tol)
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     d = _integer("degree", d, 0)
     if d == 0:
         return _ONE
+    k = _rule_size(p, p, d)
+    if k is not None:
+        ((log_mean, rel),) = _hermite_log_means(d, k, (p,))
+        return _norm_from_integral(NormValue(float(log_mean[0]), float(rel[0]), GAUSS_HERMITE, True, 1), p)
     return _norm_from_integral(_gaussian_integrals(d, (p,), tol)[0], p)
 
 
@@ -307,6 +328,7 @@ def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: flo
     ``_sphere_ratios``.  ``d`` is checked first, as in ``sphere_lp_norm``,
     on every n and pair.
     """
+    _check_tol(tol)
     if not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
     d = _integer("degree", d, 0)
@@ -318,13 +340,16 @@ def norm_ratio_sphere(params: SphereParams, d: int, p: float, q: float, tol: flo
 
 
 def _rule_size(p: float, q: float, d: int) -> int | None:
-    """K, the positive nodes of the exact rule for ||Y_d||_q / ||Y_d||_p (p < q), or None.
+    """K, the positive nodes of the exact rule for ||Y_d||_q / ||Y_d||_p or ||h_d||_q / ||h_d||_p
+    (p <= q; p = q for a single norm), or None.
 
-    When p and q are even, |C_d|^q is a polynomial of degree q d, and the
-    2K-point Gauss-Gegenbauer rule is exact to degree 4K - 1 >= q d for
-    every K >= k = ceil((q d / 2 + 1) / 2).  K is k rounded up to a multiple
-    of ``_RULE_STEP``, at most ``_RULE_NODES``, so the degrees of a sphere
-    share a few rules (d = 1..40 at q = 4 share 8, 16, 24, 32, 40 and 41).
+    When p and q are even, |C_d|^q and |h_d|^q are polynomials of degree
+    q d, and the 2K-point Gauss-Gegenbauer or Gauss-Hermite rule is exact
+    to degree 4K - 1 >= q d for every K >= k = ceil((q d / 2 + 1) / 2).  K
+    is k rounded up to a multiple of ``_RULE_STEP``, at most
+    ``_RULE_NODES``, so the degrees of a sphere share a few rules (d = 1..40
+    at q = 4 share 8, 16, 24, 32, 40 and 41), and the Gaussian side has six
+    rules in all.
     K depends only on (d, p, q), so a degree takes the same rule in any
     batch.  None when an exponent is not even or k would pass
     ``_RULE_NODES``.
@@ -354,7 +379,10 @@ def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> dict[
     """
     sizes = {d: _rule_size(p, q, d) for d in sorted(set(degrees), reverse=True)}
     exact = [d for d, k in sizes.items() if k is not None]
-    ratios = _rule_ratios(lam, exact, [sizes[d] for d in exact], p, q) if exact else {}
+    ratios = {}
+    if exact:
+        means = _rule_log_means(lam, exact, [sizes[d] for d in exact], (q, p))
+        ratios = _rule_ratios(means, exact, p, q, GAUSS_GEGENBAUER)
     for run in _root_runs([d for d, k in sizes.items() if k is None]):
         roots = dict(zip(run, specfun._gegenbauer_roots(lam, run)))
         for batch in _degree_batches(run):
@@ -363,22 +391,23 @@ def _sphere_ratios(lam: float, degrees, p: float, q: float, tol: float) -> dict[
     return ratios
 
 
-def _rule_ratios(lam: float, degrees, sizes, p: float, q: float) -> dict[int, NormValue]:
-    """``_ratio`` of the ``_norm_from_integral``s of each degree's ``_rule_log_means``, by degree, on whole arrays.
+def _rule_ratios(means, degrees, p: float, q: float, method: str) -> dict[int, NormValue]:
+    """``_ratio`` of the ``_norm_from_integral``s of each degree's rule means, by degree, on whole arrays.
 
-    The same elementwise float operations (``_log_norm``, ``_log_ratio``)
-    and the same ArithmeticError for a mean that is not finite, so every
-    ratio is bitwise the one those scalar steps give on each mean as a
-    NormValue of one panel; only the last step makes NormValues.  Both norms
-    are GAUSS_GEGENBAUER and converged, one panel each.
+    ``means`` holds the log means and bands (``_log_means``) of exponents q
+    and p over ``degrees``.  The same elementwise float operations
+    (``_log_norm``, ``_log_ratio``) and the same ArithmeticError for a mean
+    that is not finite, so every ratio is bitwise the one those scalar steps
+    give on each mean as a NormValue of one panel; only the last step makes
+    NormValues.  Both norms are ``method`` and converged, one panel each.
     """
-    (log_q, rel_q), (log_p, rel_p) = _rule_log_means(lam, degrees, sizes, (q, p))
+    (log_q, rel_q), (log_p, rel_p) = means
     for log_mean in (log_q, log_p):
         if not np.isfinite(log_mean).all():
             raise _non_finite(log_mean[~np.isfinite(log_mean)][0])
     log_ratio, band, lyapunov = _log_ratio(*_log_norm(log_q, rel_q, q), *_log_norm(log_p, rel_p, p))
     rows = zip(degrees, log_ratio.tolist(), band.tolist(), lyapunov.tolist())
-    return {d: NormValue(r, b, GAUSS_GEGENBAUER, ok, 2) for d, r, b, ok in rows}
+    return {d: NormValue(r, b, method, ok, 2) for d, r, b, ok in rows}
 
 
 def _first_round_nodes(d: int) -> int:
@@ -418,16 +447,26 @@ def _rule_log_means(lam: float, degrees, sizes, exponents) -> list[tuple[np.ndar
     rule, and log|C_d| at those nodes comes from one blocked recurrence
     pass, so a degree's means are bitwise its own call's wherever those
     passes rescale at the same steps.  |C_d|^e is even, so the k positive
-    nodes, with weights summing to 1, give its mean exactly up to rounding:
-    the log-sum of e log|C_d| + log w.  The relative band of each mean is
-    4 eps times the summands' log size, |e log|C_d|| + |log w| weighted by
-    each summand's share, plus ``_RULE_FLOOR`` e (d + 1) eps for the
-    recurrences of the rule and of C_d.
+    nodes, with weights summing to 1, give its mean exactly up to rounding
+    (``_log_means``).
     """
     rules = sorted(set(sizes), reverse=True)
     by_size = dict(zip(rules, _exact_rules(lam, tuple(rules))))
     nodes, log_w = (np.concatenate([by_size[k][i] for k in sizes]) for i in (0, 1))
     log_abs = specfun._log_abs(specfun._gegenbauer_ab(lam, degrees[0]), nodes, blocks=list(zip(degrees, sizes)))[1]
+    return _log_means(log_abs, log_w, degrees, sizes, exponents)
+
+
+def _log_means(log_abs, log_w, degrees, sizes, exponents) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The log mean of |P_d|^e and its band for each e in ``exponents``, arrays over the d in ``degrees``,
+    from log|P_d| (``log_abs``) at the nodes of an exact rule with log weights ``log_w`` summing to 1,
+    sizes[i] nodes a degree, one degree after another.
+
+    A mean is the log-sum of e log|P_d| + log w.  Its relative band is 4 eps
+    times the summands' log size, |e log|P_d|| + |log w| weighted by each
+    summand's share, plus ``_RULE_FLOOR`` e (d + 1) eps for the recurrences
+    of the rule and of P_d.
+    """
     out = []
     for e in exponents:
         terms = e * log_abs
@@ -461,18 +500,52 @@ def _exact_rules(lam: float, rules: tuple[int, ...]) -> tuple[tuple[np.ndarray, 
     return out
 
 
+def _hermite_log_means(d: int, k: int, exponents) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_log_means`` of |h_d|^e under the standard Gaussian for each e in ``exponents`` (even), one-entry
+    arrays, by the positive half of the 2k-point Gauss-Hermite rule (``_hermite_rules``)."""
+    nodes, log_w = _hermite_rules(k)
+    return _log_means(specfun._log_abs(specfun._hermite_ab(d), nodes)[1], log_w, [d], [k], exponents)
+
+
+@lru_cache(maxsize=8)
+def _hermite_rules(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k positive nodes, ascending, and log weights of the 2k-point Gauss-Hermite rule, built once per process.
+
+    The positive half of ``specfun._hermite_rule(2k)``, whose weights sum to
+    1, so each half sums to 1/2 and is doubled.  It integrates an even
+    polynomial of degree at most 4k - 1 exactly against the standard
+    Gaussian.  The arrays are read-only.  ``_rule_size`` gives the six sizes
+    of its ladder, which the cache holds all of.
+    """
+    nodes, log_w = specfun._hermite_rule(2 * k)
+    # the nodes are copied, so the cache does not keep the whole 2k-node rule alive
+    nodes, log_w = nodes[k:].copy(), log_w[k:] + math.log(2.0)
+    nodes.flags.writeable = log_w.flags.writeable = False
+    return nodes, log_w
+
+
 def norm_ratio_gaussian(d: int, p: float, q: float, tol: float = 1e-12) -> NormValue:
-    """||h_d||_q / ||h_d||_p under the standard Gaussian measure; ``d`` is checked first, on every pair."""
+    """||h_d||_q / ||h_d||_p under the standard Gaussian measure; ``d`` is checked first, on every pair.
+
+    Where ``_rule_size`` gives a rule (p and q even), both norms come from
+    the positive half of one exact Gauss-Hermite rule (``_hermite_log_means``)
+    and the method is GAUSS_HERMITE, else from ``_gaussian_integrals``.
+    """
+    _check_tol(tol)
     if not 1 <= p <= q:
         raise ValueError(f"need 1 <= p <= q, got ({p}, {q})")
     d = _integer("degree", d, 0)
     if d == 0 or p == q:
         return _ONE
+    k = _rule_size(p, q, d)
+    if k is not None:
+        return _rule_ratios(_hermite_log_means(d, k, (q, p)), [d], p, q, GAUSS_HERMITE)[d]
     return _ratio(*map(_norm_from_integral, _gaussian_integrals(d, (q, p), tol), (q, p)))
 
 
 def zonal_lp_norm(params: SphereParams, coeffs, p: float, tol: float = 1e-12) -> NormValue:
     """||sum_k a_k Y_k||_p on S^n (n >= 2) from ``_zonal_integrals``, as for ``zonal_power_integral``."""
+    _check_tol(tol)
     if params.n < 2:
         raise ValueError(f"zonal quadrature needs n >= 2, got {params.n}")
     if p < 1:

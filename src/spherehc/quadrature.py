@@ -118,10 +118,11 @@ class NormValue:
     ``log_value`` is finite unless ``converged`` is False; ``value`` is
     exp(log_value) and may overflow to inf.  ``error_estimate`` is relative
     to value, so a band on log_value (zero for closed forms up to rounding).
-    ``method`` is ``norms.CLOSED_FORM``, ``norms.GAUSS_GEGENBAUER`` (an
-    exact rule, one panel) or the integral's own: GAUSS_JACOBI when the
-    first round of root intervals converged, ADAPTIVE when it bisected; a
-    ratio's is its norms' method when they share one, else ADAPTIVE.
+    ``method`` is ``norms.CLOSED_FORM``, ``norms.GAUSS_GEGENBAUER`` or
+    ``norms.GAUSS_HERMITE`` (an exact rule, one panel) or the integral's
+    own: GAUSS_JACOBI when the first round of root intervals converged,
+    ADAPTIVE when it bisected; a ratio's is its norms' method when they
+    share one, else ADAPTIVE.
     ``panels`` counts the integral's panels in its last round; a ratio's is
     the sum of its norms', a closed form's 0.  A ratio is not
     ``converged`` when a norm is not, or when it is below 1 past its band.
@@ -143,6 +144,12 @@ def _exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _check_tol(tol: float) -> None:
+    """ValueError unless the tolerance is positive: 0, a negative value and NaN are refused."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
 
 
 def _log_sum_exp(terms: np.ndarray, size: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -369,8 +376,7 @@ def _integrate_root_lists(
     have alone, so where log|P_i| is bitwise that of a one-polynomial call,
     so is every result.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     powers = [float(p) for p in exponents]
     a, b = float(interval[0]), float(interval[1])
     c = 0.5 * (a + b)
@@ -462,8 +468,7 @@ def integrate_piecewise(f, breakpoints, interval, tol: float, *, end_exponent: f
     and at once, with a NaN value, when a panel's value is not finite:
     bisection cannot make an overflowed integrand finite.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     a, b = float(interval[0]), float(interval[1])
     edges = [a, *sorted({float(p) for p in breakpoints if a < p < b}), b]
 

@@ -26,7 +26,8 @@ The Gegenbauer roots and every Gauss rule share one node builder
 Gauss-Jacobi rule of alpha = beta = lam - 1/2: Golub-Welsch eigenvalues
 (Math. Comp. 23, 1969; numpy.linalg.eigvalsh) of a floor(d/2)-row Jacobi
 matrix (DLMF 18.7.15-16) give the nonnegative half, which takes one guarded
-Newton step on the full recurrence and is mirrored; the Hermite roots start
+Newton step on the full recurrence and is mirrored; the Hermite roots and the
+Gauss-Hermite rules share a node builder too (``_hermite_nodes``), which starts
 from half-size Laguerre matrices (DLMF 18.7.19-20).  A Jacobi matrix is built
 from its recurrence's own a_k, b_k and c_k, and a rule's log weights come
 from the pass that polished its nodes, so no other library is needed.
@@ -363,20 +364,52 @@ def gegenbauer_roots(spec: GegenbauerSpec) -> tuple[float, ...]:
 
 
 def hermite_roots(spec: HermiteSpec) -> tuple[float, ...]:
-    """All d roots of h_d on the real line, ascending and exactly antisymmetric, started as in ``_jacobi_nodes``.
-
-    h_d(x) is x^(d % 2) times a multiple of L_k^(alpha)(x^2 / 2), k = d // 2, alpha = d % 2 - 1/2 (DLMF
-    18.7.19-20): the nonnegative roots start from 0 for odd d and from sqrt(2 y), y the eigenvalues of the
-    k x k Jacobi matrix of j L_j = (2j - 1 + alpha - x) L_{j-1} - (j - 1 + alpha) L_{j-2} (DLMF 18.9.13),
-    take one guarded Newton step on h_d (h_d' = d h_{d-1}) and are mirrored."""
+    """All d roots of h_d on the real line, ascending and exactly antisymmetric: bitwise the nodes of the
+    d-point Gauss-Hermite rule (``_hermite_rule``), whose nonnegative half comes from ``_hermite_nodes``."""
     d = spec.degree
-    k, odd = divmod(d, 2)
+    x, step, _ = _hermite_nodes(d)
+    upper = (x + step).tolist()
+    return (*(-r for r in reversed(upper[d % 2 :])), *upper)
+
+
+def _hermite_nodes(m: int):
+    """The node stage of ``_hermite_rule``: (x, step, (h_m, h_m', shift)) at the nonnegative starts x, ascending.
+
+    h_m(x) is x^(m % 2) times a multiple of L_k^(alpha)(x^2 / 2), k = m // 2, alpha = m % 2 - 1/2 (DLMF
+    18.7.19-20): the starts are 0 for odd m and sqrt(2 y), y the eigenvalues of the k x k Jacobi matrix of
+    j L_j = (2j - 1 + alpha - x) L_{j-1} - (j - 1 + alpha) L_{j-2} (DLMF 18.9.13).  h_m, h_m' = m h_{m-1}
+    and the shift come from one ``_recurrence`` pass at x, and x + step, one guarded Newton step on h_m,
+    are the nodes.
+    """
+    k, odd = divmod(m, 2)
     js, alpha = [float(j) for j in range(1, k + 1)], odd - 0.5
     laguerre = [-1.0 / j for j in js], [(j - 1.0 + alpha) / j for j in js], [(2.0 * j - 1.0 + alpha) / j for j in js]
     x = np.concatenate(([0.0] * odd, np.sqrt(2.0 * np.linalg.eigvalsh(_jacobi_matrix(*laguerre), UPLO="L")) if k else []))
-    value, prev, _ = _recurrence(*_hermite_ab(d), x)
-    upper = (x + _newton_step(value, d * prev, _newton_caps(x, -x[odd] if k else -math.inf, math.inf))).tolist()
-    return (*(-r for r in reversed(upper[odd:])), *upper)
+    value, prev, shift = _recurrence(*_hermite_ab(m), x)
+    slope = m * prev
+    step = _newton_step(value, slope, _newton_caps(x, -x[odd] if k else -math.inf, math.inf))
+    return x, step, (value, slope, shift)
+
+
+def _hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, ascending and exactly antisymmetric, and log weights of the m-point Gauss-Hermite rule
+    (m >= 1) for the standard Gaussian probability measure.
+
+    The nodes are ``hermite_roots``'.  The weights are Christoffel's,
+    w ~ 1 / h_m'^2, with h_m' carried from the start to the polished node
+    by one Taylor term (h_m'' = x h_m' - m h_m) and counted in powers of two
+    of the least of the rule, the recurrence's shift included, as in
+    ``_jacobi_rules``; the rule is normalised to sum to 1.
+    """
+    x, step, (value, slope, shift) = _hermite_nodes(m)
+    fraction, exponent = np.frexp(slope + (x * slope - m * value) * step)
+    exponent = exponent + shift
+    exponent -= exponent.min()
+    log_w = -2.0 * (np.log(np.abs(fraction)) + _LN2 * exponent)
+    odd = m % 2
+    nodes = x + step
+    nodes, log_w = np.concatenate((-nodes[odd:][::-1], nodes)), np.concatenate((log_w[odd:][::-1], log_w))
+    return nodes, log_w - _block_log_sum_exp(log_w, [m])[0][0]
 
 
 def _jacobi_abc(m: int, alpha: float, beta: float) -> tuple[list[float], list[float], list[float]]:

@@ -89,6 +89,36 @@ def hermite_fourth_moment(d: int) -> int:
     )
 
 
+def hermite_power_moment(d: int, q: int) -> int:
+    """E[h_d^q] under the standard Gaussian for even q, an exact integer.
+
+    h_d = sum_j (-1)^j d! / (j! (d - 2j)! 2^j) x^(d - 2j) has integer
+    coefficients, so its q-th power is taken on the integers, and each
+    monomial x^(2i) has the mean E[y^(2i)] = (2i - 1)!!, kept as a running
+    product.
+    """
+    if q < 0 or q % 2:
+        raise ValueError(f"need an even q >= 0, got {q}")
+    base = [
+        (d - 2 * j, (-1) ** j * math.factorial(d) // (math.factorial(j) * math.factorial(d - 2 * j) * 2**j))
+        for j in range(d // 2 + 1)
+    ]
+    poly = [1]
+    for _ in range(q):
+        nxt = [0] * (len(poly) + d)
+        for i, ci in enumerate(poly):
+            if ci:
+                for k, ck in base:
+                    nxt[i + k] += ci * ck
+        poly = nxt
+    total, moment = 0, 1
+    for deg in range(0, len(poly), 2):
+        if deg:
+            moment *= deg - 1
+        total += poly[deg] * moment
+    return total
+
+
 def chebyshev_u_fourth_moment(d: int) -> int:
     """E[U_d^4] = d + 1 under c_1 (1 - t^2)^(1/2) dt, the S^3 weight, at any d.
 

@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spherehc import cli, hypercheck, norms, specfun
+from spherehc import cli, hypercheck, norms, quadrature, specfun
 from spherehc.norms import (
     CLOSED_FORM,
     GAUSS_GEGENBAUER,
+    GAUSS_HERMITE,
     NormValue,
     SphereParams,
     gaussian_lp_norm,
@@ -29,6 +30,7 @@ from spherehc.verdict import FAILS, HOLDS, INCONCLUSIVE
 from oracles import (
     chebyshev_u_fourth_moment,
     hermite_fourth_moment,
+    hermite_power_moment,
     log_fraction,
     simpson_composite,
     sphere_power_integral_exact,
@@ -710,6 +712,138 @@ def test_gaussian_even_norms_within_band_of_oracle(p, d):
     nv = gaussian_lp_norm(d, float(p))
     assert nv.converged
     assert abs(nv.log_value - exact) <= nv.error_estimate
+
+
+def test_hermite_power_moment_oracle_matches_the_fourth_moment_and_the_factorial():
+    for d in range(0, 31):
+        assert hermite_power_moment(d, 2) == math.factorial(d)
+        assert hermite_power_moment(d, 4) == hermite_fourth_moment(d)
+    assert [hermite_power_moment(1, 2 * k) for k in range(5)] == [1, 1, 3, 15, 105]
+    assert hermite_power_moment(3, 0) == 1
+    with pytest.raises(ValueError):
+        hermite_power_moment(2, 3)
+
+
+def test_gaussian_rule_means_lie_within_their_band_of_the_exact_moments():
+    # every (d, even q) the ladder serves, and on its rule every even e <= q:
+    # the q-mean and p-mean of a ratio and, at e = q, a single norm's rule.
+    # The error stayed within the summands' log-size term alone, at most 0.14
+    # of the band (q = 32, d = 3, e = 28), so _RULE_FLOOR covers this rule too
+    pairs = 0
+    for q in range(2, 164, 2):
+        d = 1
+        while (k := norms._rule_size(2, q, d)) is not None:
+            assert k == norms._rule_size(q, q, d)
+            exponents = range(2, q + 1, 2)
+            for e, (log_mean, rel) in zip(exponents, norms._hermite_log_means(d, k, exponents)):
+                exact = log_fraction(Fraction(hermite_power_moment(d, e)))
+                assert abs(float(log_mean[0]) - exact) <= float(rel[0]), (q, d, e)
+            pairs += 1
+            d += 1
+    # k = (q d / 2 + 2) // 2 <= 41 exactly when q d <= 162
+    assert pairs == sum(162 // q for q in range(2, 164, 2))
+
+
+@pytest.mark.parametrize("k", [8, 16, 24, 32, 40, norms._RULE_NODES])
+def test_gaussian_rule_nodes_are_the_positive_half_of_the_hermite_roots(k):
+    nodes, log_w = norms._hermite_rules(k)
+    roots = specfun.hermite_roots(specfun.HermiteSpec(2 * k))
+    assert [x.hex() for x in nodes.tolist()] == [x.hex() for x in roots[k:]]
+    full_nodes, full_log_w = specfun._hermite_rule(2 * k)
+    assert full_nodes.tolist() == list(roots)
+    assert (full_log_w == full_log_w[::-1]).all()
+    # the whole rule sums to 1, so each half does after doubling
+    assert abs(np.logaddexp.reduce(full_log_w)) <= 4 * np.finfo(float).eps
+    assert abs(np.logaddexp.reduce(log_w)) <= 4 * np.finfo(float).eps
+
+
+def test_hermite_rule_cache_is_bounded():
+    limit = norms._hermite_rules.cache_info().maxsize
+    assert limit is not None
+    for k in range(1, limit + 9):
+        norms._hermite_rules(k)
+    assert norms._hermite_rules.cache_info().currsize <= limit
+
+
+def test_cached_hermite_rules_reject_writes():
+    for array in norms._hermite_rules(8):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.fixture
+def gaussian_calls(monkeypatch):
+    """The calls to ``specfun.hermite_roots`` and ``quadrature._bisect`` during the test, by name."""
+    calls = []
+    for module, name in ((specfun, "hermite_roots"), (quadrature, "_bisect")):
+        def recording(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_warm_even_gaussian_norms_take_no_roots_and_no_bisection(gaussian_calls):
+    cases = [(d, p, q) for p, q in ((2.0, 4.0), (2.0, 6.0), (4.0, 8.0)) for d in (1, 3, 20)] + [(40, 2.0, 4.0)]
+    for d, p, q in cases:
+        norm_ratio_gaussian(d, p, q)
+    gaussian_calls.clear()
+    for d, p, q in cases:
+        ratio = norm_ratio_gaussian(d, p, q)
+        assert ratio.method == GAUSS_HERMITE and ratio.converged and ratio.panels == 2
+        nv = gaussian_lp_norm(d, q)
+        assert nv.method == GAUSS_HERMITE and nv.converged and nv.panels == 1
+        assert hypercheck.hermite_bound_check(d, p, q).status in (HOLDS, FAILS)
+    for d in (1, 81):
+        assert gaussian_lp_norm(d, 2.0).method == GAUSS_HERMITE
+    assert gaussian_calls == []
+
+
+@pytest.mark.parametrize("d,p,q", [(5, 1.5, 3.0), (41, 2.0, 4.0), (2, 2.0, 200.0), (82, 2.0, 2.0), (3, 3.0, 6.0)])
+def test_odd_and_large_gaussian_exponents_keep_the_root_split(gaussian_calls, d, p, q):
+    norms._hermite_rules.cache_clear()
+    value = norm_ratio_gaussian(d, p, q) if p < q else gaussian_lp_norm(d, p)
+    assert value.method != GAUSS_HERMITE and value.converged
+    assert "hermite_roots" in gaussian_calls
+    assert norms._hermite_rules.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 4.0), (2.0, 6.0), (4.0, 8.0)])
+def test_gaussian_rule_ratio_agrees_with_the_root_split_within_the_summed_bands(p, q):
+    served = [d for d in range(1, 41) if norms._rule_size(p, q, d) is not None]
+    assert served == list(range(1, {4.0: 41, 6.0: 28, 8.0: 21}[q]))
+    for d in served:
+        rule = norm_ratio_gaussian(d, p, q)
+        split = norms._ratio(*map(norms._norm_from_integral, norms._gaussian_integrals(d, (q, p), 1e-12), (q, p)))
+        assert rule.method == GAUSS_HERMITE and split.converged
+        assert abs(rule.log_value - split.log_value) <= rule.error_estimate + split.error_estimate, d
+
+
+_BAD_TOLERANCES = [0.0, -1.0, math.nan]
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: norm_ratio_sphere(SphereParams(3), 2, 2.0, 4.0, tol),  # the exact rule
+    lambda tol: norm_ratio_sphere(SphereParams(3), 2, 1.5, 3.0, tol),  # the root split
+    lambda tol: norm_ratio_sphere(SphereParams(1), 2, 2.0, 4.0, tol),  # the circle
+    lambda tol: norm_ratio_sphere(SphereParams(3), 0, 2.0, 4.0, tol),
+    lambda tol: sphere_lp_norm(SphereParams(3), 2, 4.0, tol),
+    lambda tol: zonal_power_integral(1.0, 2, 4.0, tol),
+    lambda tol: zonal_lp_norm(SphereParams(3), [1.0, 0.5], 2.0, tol),
+    lambda tol: norm_ratio_gaussian(2, 2.0, 4.0, tol),  # the exact rule
+    lambda tol: norm_ratio_gaussian(2, 1.5, 3.0, tol),  # the root split
+    lambda tol: gaussian_lp_norm(2, 4.0, tol),
+    lambda tol: gaussian_lp_norm(2, 3.0, tol),
+    lambda tol: hypercheck.count1_checks(3, [2], 2.0, 4.0, tol),
+    lambda tol: hypercheck.count1_checks(3, [2], 1.5, 3.0, tol),
+    lambda tol: hypercheck.count1_checks(3, [2], 3.0, 3.0, tol),
+    lambda tol: hypercheck.count1_check(13, 7, 2.0, 4.0, tol),
+])
+@pytest.mark.parametrize("tol", _BAD_TOLERANCES)
+def test_every_norm_path_refuses_a_tolerance_that_is_not_positive(call, tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        call(tol)
 
 
 @pytest.mark.parametrize("n,d,p", [(500, 12, 2), (1000, 30, 2), (1000, 30, 4), (2000, 20, 4), (5000, 8, 4)])
